@@ -404,11 +404,10 @@ def _h_pushout(doc, path, args, warn):
     if args.verify:
         amb = result.monoid.ambient
         for l_gen in left.source.generators:
-            via_m = left.apply(l_gen)
-            via_n = right.apply(l_gen)
-            lm = _push_image(result.left_matrix, via_m, amb)
-            rm = _push_image(result.right_matrix, via_n, amb)
-            _check(lm == rm, "pushout square does not commute")
+            lm = xl.apply(result.left_matrix, left.apply(l_gen).as_vector())
+            rm = xl.apply(result.right_matrix, right.apply(l_gen).as_vector())
+            _check(amb.reduce_vector(lm) == amb.reduce_vector(rm),
+                   "pushout square does not commute")
         if args.mode == "fs":
             _check(mc.is_saturated(monoid), "fs pushout is not saturated")
     out = {"kind": "pushout-result", "mode": args.mode}
@@ -416,14 +415,6 @@ def _h_pushout(doc, path, args, warn):
     out["left_images"] = [_vec(im.as_vector()) for im in result.left_images]
     out["right_images"] = [_vec(im.as_vector()) for im in result.right_images]
     return out
-
-
-def _push_image(matrix, elem, group):
-    vec = elem.as_vector()
-    out = [0] * group.lift_dim
-    for i in range(group.lift_dim):
-        out[i] = sum(int(matrix[i, j]) * vec[j] for j in range(len(vec)))
-    return tuple(int(x) for x in group.reduce_vector(tuple(out)))
 
 
 def _h_fiber(doc, path, args, warn):

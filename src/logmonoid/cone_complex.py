@@ -110,13 +110,8 @@ def _quotient_maps(lattice_basis, dim):
     for i in range(k):
         if d[i, i] not in (1, -1):
             raise InternalCheckError("lineality basis is not saturated")
-    return u[k:, :].copy(), uinv[:, k:].copy()
-
-
-def _apply(mat, vec):
-    rows, cols = mat.shape
-    return tuple(sum(int(mat[i, j]) * vec[j] for j in range(cols))
-                 for i in range(rows))
+    return (xl.intmat(u.rows[k:], ncols=dim),
+            xl.intmat_from_columns(xl.mat_columns(uinv)[k:], nrows=dim))
 
 
 def _canonicalize_mod(vectors, lattice_basis, dim):
@@ -131,8 +126,8 @@ def _canonicalize_mod(vectors, lattice_basis, dim):
     p, r = _quotient_maps(lattice_basis, dim)
     out = []
     for v in vectors:
-        w = primitive(_apply(p, v))
-        out.append(_apply(r, w))
+        w = primitive(xl.apply(p, v))
+        out.append(xl.apply(r, w))
     return tuple(sorted(out))
 
 
@@ -430,8 +425,7 @@ def _to_span_coords(cone):
     """
     basis = _span_lattice_basis(cone)
     m = len(basis)
-    mat = xl.intmat_from_columns(basis, nrows=cone.dim) if m else \
-        xl.zeros_mat(cone.dim, 0)
+    mat = xl.intmat_from_columns(basis, nrows=cone.dim)
 
     def down(v):
         sol = xl.solve_integer(mat, tuple(int(x) for x in v))
@@ -514,21 +508,24 @@ def _parallelepiped_points(ray_coords, m):
     Returns a list of (point, coefficient tuple of Fractions).
     """
     a = xl.intmat_from_columns(ray_coords, nrows=m)
-    u, uinv, d, v, vinv = xl._snf_full(a)
-    orders = [int(d[i, i]) for i in range(m)]
+    _, uinv, d, v, _ = xl._snf_full(a)
+    orders = [d[i, i] for i in range(m)]
+    if not all(orders):
+        raise InternalCheckError("parallelepiped rays are linearly dependent")
+    # U a V = D, so a c = Uinv r is solved by c = V D^-1 r: with L the last
+    # invariant factor, c = N / L for the integer vector N = V diag(L/d) r
+    big = orders[-1] if orders else 1
+    scaled = xl.intmat([[x * (big // o) for x, o in zip(row, orders)]
+                        for row in v.rows], ncols=m)
     out = []
-    for residue in itertools.product(*(range(abs(o)) for o in orders)):
-        x = _apply(uinv, residue)
-        coeffs = xl.solve_rational(a, x)
-        if coeffs is None:
-            raise InternalCheckError("parallelepiped solve failed")
-        frac = tuple(c - (c.numerator // c.denominator) for c in coeffs)
+    for residue in itertools.product(*(range(o) for o in orders)):
+        x = xl.apply(uinv, residue)
+        nums = xl.apply(scaled, residue)
         point = tuple(
-            x[i] - sum((coeffs[j].numerator // coeffs[j].denominator)
-                       * ray_coords[j][i] for j in range(m))
+            x[i] - sum((n // big) * ray[i] for n, ray in zip(nums, ray_coords))
             for i in range(m))
         if any(point):
-            out.append((point, frac))
+            out.append((point, tuple(Fraction(n % big, big) for n in nums)))
     return out
 
 
@@ -582,10 +579,10 @@ def cone_lattice_generators(vectors, dim):
     p, r = _quotient_maps(cone.lineality, dim)
     k = dim - len(cone.lineality)
     image = RationalCone.from_rays(
-        [_apply(p, ray) for ray in cone.extreme_rays], k)
+        [xl.apply(p, ray) for ray in cone.extreme_rays], k)
     gens = set()
     for h in hilbert_basis(image):
-        gens.add(_apply(r, h))
+        gens.add(xl.apply(r, h))
     for l in cone.lineality:
         gens.add(l)
         gens.add(vneg(l))

@@ -1,10 +1,11 @@
 """Exact integer linear algebra over Z.
 
-Matrices are 2-d numpy arrays with ``dtype=object`` holding Python ints, so
-all arithmetic is exact at arbitrary precision.  On top of Smith normal form
-this module provides kernels and cokernels, finitely generated abelian groups
-in invariant-factor form (with quotient / subgroup / hom machinery), and a
-complete solver for nonnegative integer linear systems.
+Matrices are ``IntMatrix`` values: immutable tuples of row tuples holding
+Python ints, so all arithmetic is exact at arbitrary precision.  On top of
+Smith normal form this module provides kernels and cokernels, finitely
+generated abelian groups in invariant-factor form (with quotient / subgroup
+/ hom machinery), and a complete solver for nonnegative integer linear
+systems.
 
 Conventions:
   - a matrix A of shape (m, n) is the map Z^n -> Z^m acting on column vectors;
@@ -18,17 +19,52 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-import numpy as np
-
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InternalCheckError
 
 # ---------------------------------------------------------------------------
 # matrix helpers
 
 
+@dataclass(frozen=True)
+class IntMatrix:
+    """An immutable integer matrix stored as a tuple of row tuples.
+
+    ``m[i, j]`` reads an entry, ``m @ x`` multiplies by a matrix (giving a
+    matrix) or by a 1-d integer sequence (giving a tuple).  The constructor
+    trusts its arguments; build checked matrices with ``intmat``.
+    """
+
+    rows: tuple
+    ncols: int
+
+    @property
+    def shape(self):
+        return (len(self.rows), self.ncols)
+
+    def __getitem__(self, index):
+        i, j = index
+        return self.rows[i][j]
+
+    def __matmul__(self, other):
+        if not isinstance(other, IntMatrix):
+            return apply(self, other)
+        if self.ncols != len(other.rows):
+            raise InputError(f"cannot multiply shapes {self.shape} and {other.shape}")
+        cols = mat_columns(other)
+        return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols)
+                               for r in self.rows), other.ncols)
+
+    def tolist(self):
+        return [list(r) for r in self.rows]
+
+    def any(self):
+        return any(map(any, self.rows))
+
+
 def intmat(rows, ncols=None):
-    """Builds an exact integer matrix (object dtype) from nested sequences.
+    """Builds an exact integer matrix from nested sequences.
 
     ``ncols`` is required when ``rows`` is empty, and is otherwise checked
     against the row length.
@@ -37,19 +73,22 @@ def intmat(rows, ncols=None):
     if not rows:
         if ncols is None:
             raise InputError("empty matrix needs an explicit column count")
-        return np.empty((0, ncols), dtype=object)
+        return IntMatrix((), ncols)
     width = len(rows[0])
     if ncols is not None and ncols != width:
         raise InputError(f"expected {ncols} columns, got {width}")
     if any(len(r) != width for r in rows):
         raise InputError("ragged rows in matrix input")
-    out = np.empty((len(rows), width), dtype=object)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
+    for r in rows:
+        for x in r:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InputError(f"matrix entry {x!r} is not an integer")
-            out[i, j] = int(x)
-    return out
+    return IntMatrix(tuple(tuple(map(int, r)) for r in rows), width)
+
+
+def _from_columns(cols, nrows):
+    """The matrix with the given int tuples as columns (unchecked)."""
+    return IntMatrix(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
 
 
 def intmat_from_columns(cols, nrows=None):
@@ -58,38 +97,50 @@ def intmat_from_columns(cols, nrows=None):
     if not cols:
         if nrows is None:
             raise InputError("empty column list needs an explicit row count")
-        return np.empty((nrows, 0), dtype=object)
-    return intmat(cols).T.copy()
+        return IntMatrix(((),) * nrows, 0)
+    return _from_columns(intmat(cols).rows, len(cols[0]))
+
+
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _freeze(rows, ncols):
+    """An IntMatrix from a list of int lists (unchecked)."""
+    return IntMatrix(tuple(map(tuple, rows)), ncols)
 
 
 def identity_mat(n):
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+    return _freeze(_identity_rows(n), n)
 
 
 def zeros_mat(m, n):
-    return np.zeros((m, n), dtype=object)
+    return IntMatrix(((0,) * n,) * m, n)
 
 
 def mat_columns(a):
     """The columns of ``a`` as a list of int tuples."""
-    return [tuple(int(x) for x in a[:, j]) for j in range(a.shape[1])]
+    return list(zip(*a.rows)) if a.rows else [()] * a.ncols
 
 
-def mat_rows(a):
-    return [tuple(int(x) for x in a[i, :]) for i in range(a.shape[0])]
+def apply(mat, vec):
+    """The image ``mat @ vec`` of an integer vector, as a tuple of ints."""
+    vec = tuple(vec)
+    if len(vec) != mat.ncols:
+        raise InputError(
+            f"vector of length {len(vec)} for a matrix with {mat.ncols} columns")
+    return tuple(sum(map(mul, r, vec)) for r in mat.rows)
 
 
 def _as_matrix(a):
-    if isinstance(a, np.ndarray):
-        if a.ndim != 2:
-            raise InputError("expected a 2-d matrix")
-        if a.dtype != object:
-            return intmat([[int(x) for x in row] for row in a] if a.shape[0] else [],
-                          ncols=a.shape[1])
+    """``a`` as an IntMatrix: nested int sequences and 2-d arrays (anything
+    with ``tolist`` and ``shape``) are checked and converted."""
+    if isinstance(a, IntMatrix):
         return a
+    if hasattr(a, "tolist"):
+        if len(a.shape) != 2:
+            raise InputError("expected a 2-d matrix")
+        return intmat(a.tolist(), ncols=a.shape[1])
     return intmat(a)
 
 
@@ -105,9 +156,9 @@ class SmithDecomposition:
     d_i | d_{i+1}.
     """
 
-    left: np.ndarray
+    left: IntMatrix
     diag: tuple
-    right: np.ndarray
+    right: IntMatrix
 
 
 def _snf_full(a):
@@ -115,54 +166,67 @@ def _snf_full(a):
 
     Returns (U, Uinv, D, V, Vinv) with U @ a @ V == D diagonal, U @ Uinv and
     V @ Vinv identities.  Pivot rule: smallest nonzero absolute value in the
-    active submatrix, ties broken by lowest row then column index.
+    active submatrix, ties broken by lowest row then column index.  The row
+    and column operations run on lists of lists; the results are wrapped as
+    IntMatrix once at the end.
     """
-    d = _as_matrix(a).copy()
-    m, n = d.shape
-    u, ui = identity_mat(m), identity_mat(m)
-    v, vi = identity_mat(n), identity_mat(n)
+    a = _as_matrix(a)
+    m, n = a.shape
+    d = [list(r) for r in a.rows]
+    u, ui = _identity_rows(m), _identity_rows(m)
+    v, vi = _identity_rows(n), _identity_rows(n)
 
     def swap_rows(i, j):
         if i == j:
             return
-        d[[i, j], :] = d[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-        ui[:, [i, j]] = ui[:, [j, i]]
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+        for r in ui:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         if i == j:
             return
-        d[:, [i, j]] = d[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-        vi[[i, j], :] = vi[[j, i], :]
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        vi[i], vi[j] = vi[j], vi[i]
 
     def negate_row(i):
-        d[i, :] = -d[i, :]
-        u[i, :] = -u[i, :]
-        ui[:, i] = -ui[:, i]
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+        for r in ui:
+            r[i] = -r[i]
 
     def add_row(i, j, c):
         # row i += c * row j
-        d[i, :] = d[i, :] + c * d[j, :]
-        u[i, :] = u[i, :] + c * u[j, :]
-        ui[:, j] = ui[:, j] - c * ui[:, i]
+        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for r in ui:
+            r[j] -= c * r[i]
 
     def add_col(j, i, c):
         # col j += c * col i
-        d[:, j] = d[:, j] + c * d[:, i]
-        v[:, j] = v[:, j] + c * v[:, i]
-        vi[i, :] = vi[i, :] - c * vi[j, :]
+        for r in d:
+            r[j] += c * r[i]
+        for r in v:
+            r[j] += c * r[i]
+        vi[i] = [x - c * y for x, y in zip(vi[i], vi[j])]
 
     def pivot_at(t):
-        best = None
+        # scanning in (row, column) order, the first entry of least absolute
+        # value is the one with the smallest (|x|, row, column) key
+        best, pos = None, None
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                x = d[i, j]
-                if x != 0:
-                    key = (abs(x), i, j)
-                    if best is None or key < best:
-                        best = key
-        return None if best is None else (best[1], best[2])
+                x = row[j]
+                if x and (best is None or abs(x) < best):
+                    best, pos = abs(x), (i, j)
+                    if best == 1:
+                        return pos
+        return pos
 
     for t in range(min(m, n)):
         while True:
@@ -171,37 +235,36 @@ def _snf_full(a):
                 break
             swap_rows(t, pos[0])
             swap_cols(t, pos[1])
-            if d[t, t] < 0:
+            if d[t][t] < 0:
                 negate_row(t)
-            p = d[t, t]
+            p = d[t][t]
             dirty = False
             for i in range(t + 1, m):
-                if d[i, t] != 0:
-                    add_row(i, t, -(d[i, t] // p))
-                    if d[i, t] != 0:
+                if d[i][t] != 0:
+                    add_row(i, t, -(d[i][t] // p))
+                    if d[i][t] != 0:
                         dirty = True
             for j in range(t + 1, n):
-                if d[t, j] != 0:
-                    add_col(j, t, -(d[t, j] // p))
-                    if d[t, j] != 0:
+                if d[t][j] != 0:
+                    add_col(j, t, -(d[t][j] // p))
+                    if d[t][j] != 0:
                         dirty = True
             if dirty:
                 continue
-            viol = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i, j] % p != 0:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            viol = next((i for i in range(t + 1, m)
+                         if any(d[i][j] % p for j in range(t + 1, n))), None)
             if viol is None:
                 break
             add_row(t, viol, 1)
         if pivot_at(t) is None:
             break
 
-    return u, ui, d, v, vi
+    return _freeze(u, m), _freeze(ui, m), _freeze(d, n), _freeze(v, n), _freeze(vi, n)
+
+
+def _diagonal(d):
+    """The nonzero diagonal entries of a Smith form D, in order."""
+    return tuple(d.rows[i][i] for i in range(min(d.shape)) if d.rows[i][i] != 0)
 
 
 def smith_normal_form(a):
@@ -211,21 +274,12 @@ def smith_normal_form(a):
     of U * A * V.
     """
     u, _, d, v, _ = _snf_full(a)
-    diag = tuple(int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
+    diag = _diagonal(d)
     for i in range(len(diag) - 1):
-        assert diag[i + 1] % diag[i] == 0
+        if diag[i + 1] % diag[i] != 0:
+            raise InternalCheckError(
+                f"Smith form diagonal {diag} is not a divisibility chain")
     return SmithDecomposition(left=u, diag=diag, right=v)
-
-
-def _normalize_column_signs(a):
-    out = a.copy()
-    for j in range(out.shape[1]):
-        for i in range(out.shape[0]):
-            if out[i, j] != 0:
-                if out[i, j] < 0:
-                    out[:, j] = -out[:, j]
-                break
-    return out
 
 
 def kernel_basis(a):
@@ -235,15 +289,22 @@ def kernel_basis(a):
     the columns.  Columns are sign-normalized so their first nonzero entry is
     positive.
     """
-    a = _as_matrix(a)
     _, _, d, v, _ = _snf_full(a)
-    rank = sum(1 for i in range(min(d.shape)) if d[i, i] != 0)
-    return _normalize_column_signs(v[:, rank:].copy())
+    cols = []
+    for col in mat_columns(v)[len(_diagonal(d)):]:
+        lead = next((x for x in col if x != 0), 0)
+        cols.append(tuple(-x for x in col) if lead < 0 else col)
+    return _from_columns(cols, v.shape[0])
 
 
 def rank_of(a):
     """Rank over Q of an integer matrix."""
     return len(smith_normal_form(a).diag)
+
+
+def _check_rhs(a, b):
+    if len(b) != a.shape[0]:
+        raise InputError("right-hand side has wrong length")
 
 
 def solve_integer(a, b):
@@ -253,41 +314,37 @@ def solve_integer(a, b):
     kernel coordinates of the Smith decomposition.
     """
     a = _as_matrix(a)
+    _check_rhs(a, b)
     m, n = a.shape
-    if len(b) != m:
-        raise InputError("right-hand side has wrong length")
     u, _, d, v, _ = _snf_full(a)
-    w = u @ np.array([int(x) for x in b], dtype=object) if m else np.empty((0,), dtype=object)
-    y = np.zeros((n,), dtype=object)
+    w = apply(u, map(int, b))
+    y = [0] * n
     for i in range(m):
-        di = d[i, i] if i < min(m, n) else 0
+        di = d.rows[i][i] if i < min(m, n) else 0
         if di != 0:
             if w[i] % di != 0:
                 return None
             y[i] = w[i] // di
         elif w[i] != 0:
             return None
-    x = v @ y
-    return tuple(int(t) for t in x)
+    return apply(v, y)
 
 
 def solve_rational(a, b):
     """One rational solution of a x = b as a tuple of Fractions, or None."""
     a = _as_matrix(a)
+    _check_rhs(a, b)
     m, n = a.shape
-    if len(b) != m:
-        raise InputError("right-hand side has wrong length")
     u, _, d, v, _ = _snf_full(a)
-    w = [sum(int(u[i, k]) * int(b[k]) for k in range(m)) for i in range(m)]
+    w = apply(u, map(int, b))
     y = [Fraction(0)] * n
     for i in range(m):
-        di = int(d[i, i]) if i < min(m, n) else 0
+        di = d.rows[i][i] if i < min(m, n) else 0
         if di != 0:
             y[i] = Fraction(w[i], di)
         elif w[i] != 0:
             return None
-    x = [sum(Fraction(int(v[i, k])) * y[k] for k in range(n)) for i in range(n)]
-    return tuple(x)
+    return tuple(sum(Fraction(c) * yk for c, yk in zip(row, y)) for row in v.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +477,7 @@ def cokernel(a, nrows=None):
     """
     a = _as_matrix(a) if not (isinstance(a, (list, tuple)) and not a) else intmat([], ncols=0)
     if a.shape == (0, 0) and nrows is not None:
-        a = np.empty((nrows, 0), dtype=object)
+        a = zeros_mat(nrows, 0)
     m = a.shape[0]
     diag = smith_normal_form(a).diag
     return FgAbelianGroup(
@@ -437,17 +494,13 @@ def group_from_relations(ngens, relation_columns):
     """
     rel = intmat_from_columns(relation_columns, nrows=ngens)
     u, _, d, _, _ = _snf_full(rel)
-    m, n = rel.shape
-    diag = [int(d[i, i]) for i in range(min(m, n)) if d[i, i] != 0]
+    diag = _diagonal(d)
     s = len(diag)
-    free_rows = [u[i, :] for i in range(s, m)]
-    tors_rows = [u[i, :] for i in range(s) if diag[i] >= 2]
+    free_rows = u.rows[s:]
+    tors_rows = tuple(u.rows[i] for i in range(s) if diag[i] >= 2)
     factors = tuple(f for f in diag if f >= 2)
-    group = FgAbelianGroup(free_rank=m - s, invariant_factors=factors)
-    proj = np.empty((group.lift_dim, m), dtype=object)
-    for k, row in enumerate(free_rows + tors_rows):
-        proj[k, :] = row
-    return group, proj
+    group = FgAbelianGroup(free_rank=rel.shape[0] - s, invariant_factors=factors)
+    return group, IntMatrix(free_rows + tors_rows, rel.shape[0])
 
 
 def quotient_presentation(group, extra_columns):
@@ -473,9 +526,9 @@ def subgroup_presentation(group, elements):
     cols = intmat_from_columns(
         elements + group.relation_columns(), nrows=group.lift_dim)
     ker = kernel_basis(cols)
-    rel = [tuple(int(ker[i, j]) for i in range(k)) for j in range(ker.shape[1])]
+    rel = [col[:k] for col in mat_columns(ker)]
     sub, proj = group_from_relations(k, rel)
-    images = [sub.reduce_vector(tuple(int(x) for x in proj[:, i])) for i in range(k)]
+    images = [sub.reduce_vector(col) for col in mat_columns(proj)]
     return sub, images
 
 
@@ -486,7 +539,7 @@ def hom_is_well_defined(source, target, matrix):
         return False
     r = source.free_rank
     for i, f in enumerate(source.invariant_factors):
-        col = matrix[:, r + i]
+        col = [row[r + i] for row in matrix.rows]
         for j in range(target.free_rank):
             if f * col[j] != 0:
                 return False
@@ -499,11 +552,9 @@ def hom_is_well_defined(source, target, matrix):
 def hom_kernel(source, target, matrix):
     """Kernel of a hom of presented groups, in invariant-factor form."""
     matrix = _as_matrix(matrix)
-    rel = intmat_from_columns(target.relation_columns(), nrows=target.lift_dim)
-    combined = np.hstack([matrix, rel])
-    ker = kernel_basis(combined)
-    gens = [tuple(int(ker[i, j]) for i in range(source.lift_dim))
-            for j in range(ker.shape[1])]
+    combined = intmat_from_columns(
+        mat_columns(matrix) + target.relation_columns(), nrows=matrix.shape[0])
+    gens = [col[:source.lift_dim] for col in mat_columns(kernel_basis(combined))]
     sub, _ = subgroup_presentation(source, gens) if gens else (
         FgAbelianGroup(0, ()), [])
     return sub
@@ -539,7 +590,7 @@ def minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
     m, n = a.shape
     if n == 0:
         return []
-    cols = [tuple(int(a[i, j]) for i in range(m)) for j in range(n)]
+    cols = mat_columns(a)
     zero_val = (0,) * m
 
     def dot(u, v):
@@ -584,13 +635,9 @@ def minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
 def _inhomogeneous_minimal_solutions(a, b, *, stop_first=False):
     """Minimal nonneg solutions of a x = b via homogenization."""
     a = _as_matrix(a)
-    m, n = a.shape
-    if len(b) != m:
-        raise InputError("right-hand side has wrong length")
-    bcol = np.empty((m, 1), dtype=object)
-    for i in range(m):
-        bcol[i, 0] = -int(b[i])
-    hom = np.hstack([a, bcol])
+    _check_rhs(a, b)
+    n = a.shape[1]
+    hom = IntMatrix(tuple(r + (-int(x),) for r, x in zip(a.rows, b)), n + 1)
     bounds = [None] * n + [1]
     stop = (lambda t: t[n] == 1) if stop_first else None
     sols = minimal_nonneg_solutions(hom, coordinate_bounds=bounds, stop=stop)
@@ -605,9 +652,8 @@ def solve_nonneg(a, b):
     enumerates all minimal solutions.)
     """
     a = _as_matrix(a)
-    m, n = a.shape
-    if len(b) != m:
-        raise InputError("right-hand side has wrong length")
+    _check_rhs(a, b)
+    n = a.shape[1]
     if all(int(x) == 0 for x in b):
         return (0,) * n
     if n == 0:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InputError
 from . import exact_lattice as xl
 from . import monoid_core as mc
@@ -32,13 +30,13 @@ class MonoidHom:
 
     source: mc.AffineMonoid
     target: mc.AffineMonoid
-    matrix: np.ndarray
+    matrix: xl.IntMatrix
 
     def __post_init__(self):
         rows = self.target.ambient.lift_dim
         cols = self.source.ambient.lift_dim
-        mat = xl.intmat([list(r) for r in self.matrix] if not isinstance(
-            self.matrix, np.ndarray) else self.matrix.tolist(), ncols=cols)
+        mat = xl.intmat(self.matrix.tolist() if hasattr(self.matrix, "tolist")
+                        else self.matrix, ncols=cols)
         if mat.shape != (rows, cols):
             raise InputError(
                 f"hom matrix has shape {mat.shape}, expected {(rows, cols)}")
@@ -54,10 +52,8 @@ class MonoidHom:
     def apply(self, elem):
         if not isinstance(elem, mc.MonoidElement):
             elem = mc.element_of(self.source.ambient, elem)
-        vec = elem.as_vector()
-        out = self.matrix @ np.array(vec, dtype=object) if \
-            self.target.ambient.lift_dim else np.empty((0,), dtype=object)
-        return mc.element_of(self.target.ambient, tuple(int(x) for x in out))
+        return mc.element_of(self.target.ambient,
+                             xl.apply(self.matrix, elem.as_vector()))
 
 
 def identity_hom(monoid):
@@ -197,9 +193,7 @@ def relative_characteristic(hom):
         hom.target.ambient, _image_columns(hom))
     gens = []
     for q in hom.target.generators:
-        vec = proj @ np.array(q.as_vector(), dtype=object) if quot.lift_dim \
-            else np.empty((0,), dtype=object)
-        gens.append(mc.element_of(quot, tuple(int(x) for x in vec)))
+        gens.append(mc.element_of(quot, xl.apply(proj, q.as_vector())))
     return mc.AffineMonoid(quot, tuple(gens))
 
 
@@ -264,12 +258,7 @@ def universal_differential_presentation(hom):
     amb = hom.target.ambient
     n = amb.lift_dim
     symbols = tuple(f"d{i}" for i in range(n))
-    cols = []
-    mat = hom.matrix
-    for j in range(hom.source.ambient.lift_dim):
-        col = tuple(int(mat[i, j]) for i in range(n))
-        if any(col):
-            cols.append(col)
+    cols = [col for col in xl.mat_columns(hom.matrix) if any(col)]
     cols.extend(tuple(c) for c in amb.relation_columns())
     module, _ = xl.group_from_relations(n, cols)
     return DifferentialPresentation(

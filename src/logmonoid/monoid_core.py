@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InputError
 from . import exact_lattice as xl
 
@@ -282,9 +280,7 @@ def grothendieck_group(pres):
     cols = [tuple(u[i] - v[i] for i in range(pres.ngens))
             for (u, v) in pres.relations]
     group, proj = xl.group_from_relations(pres.ngens, cols)
-    images = tuple(
-        element_of(group, tuple(int(proj[k, i]) for k in range(group.lift_dim)))
-        for i in range(pres.ngens))
+    images = tuple(element_of(group, col) for col in xl.mat_columns(proj))
     return group, images
 
 
@@ -304,11 +300,10 @@ def monoid_relation_lattice(monoid):
     gens = monoid.generators
     cols = [g.as_vector() for g in gens] + monoid.ambient.relation_columns()
     mat = xl.intmat_from_columns(cols, nrows=monoid.ambient.lift_dim)
-    ker = xl.kernel_basis(mat)
     k = len(gens)
     out = []
-    for j in range(ker.shape[1]):
-        col = tuple(int(ker[i, j]) for i in range(k))
+    for col in xl.mat_columns(xl.kernel_basis(mat)):
+        col = col[:k]
         if any(col):
             out.append(col)
     return out
@@ -374,12 +369,9 @@ def _sharpen_with_projection(monoid):
     unit_gens = units(monoid)
     quot, proj = xl.quotient_presentation(
         monoid.ambient, [u.as_vector() for u in unit_gens])
-    proj_arr = proj
 
     def project(elem):
-        vec = proj_arr @ np.array(elem.as_vector(), dtype=object) \
-            if quot.lift_dim else np.empty((0,), dtype=object)
-        return element_of(quot, tuple(int(x) for x in vec))
+        return element_of(quot, xl.apply(proj, elem.as_vector()))
 
     images = [project(g) for g in monoid.generators]
     sharp = AffineMonoid(quot, images)
@@ -528,8 +520,8 @@ class PushoutResult:
     monoid: AffineMonoid
     left_images: tuple
     right_images: tuple
-    left_matrix: np.ndarray
-    right_matrix: np.ndarray
+    left_matrix: xl.IntMatrix
+    right_matrix: xl.IntMatrix
 
 
 def _require_same_source(f, g):
@@ -549,26 +541,21 @@ def pushout_with_maps(f, g):
     n_amb = g.target.ambient
     lm, ln = m_amb.lift_dim, n_amb.lift_dim
     cols = _stack_group_presentation(m_amb, n_amb)
-    l_amb = f.source.ambient
-    fm = xl._as_matrix(f.matrix)
-    gm = xl._as_matrix(g.matrix)
-    for j in range(l_amb.lift_dim):
-        col = tuple(int(fm[i, j]) for i in range(lm)) + \
-            tuple(-int(gm[i, j]) for i in range(ln))
-        cols.append(col)
+    for fc, gc in zip(xl.mat_columns(f.matrix), xl.mat_columns(g.matrix)):
+        cols.append(fc + tuple(-x for x in gc))
     group, proj = xl.group_from_relations(lm + ln, cols)
 
     def image(vec):
-        out = proj @ np.array(vec, dtype=object) if group.lift_dim else \
-            np.empty((0,), dtype=object)
-        return element_of(group, tuple(int(x) for x in out))
+        return element_of(group, xl.apply(proj, vec))
 
     left = tuple(image(m.as_vector() + (0,) * ln) for m in f.target.generators)
     right = tuple(image((0,) * lm + n.as_vector()) for n in g.target.generators)
     monoid = AffineMonoid(group, left + right)
+    proj_cols = xl.mat_columns(proj)
     return PushoutResult(
         monoid=monoid, left_images=left, right_images=right,
-        left_matrix=proj[:, :lm].copy(), right_matrix=proj[:, lm:].copy())
+        left_matrix=xl.intmat_from_columns(proj_cols[:lm], nrows=group.lift_dim),
+        right_matrix=xl.intmat_from_columns(proj_cols[lm:], nrows=group.lift_dim))
 
 
 def _presentation_pushout(f, g):
@@ -584,14 +571,9 @@ def _presentation_pushout(f, g):
         u = (0,) * p + tuple(max(x, 0) for x in col)
         v = (0,) * p + tuple(max(-x, 0) for x in col)
         rels.append((u, v))
-    fm = xl._as_matrix(f.matrix)
-    gm = xl._as_matrix(g.matrix)
     for l in f.source.generators:
-        vec = np.array(l.as_vector(), dtype=object)
-        img_m = element_of(m_mon.ambient,
-                           tuple(int(x) for x in fm @ vec) if m_mon.ambient.lift_dim else ())
-        img_n = element_of(n_mon.ambient,
-                           tuple(int(x) for x in gm @ vec) if n_mon.ambient.lift_dim else ())
+        img_m = element_of(m_mon.ambient, xl.apply(f.matrix, l.as_vector()))
+        img_n = element_of(n_mon.ambient, xl.apply(g.matrix, l.as_vector()))
         u = expression(m_mon, img_m)
         v = expression(n_mon, img_n)
         if u is None or v is None:
@@ -630,18 +612,11 @@ def fiber_product_generators(f, g):
         raise InputError("fiber product legs must share their target monoid")
     l_amb = f.target.ambient
     m_mon, n_mon = f.source, g.source
-    fm = xl._as_matrix(f.matrix)
-    gm = xl._as_matrix(g.matrix)
     cols = []
     for m in m_mon.generators:
-        vec = fm @ np.array(m.as_vector(), dtype=object) if l_amb.lift_dim \
-            else np.empty((0,), dtype=object)
-        cols.append(tuple(l_amb.reduce_vector(tuple(int(x) for x in vec))))
+        cols.append(l_amb.reduce_vector(xl.apply(f.matrix, m.as_vector())))
     for n in n_mon.generators:
-        vec = gm @ np.array(n.as_vector(), dtype=object) if l_amb.lift_dim \
-            else np.empty((0,), dtype=object)
-        cols.append(tuple(x for x in l_amb.neg(
-            l_amb.reduce_vector(tuple(int(x) for x in vec)))))
+        cols.append(l_amb.neg(l_amb.reduce_vector(xl.apply(g.matrix, n.as_vector()))))
     r = l_amb.free_rank
     for j, fac in enumerate(l_amb.invariant_factors):
         e = [0] * l_amb.lift_dim
@@ -685,8 +660,7 @@ def fiber_product(f, g):
     group, proj = xl.group_from_relations(m_amb.lift_dim + n_amb.lift_dim, cols)
     stacked = []
     for (m_el, n_el) in pairs:
-        vec = np.array(m_el.as_vector() + n_el.as_vector(), dtype=object)
-        out = proj @ vec if group.lift_dim else np.empty((0,), dtype=object)
-        stacked.append(group.reduce_vector(tuple(int(x) for x in out)))
+        vec = xl.apply(proj, m_el.as_vector() + n_el.as_vector())
+        stacked.append(group.reduce_vector(vec))
     monoid, _ = span_submonoid(group, stacked)
     return monoid

@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 
 import logmonoid.cone_complex as cc
+import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError, InternalCheckError
 
@@ -312,6 +313,45 @@ def test_hilbert_basis_complete_via_parallelepiped():
                 if h != k:
                     diff = tuple(a - b for a, b in zip(h, k))
                     assert not (any(diff) and cone.contains(diff)), (h, k)
+        checked += 1
+
+
+def _oracle_parallelepiped_points(rays, m):
+    """The parallelepiped enumeration with one SNF-backed rational solve per
+    residue: the slow path that ``_parallelepiped_points`` replaces."""
+    a = xl.intmat_from_columns(rays, nrows=m)
+    _, uinv, d, _, _ = xl._snf_full(a)
+    out = []
+    for residue in itertools.product(*(range(d[i, i]) for i in range(m))):
+        x = uinv @ residue
+        coeffs = xl.solve_rational(a, x)
+        floors = [c.numerator // c.denominator for c in coeffs]
+        point = tuple(x[i] - sum(f * r[i] for f, r in zip(floors, rays))
+                      for i in range(m))
+        if any(point):
+            out.append((point, tuple(c - f for c, f in zip(coeffs, floors))))
+    return out
+
+
+def test_parallelepiped_points_match_rational_solve():
+    rng = random.Random(2026)
+    checked = 0
+    while checked < 40:
+        m = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(m)]
+        a = xl.intmat_from_columns(rays, nrows=m)
+        if xl.rank_of(a) < m:
+            continue
+        got = cc._parallelepiped_points(rays, m)
+        assert got == _oracle_parallelepiped_points(rays, m), rays
+        det = 1
+        for f in xl.smith_normal_form(a).diag:
+            det *= f
+        assert len(got) == det - 1
+        for point, frac in got:
+            assert all(type(c) is Fraction and 0 <= c < 1 for c in frac)
+            assert point == tuple(sum(c * r[i] for c, r in zip(frac, rays))
+                                  for i in range(m))
         checked += 1
 
 

@@ -6,16 +6,17 @@ factors, box enumeration for minimal nonnegative solutions, trial division
 for primality.  Random cases use fixed seeds.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
 import pytest
 
 import logmonoid.exact_lattice as xl
-from logmonoid.errors import DomainError, InputError
+from logmonoid.errors import DomainError, InputError, InternalCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,64 @@ def test_snf_transforms_are_unimodular():
         assert abs(_det(rv)) == 1
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _random_snf_inputs(seed, count):
+    """Fixed-seed matrices up to 5 x 6: sparse entries, and some rank-deficient
+    ones (last row a combination of the first two)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:
+            c = rng.randint(-3, 3)
+            rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+        out.append(rows)
+    return out
+
+
+def test_snf_full_identities_on_random_matrices():
+    for rows in _random_snf_inputs(20261019, 120):
+        m, n = len(rows), len(rows[0])
+        u, ui, d, v, vi = (mat.tolist() for mat in xl._snf_full(rows))
+        assert _matmul(_matmul(u, rows), v) == d, rows
+        assert _matmul(u, ui) == _eye(m), rows
+        assert _matmul(v, vi) == _eye(n), rows
+        assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        diag = [d[i][i] for i in range(min(m, n))]
+        nonzero = [x for x in diag if x]
+        assert diag == nonzero + [0] * (len(diag) - len(nonzero)), rows
+        assert all(x > 0 for x in nonzero), rows
+        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:])), rows
+
+
+def test_snf_full_outputs_are_pinned():
+    # Canonical outputs downstream (kernel bases, quotient coordinates) depend
+    # on the exact pivot order, not just on U A V = D; this digest of all five
+    # outputs was recorded before the kernel moved off numpy arrays.
+    payload = json.dumps(
+        [[mat.tolist() for mat in xl._snf_full(rows)]
+         for rows in _random_snf_inputs(20261018, 50)], separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == \
+        "16357fd0f3a1dcbc269fb5c62306a5ee4382555ae381c8f23e6a0c63f4358e35"
+
+
+def test_smith_normal_form_reports_a_broken_chain(monkeypatch):
+    d = xl.intmat([[2, 0], [0, 3]])
+    eye = xl.identity_mat(2)
+    monkeypatch.setattr(xl, "_snf_full", lambda a: (eye, eye, d, eye, eye))
+    with pytest.raises(InternalCheckError):
+        xl.smith_normal_form([[1]])
+
+
 # ---------------------------------------------------------------------------
 # kernel, rank, solving
 
@@ -221,7 +280,7 @@ def test_solve_integer_round_trip():
         b = tuple(sum(rows[i][j] * x[j] for j in range(n)) for i in range(m))
         sol = xl.solve_integer(a, b)
         assert sol is not None
-        check = a @ np.array(sol, dtype=object)
+        check = a @ tuple(sol)
         assert tuple(int(v) for v in check) == b
 
 
@@ -249,7 +308,7 @@ def test_group_from_relations_cyclic_quotients():
     assert group.invariant_factors == (2,)
     assert proj.shape == (2, 2)
     # the relation really dies
-    img = proj @ np.array([2, -2], dtype=object)
+    img = proj @ (2, -2)
     assert group.reduce_vector(tuple(int(v) for v in img)) == group.zero()
 
 
@@ -404,6 +463,49 @@ def test_matrix_constructors_reject_garbage():
         xl.intmat([], ncols=None)
     assert xl.intmat([], ncols=3).shape == (0, 3)
     assert xl.intmat_from_columns([], nrows=2).shape == (2, 0)
+
+
+def test_intmat_surface():
+    a = xl.intmat([[1, 2, 3], [4, 5, 6]])
+    assert a.shape == (2, 3)
+    assert a[1, 2] == 6 and a[-1, 0] == 4
+    assert a.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert a @ (1, 0, -1) == (-2, -2)
+    assert (a @ xl.intmat_from_columns([(1, 0, 0), (0, 0, 1)])).tolist() == \
+        [[1, 3], [4, 6]]
+    assert a.any() and not xl.zeros_mat(2, 3).any()
+    assert a == xl.intmat([(1, 2, 3), (4, 5, 6)])
+    assert a != xl.intmat([[1, 2, 3]]) and xl.zeros_mat(0, 2) != xl.zeros_mat(0, 3)
+    assert hash(a) == hash(xl.intmat([[1, 2, 3], [4, 5, 6]]))
+    assert xl.intmat_from_columns([(1, 4), (2, 5), (3, 6)]) == a
+    with pytest.raises(AttributeError):
+        a.shape = (3, 2)
+    with pytest.raises(AttributeError):
+        a.rows = ((0, 0, 0),)
+    with pytest.raises(InputError):
+        a @ (1, 2)
+    with pytest.raises(InputError):
+        xl.intmat([[1, True]])
+    with pytest.raises(InputError):
+        xl.intmat([[1, 2.0]])
+
+
+class _ArrayLike:
+    """Stands in for a caller's 2-d array: only ``shape`` and ``tolist``."""
+
+    def __init__(self, rows, shape):
+        self.rows, self.shape = rows, shape
+
+    def tolist(self):
+        return self.rows
+
+
+def test_array_like_inputs_are_converted():
+    a = _ArrayLike([[2, 4], [6, 8]], (2, 2))
+    assert xl.smith_normal_form(a).diag == (2, 4)
+    assert xl.kernel_basis(_ArrayLike([], (0, 2))).shape == (2, 2)
+    with pytest.raises(InputError):
+        xl.rank_of(_ArrayLike([1, 2], (2,)))
 
 
 def test_group_rejects_bad_invariant_factors():

@@ -19,9 +19,15 @@ CASES = sorted(
     if p.is_dir())
 
 
-def run_case(case_dir):
+# Runs the CLI with numpy made unimportable: the package has no runtime
+# dependency, so nothing it imports may reach for it.
+WITHOUT_NUMPY = ("-c", "import runpy, sys; sys.modules['numpy'] = None; "
+                       "runpy.run_module('logmonoid', run_name='__main__', alter_sys=True)")
+
+
+def run_case(case_dir, launcher=("-m", "logmonoid")):
     spec = json.loads((case_dir / "invocation.json").read_text())
-    cmd = [sys.executable, "-m", "logmonoid", spec["command"]]
+    cmd = [sys.executable, *launcher, spec["command"]]
     cmd += spec.get("options", [])
     cmd += [str(case_dir / name) for name in spec["inputs"]]
     return subprocess.run(cmd, capture_output=True)
@@ -38,3 +44,18 @@ def test_golden_case(case_dir):
     expected = (case_dir / "expected.out").read_bytes()
     assert proc.stdout == expected
     assert proc.stdout.endswith(b"\n")
+
+
+@pytest.mark.parametrize("name", ["pushout-kummer-fine", "fiber-sum", "resolve-a3"])
+def test_golden_case_without_numpy(name):
+    case_dir = Path(__file__).parent / "golden" / "cases" / name
+    proc = run_case(case_dir, launcher=WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (case_dir / "expected.out").read_bytes()
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, logmonoid, logmonoid.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
