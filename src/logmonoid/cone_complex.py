@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError, InputError, InternalCheckError
@@ -408,10 +407,8 @@ def is_face_of(face, cone):
 
 
 def _span_lattice_basis(cone):
-    """Canonical basis of span(cone) intersected with Z^dim."""
-    if cone.is_full_dimensional:
-        return tuple(tuple(1 if j == i else 0 for j in range(cone.dim))
-                     for i in range(cone.dim))
+    """Canonical basis of span(cone) intersected with Z^dim, for a cone
+    that is not full-dimensional."""
     eq = xl.intmat(list(cone.span_equations), ncols=cone.dim)
     cols = [tuple(int(x) for x in c) for c in xl.mat_columns(xl.kernel_basis(eq))]
     return hnf_row_basis(cols, cone.dim)
@@ -420,9 +417,14 @@ def _span_lattice_basis(cone):
 def _to_span_coords(cone):
     """Maps between Z^dim and the span lattice Z^m of the cone.
 
-    Returns (down, up): ``down`` maps a lattice point of the span to its
-    coordinate tuple, ``up`` is the inverse embedding.
+    Returns (down, up, m): ``down`` maps a lattice point of the span to its
+    coordinate tuple, ``up`` is the inverse embedding.  A full-dimensional
+    cone keeps its coordinates.
     """
+    if cone.is_full_dimensional:
+        def same(v):
+            return tuple(int(x) for x in v)
+        return same, same, cone.dim
     basis = _span_lattice_basis(cone)
     m = len(basis)
     mat = xl.intmat_from_columns(basis, nrows=cone.dim)
@@ -473,7 +475,6 @@ def pulling_triangulation(cone):
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
 def multiplicity(cone):
     """The index of the subgroup spanned by the primitive rays of a
     simplicial cone inside the saturated lattice spanning the cone (1 exactly
@@ -529,41 +530,101 @@ def _parallelepiped_points(ray_coords, m):
     return out
 
 
+def _unimodular_complement(r):
+    """An integer vector w with det(r, w) = 1, for a primitive r in Z^2."""
+    # extended Euclid: x r[0] + y r[1] = g with g = +-1 for primitive r
+    g, g_next = r[0], r[1]
+    x, x_next = 1, 0
+    y, y_next = 0, 1
+    while g_next:
+        q = g // g_next
+        g, g_next = g_next, g - q * g_next
+        x, x_next = x_next, x - q * x_next
+        y, y_next = y_next, y - q * y_next
+    if g not in (1, -1):
+        raise InternalCheckError("ray of a 2D cone is not primitive")
+    return (-g * y, g * x)
+
+
+def _hilbert_basis_2d(r1, r2):
+    """Hilbert basis of the cone spanned by two independent primitive
+    vectors of Z^2, by the Hirzebruch-Jung continued fraction.
+
+    With (r1, w) a basis of Z^2 oriented like (r1, r2) and shifted so that
+    r2 = m w - q r1 with 0 <= q < m, the basis is u_0 = r1, u_1 = w,
+    u_{i+1} = a_i u_i - u_{i-1}, where m/q = a_1 - 1/(a_2 - 1/...) with
+    every a_i >= 2; the walk ends at r2 after O(log m) steps.
+    """
+    det = r1[0] * r2[1] - r1[1] * r2[0]
+    sign = 1 if det > 0 else -1
+    w = tuple(sign * x for x in _unimodular_complement(r1))
+    m = sign * det
+    # r2 = alpha r1 + m w; shifting w by k r1 with k = ceil(alpha / m)
+    # leaves r2 = m w - q r1 with q = m k - alpha in [0, m)
+    alpha = sign * (r2[0] * w[1] - r2[1] * w[0])
+    k = -(-alpha // m)
+    w = vcomb(1, w, k, r1)
+    q = m * k - alpha
+    out = [r1, w]
+    prev, cur = r1, w
+    n, d = m, q
+    while d:
+        a = -(-n // d)
+        prev, cur = cur, vcomb(a, cur, -1, prev)
+        out.append(cur)
+        n, d = d, a * d - n
+    if cur != r2:
+        raise InternalCheckError(
+            "continued fraction did not end at the second ray")
+    return out
+
+
 def hilbert_basis(cone):
     """The minimal generating set of cone meet Z^dim for a strongly convex cone.
 
-    Candidates are collected from the fundamental parallelepipeds of a
-    pulling triangulation (plus the extreme rays) and reduced to the
-    irreducible elements; the result is unique and lex-sorted.
+    The work runs in coordinates of the span lattice.  In dimension 2 the
+    basis is read off the Hirzebruch-Jung continued fraction of the two rays
+    in O(log multiplicity) arithmetic steps, whatever the ambient dimension.
+
+    In dimension >= 3 the candidates are the extreme rays and the lattice
+    points of the fundamental parallelepipeds of a pulling triangulation;
+    they include every irreducible element.  The degree (sum of the inward
+    facet normals) is positive on the cone minus 0, and if h = b + y with b
+    irreducible and y a nonzero cone point then deg b < deg h.  So the
+    candidates are taken in (degree, vector) order and each is tested only
+    against the irreducibles already kept: h - b lies in the cone iff the
+    facet values of h dominate those of b componentwise.  The enumeration
+    still costs time proportional to the multiplicity of the simplices.
+
+    The result is unique and lex-sorted.
     """
     if not cone.is_strongly_convex:
         raise DomainError("Hilbert bases are defined for strongly convex cones")
     if cone.is_zero:
         return ()
     down, up, m = _to_span_coords(cone)
-    inner = RationalCone.from_rays([down(r) for r in cone.extreme_rays], m)
-    candidates = {down(r) for r in cone.extreme_rays}
+    rays = [down(r) for r in cone.extreme_rays]
+    if m == 2:
+        return tuple(sorted(up(h) for h in _hilbert_basis_2d(*rays)))
+    inner = RationalCone.from_rays(rays, m)
+    candidates = set(rays)
     for simplex in pulling_triangulation(inner):
         for point, _ in _parallelepiped_points(list(simplex), m):
             candidates.add(point)
 
-    def inside(v):
-        return all(vdot(n, v) >= 0 for n in inner.facet_normals)
-
-    candidates = sorted(candidates)
-    keep = []
+    ranked = []
     for h in candidates:
-        reducible = False
-        for c in candidates:
-            if c == h:
-                continue
-            diff = tuple(a - b for a, b in zip(h, c))
-            if any(diff) and inside(diff):
-                reducible = True
-                break
-        if not reducible:
-            keep.append(h)
-    return tuple(sorted(up(h) for h in keep))
+        values = tuple(vdot(n, h) for n in inner.facet_normals)
+        ranked.append((sum(values), h, values))
+    ranked.sort()
+    kept = []
+    kept_values = []
+    for _, h, values in ranked:
+        if not any(all(x >= y for x, y in zip(values, other))
+                   for other in kept_values):
+            kept.append(h)
+            kept_values.append(values)
+    return tuple(sorted(up(h) for h in kept))
 
 
 def cone_lattice_generators(vectors, dim):
@@ -784,19 +845,25 @@ def resolve(fan, validate=True):
             raise InternalCheckError(
                 f"triangulated fan violates the fan axioms: {exc}") from exc
 
+    memo = {}
+
+    def mult(c):
+        if c not in memo:
+            memo[c] = multiplicity(c)
+        return memo[c]
+
     for _ in range(100000):
-        singular = [c for c in current.maximal_cones if multiplicity(c) > 1]
+        singular = [c for c in current.maximal_cones if mult(c) > 1]
         if not singular:
             break
-        worst = min(singular,
-                    key=lambda c: (-multiplicity(c), c.extreme_rays))
+        worst = min(singular, key=lambda c: (-mult(c), c.extreme_rays))
         v = _subdivision_point(worst)
         current, replaced = _stellar_pieces(current, v)
         for old, pieces in replaced:
-            m_old = multiplicity(old)
+            m_old = mult(old)
             for piece in pieces:
                 if piece.span_dim == old.span_dim and \
-                        multiplicity(piece) >= m_old:
+                        mult(piece) >= m_old:
                     raise InternalCheckError(
                         "stellar subdivision failed to decrease multiplicity")
     else:

@@ -204,6 +204,18 @@ def test_blowup_of_empty_ideal_exits_2(tmp_path):
     assert "domain error:" in proc.stderr
 
 
+def test_hilbert_of_long_thin_cone(tmp_path):
+    # multiplicity 10^5, three basis vectors
+    p = write_doc(tmp_path / "cone.json",
+                  {"kind": "cone", "dim": 2, "rays": [[0, 1], [100000, -1]]})
+    proc = run_cli("hilbert", p)
+    assert proc.returncode == 0
+    assert proc.stdout == json.dumps(
+        {"kind": "hilbert-basis", "count": 3,
+         "vectors": [[0, 1], [1, 0], [100000, -1]]}, indent=2) + "\n"
+    assert proc.stderr == ""
+
+
 def test_hilbert_of_nonpointed_cone_exits_2(tmp_path):
     p = write_doc(tmp_path / "cone.json",
                   {"kind": "cone", "dim": 2, "rays": [[1, 0], [-1, 0]]})

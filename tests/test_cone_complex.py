@@ -7,12 +7,15 @@ sampled rational points, resolutions by the refinement / support / regularity
 properties.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
@@ -355,6 +358,209 @@ def test_parallelepiped_points_match_rational_solve():
         checked += 1
 
 
+def _oracle_hilbert_basis(cone):
+    """The full parallelepiped candidate set reduced all-pairs: the path
+    that the continued fraction (dimension 2) and the degree-order reduction
+    (dimension >= 3) of ``hilbert_basis`` replace."""
+    if not cone.is_strongly_convex:
+        raise DomainError("Hilbert bases are defined for strongly convex cones")
+    if cone.is_zero:
+        return ()
+    down, up, m = cc._to_span_coords(cone)
+    inner = cc.RationalCone.from_rays([down(r) for r in cone.extreme_rays], m)
+    candidates = {down(r) for r in cone.extreme_rays}
+    for simplex in cc.pulling_triangulation(inner):
+        for point, _ in cc._parallelepiped_points(list(simplex), m):
+            candidates.add(point)
+
+    def inside(v):
+        return all(cc.vdot(n, v) >= 0 for n in inner.facet_normals)
+
+    candidates = sorted(candidates)
+    keep = []
+    for h in candidates:
+        reducible = False
+        for c in candidates:
+            if c == h:
+                continue
+            diff = tuple(a - b for a, b in zip(h, c))
+            if any(diff) and inside(diff):
+                reducible = True
+                break
+        if not reducible:
+            keep.append(h)
+    return tuple(sorted(up(h) for h in keep))
+
+
+def _assert_matches_oracle(gens, dim):
+    cone = cc.RationalCone.from_rays(gens, dim)
+    if not cone.is_strongly_convex:
+        with pytest.raises(DomainError):
+            cc.hilbert_basis(cone)
+        return
+    assert cc.hilbert_basis(cone) == _oracle_hilbert_basis(cone), gens
+
+
+_DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=200,
+                         suppress_health_check=[HealthCheck.too_slow])
+# entry ranges keep the multiplicities, and so the oracle's all-pairs
+# reduction, small: dimension -> largest absolute entry
+_ENTRY_RANGE = {1: 9, 2: 6, 3: 3, 4: 2}
+
+
+def _rank(vectors):
+    return xl.rank_of(xl.intmat(vectors, ncols=len(vectors[0])))
+
+
+@st.composite
+def _random_cones(draw):
+    """Generators of a full-dimensional cone in Z^1..Z^4: as many as the
+    dimension (simplicial) or up to two more."""
+    dim = draw(st.integers(1, 4))
+    r = _ENTRY_RANGE[dim]
+    size = dim + draw(st.integers(0, 2))
+    vec = st.tuples(*[st.integers(-r, r)] * dim).filter(any)
+    gens = draw(st.lists(vec, min_size=size, max_size=size, unique=True)
+                .filter(lambda g: _rank(g) == dim))
+    return gens, dim
+
+
+@_DIFFERENTIAL
+@given(_random_cones())
+def test_hilbert_basis_matches_oracle_random_cones(case):
+    _assert_matches_oracle(*case)
+
+
+@st.composite
+def _nonsimplicial_cones(draw):
+    """dim + 1 or dim + 2 generators with positive last coordinate (so the
+    cone is pointed) spanning a non-simplicial cone in Z^3 or Z^4."""
+    dim = draw(st.sampled_from([3, 4]))
+    r = _ENTRY_RANGE[dim]
+    size = dim + draw(st.integers(1, 2))
+    vec = st.tuples(*[st.integers(-r, r)] * (dim - 1), st.integers(1, r))
+    gens = draw(st.lists(vec, min_size=size, max_size=size, unique=True)
+                .filter(lambda g: not cc.RationalCone.from_rays(
+                    g, dim).is_simplicial))
+    return gens, dim
+
+
+@settings(_DIFFERENTIAL, max_examples=100)
+@given(_nonsimplicial_cones())
+def test_hilbert_basis_matches_oracle_nonsimplicial(case):
+    _assert_matches_oracle(*case)
+
+
+@settings(_DIFFERENTIAL, max_examples=100)
+@given(st.lists(st.tuples(st.integers(-25, 25), st.integers(-25, 25)),
+                min_size=2, max_size=2).filter(lambda g: _rank(g) == 2))
+def test_hilbert_basis_matches_oracle_2d(gens):
+    _assert_matches_oracle(gens, 2)
+
+
+@st.composite
+def _embedded_2d_cones(draw):
+    """Two vectors of Z^3 or Z^4 and a positive combination of them: a 2D
+    cone whose span lattice is not a coordinate plane."""
+    dim = draw(st.sampled_from([3, 4]))
+    vec = st.tuples(*[st.integers(-6, 6)] * dim).filter(any)
+    a, b = draw(st.tuples(vec, vec).filter(lambda p: _rank(p) == 2))
+    s, t = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return [a, b, tuple(s * x + t * y for x, y in zip(a, b))], dim
+
+
+@_DIFFERENTIAL
+@given(_embedded_2d_cones())
+def test_hilbert_basis_matches_oracle_embedded_2d(case):
+    _assert_matches_oracle(*case)
+
+
+def _hj_digits(m, q):
+    """m/q = a_1 - 1/(a_2 - 1/(... - 1/a_s)), every a_i >= 2, in exact
+    rational arithmetic."""
+    x = Fraction(m, q)
+    digits = []
+    while True:
+        a = -((-x.numerator) // x.denominator)
+        digits.append(a)
+        if x == a:
+            return digits
+        x = 1 / (a - x)
+
+
+def _hj_basis(m, q):
+    """Hilbert basis of cone((0,1), (m,-q)), 0 < q < m coprime: the columns
+    of the products of the matrices [[0, -1], [1, a_i]] applied to the
+    basis ((0,1), (1,0))."""
+    pair = ((0, 1), (1, 0))
+    out = list(pair)
+    for a in _hj_digits(m, q):
+        (p0, p1), (c0, c1) = pair
+        pair = ((c0, c1), (a * c0 - p0, a * c1 - p1))
+        out.append(pair[1])
+    assert out[-1] == (m, -q)
+    return tuple(sorted(out))
+
+
+def test_hilbert_basis_long_thin_cone():
+    cone = cc.RationalCone.from_rays([(0, 1), (100000, -1)], 2)
+    assert cc.hilbert_basis(cone) == ((0, 1), (1, 0), (100000, -1))
+
+
+def test_hilbert_basis_of_a_2001_element_cone():
+    cone = cc.RationalCone.from_rays([(0, 1), (2000, -1999)], 2)
+    assert cc.hilbert_basis(cone) == tuple(
+        sorted((k, 1 - k) for k in range(2001)))
+
+
+def test_hilbert_basis_matches_continued_fraction_up_to_a_million():
+    rng = random.Random(61)
+    checked = 0
+    for m in [2, 3, 7, 60, 997, 10 ** 4, 123457, 10 ** 6 - 1, 10 ** 6]:
+        # q = m - 1 gives m + 1 basis elements: only for the smaller m
+        qs = {1} | ({m - 1} if m <= 10 ** 4 else set())
+        qs |= {rng.randrange(1, m) for _ in range(4)}
+        for q in sorted(qs):
+            if gcd(m, q) != 1:
+                continue
+            cone = cc.RationalCone.from_rays([(0, 1), (m, -q)], 2)
+            basis = cc.hilbert_basis(cone)
+            assert basis == _hj_basis(m, q), (m, q)
+            checked += 1
+    assert checked >= 30
+
+
+def _det2(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def test_hilbert_basis_2d_walk_is_unimodular_and_convex():
+    # the basis of a 2D cone, ordered from one ray to the other, has
+    # det(u_i, u_{i+1}) of one sign and absolute value 1, and
+    # u_{i-1} + u_{i+1} = a_i u_i with a_i >= 2
+    rng = random.Random(67)
+    checked = 0
+    while checked < 40:
+        r1, r2 = (tuple(rng.randint(-300, 300) for _ in range(2))
+                  for _ in range(2))
+        if _det2(r1, r2) == 0:
+            continue
+        cone = cc.RationalCone.from_rays([r1, r2], 2)
+        first, last = cone.extreme_rays
+        sign = 1 if _det2(first, last) > 0 else -1
+        basis = sorted(cc.hilbert_basis(cone), key=functools.cmp_to_key(
+            lambda u, v: -sign * _det2(u, v)))
+        assert basis[0] == first and basis[-1] == last
+        dets = {_det2(u, v) for u, v in zip(basis, basis[1:])}
+        assert dets == {sign}, (r1, r2)
+        for u, v, w in zip(basis, basis[1:], basis[2:]):
+            s = (u[0] + w[0], u[1] + w[1])
+            a = s[0] // v[0] if v[0] else s[1] // v[1]
+            assert a >= 2 and s == (a * v[0], a * v[1]), (r1, r2)
+        checked += 1
+
+
 def test_hilbert_basis_3d_simplicial():
     cone = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
     basis = cc.hilbert_basis(cone)
@@ -389,6 +595,11 @@ def test_multiplicity_family():
         cone = cc.RationalCone.from_rays([(1, 0), (1, k)], 2)
         assert cc.multiplicity(cone) == k
         assert cc.is_regular(cone) == (k == 1)
+
+
+def test_multiplicity_keeps_no_global_cache():
+    # a long-lived process must not accumulate every cone ever measured
+    assert not hasattr(cc.multiplicity, "cache_info")
 
 
 def test_multiplicity_respects_span_lattice():
