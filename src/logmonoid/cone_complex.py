@@ -670,6 +670,52 @@ def monoid_of_cone(cone):
 # fans
 
 
+def _separates_along_common_face(u, a, b):
+    """Whether the linear form u certifies that two strongly convex cones
+    meet along a common face.
+
+    If u >= 0 on ``a`` and u <= 0 on ``b``, both cones meet u-perp in a face
+    that contains their intersection, generated by the extreme rays u
+    vanishes on.  If those rays agree, the two faces are one cone, and that
+    cone is the intersection.
+    """
+    on_a = [vdot(u, r) for r in a.extreme_rays]
+    on_b = [vdot(u, r) for r in b.extreme_rays]
+    if any(x < 0 for x in on_a) or any(x > 0 for x in on_b):
+        return False
+    return {r for r, x in zip(a.extreme_rays, on_a) if x == 0} == \
+        {r for r, x in zip(b.extreme_rays, on_b) if x == 0}
+
+
+def _facet_separator(a, b):
+    """The sum of the facet normals of ``a``, the negated facet normals of
+    ``b`` and the signed span equations of either cone that are >= 0 on
+    every extreme ray of ``a`` and <= 0 on every extreme ray of ``b``."""
+    candidates = list(a.facet_normals) + [vneg(n) for n in b.facet_normals]
+    for eq in a.span_equations + b.span_equations:
+        candidates.append(eq)
+        candidates.append(vneg(eq))
+    u = (0,) * a.dim
+    for c in candidates:
+        if all(vdot(c, r) >= 0 for r in a.extreme_rays) and \
+                all(vdot(c, r) <= 0 for r in b.extreme_rays):
+            u = vadd(u, c)
+    return u
+
+
+def _lemma_separator(a, b):
+    """The sum of the facet normals of a - b, a relative interior point of
+    the cone of forms that are >= 0 on ``a`` and <= 0 on ``b``; it separates
+    along a common face whenever one exists (the proof of the separation
+    lemma).  One double description run."""
+    vecs = sorted(set(a.extreme_rays) | {vneg(r) for r in b.extreme_rays})
+    normals, _ = extreme_rays_of_halfspaces(vecs, a.dim)
+    u = (0,) * a.dim
+    for n in normals:
+        u = vadd(u, n)
+    return u
+
+
 @dataclass(frozen=True)
 class Fan:
     """A fan: strongly convex cones meeting along common faces.
@@ -700,13 +746,33 @@ class Fan:
         object.__setattr__(self, "maximal_cones", tuple(keep))
 
     def validate(self):
-        """Checks that every pairwise intersection is a face of both cones."""
+        """Checks that every pairwise intersection is a face of both cones.
+
+        Each pair sigma, tau is first given a certificate from the
+        separation lemma (Fulton, *Introduction to Toric Varieties*, §1.2):
+        a linear form u that is >= 0 on sigma and <= 0 on tau, such that
+        sigma and tau have the same extreme rays on u-perp.  Then sigma meet
+        u-perp and tau meet u-perp are one cone, which is sigma meet tau
+        and a face of both.  The first form tried is the sum of the facet
+        normals and span equations of the two cones that separate them,
+        dot products only; the second is the sum of the facet normals of
+        sigma - tau, one double description run, which separates along a
+        common face whenever one exists.  A pair without a certificate is
+        checked as before, by intersecting the cones and testing the
+        intersection with ``is_face_of``.
+        """
         cones = self.maximal_cones
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
-                common = intersect(cones[i], cones[j])
-                if not is_face_of(common, cones[i]) or \
-                        not is_face_of(common, cones[j]):
+                a, b = cones[i], cones[j]
+                if _separates_along_common_face(
+                        _facet_separator(a, b), a, b):
+                    continue
+                if _separates_along_common_face(
+                        _lemma_separator(a, b), a, b):
+                    continue
+                common = intersect(a, b)
+                if not is_face_of(common, a) or not is_face_of(common, b):
                     raise DomainError(
                         "cones do not meet along a common face")
         return self

@@ -134,6 +134,12 @@ class SmoothnessVerdict:
     gp_cokernel: xl.FgAbelianGroup
 
 
+def _check_residue_char(residue_char):
+    if residue_char != 0 and not xl.is_prime(residue_char):
+        raise DomainError(
+            f"residue characteristic must be 0 or prime, got {residue_char}")
+
+
 def kato_criterion(hom, residue_char=0):
     """The chart criterion for log smoothness / etaleness.
 
@@ -142,9 +148,7 @@ def kato_criterion(hom, residue_char=0):
     the torsion part of Coker(phi^gp) has invertible order; it is etale iff
     moreover Coker(phi^gp) itself is finite.
     """
-    if residue_char != 0 and not xl.is_prime(residue_char):
-        raise DomainError(
-            f"residue characteristic must be 0 or prime, got {residue_char}")
+    _check_residue_char(residue_char)
     ker = gp_kernel(hom)
     coker = gp_cokernel(hom)
     smooth = ker.is_finite and \
@@ -206,9 +210,7 @@ def neat_chart_class(hom, residue_char=0):
     locally; in general only an fppf cover works.  Returns "zariski",
     "etale", or "fppf".
     """
-    if residue_char != 0 and not xl.is_prime(residue_char):
-        raise DomainError(
-            f"residue characteristic must be 0 or prime, got {residue_char}")
+    _check_residue_char(residue_char)
     coker = gp_cokernel(hom)
     if not coker.invariant_factors:
         return "zariski"
@@ -225,9 +227,7 @@ def differential_rank(hom, residue_char=0):
     """The rank of the universal log differential module over a field of the
     given characteristic: the free rank of Coker(phi^gp), plus in positive
     characteristic one for every invariant factor divisible by p."""
-    if residue_char != 0 and not xl.is_prime(residue_char):
-        raise DomainError(
-            f"residue characteristic must be 0 or prime, got {residue_char}")
+    _check_residue_char(residue_char)
     coker = gp_cokernel(hom)
     if residue_char == 0:
         return coker.free_rank

@@ -4,7 +4,7 @@ The conic-membership oracle is a self-contained Fourier-Motzkin elimination
 over fractions; it shares no code with the library.  Hilbert bases are
 checked for completeness by scanning an integer box, triangulations by
 sampled rational points, resolutions by the refinement / support / regularity
-properties.
+properties, and fan validation against the all-pairs intersection check.
 """
 
 import functools
@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
@@ -703,6 +703,183 @@ def test_barycentric_subdivision_quadrant():
     bary = cc.barycentric_subdivision(fan)
     assert len(bary.maximal_cones) == 2
     assert sorted(bary.rays()) == [(0, 1), (1, 0), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# fan validation against the all-pairs oracle
+
+
+def _oracle_validate(fan):
+    """The all-pairs validator without certificates: one intersection and
+    two face tests for every pair of maximal cones."""
+    cones = fan.maximal_cones
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            common = cc.intersect(cones[i], cones[j])
+            if not cc.is_face_of(common, cones[i]) or \
+                    not cc.is_face_of(common, cones[j]):
+                raise DomainError(
+                    "cones do not meet along a common face")
+    return fan
+
+
+def _verdict(check, fan):
+    """None if the check passes, else the message of its DomainError."""
+    try:
+        check(fan)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def _validate_counting_fallbacks(fan):
+    """(verdict of Fan.validate, number of pairs sent to ``intersect``)."""
+    calls = []
+    real = cc.intersect
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    cc.intersect = counting
+    try:
+        verdict = _verdict(cc.Fan.validate, fan)
+    finally:
+        cc.intersect = real
+    return verdict, len(calls)
+
+
+_BAD_MEET = "cones do not meet along a common face"
+
+
+@st.composite
+def _pointed_cones(draw, dim, bound=2):
+    """A nonzero strongly convex cone on 1 to dim + 1 generators with
+    entries in [-bound, bound]; in Z^3 it may span only a line or a
+    plane."""
+    vec = st.tuples(*[st.integers(-bound, bound)] * dim).filter(any)
+    gens = draw(st.lists(vec, min_size=1, max_size=dim + 1, unique=True))
+    cone = cc.RationalCone.from_rays(gens, dim)
+    assume(cone.is_strongly_convex)
+    return cone
+
+
+@st.composite
+def _library_fans(draw):
+    """A fan built without validation by the library's own subdivisions of
+    a random cone in Z^2 or Z^3, alone or with its negative (the two meet
+    only at 0)."""
+    dim = draw(st.sampled_from([2, 3]))
+    cone = draw(_pointed_cones(dim, bound=3))
+    cones = [cone]
+    if draw(st.booleans()):
+        cones.append(cc.RationalCone.from_rays(
+            [cc.vneg(r) for r in cone.extreme_rays], dim))
+    fan = cc.Fan(dim=dim, maximal_cones=tuple(cones))
+    for step in draw(st.lists(st.sampled_from(
+            ["resolve", "stellar", "barycentric"]), min_size=1, max_size=2)):
+        if step == "resolve":
+            fan = cc.resolve(fan, validate=False)
+        elif step == "barycentric":
+            fan = cc.barycentric_subdivision(fan, validate=False)
+        else:
+            coeffs = draw(st.lists(st.integers(0, 2), min_size=len(
+                cone.extreme_rays), max_size=len(cone.extreme_rays)))
+            point = tuple(sum(c * r[i] for c, r in zip(
+                coeffs, cone.extreme_rays)) for i in range(dim))
+            assume(any(point))
+            fan = cc.stellar_subdivision(fan, point, validate=False)
+    return fan
+
+
+@settings(_DIFFERENTIAL, max_examples=100)
+@given(_library_fans())
+def test_validate_matches_oracle_on_library_fans(fan):
+    assert _verdict(_oracle_validate, fan) is None
+    # the separation lemma certifies every pair of a valid fan
+    assert _validate_counting_fallbacks(fan) == (None, 0)
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda dim: st.tuples(_pointed_cones(dim), _pointed_cones(dim))))
+def test_validate_matches_oracle_on_random_pairs(pair):
+    fan = cc.Fan(dim=pair[0].dim, maximal_cones=pair)
+    assume(len(fan.maximal_cones) == 2)
+    expected = _verdict(_oracle_validate, fan)
+    assert _verdict(cc.Fan.validate, fan) == expected
+    if expected is None:
+        assert _validate_counting_fallbacks(fan) == (None, 0)
+
+
+@st.composite
+def _overlapping_pairs(draw):
+    """Two full-dimensional cones in Z^2 or Z^3, neither inside the other,
+    that share the interior point p = sum of the rays of the first: p is a
+    positive combination of generators spanning the second as well, so the
+    intersection is full-dimensional and a face of neither cone."""
+    dim = draw(st.sampled_from([2, 3]))
+    first = draw(_pointed_cones(dim))
+    assume(first.is_full_dimensional)
+    p = tuple(sum(r[i] for r in first.extreme_rays) for i in range(dim))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    others = draw(st.lists(vec, min_size=dim - 1, max_size=dim))
+    scale = draw(st.integers(1, 3))
+    last = tuple(scale * p[i] - sum(o[i] for o in others)
+                 for i in range(dim))
+    gens = others + [last]
+    assume(any(last) and _rank(gens) == dim)
+    second = cc.RationalCone.from_rays(gens, dim)
+    assume(second.is_strongly_convex)
+    assume(not first.contains_cone(second))
+    assume(not second.contains_cone(first))
+    return cc.Fan(dim=dim, maximal_cones=(first, second))
+
+
+@settings(_DIFFERENTIAL, max_examples=60)
+@given(_overlapping_pairs())
+def test_validate_matches_oracle_on_overlapping_pairs(fan):
+    assert len(fan.maximal_cones) == 2
+    assert _verdict(_oracle_validate, fan) == _BAD_MEET
+    assert _verdict(cc.Fan.validate, fan) == _BAD_MEET
+
+
+def test_validate_rejects_star_of_david():
+    # cross-sections at height 1 are two triangles forming a hexagram: the
+    # cones overlap, yet no ray of either lies in the other
+    up = cc.RationalCone.from_rays([(0, 2, 1), (-2, -1, 1), (2, -1, 1)], 3)
+    down = cc.RationalCone.from_rays([(0, -2, 1), (2, 1, 1), (-2, 1, 1)], 3)
+    assert not any(down.contains(r) for r in up.extreme_rays)
+    assert not any(up.contains(r) for r in down.extreme_rays)
+    # a form positive on both cones vanishes on no ray of either, but it
+    # does not separate them
+    assert not cc._separates_along_common_face((0, 0, 1), up, down)
+    fan = cc.Fan(dim=3, maximal_cones=(up, down))
+    assert _verdict(_oracle_validate, fan) == _BAD_MEET
+    with pytest.raises(DomainError, match=_BAD_MEET):
+        cc.fan_from_cones([up, down], 3)
+
+
+def test_validate_2d_resolutions_without_double_description(monkeypatch):
+    # in 2D every pair of cones of a subdivision of a pointed cone has a
+    # separating facet normal, so validation needs no double description
+    fans = [cc.resolve(_fan([[(1, 0), (1, k)]], 2), validate=False)
+            for k in range(1, 26)]
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cc, "intersect", counting(cc.intersect))
+    monkeypatch.setattr(cc, "extreme_rays_of_halfspaces",
+                        counting(cc.extreme_rays_of_halfspaces))
+    for fan in fans:
+        fan.validate()
+    assert sum(len(f.maximal_cones) for f in fans) == 25 * 26 // 2
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -345,3 +345,12 @@ def test_differential_rank_with_torsion_target():
 def test_differential_rank_rejects_composite_char():
     with pytest.raises(DomainError):
         lha.differential_rank(_nodal(1, 2), residue_char=9)
+
+
+@pytest.mark.parametrize("check", [lha.kato_criterion, lha.neat_chart_class,
+                                   lha.differential_rank])
+def test_composite_char_message_is_the_same_everywhere(check):
+    with pytest.raises(DomainError) as err:
+        check(_nodal(1, 2), 9)
+    assert str(err.value) == \
+        "residue characteristic must be 0 or prime, got 9"
