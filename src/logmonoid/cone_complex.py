@@ -756,23 +756,20 @@ class Fan:
         and a face of both.  The first form tried is the sum of the facet
         normals and span equations of the two cones that separate them,
         dot products only; the second is the sum of the facet normals of
-        sigma - tau, one double description run, which separates along a
-        common face whenever one exists.  A pair without a certificate is
-        checked as before, by intersecting the cones and testing the
-        intersection with ``is_face_of``.
+        sigma - tau, one double description run.  It lies in the relative
+        interior of the forms that separate the two cones, so its zero set
+        on each cone is the smallest any separating form has; by the lemma
+        it certifies every pair that meets along a common face, and a pair
+        it does not certify does not.
         """
         cones = self.maximal_cones
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
                 a, b = cones[i], cones[j]
-                if _separates_along_common_face(
-                        _facet_separator(a, b), a, b):
-                    continue
-                if _separates_along_common_face(
-                        _lemma_separator(a, b), a, b):
-                    continue
-                common = intersect(a, b)
-                if not is_face_of(common, a) or not is_face_of(common, b):
+                if not _separates_along_common_face(
+                        _facet_separator(a, b), a, b) and \
+                        not _separates_along_common_face(
+                            _lemma_separator(a, b), a, b):
                     raise DomainError(
                         "cones do not meet along a common face")
         return self
