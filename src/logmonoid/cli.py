@@ -279,17 +279,10 @@ def _check(cond, msg):
         raise InternalCheckError(f"verification failed: {msg}")
 
 
-def _group_combo(group, coeffs, elements):
-    acc = group.zero()
-    for c, el in zip(coeffs, elements):
-        if c:
-            acc = group.add(acc, group.scale(c, el.as_vector()))
-    return tuple(int(x) for x in acc)
-
-
 def _verify_relations_hold(group, images, relations, what):
     for (u, v) in relations:
-        _check(_group_combo(group, u, images) == _group_combo(group, v, images),
+        _check(mc.exponent_sum(group, u, images) ==
+               mc.exponent_sum(group, v, images),
                f"{what}: images violate the relation {list(u)} = {list(v)}")
 
 

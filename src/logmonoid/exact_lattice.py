@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, ge, mul
 
 from .errors import DomainError, InputError, InternalCheckError
 
@@ -397,14 +397,21 @@ class FgAbelianGroup:
         tors = tuple(vec[r + i] % f for i, f in enumerate(self.invariant_factors))
         return vec[:r] + tors
 
-    def relation_columns(self):
-        """Columns generating the relation lattice of the lift presentation."""
+    def relation_columns(self, signs=(1,)):
+        """Columns generating the relation lattice of the lift presentation.
+
+        One column s * f_i * e_(r+i) per invariant factor f_i and per sign s
+        in ``signs``, in that order.  With ``signs`` (-1,) or (1, -1) these
+        are the torsion slack columns of a nonnegative system: a slack
+        variable >= 0 then subtracts (or adds or subtracts) multiples of f_i.
+        """
         cols = []
         r = self.free_rank
         for i, f in enumerate(self.invariant_factors):
-            e = [0] * self.lift_dim
-            e[r + i] = f
-            cols.append(tuple(e))
+            for s in signs:
+                e = [0] * self.lift_dim
+                e[r + i] = s * f
+                cols.append(tuple(e))
         return cols
 
     def add(self, x, y):
@@ -572,62 +579,109 @@ def hom_cokernel(source, target, matrix):
 # nonnegative integer solving (Contejean-Devie)
 
 
+def _check_bounds(bounds, n):
+    """``coordinate_bounds`` as a list of n caps (None for no cap)."""
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != n:
+        raise InputError(f"coordinate_bounds must be a list of {n} entries")
+    for b in bounds:
+        if b is not None and (type(b) is not int or b < 0):
+            raise InputError(
+                f"coordinate bounds must be None or integers >= 0, got {b!r}")
+    return list(bounds)
+
+
 def minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
     """All minimal nonzero solutions of a x = 0 with x >= 0 integral.
 
-    Contejean-Devie search: the frontier grows from unit vectors, a tuple t is
-    extended by e_i only when <A t, A e_i> < 0, and anything dominating a
-    known solution is pruned.  This terminates and returns exactly the
-    (finitely many, by Dickson's lemma) minimal solutions.
+    The incremental search of Contejean and Devie ("An efficient incremental
+    algorithm for solving systems of linear Diophantine equations",
+    Information and Computation 113, 1994).  The frontier grows level by
+    level (by degree) from the unit vectors; a tuple t is extended by e_i
+    only when <A t, A e_i> < 0.  Each minimal solution s is reached: for
+    t < s, sum_i (s - t)_i <A t, A e_i> = -|A t|^2 < 0, so some coordinate
+    with t_i < s_i has a negative score.  The frontier tuples with A t = 0
+    of each level are the minimal solutions of that degree, returned in
+    sorted order.  Three devices keep the search cheap:
 
-    ``coordinate_bounds`` optionally caps individual coordinates (sound for
-    recovering the minimal solutions within those caps, since every minimal
-    solution is reached by a coordinatewise-monotone path).  ``stop`` is an
-    optional predicate; the search returns early with the solutions found so
-    far as soon as a freshly found minimal solution satisfies it.
+      - scores: with the Gram matrix G = A^T A, each tuple carries its
+        scores G t and its norm |A t|^2, so t + e_i costs one row add
+        (scores + G[i], norm + 2 (G t)_i + G[i][i]);
+      - domination index: frontier tuples are never above a known minimal
+        solution, so t + e_i can only be above a minimal s with
+        s_i = t_i + 1; the minimals are indexed by (coordinate, value);
+      - frozen coordinates: each tuple carries a set of coordinates that
+        its subtree never raises.  If t + e_i lies above a known minimal,
+        i is frozen in every child of t.  If t + e_j and t + e_i are both
+        children with j < i, j is frozen in t + e_i: a minimal solution s
+        above t not yet found is reached through the least i with
+        t_i < s_i and a negative score, so s_j = t_j for every smaller
+        child coordinate j and for every j frozen above.  A coordinate at
+        its cap is frozen.  A tuple reached from several parents keeps the
+        intersection of their frozen sets, so every minimal solution stays
+        reachable.
+
+    ``coordinate_bounds`` optionally caps individual coordinates: a list of
+    n entries, each None or an int >= 0 (sound for recovering the minimal
+    solutions within those caps, since every minimal solution is reached by
+    a coordinatewise-monotone path).  ``stop`` is an optional predicate;
+    the search returns early with the solutions found so far as soon as a
+    freshly found minimal solution satisfies it.
     """
     a = _as_matrix(a)
-    m, n = a.shape
+    n = a.shape[1]
+    caps = [None] * n if coordinate_bounds is None \
+        else _check_bounds(coordinate_bounds, n)
     if n == 0:
         return []
     cols = mat_columns(a)
-    zero_val = (0,) * m
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    minimals = []
-
-    def dominated(t):
-        return any(all(t[k] >= s[k] for k in range(n)) for s in minimals)
+    gram = [tuple([sum(map(mul, u, v)) for v in cols]) for u in cols]
 
     frontier = {}
+    frozen = sum(1 << i for i in range(n) if caps[i] == 0)
     for i in range(n):
-        if coordinate_bounds is not None and coordinate_bounds[i] is not None \
-                and coordinate_bounds[i] < 1:
+        if caps[i] == 0:
             continue
         e = tuple(1 if k == i else 0 for k in range(n))
-        frontier[e] = cols[i]
+        cap = 1 << i if caps[i] == 1 else 0
+        frontier[e] = [gram[i], gram[i][i], frozen | cap]
+        frozen |= 1 << i
 
+    minimals = []
+    index = {}
     while frontier:
-        for t in sorted(k for k, v in frontier.items() if v == zero_val):
-            if not dominated(t):
-                minimals.append(t)
-                if stop is not None and stop(t):
-                    return minimals
+        for t in sorted(t for t, node in frontier.items() if node[1] == 0):
+            minimals.append(t)
+            for i, v in enumerate(t):
+                if v:
+                    index.setdefault((i, v), []).append(t)
+            if stop is not None and stop(t):
+                return minimals
         nxt = {}
-        for t, val in frontier.items():
-            if val == zero_val:
+        for t, (sc, nrm, frozen) in frontier.items():
+            if nrm == 0:
                 continue
+            kids = []
             for i in range(n):
-                if coordinate_bounds is not None and coordinate_bounds[i] is not None \
-                        and t[i] + 1 > coordinate_bounds[i]:
+                if sc[i] >= 0 or frozen >> i & 1:
                     continue
-                if dot(val, cols[i]) < 0:
-                    t2 = t[:i] + (t[i] + 1,) + t[i + 1:]
-                    if t2 in nxt or dominated(t2):
+                v = t[i] + 1
+                t2 = t[:i] + (v,) + t[i + 1:]
+                if t2 not in nxt:
+                    bucket = index.get((i, v))
+                    if bucket and any(all(map(ge, t2, s)) for s in bucket):
+                        frozen |= 1 << i
                         continue
-                    nxt[t2] = tuple(x + y for x, y in zip(val, cols[i]))
+                kids.append((i, v, t2))
+            for i, v, t2 in kids:
+                mask = frozen | (1 << i if v == caps[i] else 0)
+                node = nxt.get(t2)
+                if node is None:
+                    row = gram[i]
+                    nxt[t2] = [tuple(map(add, sc, row)),
+                               nrm + 2 * sc[i] + row[i], mask]
+                else:
+                    node[2] &= mask
+                frozen |= 1 << i
         frontier = nxt
     return minimals
 

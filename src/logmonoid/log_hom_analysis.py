@@ -91,12 +91,7 @@ def monoid_kernel_trivial(hom):
     be nontrivial while meeting the monoid only in 0.
     """
     amb = hom.target.ambient
-    cols = list(_image_columns(hom))
-    r = amb.free_rank
-    for j, f in enumerate(amb.invariant_factors):
-        e = [0] * amb.lift_dim
-        e[r + j] = -f
-        cols.append(tuple(e))
+    cols = _image_columns(hom) + amb.relation_columns(signs=(-1,))
     a = xl.intmat_from_columns(cols, nrows=amb.lift_dim)
     k = len(hom.source.generators)
     src = hom.source
@@ -104,12 +99,7 @@ def monoid_kernel_trivial(hom):
         exps = sol[:k]
         if not any(exps):
             continue
-        total = src.zero
-        for c, g in zip(exps, src.generators):
-            if c:
-                total = src.add(total, mc.element_of(
-                    src.ambient, src.ambient.scale(c, g.as_vector())))
-        if not total.is_zero:
+        if not mc.exponent_sum(src.ambient, exps, src.generators).is_zero:
             return False
     return True
 
@@ -171,13 +161,7 @@ def is_kummer(hom):
         return False
     amb = hom.target.ambient
     img = _image_columns(hom)
-    r = amb.free_rank
-    slack = []
-    for j, f in enumerate(amb.invariant_factors):
-        e = [0] * amb.lift_dim
-        e[r + j] = f
-        slack.append(tuple(e))
-        slack.append(tuple(-x for x in e))
+    slack = amb.relation_columns(signs=(1, -1))
     for q in hom.target.generators:
         cols = list(img)
         cols.append(tuple(-x for x in q.as_vector()))

@@ -52,6 +52,15 @@ def element_of(ambient, vec):
     return MonoidElement(free=vec[:ambient.free_rank], torsion=vec[ambient.free_rank:])
 
 
+def exponent_sum(ambient, exponents, elements):
+    """The element sum_i exponents[i] * elements[i] of ``ambient``."""
+    acc = [0] * ambient.lift_dim
+    for c, el in zip(exponents, elements):
+        if c:
+            acc = [x + c * y for x, y in zip(acc, el.as_vector(), strict=True)]
+    return element_of(ambient, acc)
+
+
 @dataclass(frozen=True)
 class MonoidPresentation:
     """Generators x_1..x_n subject to congruence relations u = v.
@@ -230,13 +239,8 @@ def _membership_system(ambient, gen_elements):
     acting on (exponents, slack) >= 0; residues are reduced into [0, f), so a
     target with reduced residues is hit iff the element lies in the monoid.
     """
-    r = ambient.free_rank
-    fs = ambient.invariant_factors
-    cols = [g.as_vector() for g in gen_elements]
-    for j, f in enumerate(fs):
-        e = [0] * ambient.lift_dim
-        e[r + j] = -f
-        cols.append(tuple(e))
+    cols = [g.as_vector() for g in gen_elements] + \
+        ambient.relation_columns(signs=(-1,))
     return xl.intmat_from_columns(cols, nrows=ambient.lift_dim)
 
 
@@ -617,12 +621,7 @@ def fiber_product_generators(f, g):
         cols.append(l_amb.reduce_vector(xl.apply(f.matrix, m.as_vector())))
     for n in n_mon.generators:
         cols.append(l_amb.neg(l_amb.reduce_vector(xl.apply(g.matrix, n.as_vector()))))
-    r = l_amb.free_rank
-    for j, fac in enumerate(l_amb.invariant_factors):
-        e = [0] * l_amb.lift_dim
-        e[r + j] = fac
-        cols.append(tuple(e))
-        cols.append(tuple(-x for x in e))
+    cols.extend(l_amb.relation_columns(signs=(1, -1)))
     a = xl.intmat_from_columns(cols, nrows=l_amb.lift_dim)
     p, q = len(m_mon.generators), len(n_mon.generators)
     pairs = []
@@ -632,16 +631,8 @@ def fiber_product_generators(f, g):
         bn = sol[p:p + q]
         if not any(am) and not any(bn):
             continue
-        m_el = m_mon.zero
-        for c, gen in zip(am, m_mon.generators):
-            if c:
-                m_el = m_mon.add(m_el, element_of(m_mon.ambient,
-                                                  m_mon.ambient.scale(c, gen.as_vector())))
-        n_el = n_mon.zero
-        for c, gen in zip(bn, n_mon.generators):
-            if c:
-                n_el = n_mon.add(n_el, element_of(n_mon.ambient,
-                                                  n_mon.ambient.scale(c, gen.as_vector())))
+        m_el = exponent_sum(m_mon.ambient, am, m_mon.generators)
+        n_el = exponent_sum(n_mon.ambient, bn, n_mon.generators)
         if (m_el, n_el) not in seen:
             seen.add((m_el, n_el))
             pairs.append((m_el, n_el))

@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+import logmonoid.exact_lattice as xl
+import logmonoid.monoid_core as mc
 from logmonoid import cli
 from logmonoid.errors import InternalCheckError
 
@@ -94,6 +96,26 @@ def test_verify_notes_on_stderr(tmp_path):
     assert "ok" in proc.stderr
     # verification must not change the output bytes
     assert proc.stdout == run_cli("spec", p).stdout
+
+
+def test_verify_checks_relations_modulo_torsion(tmp_path):
+    # 2x = 0 and x + 3y = y present Z/4; both relations hold only mod 4
+    p = write_doc(tmp_path / "z4.json", {
+        "kind": "monoid-presentation", "ngens": 2,
+        "relations": [[[2, 0], [0, 0]], [[1, 3], [0, 1]]]})
+    for command in ("gp", "int"):
+        proc = run_cli(command, "--verify", p)
+        assert proc.returncode == 0, proc.stderr
+        assert f"verify: {command}" in proc.stderr and "ok" in proc.stderr
+        assert proc.stdout == run_cli(command, p).stdout
+
+
+def test_verify_relations_rejects_a_violated_relation():
+    group = xl.FgAbelianGroup(0, (4,))
+    images = [mc.element_of(group, (2,)), mc.element_of(group, (3,))]
+    cli._verify_relations_hold(group, images, [((2, 0), (0, 0))], "z4")
+    with pytest.raises(InternalCheckError):
+        cli._verify_relations_hold(group, images, [((1, 0), (0, 1))], "z4")
 
 
 def test_nonprimitive_ray_warns_but_succeeds(tmp_path):

@@ -3,7 +3,8 @@
 Every nontrivial value is checked against an independent brute-force oracle
 written here in plain Python: determinantal divisors for Smith invariant
 factors, box enumeration for minimal nonnegative solutions, trial division
-for primality.  Random cases use fixed seeds.
+for primality.  The Contejean-Devie search is also checked against its
+earlier plain breadth-first version.  Random cases use fixed seeds.
 """
 
 import hashlib
@@ -14,6 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import logmonoid.exact_lattice as xl
 from logmonoid.errors import DomainError, InputError, InternalCheckError
@@ -113,6 +116,55 @@ def oracle_lex_min_nonneg(rows, b, bound):
                for i, r in enumerate(rows)):
             return x
     return None
+
+
+def _oracle_minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
+    """The plain Contejean-Devie breadth-first search, as it was before the
+    solver carried scores, a domination index and frozen coordinates."""
+    a = xl._as_matrix(a)
+    m, n = a.shape
+    if n == 0:
+        return []
+    cols = xl.mat_columns(a)
+    zero_val = (0,) * m
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    minimals = []
+
+    def dominated(t):
+        return any(all(t[k] >= s[k] for k in range(n)) for s in minimals)
+
+    frontier = {}
+    for i in range(n):
+        if coordinate_bounds is not None and coordinate_bounds[i] is not None \
+                and coordinate_bounds[i] < 1:
+            continue
+        e = tuple(1 if k == i else 0 for k in range(n))
+        frontier[e] = cols[i]
+
+    while frontier:
+        for t in sorted(k for k, v in frontier.items() if v == zero_val):
+            if not dominated(t):
+                minimals.append(t)
+                if stop is not None and stop(t):
+                    return minimals
+        nxt = {}
+        for t, val in frontier.items():
+            if val == zero_val:
+                continue
+            for i in range(n):
+                if coordinate_bounds is not None and coordinate_bounds[i] is not None \
+                        and t[i] + 1 > coordinate_bounds[i]:
+                    continue
+                if dot(val, cols[i]) < 0:
+                    t2 = t[:i] + (t[i] + 1,) + t[i + 1:]
+                    if t2 in nxt or dominated(t2):
+                        continue
+                    nxt[t2] = tuple(x + y for x, y in zip(val, cols[i]))
+        frontier = nxt
+    return minimals
 
 
 def oracle_is_prime(n):
@@ -338,6 +390,14 @@ def test_group_arithmetic_reduces_torsion():
     assert g.sub((0, 0), (0, 1)) == (0, 2)
 
 
+def test_relation_columns_with_slack_signs():
+    g = xl.FgAbelianGroup(1, (2, 6))
+    assert g.relation_columns() == [(0, 2, 0), (0, 0, 6)]
+    assert g.relation_columns(signs=(-1,)) == [(0, -2, 0), (0, 0, -6)]
+    assert g.relation_columns(signs=(1, -1)) == \
+        [(0, 2, 0), (0, -2, 0), (0, 0, 6), (0, 0, -6)]
+
+
 def test_quotient_and_subgroup_presentations():
     g = xl.FgAbelianGroup(2, ())
     quot, _ = xl.quotient_presentation(g, [(2, 0)])
@@ -423,6 +483,159 @@ def test_minimal_solutions_random_against_oracle():
             continue  # oracle box too small to be complete
         assert got == oracle_minimal_nonneg(rows, 5), rows
         checked += 1
+
+
+_DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=200,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _systems(draw, bounded=False):
+    """A random m x n matrix, m <= 3, n <= 6, entries in [-4, 4], and
+    coordinate bounds (None or 0..3 each) when ``bounded``."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    bounds = None
+    if bounded:
+        bounds = draw(st.lists(st.none() | st.integers(0, 3),
+                               min_size=n, max_size=n))
+    return rows, bounds
+
+
+@_DIFFERENTIAL
+@given(_systems())
+def test_minimal_solutions_match_old_search(case):
+    rows, _ = case
+    assert xl.minimal_nonneg_solutions(rows) == \
+        _oracle_minimal_nonneg_solutions(rows), rows
+
+
+@_DIFFERENTIAL
+@given(_systems(bounded=True))
+def test_minimal_solutions_match_old_search_with_bounds(case):
+    rows, bounds = case
+    assert xl.minimal_nonneg_solutions(rows, coordinate_bounds=bounds) == \
+        _oracle_minimal_nonneg_solutions(rows, coordinate_bounds=bounds), case
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(_systems(bounded=True), st.integers(0, 5), st.integers(1, 3))
+def test_minimal_solutions_stop_where_old_search_stops(case, j, level):
+    rows, bounds = case
+    calls = ([], [])
+
+    def stopper(seen):
+        def stop(t):
+            seen.append(t)
+            return t[j % len(t)] >= level
+        return stop
+
+    got = xl.minimal_nonneg_solutions(rows, coordinate_bounds=bounds,
+                                      stop=stopper(calls[0]))
+    want = _oracle_minimal_nonneg_solutions(rows, coordinate_bounds=bounds,
+                                            stop=stopper(calls[1]))
+    assert got == want, (case, j, level)
+    assert calls[0] == calls[1], (case, j, level)
+
+
+def _box_solutions(rows, b, bound):
+    """All x in [0, bound]^n with A x = b, in lexicographic order."""
+    n = len(rows[0])
+    return [x for x in itertools.product(range(bound + 1), repeat=n)
+            if all(sum(u * v for u, v in zip(r, x)) == bi
+                   for r, bi in zip(rows, b))]
+
+
+@st.composite
+def _positive_row_systems(draw):
+    """A x = b whose first row is positive, so every solution lies in the
+    box [0, b_0]^n and box enumeration decides the system; half the right
+    sides are A x0 for some x0 >= 0."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    first = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = [first] + draw(st.lists(row, min_size=m - 1, max_size=m - 1))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        b = [sum(u * v for u, v in zip(r, x0)) for r in rows]
+    else:
+        b = [draw(st.integers(0, 8))] + \
+            [draw(st.integers(-6, 6)) for _ in range(m - 1)]
+    return rows, tuple(b)
+
+
+@_DIFFERENTIAL
+@given(_positive_row_systems())
+def test_nonneg_solving_matches_box_enumeration(case):
+    rows, b = case
+    box = _box_solutions(rows, b, b[0])
+    assert xl.has_nonneg_solution(rows, b) == bool(box), case
+    assert xl.solve_nonneg(rows, b) == (box[0] if box else None), case
+
+
+@_DIFFERENTIAL
+@given(_systems(), st.data())
+def test_solve_nonneg_on_mixed_signs_is_lex_below_the_box(case, data):
+    # mixed signs leave solutions unbounded, so the box only bounds from above
+    rows, _ = case
+    n = len(rows[0])
+    x0 = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    b = tuple(sum(u * v for u, v in zip(r, x0)) for r in rows)
+    assert xl.has_nonneg_solution(rows, b)
+    x = xl.solve_nonneg(rows, b)
+    assert all(c >= 0 for c in x) and xl.apply(xl.intmat(rows), x) == b
+    box = _box_solutions(rows, b, 2)
+    assert x <= box[0], (case, x0)
+    assert x not in box or x == box[0], (case, x0)
+
+
+def _random_cd_inputs(seed, count):
+    """Fixed-seed systems up to 3 x 6 with entries in [-4, 4]; about 40%
+    carry coordinate bounds."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(1, 3), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        bounds = None
+        if rng.random() < 0.4:
+            bounds = [rng.choice([None, None, 0, 1, 2, 3]) for _ in range(n)]
+        out.append((rows, bounds))
+    return out
+
+
+def test_minimal_solutions_are_pinned():
+    # The solutions come out level by level, sorted within a level, and
+    # callers (fiber products, Kummer detection, membership) depend on that
+    # order; this digest was recorded with the plain breadth-first search.
+    payload = json.dumps(
+        [xl.minimal_nonneg_solutions(rows, coordinate_bounds=bounds)
+         for rows, bounds in _random_cd_inputs(20261020, 50)],
+        separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == \
+        "dd1cc043372b531574d72d6de7e03c4ba1d08ca82acc88438abfc4232acdc5c1"
+
+
+@pytest.mark.parametrize("bounds", [
+    [None],                # too short
+    [None, 1, 2],          # too long
+    [None, -1],            # negative
+    [None, 1.5],           # not an int
+    [None, "2"],
+    [True, None],
+    (1,),
+    "12",                  # not a list
+])
+def test_coordinate_bounds_are_validated(bounds):
+    with pytest.raises(InputError):
+        xl.minimal_nonneg_solutions([[1, -1]], coordinate_bounds=bounds)
+
+
+def test_coordinate_bounds_accept_tuples_and_zero_caps():
+    assert xl.minimal_nonneg_solutions([[1, -1, 0]],
+                                       coordinate_bounds=(None, 2, 0)) == [(1, 1, 0)]
 
 
 def test_solve_nonneg_is_lex_smallest():

@@ -156,6 +156,16 @@ def test_expression_is_lex_smallest():
 # Grothendieck group and integralization
 
 
+def test_exponent_sum_reduces_torsion():
+    group = xl.FgAbelianGroup(1, (4,))
+    elems = [mc.element_of(group, (1, 3)), mc.element_of(group, (-2, 2))]
+    assert mc.exponent_sum(group, (3, 1), elems) == mc.MonoidElement((1,), (3,))
+    assert mc.exponent_sum(group, (0, 2), elems) == mc.MonoidElement((-4,), (0,))
+    assert mc.exponent_sum(group, (0, 0), elems).is_zero
+    with pytest.raises(ValueError):
+        mc.exponent_sum(xl.FgAbelianGroup(1, ()), (1,), elems)
+
+
 def test_grothendieck_group_of_cusp():
     # <a, b | 2a = 3b> has group Z
     pres = mc.MonoidPresentation(2, (((2, 0), (0, 3)),))
