@@ -119,13 +119,10 @@ def parse_monoid(doc, ctx, warn):
     host = xl.FgAbelianGroup(free_rank, torsion)
     vecs = _as_vector_list(
         _get(doc, "generators", ctx), host.lift_dim, f"{ctx}.generators")
-    if vecs:
-        quot, _ = xl.quotient_presentation(host, vecs)
-        represented = not quot.is_trivial
-    else:
-        represented = host.lift_dim > 0
-    monoid, _ = mc.span_submonoid(host, vecs)
-    if represented:
+    monoid, images = mc.span_submonoid(host, vecs)
+    # the images generate the ambient: it is the host iff no image moved
+    if monoid.ambient != host or [im.as_vector() for im in images] != \
+            [host.reduce_vector(v) for v in vecs]:
         warn(f"{ctx}: generators span a proper subgroup of the written "
              f"ambient group; the monoid was re-presented inside its own "
              f"Grothendieck group")
@@ -141,15 +138,19 @@ def _monoid_input(doc, ctx, warn):
     return parse_monoid(doc, ctx, warn)
 
 
+def _warn_nonprimitive(rays, ctx, warn):
+    for r in rays:
+        if any(r) and cc.primitive(r) != r:
+            warn(f"{ctx}: ray {list(r)} is not primitive; "
+                 f"scaled to {list(cc.primitive(r))}")
+
+
 def _parse_rays(doc, ctx, warn):
     dim = _as_int(_get(doc, "dim", ctx), f"{ctx}.dim")
     if dim < 0:
         raise InputError(f"{ctx}.dim: must be nonnegative")
     rays = _as_vector_list(_get(doc, "rays", ctx), dim, f"{ctx}.rays")
-    for r in rays:
-        if any(r) and cc.primitive(r) != r:
-            warn(f"{ctx}: ray {list(r)} is not primitive; "
-                 f"scaled to {list(cc.primitive(r))}")
+    _warn_nonprimitive(rays, ctx, warn)
     return rays, dim
 
 
@@ -171,10 +172,7 @@ def parse_fan(doc, ctx, warn):
     for i, rays in enumerate(raw):
         sub = f"{ctx}.maximal_cones[{i}]"
         vecs = _as_vector_list(rays, dim, sub)
-        for r in vecs:
-            if any(r) and cc.primitive(r) != r:
-                warn(f"{sub}: ray {list(r)} is not primitive; "
-                     f"scaled to {list(cc.primitive(r))}")
+        _warn_nonprimitive(vecs, sub, warn)
         cones.append(cc.RationalCone.from_rays(vecs, dim))
     return cc.fan_from_cones(cones, dim, validate=True)
 
@@ -431,7 +429,10 @@ def _h_dual(doc, path, args, warn):
     cone = parse_cone(doc, path, warn)
     dual = cc.dual_cone(cone)
     if args.verify:
-        _check(cc.dual_cone(dual) == cone, "double dual differs from the cone")
+        # independent of the swap: double description from the inequalities
+        _check(cc.RationalCone.from_rays(cc._signed(
+            cone.facet_normals, cone.span_equations), cone.dim) == dual,
+            "dual differs from the cone the facet normals generate")
     return cone_block(dual)
 
 

@@ -7,10 +7,13 @@ modulo the span equations, both lex-sorted — so equality of cones as point
 sets is equality of the dataclass, and faces shared between cones of a fan
 canonicalize identically.
 
-The conversion between generator and inequality descriptions is an
-incremental double description computation with explicit lineality
-bookkeeping, followed by an extremality filter (rank of tight normals), so
-no floating point and no genericity assumptions enter anywhere.
+The conversion from generators to inequalities is an incremental double
+description computation with explicit lineality bookkeeping, followed by an
+extremality filter (rank of tight normals), so no floating point and no
+genericity assumptions enter anywhere.  The facet normals and span
+equations of a cone are stored as the canonical extreme rays and lineality
+of its dual, so the dual is the four fields swapped, and a cone given by
+constraints is the dual of the cone they generate.
 """
 
 from __future__ import annotations
@@ -94,23 +97,37 @@ def hnf_row_basis(vectors, dim):
     return tuple(tuple(basis[i]) for i in order)
 
 
-def _quotient_maps(lattice_basis, dim):
-    """Projection / section pair for Z^dim -> Z^dim / span(basis).
+def _signed(vectors, lattice):
+    """The vectors followed by +/- each lattice basis vector: generators of
+    cone(vectors) + span(lattice), or constraints n . x >= 0 and e . x = 0."""
+    if not lattice:
+        return tuple(vectors)
+    out = list(vectors)
+    for l in lattice:
+        out.append(l)
+        out.append(vneg(l))
+    return tuple(out)
 
-    Returns (P, R) with P of shape (dim-k, dim), R of shape (dim, dim-k) and
-    P R = I; the kernel of P is exactly the span of the (saturated) basis.
+
+def _quotient_maps(lattice_basis, dim):
+    """Projection, section and coordinates for Z^dim -> Z^dim / span(basis).
+
+    Returns (P, R, C) of shapes (dim-k, dim), (dim, dim-k), (k, dim) from one
+    Smith decomposition U B V = [I; 0]: P R = I, the kernel of P is exactly
+    the span of the (saturated) basis B, and C = V U[:k] has C B = I.
     """
     k = len(lattice_basis)
     if k == 0:
         eye = xl.identity_mat(dim)
-        return eye, eye
+        return eye, eye, xl.zeros_mat(0, dim)
     m = xl.intmat_from_columns(lattice_basis, nrows=dim)
-    u, uinv, d, _, _ = xl._snf_full(m)
+    u, uinv, d, v, _ = xl._snf_full(m)
     for i in range(k):
-        if d[i, i] not in (1, -1):
+        if d[i, i] != 1:
             raise InternalCheckError("lineality basis is not saturated")
     return (xl.intmat(u.rows[k:], ncols=dim),
-            xl.intmat_from_columns(xl.mat_columns(uinv)[k:], nrows=dim))
+            xl.intmat_from_columns(xl.mat_columns(uinv)[k:], nrows=dim),
+            v @ xl.IntMatrix(u.rows[:k], dim))
 
 
 def _canonicalize_mod(vectors, lattice_basis, dim):
@@ -122,7 +139,7 @@ def _canonicalize_mod(vectors, lattice_basis, dim):
     """
     if not lattice_basis:
         return tuple(sorted(primitive(v) for v in vectors))
-    p, r = _quotient_maps(lattice_basis, dim)
+    p, r, _ = _quotient_maps(lattice_basis, dim)
     out = []
     for v in vectors:
         w = primitive(xl.apply(p, v))
@@ -232,6 +249,10 @@ class RationalCone:
     basis of the annihilator of the cone's linear span.  Two cones are equal
     as point sets iff they are equal as dataclasses.  Build with
     ``RationalCone.from_rays``.
+
+    Invariant: the facet normals and span equations are the canonical extreme
+    rays and lineality of the dual cone, as ``extreme_rays_of_halfspaces``
+    returns them; ``dual_cone`` relies on this.
     """
 
     dim: int
@@ -255,11 +276,8 @@ class RationalCone:
         # span equations = lineality of the dual cone
         normals, equations = extreme_rays_of_halfspaces(vecs, dim)
         # primal description from the canonical constraints
-        constraints = list(normals)
-        for eq in equations:
-            constraints.append(eq)
-            constraints.append(vneg(eq))
-        rays, lin = extreme_rays_of_halfspaces(constraints, dim)
+        rays, lin = extreme_rays_of_halfspaces(
+            _signed(normals, equations), dim)
         cone = cls(dim=dim, extreme_rays=rays, lineality=lin,
                    facet_normals=normals, span_equations=equations)
         for v in vecs:
@@ -273,11 +291,7 @@ class RationalCone:
     def generators(self):
         """Integer vectors generating the cone: extreme rays plus +/- the
         lineality basis."""
-        gens = list(self.extreme_rays)
-        for l in self.lineality:
-            gens.append(l)
-            gens.append(vneg(l))
-        return tuple(gens)
+        return _signed(self.extreme_rays, self.lineality)
 
     @property
     def is_strongly_convex(self):
@@ -320,27 +334,23 @@ class RationalCone:
 
 
 def cone_from_constraints(normals, equations, dim):
-    """The cone {x : n . x >= 0, e . x = 0} in canonical form."""
-    constraints = [tuple(int(x) for x in n) for n in normals]
-    for eq in equations:
-        eq = tuple(int(x) for x in eq)
-        constraints.append(eq)
-        constraints.append(vneg(eq))
-    rays, lin = extreme_rays_of_halfspaces(constraints, dim)
-    gens = list(rays)
-    for l in lin:
-        gens.append(l)
-        gens.append(vneg(l))
-    return RationalCone.from_rays(gens, dim)
+    """The cone {x : n . x >= 0, e . x = 0} in canonical form: the dual of
+    the cone the normals and +/- the equations generate."""
+    return dual_cone(RationalCone.from_rays(_signed(normals, equations), dim))
 
 
 def dual_cone(cone):
-    """{y : y . x >= 0 for all x in the cone}."""
-    gens = list(cone.facet_normals)
-    for eq in cone.span_equations:
-        gens.append(eq)
-        gens.append(vneg(eq))
-    return RationalCone.from_rays(gens, cone.dim)
+    """{y : y . x >= 0 for all x in the cone}: the four fields swapped.
+
+    The extreme rays and lineality of the dual are the facet normals and
+    span equations of the cone and the reverse (Fulton, *Introduction to
+    Toric Varieties*, §1.2); both pairs are stored in the same canonical
+    form, which depends only on the point set.
+    """
+    return RationalCone(dim=cone.dim, extreme_rays=cone.facet_normals,
+                        lineality=cone.span_equations,
+                        facet_normals=cone.extreme_rays,
+                        span_equations=cone.lineality)
 
 
 def intersect(a, b):
@@ -427,13 +437,12 @@ def _to_span_coords(cone):
         return same, same, cone.dim
     basis = _span_lattice_basis(cone)
     m = len(basis)
-    mat = xl.intmat_from_columns(basis, nrows=cone.dim)
+    outside, _, coords = _quotient_maps(basis, cone.dim)
 
     def down(v):
-        sol = xl.solve_integer(mat, tuple(int(x) for x in v))
-        if sol is None:
+        if any(xl.apply(outside, v)):
             raise InternalCheckError("lattice point outside the span lattice")
-        return sol
+        return xl.apply(coords, v)
 
     def up(w):
         return tuple(sum(basis[j][i] * w[j] for j in range(m))
@@ -637,17 +646,12 @@ def cone_lattice_generators(vectors, dim):
     cone = RationalCone.from_rays(vectors, dim)
     if cone.is_strongly_convex:
         return tuple(sorted(hilbert_basis(cone)))
-    p, r = _quotient_maps(cone.lineality, dim)
+    p, r, _ = _quotient_maps(cone.lineality, dim)
     k = dim - len(cone.lineality)
     image = RationalCone.from_rays(
         [xl.apply(p, ray) for ray in cone.extreme_rays], k)
-    gens = set()
-    for h in hilbert_basis(image):
-        gens.add(xl.apply(r, h))
-    for l in cone.lineality:
-        gens.add(l)
-        gens.add(vneg(l))
-    return tuple(sorted(gens))
+    lifted = [xl.apply(r, h) for h in hilbert_basis(image)]
+    return tuple(sorted(set(_signed(lifted, cone.lineality))))
 
 
 def monoid_of_cone(cone):
@@ -691,10 +695,9 @@ def _facet_separator(a, b):
     """The sum of the facet normals of ``a``, the negated facet normals of
     ``b`` and the signed span equations of either cone that are >= 0 on
     every extreme ray of ``a`` and <= 0 on every extreme ray of ``b``."""
-    candidates = list(a.facet_normals) + [vneg(n) for n in b.facet_normals]
-    for eq in a.span_equations + b.span_equations:
-        candidates.append(eq)
-        candidates.append(vneg(eq))
+    candidates = _signed(
+        a.facet_normals + tuple(vneg(n) for n in b.facet_normals),
+        a.span_equations + b.span_equations)
     u = (0,) * a.dim
     for c in candidates:
         if all(vdot(c, r) >= 0 for r in a.extreme_rays) and \

@@ -168,11 +168,9 @@ def blowup_fan(monoid, ideal):
     reduced = ideal.reduce()
     regions = []
     for s in reduced.generators:
-        normals = list(sigma.facet_normals)
-        for j in reduced.generators:
-            diff = tuple(a - b for a, b in zip(j.free, s.free))
-            if any(diff):
-                normals.append(diff)
+        normals = sigma.facet_normals + tuple(
+            tuple(a - b for a, b in zip(j.free, s.free))
+            for j in reduced.generators)
         region = cc.cone_from_constraints(normals, sigma.span_equations, d)
         if region.span_dim == sigma.span_dim:
             regions.append(region)

@@ -566,15 +566,10 @@ def _presentation_pushout(f, g):
     _require_same_source(f, g)
     m_mon, n_mon = f.target, g.target
     p, q = len(m_mon.generators), len(n_mon.generators)
-    rels = []
-    for col in monoid_relation_lattice(m_mon):
-        u = tuple(max(x, 0) for x in col) + (0,) * q
-        v = tuple(max(-x, 0) for x in col) + (0,) * q
-        rels.append((u, v))
-    for col in monoid_relation_lattice(n_mon):
-        u = (0,) * p + tuple(max(x, 0) for x in col)
-        v = (0,) * p + tuple(max(-x, 0) for x in col)
-        rels.append((u, v))
+    rels = [(u + (0,) * q, v + (0,) * q)
+            for u, v in presentation_of(m_mon).relations]
+    rels += [((0,) * p + u, (0,) * p + v)
+             for u, v in presentation_of(n_mon).relations]
     for l in f.source.generators:
         img_m = element_of(m_mon.ambient, xl.apply(f.matrix, l.as_vector()))
         img_n = element_of(n_mon.ambient, xl.apply(g.matrix, l.as_vector()))

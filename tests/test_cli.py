@@ -12,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
@@ -335,3 +337,45 @@ def test_proper_span_warns(tmp_path):
     proc = run_cli("props", p)
     assert proc.returncode == 0
     assert "proper subgroup" in proc.stderr
+
+
+def _quotient_is_nontrivial(host, vecs):
+    """The re-presentation test by a separate quotient of the host."""
+    if vecs:
+        quot, _ = xl.quotient_presentation(host, vecs)
+        return not quot.is_trivial
+    return host.lift_dim > 0
+
+
+@st.composite
+def _monoid_docs(draw):
+    """An affine-monoid document with up to three generators, or none, in
+    Z^r (+) torsion."""
+    r = draw(st.integers(0, 2))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4), (6,)]))
+    n = r + len(torsion)
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return {"kind": "affine-monoid", "free_rank": r,
+            "torsion": list(torsion),
+            "generators": draw(st.lists(vec, max_size=3))}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_monoid_docs())
+def test_span_warning_matches_quotient_test(doc):
+    warnings = []
+    cli.parse_monoid(doc, "m", warnings.append)
+    host = xl.FgAbelianGroup(doc["free_rank"], tuple(doc["torsion"]))
+    assert bool(warnings) == _quotient_is_nontrivial(
+        host, [tuple(g) for g in doc["generators"]])
+
+
+def test_nonprimitive_fan_ray_warns_with_its_cone(tmp_path):
+    p = write_doc(tmp_path / "fan.json", {
+        "kind": "fan", "dim": 2, "maximal_cones": [[[1, 0], [0, 1]],
+                                                   [[0, 2], [-1, 0]]]})
+    proc = run_cli("regular", p)
+    assert proc.returncode == 0
+    assert "maximal_cones[1]: ray [0, 2] is not primitive; scaled to [0, 1]" \
+        in proc.stderr
+    assert "maximal_cones[0]" not in proc.stderr

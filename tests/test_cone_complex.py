@@ -4,7 +4,8 @@ The conic-membership oracle is a self-contained Fourier-Motzkin elimination
 over fractions; it shares no code with the library.  Hilbert bases are
 checked for completeness by scanning an integer box, triangulations by
 sampled rational points, resolutions by the refinement / support / regularity
-properties, and fan validation against the all-pairs intersection check.
+properties, fan validation against the all-pairs intersection check, and
+duality against double description from scratch.
 """
 
 import functools
@@ -21,6 +22,14 @@ import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError, InternalCheckError
+
+
+_DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=200,
+                         suppress_health_check=[HealthCheck.too_slow])
+# entry ranges keep the multiplicities, and so the oracle's all-pairs
+# reduction, small: dimension -> largest absolute entry
+_ENTRY_RANGE = {1: 9, 2: 6, 3: 3, 4: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +191,159 @@ def test_dual_of_full_space_is_origin():
     dual = cc.dual_cone(full)
     assert dual.is_zero
     assert cc.dual_cone(dual) == full
+
+
+# Oracles for duality: double description from scratch, without the dual
+# description a canonical cone stores.
+
+
+def _oracle_dual_cone(cone):
+    """from_rays of the facet normals and +/- the span equations (two DD
+    runs)."""
+    gens = list(cone.facet_normals)
+    for eq in cone.span_equations:
+        gens.append(eq)
+        gens.append(cc.vneg(eq))
+    return cc.RationalCone.from_rays(gens, cone.dim)
+
+
+def _oracle_cone_from_constraints(normals, equations, dim):
+    """Generators of the constraint cone by one DD run, then from_rays on
+    them (three DD runs)."""
+    constraints = [tuple(int(x) for x in n) for n in normals]
+    for eq in equations:
+        eq = tuple(int(x) for x in eq)
+        constraints.append(eq)
+        constraints.append(cc.vneg(eq))
+    rays, lin = cc.extreme_rays_of_halfspaces(constraints, dim)
+    gens = list(rays)
+    for l in lin:
+        gens.append(l)
+        gens.append(cc.vneg(l))
+    return cc.RationalCone.from_rays(gens, dim)
+
+
+def _vectors(dim):
+    r = _ENTRY_RANGE[dim]
+    return st.tuples(*[st.integers(-r, r)] * dim)
+
+
+@st.composite
+def _with_zero_and_repeat(draw, vectors, dim):
+    """The list, sometimes with the zero vector or a repeat appended."""
+    vectors = list(vectors)
+    if draw(st.booleans()):
+        vectors.append((0,) * dim)
+    if vectors and draw(st.booleans()):
+        vectors.append(draw(st.sampled_from(vectors)))
+    return vectors
+
+
+@st.composite
+def _any_cones(draw, dim=None):
+    """A cone in Z^1..Z^4 on up to dim + 2 generators, zero and repeated
+    ones included: sometimes inside a proper subspace (not
+    full-dimensional), sometimes with the negatives of some generators (a
+    lineality space)."""
+    if dim is None:
+        dim = draw(st.integers(1, 4))
+    gens = draw(st.lists(_vectors(dim), max_size=dim + 2))
+    if dim > 1 and draw(st.booleans()):
+        # integer combinations of k vectors span at most a k-space
+        k = draw(st.integers(1, dim - 1))
+        basis = draw(st.lists(_vectors(dim), min_size=k, max_size=k))
+        coeffs = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+        gens = [tuple(sum(c * b[i] for c, b in zip(cs, basis))
+                      for i in range(dim))
+                for cs in draw(st.lists(coeffs, min_size=len(gens),
+                                        max_size=len(gens)))]
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=len(gens),
+                              max_size=len(gens)))
+        gens += [cc.vneg(g) for g, flip in zip(gens, flips) if flip]
+    gens = draw(_with_zero_and_repeat(gens, dim))
+    return cc.RationalCone.from_rays(gens, dim)
+
+
+@st.composite
+def _constraint_systems(draw):
+    """Normals and equations in Z^1..Z^4, zero and repeated ones included;
+    either list may be empty."""
+    dim = draw(st.integers(1, 4))
+    normals = draw(st.lists(_vectors(dim), max_size=dim + 3))
+    equations = draw(st.lists(_vectors(dim), max_size=2))
+    return (draw(_with_zero_and_repeat(normals, dim)),
+            draw(_with_zero_and_repeat(equations, dim)), dim)
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_any_cones())
+def test_dual_cone_matches_oracle(cone):
+    dual = cc.dual_cone(cone)
+    assert dual == _oracle_dual_cone(cone)
+    assert _oracle_dual_cone(dual) == cone
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_constraint_systems())
+def test_cone_from_constraints_matches_oracle(case):
+    assert cc.cone_from_constraints(*case) == \
+        _oracle_cone_from_constraints(*case)
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(st.integers(1, 4).flatmap(
+    lambda dim: st.tuples(_any_cones(dim), _any_cones(dim))))
+def test_intersect_matches_oracle(pair):
+    a, b = pair
+    assert cc.intersect(a, b) == _oracle_cone_from_constraints(
+        a.facet_normals + b.facet_normals,
+        a.span_equations + b.span_equations, a.dim)
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(_any_cones())
+def test_span_coordinates_match_integer_solve(cone):
+    # one Smith decomposition per cone gives the coordinates that a solve
+    # per vector gave: the span basis has full column rank
+    assume(not cone.is_full_dimensional and not cone.is_zero)
+    down, up, m = cc._to_span_coords(cone)
+    basis = xl.intmat_from_columns(cc._span_lattice_basis(cone),
+                                   nrows=cone.dim)
+    for g in cone.generators + (cc.vadd(cone.generators[0],
+                                        cone.generators[-1]),):
+        assert down(g) == xl.solve_integer(basis, g)
+        assert up(down(g)) == g
+    with pytest.raises(InternalCheckError):
+        down(cone.span_equations[0])
+
+
+@pytest.fixture
+def dd_calls(monkeypatch):
+    """The list of double description runs made from here on."""
+    calls = []
+    run = cc.extreme_rays_of_halfspaces
+
+    def counting(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(cc, "extreme_rays_of_halfspaces", counting)
+    return calls
+
+
+def test_duality_double_description_counts(dd_calls):
+    half = cc.RationalCone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], 3)
+    quadrant = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0)], 3)
+    dd_calls.clear()
+    cc.dual_cone(half)
+    cc.dual_cone(quadrant)
+    assert len(dd_calls) == 0
+    cc.cone_from_constraints([(1, 0, 0), (0, 1, 0)], [(0, 0, 1)], 3)
+    assert len(dd_calls) == 2
+    dd_calls.clear()
+    cc.intersect(half, quadrant)
+    assert len(dd_calls) == 2
 
 
 def test_lineality_detection():
@@ -399,14 +561,6 @@ def _assert_matches_oracle(gens, dim):
             cc.hilbert_basis(cone)
         return
     assert cc.hilbert_basis(cone) == _oracle_hilbert_basis(cone), gens
-
-
-_DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
-                         max_examples=200,
-                         suppress_health_check=[HealthCheck.too_slow])
-# entry ranges keep the multiplicities, and so the oracle's all-pairs
-# reduction, small: dimension -> largest absolute entry
-_ENTRY_RANGE = {1: 9, 2: 6, 3: 3, 4: 2}
 
 
 def _rank(vectors):
@@ -845,25 +999,16 @@ def test_validate_rejects_star_of_david():
         cc.fan_from_cones([up, down], 3)
 
 
-def test_validate_2d_resolutions_without_double_description(monkeypatch):
+def test_validate_2d_resolutions_without_double_description(dd_calls):
     # in 2D every pair of cones of a subdivision of a pointed cone has a
     # separating facet normal, so validation needs no double description
     fans = [cc.resolve(_fan([[(1, 0), (1, k)]], 2), validate=False)
             for k in range(1, 26)]
-    calls = []
-
-    def counting(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(cc, "extreme_rays_of_halfspaces",
-                        counting(cc.extreme_rays_of_halfspaces))
+    dd_calls.clear()
     for fan in fans:
         fan.validate()
     assert sum(len(f.maximal_cones) for f in fans) == 25 * 26 // 2
-    assert calls == []
+    assert dd_calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ WITHOUT_NUMPY = ("-c", "import runpy, sys; sys.modules['numpy'] = None; "
                        "runpy.run_module('logmonoid', run_name='__main__', alter_sys=True)")
 
 
-def run_case(case_dir, launcher=("-m", "logmonoid")):
+def run_case(case_dir, launcher=("-m", "logmonoid"), options=()):
     spec = json.loads((case_dir / "invocation.json").read_text())
     cmd = [sys.executable, *launcher, spec["command"]]
-    cmd += spec.get("options", [])
+    cmd += spec.get("options", []) + list(options)
     cmd += [str(case_dir / name) for name in spec["inputs"]]
     return subprocess.run(cmd, capture_output=True)
 
@@ -44,6 +44,16 @@ def test_golden_case(case_dir):
     expected = (case_dir / "expected.out").read_bytes()
     assert proc.stdout == expected
     assert proc.stdout.endswith(b"\n")
+
+
+@pytest.mark.parametrize("case_dir", CASES, ids=lambda p: p.name)
+def test_golden_case_with_verify(case_dir):
+    # --verify re-checks every result and reports on stderr only
+    proc = run_case(case_dir, options=["--verify"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (case_dir / "expected.out").read_bytes()
+    spec = json.loads((case_dir / "invocation.json").read_text())
+    assert proc.stderr.count(b": ok\n") == len(spec["inputs"])
 
 
 @pytest.mark.parametrize("name", ["pushout-kummer-fine", "fiber-sum", "resolve-a3"])
