@@ -114,8 +114,7 @@ def parse_monoid(doc, ctx, warn):
     free_rank = _as_int(_get(doc, "free_rank", ctx), f"{ctx}.free_rank")
     if free_rank < 0:
         raise InputError(f"{ctx}.free_rank: must be nonnegative")
-    torsion = tuple(
-        _as_int(f, f"{ctx}.torsion") for f in _get(doc, "torsion", ctx))
+    torsion = _as_vector(_get(doc, "torsion", ctx), None, f"{ctx}.torsion")
     host = xl.FgAbelianGroup(free_rank, torsion)
     vecs = _as_vector_list(
         _get(doc, "generators", ctx), host.lift_dim, f"{ctx}.generators")

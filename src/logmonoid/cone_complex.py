@@ -8,12 +8,16 @@ sets is equality of the dataclass, and faces shared between cones of a fan
 canonicalize identically.
 
 The conversion from generators to inequalities is an incremental double
-description computation with explicit lineality bookkeeping, followed by an
-extremality filter (rank of tight normals), so no floating point and no
-genericity assumptions enter anywhere.  The facet normals and span
-equations of a cone are stored as the canonical extreme rays and lineality
-of its dual, so the dual is the four fields swapped, and a cone given by
-constraints is the dual of the cone they generate.
+description computation with explicit lineality bookkeeping, so no floating
+point and no genericity assumptions enter anywhere.  Extremality is decided
+by incidence alone: once a complete inequality description is known, a
+candidate ray class is extreme iff no other class is tight on a superset of
+its inequalities.  This picks the extreme rays out of the double
+description's own candidates, and out of the generators of a cone once its
+facets are known, so each cone costs one double description run.  The facet
+normals and span equations of a cone are stored as the canonical extreme
+rays and lineality of its dual, so the dual is the four fields swapped, and
+a cone given by constraints is the dual of the cone they generate.
 """
 
 from __future__ import annotations
@@ -130,21 +134,49 @@ def _quotient_maps(lattice_basis, dim):
             v @ xl.IntMatrix(u.rows[:k], dim))
 
 
-def _canonicalize_mod(vectors, lattice_basis, dim):
-    """Canonical representatives of ray classes modulo a lineality lattice.
+def _saturated_kernel(forms, dim):
+    """Canonical basis of {x in Z^dim : f . x = 0 for every form}: the
+    lineality of the cone the forms cut out as inequalities."""
+    if not forms:
+        return tuple(tuple(1 if j == i else 0 for j in range(dim))
+                     for i in range(dim))
+    kernel = xl.kernel_basis(xl.intmat(forms, ncols=dim))
+    return hnf_row_basis(xl.mat_columns(kernel), dim)
 
-    Each vector is projected to the quotient, made primitive there, and
-    lifted back along the canonical section; the result depends only on the
-    ray class R_{>0} v + span(basis).
+
+def _extreme_classes(candidates, lineality, dim):
+    """Canonical representatives of the extreme ray classes among the
+    candidates, lex-sorted.
+
+    ``candidates`` are (vector, tight set) pairs: points of a cone given by
+    a complete list of inequalities, with the exact set of inequalities each
+    one satisfies with equality, including a point of every extreme ray
+    class.  Each vector is projected to the quotient by the lineality,
+    made primitive there and lifted back along the canonical section, so
+    the representative depends only on the class R_{>0} v + span(lineality);
+    vectors in the lineality have no class and are dropped.
+
+    The tight set of a class cuts out the smallest face containing it.  An
+    extreme class is that face modulo the lineality, so every class tight on
+    a superset of its inequalities is the class itself; a class that is not
+    extreme lies in a face of dimension >= 2 modulo the lineality, whose
+    extreme classes are tight on strictly more inequalities (Fukuda and
+    Prodon, "Double description method revisited", 1996).  So a class is
+    kept iff its tight set is not strictly contained in another's.
     """
-    if not lattice_basis:
-        return tuple(sorted(primitive(v) for v in vectors))
-    p, r, _ = _quotient_maps(lattice_basis, dim)
-    out = []
-    for v in vectors:
-        w = primitive(xl.apply(p, v))
-        out.append(xl.apply(r, w))
-    return tuple(sorted(out))
+    classes = {}
+    if lineality:
+        p, r, _ = _quotient_maps(lineality, dim)
+        for v, tight in candidates:
+            w = xl.apply(p, v)
+            if any(w):
+                classes[xl.apply(r, primitive(w))] = tight
+    else:
+        for v, tight in candidates:
+            classes[primitive(v)] = tight
+    return tuple(sorted(
+        v for v, tight in classes.items()
+        if not any(tight < other for other in classes.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +195,9 @@ def extreme_rays_of_halfspaces(normals, dim):
     direction (every current ray is projected onto the new hyperplane and the
     consumed direction joins the rays); a normal vanishing on the lineality
     splits the rays by sign and inserts combinations of adjacent +/- pairs.
-    Adjacency is the standard combinatorial test on tight sets, and a final
-    rank filter removes any non-extreme survivor.
+    Adjacency is the standard combinatorial test on tight sets.  The tight
+    sets are exact (a combination of two rays is tight exactly where both
+    are), so ``_extreme_classes`` keeps the extreme rays by incidence alone.
     """
     normals = [tuple(int(x) for x in n) for n in normals]
     for n in normals:
@@ -206,32 +239,8 @@ def extreme_rays_of_halfspaces(normals, dim):
             kept.append((comb, common | {idx}))
         rays = kept
 
-    # canonical lineality basis of the full system
-    if normals:
-        mat = xl.intmat(normals, ncols=dim)
-        lin_canon = tuple(tuple(int(x) for x in col)
-                          for col in xl.mat_columns(xl.kernel_basis(mat)))
-    else:
-        lin_canon = tuple(tuple(1 if j == i else 0 for j in range(dim))
-                          for i in range(dim))
-    lin_canon = hnf_row_basis(lin_canon, dim)
-
-    # extremality filter: a ray is extreme iff its tight normals cut a face
-    # of dimension exactly dim(lineality) + 1
-    target = dim - len(lin_canon) - 1
-    survivors = []
-    seen = set()
-    for (e, tight) in rays:
-        tight_normals = [normals[i] for i in sorted(tight)]
-        rk = xl.rank_of(xl.intmat(tight_normals, ncols=dim)) if tight_normals else 0
-        if rk == target:
-            survivors.append(e)
-    result = []
-    for e in _canonicalize_mod(survivors, lin_canon, dim):
-        if e not in seen:
-            seen.add(e)
-            result.append(e)
-    return tuple(result), lin_canon
+    lineality = _saturated_kernel(normals, dim)
+    return _extreme_classes(rays, lineality, dim), lineality
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +284,15 @@ class RationalCone:
         # dual description: facet normals = extreme rays of the dual cone,
         # span equations = lineality of the dual cone
         normals, equations = extreme_rays_of_halfspaces(vecs, dim)
-        # primal description from the canonical constraints
-        rays, lin = extreme_rays_of_halfspaces(
-            _signed(normals, equations), dim)
+        # primal description: the canonical constraints are a complete
+        # description of the cone, its lineality is their saturated kernel,
+        # and every extreme ray class is among the generators, so the
+        # incidence rule picks the extreme rays out of the generators
+        constraints = _signed(normals, equations)
+        lin = _saturated_kernel(constraints, dim)
+        rays = _extreme_classes(
+            [(v, {i for i, c in enumerate(constraints) if vdot(c, v) == 0})
+             for v in vecs], lin, dim)
         cone = cls(dim=dim, extreme_rays=rays, lineality=lin,
                    facet_normals=normals, span_equations=equations)
         for v in vecs:
@@ -419,9 +434,7 @@ def is_face_of(face, cone):
 def _span_lattice_basis(cone):
     """Canonical basis of span(cone) intersected with Z^dim, for a cone
     that is not full-dimensional."""
-    eq = xl.intmat(list(cone.span_equations), ncols=cone.dim)
-    cols = [tuple(int(x) for x in c) for c in xl.mat_columns(xl.kernel_basis(eq))]
-    return hnf_row_basis(cols, cone.dim)
+    return _saturated_kernel(cone.span_equations, cone.dim)
 
 
 def _to_span_coords(cone):
@@ -591,19 +604,21 @@ def _hilbert_basis_2d(r1, r2):
 def hilbert_basis(cone):
     """The minimal generating set of cone meet Z^dim for a strongly convex cone.
 
-    The work runs in coordinates of the span lattice.  In dimension 2 the
-    basis is read off the Hirzebruch-Jung continued fraction of the two rays
-    in O(log multiplicity) arithmetic steps, whatever the ambient dimension.
+    Lattice arithmetic runs in coordinates of the span lattice.  In
+    dimension 2 the basis is read off the Hirzebruch-Jung continued fraction
+    of the two rays in O(log multiplicity) arithmetic steps, whatever the
+    ambient dimension.
 
     In dimension >= 3 the candidates are the extreme rays and the lattice
-    points of the fundamental parallelepipeds of a pulling triangulation;
-    they include every irreducible element.  The degree (sum of the inward
-    facet normals) is positive on the cone minus 0, and if h = b + y with b
-    irreducible and y a nonzero cone point then deg b < deg h.  So the
-    candidates are taken in (degree, vector) order and each is tested only
-    against the irreducibles already kept: h - b lies in the cone iff the
-    facet values of h dominate those of b componentwise.  The enumeration
-    still costs time proportional to the multiplicity of the simplices.
+    points of the fundamental parallelepipeds of a pulling triangulation of
+    the cone, enumerated in span coordinates and mapped back; they include
+    every irreducible element.  The degree (sum of the inward facet normals)
+    is positive on the cone minus 0, and if h = b + y with b irreducible and
+    y a nonzero cone point then deg b < deg h.  So the candidates are taken
+    in (degree, vector) order and each is tested only against the
+    irreducibles already kept: h - b lies in the cone iff the facet values
+    of h dominate those of b componentwise.  The enumeration still costs
+    time proportional to the multiplicity of the simplices.
 
     The result is unique and lex-sorted.
     """
@@ -612,18 +627,17 @@ def hilbert_basis(cone):
     if cone.is_zero:
         return ()
     down, up, m = _to_span_coords(cone)
-    rays = [down(r) for r in cone.extreme_rays]
     if m == 2:
+        rays = [down(r) for r in cone.extreme_rays]
         return tuple(sorted(up(h) for h in _hilbert_basis_2d(*rays)))
-    inner = RationalCone.from_rays(rays, m)
-    candidates = set(rays)
-    for simplex in pulling_triangulation(inner):
-        for point, _ in _parallelepiped_points(list(simplex), m):
-            candidates.add(point)
+    candidates = set(cone.extreme_rays)
+    for simplex in pulling_triangulation(cone):
+        for point, _ in _parallelepiped_points([down(r) for r in simplex], m):
+            candidates.add(up(point))
 
     ranked = []
     for h in candidates:
-        values = tuple(vdot(n, h) for n in inner.facet_normals)
+        values = tuple(vdot(n, h) for n in cone.facet_normals)
         ranked.append((sum(values), h, values))
     ranked.sort()
     kept = []
@@ -633,21 +647,20 @@ def hilbert_basis(cone):
                    for other in kept_values):
             kept.append(h)
             kept_values.append(values)
-    return tuple(sorted(up(h) for h in kept))
+    return tuple(sorted(kept))
 
 
-def cone_lattice_generators(vectors, dim):
-    """Generators of cone(vectors) meet Z^dim as a monoid.
+def cone_lattice_generators(cone):
+    """Generators of cone meet Z^dim as a monoid.
 
     Strongly convex part by Hilbert basis; a nontrivial lineality space
     contributes +/- its canonical lattice basis, with the Hilbert basis of
     the image cone in the quotient lifted back along the canonical section.
     """
-    cone = RationalCone.from_rays(vectors, dim)
     if cone.is_strongly_convex:
-        return tuple(sorted(hilbert_basis(cone)))
-    p, r, _ = _quotient_maps(cone.lineality, dim)
-    k = dim - len(cone.lineality)
+        return hilbert_basis(cone)
+    p, r, _ = _quotient_maps(cone.lineality, cone.dim)
+    k = cone.dim - len(cone.lineality)
     image = RationalCone.from_rays(
         [xl.apply(p, ray) for ray in cone.extreme_rays], k)
     lifted = [xl.apply(r, h) for h in hilbert_basis(image)]
@@ -663,7 +676,7 @@ def monoid_of_cone(cone):
     """
     from . import monoid_core as mc
 
-    gens = cone_lattice_generators(cone.generators, cone.dim) if not cone.is_zero else ()
+    gens = cone_lattice_generators(cone)
     if cone.is_full_dimensional:
         amb = xl.FgAbelianGroup(cone.dim, ())
         return mc.AffineMonoid(amb, [mc.MonoidElement(free=g) for g in gens])

@@ -18,7 +18,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, ge, mul
 
 from .errors import DomainError, InputError, InternalCheckError
@@ -297,11 +296,6 @@ def kernel_basis(a):
     return _from_columns(cols, v.shape[0])
 
 
-def rank_of(a):
-    """Rank over Q of an integer matrix."""
-    return len(smith_normal_form(a).diag)
-
-
 def _check_rhs(a, b):
     if len(b) != a.shape[0]:
         raise InputError("right-hand side has wrong length")
@@ -328,23 +322,6 @@ def solve_integer(a, b):
         elif w[i] != 0:
             return None
     return apply(v, y)
-
-
-def solve_rational(a, b):
-    """One rational solution of a x = b as a tuple of Fractions, or None."""
-    a = _as_matrix(a)
-    _check_rhs(a, b)
-    m, n = a.shape
-    u, _, d, v, _ = _snf_full(a)
-    w = apply(u, map(int, b))
-    y = [Fraction(0)] * n
-    for i in range(m):
-        di = d.rows[i][i] if i < min(m, n) else 0
-        if di != 0:
-            y[i] = Fraction(w[i], di)
-        elif w[i] != 0:
-            return None
-    return tuple(sum(Fraction(c) * yk for c, yk in zip(row, y)) for row in v.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,8 @@ def saturate(monoid):
     if r == 0:
         return AffineMonoid(amb, tuple(tors_gens))
     free_vecs = [g.free for g in monoid.generators]
-    lattice_gens = cc.cone_lattice_generators(free_vecs, r)
+    lattice_gens = cc.cone_lattice_generators(
+        cc.RationalCone.from_rays(free_vecs, r))
     new_gens = [element_of(amb, vec + (0,) * len(amb.invariant_factors))
                 for vec in lattice_gens]
     return AffineMonoid(amb, tuple(new_gens) + tuple(tors_gens))

@@ -10,6 +10,7 @@ stderr only.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,64 @@ def test_invalid_fan_exits_2(tmp_path):
     proc = run_cli("resolve", p)
     assert proc.returncode == 2
     assert "domain error:" in proc.stderr
+
+
+@pytest.mark.parametrize("torsion", [None, True, 1.5, 7, "x", {}])
+def test_non_list_torsion_exits_1(tmp_path, torsion):
+    p = write_doc(tmp_path / "m.json", {
+        "kind": "affine-monoid", "free_rank": 1, "torsion": torsion,
+        "generators": [[1]]})
+    proc = run_cli("sat", p)
+    assert proc.returncode == 1, proc.stderr
+    assert "m.json.torsion: expected a list of integers" in proc.stderr
+
+
+# Every node of every golden input but its "kind", replaced by one value
+# of each JSON type, must give a result, a malformed-input error or a
+# domain error: never exit 3.
+GOLDEN_CASES = sorted(
+    p for p in (Path(__file__).parent / "golden" / "cases").iterdir()
+    if p.is_dir())
+_MUTANTS = (None, True, 1.5, "x", {}, 7, [], [7], [[]])
+
+
+def _node_paths(node, path=()):
+    if isinstance(node, dict):
+        children = [(k, v) for k, v in node.items() if k != "kind"]
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+@pytest.mark.parametrize("case_dir", GOLDEN_CASES, ids=lambda p: p.name)
+def test_type_mutations_of_golden_inputs_never_exit_3(case_dir, tmp_path,
+                                                       capsys):
+    spec = json.loads((case_dir / "invocation.json").read_text())
+    docs = [json.loads((case_dir / name).read_text())
+            for name in spec["inputs"]]
+    for i, doc in enumerate(docs):
+        for path in _node_paths(doc):
+            for value in _MUTANTS:
+                files = []
+                for j, other in enumerate(docs):
+                    mutated = _replaced(doc, path, value) if j == i else other
+                    files.append(write_doc(tmp_path / f"in{j}.json", mutated))
+                code = cli.main([spec["command"], *spec.get("options", []),
+                                 *files])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (spec["inputs"][i], path, value, err)
 
 
 # ---------------------------------------------------------------------------

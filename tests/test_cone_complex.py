@@ -240,11 +240,11 @@ def _with_zero_and_repeat(draw, vectors, dim):
 
 
 @st.composite
-def _any_cones(draw, dim=None):
-    """A cone in Z^1..Z^4 on up to dim + 2 generators, zero and repeated
-    ones included: sometimes inside a proper subspace (not
-    full-dimensional), sometimes with the negatives of some generators (a
-    lineality space)."""
+def _generator_lists(draw, dim=None):
+    """Up to dim + 2 generators in Z^1..Z^4 and the dimension, zero and
+    repeated ones included: sometimes inside a proper subspace (not
+    full-dimensional), sometimes with the negatives of some generators
+    (antipodal pairs, a lineality space)."""
     if dim is None:
         dim = draw(st.integers(1, 4))
     gens = draw(st.lists(_vectors(dim), max_size=dim + 2))
@@ -261,8 +261,13 @@ def _any_cones(draw, dim=None):
         flips = draw(st.lists(st.booleans(), min_size=len(gens),
                               max_size=len(gens)))
         gens += [cc.vneg(g) for g, flip in zip(gens, flips) if flip]
-    gens = draw(_with_zero_and_repeat(gens, dim))
-    return cc.RationalCone.from_rays(gens, dim)
+    return draw(_with_zero_and_repeat(gens, dim)), dim
+
+
+def _any_cones(dim=None):
+    """The cone of a ``_generator_lists`` draw."""
+    return _generator_lists(dim).map(
+        lambda case: cc.RationalCone.from_rays(*case))
 
 
 @st.composite
@@ -299,6 +304,119 @@ def test_intersect_matches_oracle(pair):
     assert cc.intersect(a, b) == _oracle_cone_from_constraints(
         a.facet_normals + b.facet_normals,
         a.span_equations + b.span_equations, a.dim)
+
+
+# Oracles for extremality: a rank per candidate ray inside the double
+# description, and a second double description in from_rays, the paths that
+# the incidence rule of ``cc._extreme_classes`` replaces.
+
+
+def _oracle_extreme_rays_of_halfspaces(normals, dim):
+    """Double description with a final filter that keeps the rays whose
+    tight normals have rank dim - dim(lineality) - 1."""
+    normals = [tuple(int(x) for x in n) for n in normals]
+    normals = [n for n in normals if any(n)]
+    rays = []
+    lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    for idx, n in enumerate(normals):
+        hit = next((l for l in lin if cc.vdot(n, l) != 0), None)
+        if hit is not None:
+            lin.remove(hit)
+            a = cc.vdot(n, hit)
+            pivot = hit if a > 0 else cc.vneg(hit)
+            a = abs(a)
+            lin = [cc.primitive(cc.vcomb(a, l, -cc.vdot(n, l), pivot))
+                   for l in lin]
+            rays = [(cc.primitive(cc.vcomb(a, e, -cc.vdot(n, e), pivot)),
+                     t | {idx}) for e, t in rays]
+            rays.append((pivot, set(range(idx))))
+            continue
+        plus = [(e, t) for e, t in rays if cc.vdot(n, e) > 0]
+        zero = [(e, t | {idx}) for e, t in rays if cc.vdot(n, e) == 0]
+        minus = [(e, t) for e, t in rays if cc.vdot(n, e) < 0]
+        kept = plus + zero
+        for (ep, tp), (em, tm) in itertools.product(plus, minus):
+            common = tp & tm
+            if any(common <= t for e, t in rays
+                   if e is not ep and e is not em):
+                continue
+            kept.append((cc.primitive(cc.vcomb(cc.vdot(n, ep), em,
+                                               -cc.vdot(n, em), ep)),
+                         common | {idx}))
+        rays = kept
+    if normals:
+        kernel = xl.kernel_basis(xl.intmat(normals, ncols=dim))
+        lin_canon = cc.hnf_row_basis(xl.mat_columns(kernel), dim)
+    else:
+        lin_canon = tuple(tuple(1 if j == i else 0 for j in range(dim))
+                          for i in range(dim))
+    target = dim - len(lin_canon) - 1
+    survivors = []
+    for e, tight in rays:
+        tight_normals = [normals[i] for i in sorted(tight)]
+        rank = len(xl.smith_normal_form(
+            xl.intmat(tight_normals, ncols=dim)).diag) if tight_normals else 0
+        if rank == target:
+            survivors.append(e)
+    if lin_canon:
+        p, r, _ = cc._quotient_maps(lin_canon, dim)
+        survivors = [xl.apply(r, cc.primitive(xl.apply(p, e)))
+                     for e in survivors]
+    else:
+        survivors = [cc.primitive(e) for e in survivors]
+    return tuple(sorted(set(survivors))), lin_canon
+
+
+def _oracle_from_rays(vectors, dim):
+    """Facets by one double description, then the extreme rays by a second
+    one from the facets (two runs of the rank-filter oracle)."""
+    vecs = []
+    for v in vectors:
+        v = tuple(int(x) for x in v)
+        if any(v) and cc.primitive(v) not in vecs:
+            vecs.append(cc.primitive(v))
+    normals, equations = _oracle_extreme_rays_of_halfspaces(vecs, dim)
+    constraints = list(normals)
+    for eq in equations:
+        constraints.append(eq)
+        constraints.append(cc.vneg(eq))
+    rays, lin = _oracle_extreme_rays_of_halfspaces(constraints, dim)
+    return cc.RationalCone(dim=dim, extreme_rays=rays, lineality=lin,
+                           facet_normals=normals, span_equations=equations)
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_generator_lists())
+def test_from_rays_matches_oracle(case):
+    assert cc.RationalCone.from_rays(*case) == _oracle_from_rays(*case)
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_constraint_systems())
+def test_extreme_rays_of_halfspaces_matches_oracle(case):
+    normals, equations, dim = case
+    constraints = list(normals)
+    for eq in equations:
+        constraints += [eq, cc.vneg(eq)]
+    for system in (normals, constraints):
+        assert cc.extreme_rays_of_halfspaces(system, dim) == \
+            _oracle_extreme_rays_of_halfspaces(system, dim)
+
+
+def test_extreme_rays_of_halfspaces_oracle_sanity():
+    # the oracle against hand-computed cones: a quadrant, a half-plane and
+    # a line, the full plane, and the cone over a square
+    assert _oracle_extreme_rays_of_halfspaces([(1, 0), (0, 1)], 2) == \
+        (((0, 1), (1, 0)), ())
+    assert _oracle_extreme_rays_of_halfspaces([(0, 1)], 2) == \
+        (((0, 1),), ((1, 0),))
+    assert _oracle_extreme_rays_of_halfspaces(
+        [(0, 1), (0, -1)], 2) == ((), ((1, 0),))
+    assert _oracle_extreme_rays_of_halfspaces([], 2) == \
+        ((), ((1, 0), (0, 1)))
+    square = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    assert _oracle_extreme_rays_of_halfspaces(square, 3)[0] == \
+        ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
 
 
 @settings(_DIFFERENTIAL, max_examples=150)
@@ -340,10 +458,13 @@ def test_duality_double_description_counts(dd_calls):
     cc.dual_cone(quadrant)
     assert len(dd_calls) == 0
     cc.cone_from_constraints([(1, 0, 0), (0, 1, 0)], [(0, 0, 1)], 3)
-    assert len(dd_calls) == 2
+    assert len(dd_calls) == 1
     dd_calls.clear()
     cc.intersect(half, quadrant)
-    assert len(dd_calls) == 2
+    assert len(dd_calls) == 1
+    dd_calls.clear()
+    cc.RationalCone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 1), (1, 1, 1)], 3)
+    assert len(dd_calls) == 1
 
 
 def test_lineality_detection():
@@ -481,6 +602,29 @@ def test_hilbert_basis_complete_via_parallelepiped():
         checked += 1
 
 
+def _solve_rational(a, b):
+    """One rational solution of a x = b as a tuple of Fractions, or None,
+    from the Smith decomposition of a."""
+    m, n = a.shape
+    u, _, d, v, _ = xl._snf_full(a)
+    w = xl.apply(u, map(int, b))
+    y = [Fraction(0)] * n
+    for i in range(m):
+        di = d[i, i] if i < min(m, n) else 0
+        if di != 0:
+            y[i] = Fraction(w[i], di)
+        elif w[i] != 0:
+            return None
+    return tuple(sum(Fraction(c) * yk for c, yk in zip(row, y))
+                 for row in v.rows)
+
+
+def test_solve_rational():
+    sol = _solve_rational(xl.intmat([[2, 0], [0, 3]]), (1, 1))
+    assert sol == (Fraction(1, 2), Fraction(1, 3))
+    assert _solve_rational(xl.intmat([[1, 1], [1, 1]]), (0, 1)) is None
+
+
 def _oracle_parallelepiped_points(rays, m):
     """The parallelepiped enumeration with one SNF-backed rational solve per
     residue: the slow path that ``_parallelepiped_points`` replaces."""
@@ -489,7 +633,7 @@ def _oracle_parallelepiped_points(rays, m):
     out = []
     for residue in itertools.product(*(range(d[i, i]) for i in range(m))):
         x = uinv @ residue
-        coeffs = xl.solve_rational(a, x)
+        coeffs = _solve_rational(a, x)
         floors = [c.numerator // c.denominator for c in coeffs]
         point = tuple(x[i] - sum(f * r[i] for f, r in zip(floors, rays))
                       for i in range(m))
@@ -505,7 +649,7 @@ def test_parallelepiped_points_match_rational_solve():
         m = rng.randint(1, 4)
         rays = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(m)]
         a = xl.intmat_from_columns(rays, nrows=m)
-        if xl.rank_of(a) < m:
+        if len(xl.smith_normal_form(a).diag) < m:
             continue
         got = cc._parallelepiped_points(rays, m)
         assert got == _oracle_parallelepiped_points(rays, m), rays
@@ -554,6 +698,43 @@ def _oracle_hilbert_basis(cone):
     return tuple(sorted(up(h) for h in keep))
 
 
+def _oracle_hilbert_basis_in_span(cone):
+    """The degree-order reduction of ``hilbert_basis`` with the cone rebuilt
+    by from_rays in span coordinates, triangulated and ranked there."""
+    if not cone.is_strongly_convex:
+        raise DomainError("Hilbert bases are defined for strongly convex cones")
+    if cone.is_zero:
+        return ()
+    down, up, m = cc._to_span_coords(cone)
+    rays = [down(r) for r in cone.extreme_rays]
+    if m == 2:
+        return tuple(sorted(up(h) for h in cc._hilbert_basis_2d(*rays)))
+    inner = cc.RationalCone.from_rays(rays, m)
+    candidates = set(rays)
+    for simplex in cc.pulling_triangulation(inner):
+        for point, _ in cc._parallelepiped_points(list(simplex), m):
+            candidates.add(point)
+    ranked = []
+    for h in candidates:
+        values = tuple(cc.vdot(n, h) for n in inner.facet_normals)
+        ranked.append((sum(values), h, values))
+    kept = []
+    for _, h, values in sorted(ranked):
+        if not any(all(x >= y for x, y in zip(values, other))
+                   for _, other in kept):
+            kept.append((h, values))
+    return tuple(sorted(up(h) for h, _ in kept))
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(_any_cones())
+def test_hilbert_basis_matches_span_oracle(cone):
+    # pulled and ranked in the cone's own coordinates, not in a copy of the
+    # cone rebuilt in span coordinates
+    assume(cone.is_strongly_convex)
+    assert cc.hilbert_basis(cone) == _oracle_hilbert_basis_in_span(cone)
+
+
 def _assert_matches_oracle(gens, dim):
     cone = cc.RationalCone.from_rays(gens, dim)
     if not cone.is_strongly_convex:
@@ -564,7 +745,8 @@ def _assert_matches_oracle(gens, dim):
 
 
 def _rank(vectors):
-    return xl.rank_of(xl.intmat(vectors, ncols=len(vectors[0])))
+    return len(xl.smith_normal_form(
+        xl.intmat(vectors, ncols=len(vectors[0]))).diag)
 
 
 @st.composite
@@ -733,7 +915,7 @@ def test_cone_lattice_generators_nonpointed():
     # for a non-pointed cone the monoid of lattice points is still finitely
     # generated: Hilbert basis of the pointed quotient plus +/- lineality
     half = [(1, 0), (-1, 0), (0, 1)]
-    gens = cc.cone_lattice_generators(half, 2)
+    gens = cc.cone_lattice_generators(cc.RationalCone.from_rays(half, 2))
     m = mc.AffineMonoid.from_vectors(gens)
     for v in [(5, 0), (-5, 0), (3, 2), (-3, 2)]:
         assert m.contains(v)

@@ -191,7 +191,7 @@ def test_blowup_fan_charts_duality():
     for cone in fan.maximal_cones:
         dual = cc.dual_cone(cone)
         lattice = mc.AffineMonoid.from_vectors(
-            cc.cone_lattice_generators(dual.generators, 2))
+            cc.cone_lattice_generators(dual))
         assert any(lattice.same_submonoid(chart) for chart in chart_monoids)
 
 
