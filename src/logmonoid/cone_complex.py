@@ -14,10 +14,13 @@ by incidence alone: once a complete inequality description is known, a
 candidate ray class is extreme iff no other class is tight on a superset of
 its inequalities.  This picks the extreme rays out of the double
 description's own candidates, and out of the generators of a cone once its
-facets are known, so each cone costs one double description run.  The facet
-normals and span equations of a cone are stored as the canonical extreme
-rays and lineality of its dual, so the dual is the four fields swapped, and
-a cone given by constraints is the dual of the cone they generate.
+facets are known, so a cone costs at most one double description run.  It
+costs none when it has dim linearly independent generators in Z^dim: such a
+cone is simplicial, and its facet normals are the rows of the adjugate of
+its rays, from one fraction-free elimination.  The facet normals and span
+equations of a cone are stored as the canonical extreme rays and lineality
+of its dual, so the dual is the four fields swapped, and a cone given by
+constraints is the dual of the cone they generate.
 """
 
 from __future__ import annotations
@@ -239,7 +242,9 @@ def extreme_rays_of_halfspaces(normals, dim):
             kept.append((comb, common | {idx}))
         rays = kept
 
-    lineality = _saturated_kernel(normals, dim)
+    # the incremental lineality spans the kernel of the normals over Q, so
+    # once it is empty the saturated kernel is too
+    lineality = _saturated_kernel(normals, dim) if lin else ()
     return _extreme_classes(rays, lineality, dim), lineality
 
 
@@ -281,20 +286,25 @@ class RationalCone:
                 vecs.append(primitive(v))
         seen = set()
         vecs = [v for v in vecs if not (v in seen or seen.add(v))]
-        # dual description: facet normals = extreme rays of the dual cone,
-        # span equations = lineality of the dual cone
-        normals, equations = extreme_rays_of_halfspaces(vecs, dim)
-        # primal description: the canonical constraints are a complete
-        # description of the cone, its lineality is their saturated kernel,
-        # and every extreme ray class is among the generators, so the
-        # incidence rule picks the extreme rays out of the generators
-        constraints = _signed(normals, equations)
-        lin = _saturated_kernel(constraints, dim)
-        rays = _extreme_classes(
-            [(v, {i for i, c in enumerate(constraints) if vdot(c, v) == 0})
-             for v in vecs], lin, dim)
-        cone = cls(dim=dim, extreme_rays=rays, lineality=lin,
-                   facet_normals=normals, span_equations=equations)
+        cone = _simplicial_cone(vecs, dim) if len(vecs) == dim else None
+        if cone is None:
+            # dual description: facet normals = extreme rays of the dual
+            # cone, span equations = lineality of the dual cone
+            normals, equations = extreme_rays_of_halfspaces(vecs, dim)
+            # primal description: the canonical constraints are a complete
+            # description of the cone, its lineality is their saturated
+            # kernel, and every extreme ray class is among the generators,
+            # so the incidence rule picks the extreme rays out of the
+            # generators.  The lineality is the minimal face, generated by
+            # the generators tight on every constraint: with none it is 0.
+            constraints = _signed(normals, equations)
+            tight = [{i for i, c in enumerate(constraints) if vdot(c, v) == 0}
+                     for v in vecs]
+            lin = _saturated_kernel(constraints, dim) \
+                if any(len(t) == len(constraints) for t in tight) else ()
+            rays = _extreme_classes(zip(vecs, tight), lin, dim)
+            cone = cls(dim=dim, extreme_rays=rays, lineality=lin,
+                       facet_normals=normals, span_equations=equations)
         for v in vecs:
             if not cone.contains(v):
                 raise InternalCheckError("double description roundtrip failed")
@@ -346,6 +356,28 @@ class RationalCone:
 
     def contains_cone(self, other):
         return all(self.contains(g) for g in other.generators)
+
+
+def _simplicial_cone(vecs, dim):
+    """The canonical cone of dim distinct primitive generators in Z^dim, or
+    None when they are linearly dependent.
+
+    Independent generators are the extreme rays of a full-dimensional
+    pointed cone, and the facet opposite r_i has the inward normal row i of
+    adj(R) (the matrix with the r_j as columns) times the sign of det(R):
+    it vanishes on every r_j but r_i and is det(R) on r_i (Fulton,
+    *Introduction to Toric Varieties*, §1.2).  Made primitive and sorted,
+    these are exactly the canonical forms that double description gives.
+    """
+    det, adj = xl.det_adjugate(list(zip(*vecs)))
+    if not det:
+        return None
+    normals = (primitive(row) for row in adj)
+    if det < 0:
+        normals = (vneg(n) for n in normals)
+    return RationalCone(dim=dim, extreme_rays=tuple(sorted(vecs)),
+                        lineality=(), facet_normals=tuple(sorted(normals)),
+                        span_equations=())
 
 
 def cone_from_constraints(normals, equations, dim):
@@ -464,17 +496,6 @@ def _to_span_coords(cone):
     return down, up, m
 
 
-def _det_abs(columns, m):
-    mat = xl.intmat_from_columns(columns, nrows=m)
-    diag = xl.smith_normal_form(mat).diag
-    if len(diag) < m:
-        return 0
-    out = 1
-    for d in diag:
-        out *= int(d)
-    return out
-
-
 def pulling_triangulation(cone):
     """Simplicial subdivision of a strongly convex cone.
 
@@ -507,8 +528,8 @@ def multiplicity(cone):
         raise DomainError("multiplicity requires a simplicial cone")
     if cone.is_zero:
         return 1
-    down, _, m = _to_span_coords(cone)
-    d = _det_abs([down(r) for r in cone.extreme_rays], m)
+    down, _, _ = _to_span_coords(cone)
+    d = abs(xl.det_adjugate([down(r) for r in cone.extreme_rays])[0])
     if d == 0:
         raise InternalCheckError("simplicial cone with degenerate rays")
     return d
@@ -739,6 +760,11 @@ class Fan:
     The constructor canonicalizes (sorts, dedupes, drops cones contained in
     others) and checks strong convexity; pairwise face compatibility is
     checked by ``validate`` (called by the public entry points).
+
+    Stellar subdivisions build their fans with the private ``_stellar``.
+    It gives the same fan as the constructor, but it tests containment only
+    between pieces of different replaced cones, not between every pair of
+    cones; that rule needs a reduced input fan.
     """
 
     dim: int
@@ -760,6 +786,36 @@ class Fan:
                 keep.append(c)
         keep.sort(key=RationalCone.sort_key)
         object.__setattr__(self, "maximal_cones", tuple(keep))
+
+    @classmethod
+    def _stellar(cls, dim, untouched, groups):
+        """The fan of one stellar step at a point v: the untouched cones of
+        a fan built by the constructor (so none contains another) and, for
+        each replaced cone, the group of its pieces.
+
+        Only pairs of pieces of different groups are tested.  A piece
+        contains v and an untouched cone does not; an untouched cone inside
+        a piece would lie inside the replaced cone; two pieces of one cone
+        have the dimension of that cone and disjoint relative interiors.
+        Testing only pieces that share a ray would not do: cone((1, 1))
+        lies in cone((1, 0), (0, 1)) and shares no ray with it.
+        """
+        keep = list(untouched)
+        seen = set()
+        for i, group in enumerate(groups):
+            for p in group:
+                if p in seen:
+                    continue
+                seen.add(p)
+                if not any(q != p and q.contains_cone(p)
+                           for j, other in enumerate(groups) if j != i
+                           for q in other):
+                    keep.append(p)
+        keep.sort(key=RationalCone.sort_key)
+        fan = object.__new__(cls)
+        object.__setattr__(fan, "dim", dim)
+        object.__setattr__(fan, "maximal_cones", tuple(keep))
+        return fan
 
     def validate(self):
         """Checks that every pairwise intersection is a face of both cones.
@@ -820,6 +876,27 @@ def fan_from_cones(cones, dim, validate=True):
     return fan
 
 
+def _joins(cone, v):
+    """The joins of v, a point of the cone, with the facets of the cone not
+    containing it.
+
+    For a simplicial cone the facet opposite the ray r is cut out by the one
+    facet normal that does not vanish on r, so the join is the cone on the
+    other rays and v, and no facet is built.
+    """
+    if not cone.is_simplicial:
+        return tuple(RationalCone.from_rays(f.generators + (v,), cone.dim)
+                     for f in facets(cone) if not f.contains(v))
+    rays = cone.extreme_rays
+    pieces = []
+    for i, r in enumerate(rays):
+        n = next(n for n in cone.facet_normals if vdot(n, r))
+        if vdot(n, v):
+            pieces.append(RationalCone.from_rays(
+                rays[:i] + rays[i + 1:] + (v,), cone.dim))
+    return tuple(pieces)
+
+
 def _stellar_pieces(fan, point):
     """Stellar subdivision data: (new fan, [(replaced cone, pieces)]).
 
@@ -827,22 +904,17 @@ def _stellar_pieces(fan, point):
     with the facets not containing it.
     """
     v = primitive(point)
-    new_max = []
+    untouched = []
     replaced = []
     for c in fan.maximal_cones:
-        if not c.contains(v):
-            new_max.append(c)
-            continue
-        pieces = []
-        for f in facets(c):
-            if f.contains(v):
-                continue
-            pieces.append(RationalCone.from_rays(f.generators + (v,), fan.dim))
-        new_max.extend(pieces)
-        replaced.append((c, tuple(pieces)))
+        if c.contains(v):
+            replaced.append((c, _joins(c, v)))
+        else:
+            untouched.append(c)
     if not replaced:
         raise DomainError("subdivision point lies outside the fan support")
-    return Fan(dim=fan.dim, maximal_cones=tuple(new_max)), replaced
+    new = Fan._stellar(fan.dim, untouched, [p for _, p in replaced])
+    return new, replaced
 
 
 def stellar_subdivision(fan, point, validate=True):
@@ -905,15 +977,19 @@ def _subdivision_point(cone):
 def resolve(fan, validate=True):
     """A regular subdivision of the fan by iterated stellar subdivisions.
 
-    The fan is first made simplicial by pulling triangulations; then, while a
-    singular cone remains, the one of largest multiplicity (ties by ray
-    tuple) is subdivided at its distinguished parallelepiped point.  After
-    every step it is checked that each replaced cone was replaced by
-    same-dimension pieces of strictly smaller multiplicity; the multiset of
-    multiplicities therefore strictly decreases and the loop terminates.
+    The fan is first made simplicial by the pulling triangulations of its
+    non-simplicial cones; then, while a singular cone remains, the one of
+    largest multiplicity (ties by ray tuple) is subdivided at its
+    distinguished parallelepiped point.  After every step it is checked that
+    each replaced cone was replaced by same-dimension pieces of strictly
+    smaller multiplicity; the multiset of multiplicities therefore strictly
+    decreases and the loop terminates.
     """
     simplicial = []
     for c in fan.maximal_cones:
+        if c.is_simplicial:
+            simplicial.append(c)
+            continue
         for simplex in pulling_triangulation(c):
             simplicial.append(RationalCone.from_rays(simplex, fan.dim))
     current = Fan(dim=fan.dim, maximal_cones=tuple(simplicial))

@@ -324,6 +324,38 @@ def solve_integer(a, b):
     return apply(v, y)
 
 
+def det_adjugate(rows):
+    """Determinant and adjugate of a square integer matrix given by its rows.
+
+    One fraction-free Gauss-Jordan elimination of [A | I] (Bareiss, *Math.
+    Comp.* 22, 1968): every division is exact, and after the last pivot the
+    left block is d I and the right block d A^-1, where d = det(A) up to the
+    sign of the row swaps.  Returns (det, adj) with adj a tuple of row
+    tuples, adj A = A adj = det I, or (0, None) for a singular matrix.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise InputError("determinant of a non-square matrix")
+    m = [[int(x) for x in r] + [int(i == j) for j in range(n)]
+         for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        row_k = m[k]
+        p = row_k[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row_k)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
+
+
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 

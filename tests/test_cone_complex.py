@@ -391,6 +391,73 @@ def test_from_rays_matches_oracle(case):
     assert cc.RationalCone.from_rays(*case) == _oracle_from_rays(*case)
 
 
+@st.composite
+def _independent_generator_lists(draw):
+    """1 to dim linearly independent generators in Z^1..Z^4 and the
+    dimension, in random order (so of either determinant sign), some not
+    primitive, with entries up to 9 or up to 10^6."""
+    dim = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([dim, dim, draw(st.integers(1, dim))]))
+    r = draw(st.sampled_from([2, 9, 10 ** 6]))
+    vec = st.tuples(*[st.integers(-r, r)] * dim).filter(any)
+    gens = draw(st.lists(vec, min_size=k, max_size=k)
+                .filter(lambda g: _rank(g) == k))
+    scales = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return [tuple(c * x for x in g) for c, g in zip(scales, gens)], dim
+
+
+def _oracle_det_abs(vectors):
+    """|det| as the product of the Smith invariant factors (0 when
+    singular), the old path of ``multiplicity``."""
+    n = len(vectors)
+    diag = xl.smith_normal_form(xl.intmat(vectors, ncols=n)).diag
+    out = 1
+    for d in diag:
+        out *= d
+    return out if len(diag) == n else 0
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_independent_generator_lists())
+def test_from_rays_of_independent_generators_matches_oracle(case):
+    gens, dim = case
+    cone = cc.RationalCone.from_rays(gens, dim)
+    assert cone == _oracle_from_rays(gens, dim)
+    assert cone.is_simplicial
+    if cone.is_full_dimensional:
+        assert cc.multiplicity(cone) == _oracle_det_abs(cone.extreme_rays)
+
+
+def test_independent_generators_make_no_double_description(dd_calls):
+    # the closed form: one elimination instead of a double description,
+    # for full-dimensional simplicial cones only
+    for gens in ([(-3,)], [(1, 0), (1, 7)], [(2, 1), (1, 0)],
+                 [(1, 0, 0), (0, 1, 0), (1, 1, -5)],
+                 [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 9)]):
+        cone = cc.RationalCone.from_rays(gens, len(gens[0]))
+        assert cone.is_simplicial and cone.is_full_dimensional
+    assert dd_calls == []
+    cc.RationalCone.from_rays([(1, 0, 1), (1, 2, 1)], 3)
+    cc.RationalCone.from_rays([(1, 0), (2, 0)], 2)
+    assert len(dd_calls) == 2
+
+
+def test_pointed_double_description_takes_no_smith_form(monkeypatch):
+    # the incremental lineality says when the saturated kernel is 0, and
+    # so do the generators tight on every facet in from_rays
+    calls = []
+    snf = xl._snf_full
+    monkeypatch.setattr(xl, "_snf_full", lambda a: calls.append(a) or snf(a))
+    square = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    assert cc.extreme_rays_of_halfspaces(square, 3)[1] == ()
+    assert cc.RationalCone.from_rays(square, 3).is_strongly_convex
+    assert calls == []
+    # a lineality still takes its saturated kernel and its quotient maps
+    assert cc.extreme_rays_of_halfspaces([(0, 1, 0)], 3)[1] == \
+        ((1, 0, 0), (0, 0, 1))
+    assert len(calls) == 2
+
+
 @settings(_DIFFERENTIAL, max_examples=300)
 @given(_constraint_systems())
 def test_extreme_rays_of_halfspaces_matches_oracle(case):
@@ -1011,6 +1078,10 @@ def test_fan_rejects_nonpointed_cones():
 def test_fan_drops_contained_cones():
     fan = _fan([[(1, 0), (0, 1)], [(1, 0)]], 2)
     assert len(fan.maximal_cones) == 1
+    # a contained cone need not share a ray with the cone containing it
+    fan = _fan([[(1, 0), (0, 1)], [(1, 1)]], 2)
+    assert fan.maximal_cones == (
+        cc.RationalCone.from_rays([(1, 0), (0, 1)], 2),)
 
 
 def test_fan_support_and_rays():
@@ -1194,6 +1265,117 @@ def test_validate_2d_resolutions_without_double_description(dd_calls):
 
 
 # ---------------------------------------------------------------------------
+# stellar subdivision against the facet-by-facet path
+
+
+def _oracle_stellar_pieces(fan, point):
+    """Every replaced cone joined with each of its facets not containing
+    the point, and the new fan by the public constructor's all-pairs
+    reduction."""
+    v = cc.primitive(point)
+    new_max = []
+    replaced = []
+    for c in fan.maximal_cones:
+        if not c.contains(v):
+            new_max.append(c)
+            continue
+        pieces = []
+        for f in cc.facets(c):
+            if f.contains(v):
+                continue
+            pieces.append(cc.RationalCone.from_rays(f.generators + (v,),
+                                                    fan.dim))
+        new_max.extend(pieces)
+        replaced.append((c, tuple(pieces)))
+    if not replaced:
+        raise DomainError("subdivision point lies outside the fan support")
+    return cc.Fan(dim=fan.dim, maximal_cones=tuple(new_max)), replaced
+
+
+def _outcome(f, *args):
+    """The result of the call, or the type and message of its error."""
+    try:
+        return f(*args)
+    except (DomainError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def _with_oracle_pieces(f, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cc, "_stellar_pieces", _oracle_stellar_pieces)
+        return _outcome(f, *args)
+
+
+@st.composite
+def _stellar_cases(draw):
+    """A fan of one to three cones in Z^2 or Z^3, built without validation
+    (so its cones may overlap), and a nonnegative combination of the rays
+    of one of its cones."""
+    dim = draw(st.sampled_from([2, 3]))
+    cones = draw(st.lists(_pointed_cones(dim), min_size=1, max_size=3))
+    fan = cc.Fan(dim=dim, maximal_cones=tuple(cones))
+    rays = draw(st.sampled_from(fan.maximal_cones)).extreme_rays
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=len(rays),
+                           max_size=len(rays)))
+    point = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
+                  for i in range(dim))
+    assume(any(point))
+    return fan, point
+
+
+@settings(_DIFFERENTIAL, max_examples=200)
+@given(_stellar_cases())
+def test_stellar_pieces_match_oracle(case):
+    fan, point = case
+    new, replaced = cc._stellar_pieces(fan, point)
+    old, old_replaced = _oracle_stellar_pieces(fan, point)
+    assert new == old
+    assert [(c, set(p)) for c, p in replaced] == \
+        [(c, set(p)) for c, p in old_replaced]
+    assert _outcome(cc.stellar_subdivision, fan, point, False) == \
+        _with_oracle_pieces(cc.stellar_subdivision, fan, point, False)
+
+
+@settings(_DIFFERENTIAL, max_examples=100)
+@given(st.one_of(
+    _stellar_cases().map(lambda case: case[0]),
+    # with the oracle's all-pairs reduction in every step, resolving a
+    # library fan of 24 cones takes 30 s (0.2 s without it)
+    _library_fans().filter(lambda fan: len(fan.maximal_cones) <= 4)))
+def test_subdivisions_match_oracle_pieces(fan):
+    # fans built without validation may overlap, and then resolve may fail:
+    # it must fail in the same way
+    for f in (cc.barycentric_subdivision, cc.resolve):
+        assert _outcome(f, fan, False) == _with_oracle_pieces(f, fan, False)
+
+
+def test_stellar_drops_a_piece_inside_a_piece_of_another_cone():
+    # an unvalidated fan whose two cones contain v = (1, 3): the piece
+    # cone((0, 1), v) of the quadrant lies in the second cone, which is its
+    # own only piece
+    quadrant = cc.RationalCone.from_rays([(1, 0), (0, 1)], 2)
+    wide = cc.RationalCone.from_rays([(-1, 1), (1, 3)], 2)
+    fan = cc.Fan(dim=2, maximal_cones=(quadrant, wide))
+    new, _ = cc._stellar_pieces(fan, (1, 3))
+    assert new.maximal_cones == (
+        cc.RationalCone.from_rays([(-1, 1), (1, 3)], 2),
+        cc.RationalCone.from_rays([(1, 0), (1, 3)], 2))
+    assert new == _oracle_stellar_pieces(fan, (1, 3))[0]
+
+
+def test_resolve_of_simplicial_fans_makes_no_double_description(dd_calls):
+    fans = [_fan([[(1, 0), (1, 12)]], 2),
+            _fan([[(1, 0), (2, 7)], [(2, 7), (-3, 5)]], 2),
+            _fan([[(1, 0, 0), (0, 1, 0), (1, 1, 6)]], 3),
+            _fan([[(1, 0, 0), (0, 1, 0), (1, 2, 5)],
+                  [(1, 0, 0), (0, 1, 0), (-1, 3, -4)]], 3)]
+    dd_calls.clear()
+    for fan in fans:
+        assert cc.resolve(fan, validate=False).is_regular()
+    assert dd_calls == []
+
+
+# ---------------------------------------------------------------------------
 # resolution
 
 
@@ -1234,7 +1416,11 @@ def test_resolve_preserves_support_and_refines():
 
 def test_resolve_regular_fan_is_unchanged():
     fan = _fan([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]], 2)
-    assert cc.resolve(fan) == fan
+    resolved = cc.resolve(fan)
+    assert resolved == fan
+    # simplicial cones are kept, not rebuilt from their rays
+    assert all(a is b for a, b in zip(resolved.maximal_cones,
+                                       fan.maximal_cones))
 
 
 def test_resolve_3d_cone():

@@ -725,3 +725,53 @@ def test_group_rejects_bad_invariant_factors():
         xl.FgAbelianGroup(1, (3, 2))  # not a divisibility chain
     with pytest.raises(InputError):
         xl.FgAbelianGroup(-1, ())
+
+
+# ---------------------------------------------------------------------------
+# determinant and adjugate by fraction-free elimination
+
+
+@st.composite
+def _square_matrices(draw):
+    """An n x n matrix, n <= 5, entries up to 9 or up to 10^6; sometimes
+    the last row is an integer combination of the others (singular)."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.sampled_from([1, 9, 10 ** 6]))
+    row = st.lists(st.integers(-r, r), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1,
+                               max_size=n - 1))
+        rows[-1] = [sum(c * x for c, x in zip(coeffs, col))
+                    for col in zip(*rows[:-1])] if n > 1 else [0]
+    return rows
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_square_matrices())
+def test_det_matches_smith_diagonal(rows):
+    # |det| is the product of the invariant factors, 0 below full rank
+    n = len(rows)
+    det, adj = xl.det_adjugate(rows)
+    diag = xl.smith_normal_form(rows).diag
+    product = 1
+    for d in diag:
+        product *= d
+    assert abs(det) == (product if len(diag) == n else 0)
+    assert det == _det(rows)
+    if det:
+        scaled = [[det * x for x in r] for r in _eye(n)]
+        assert _matmul(adj, rows) == scaled
+        assert _matmul(rows, adj) == scaled
+    else:
+        assert adj is None
+
+
+def test_det_adjugate_small_cases():
+    assert xl.det_adjugate([]) == (1, ())
+    assert xl.det_adjugate([[-4]]) == (-4, ((1,),))
+    # a zero first pivot takes a row swap, which flips the sign
+    assert xl.det_adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
+    assert xl.det_adjugate([[1, 2], [2, 4]]) == (0, None)
+    with pytest.raises(InputError):
+        xl.det_adjugate([[1, 2]])
