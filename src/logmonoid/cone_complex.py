@@ -877,24 +877,16 @@ def fan_from_cones(cones, dim, validate=True):
 
 
 def _joins(cone, v):
-    """The joins of v, a point of the cone, with the facets of the cone not
-    containing it.
+    """The joins of v, a point of the strongly convex cone, with the facets
+    of the cone not containing it.
 
-    For a simplicial cone the facet opposite the ray r is cut out by the one
-    facet normal that does not vanish on r, so the join is the cone on the
-    other rays and v, and no facet is built.
+    The facet cut out by the normal n is generated by the generators n
+    vanishes on, and contains v iff n vanishes on v, so no facet is built.
     """
-    if not cone.is_simplicial:
-        return tuple(RationalCone.from_rays(f.generators + (v,), cone.dim)
-                     for f in facets(cone) if not f.contains(v))
-    rays = cone.extreme_rays
-    pieces = []
-    for i, r in enumerate(rays):
-        n = next(n for n in cone.facet_normals if vdot(n, r))
-        if vdot(n, v):
-            pieces.append(RationalCone.from_rays(
-                rays[:i] + rays[i + 1:] + (v,), cone.dim))
-    return tuple(pieces)
+    return tuple(
+        RationalCone.from_rays(
+            [g for g in cone.generators if not vdot(n, g)] + [v], cone.dim)
+        for n in cone.facet_normals if vdot(n, v))
 
 
 def _stellar_pieces(fan, point):
