@@ -349,6 +349,17 @@ def _h_spec(doc, path, args, warn):
             for b in face_sets:
                 _check(a & b in face_sets,
                        "faces are not closed under intersection")
+        # independent of the incidence rule: each set spans a face of the
+        # cone by the constraint-based test and holds every generator in it
+        free = [g.free for g in monoid.generators]
+        r = monoid.ambient.free_rank
+        cone = cc.RationalCone.from_rays(free, r)
+        for s in face_sets:
+            face = cc.RationalCone.from_rays([free[i] for i in s], r)
+            _check(cc.is_face_of(face, cone), "listed prime is not a face")
+            _check(all(i in s for i, v in enumerate(free)
+                       if face.contains(v)),
+                   "a face omits a generator it contains")
     return {"kind": "spectrum",
             "count": len(primes),
             "primes": [{"complement_face": [int(i) for i in p.sorted_indices()]}

@@ -349,11 +349,6 @@ class RationalCone:
         return all(vdot(eq, v) == 0 for eq in self.span_equations) and \
             all(vdot(n, v) >= 0 for n in self.facet_normals)
 
-    def contains_in_relative_interior(self, v):
-        v = tuple(int(x) for x in v)
-        return all(vdot(eq, v) == 0 for eq in self.span_equations) and \
-            all(vdot(n, v) > 0 for n in self.facet_normals)
-
     def contains_cone(self, other):
         return all(self.contains(g) for g in other.generators)
 
@@ -425,20 +420,34 @@ def facets(cone):
     return sorted(out, key=RationalCone.sort_key)
 
 
+def face_sets(vectors, normals):
+    """The faces of cone(vectors) as index sets into ``vectors``.
+
+    ``normals`` are the facet normals of that cone.  Returns the set of the
+    full index set and of every intersection of the sets
+    {i : n . vectors[i] = 0}, one per normal, closed under intersection.
+    Every proper face of a polyhedral cone is the intersection of the facets
+    that contain it, and every face is generated by the generators it
+    contains (Fulton, *Introduction to Toric Varieties*, §1.2).  So the
+    generators in a face are those on which the normals of its facets all
+    vanish, and distinct faces have distinct sets: one set per face.
+    """
+    sets = {frozenset(range(len(vectors)))}
+    for n in normals:
+        facet = frozenset(i for i, v in enumerate(vectors) if vdot(n, v) == 0)
+        sets |= {s & facet for s in sets}
+    return sets
+
+
 def faces(cone):
     """All faces of the cone, itself and its minimal face included,
-    sorted by (dimension, rays)."""
-    found = {cone}
-    frontier = [cone]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for f in facets(c):
-                if f not in found:
-                    found.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return sorted(found, key=RationalCone.sort_key)
+    sorted by (dimension, rays): one ``from_rays`` per proper face, on the
+    generators of its ``face_sets`` index set."""
+    gens = cone.generators
+    out = [cone if len(s) == len(gens) else
+           RationalCone.from_rays([gens[i] for i in s], cone.dim)
+           for s in face_sets(gens, cone.facet_normals)]
+    return sorted(out, key=RationalCone.sort_key)
 
 
 def smallest_containing_face(cone, vectors):
@@ -852,9 +861,6 @@ class Fan:
         for c in self.maximal_cones:
             found.update(faces(c))
         return sorted(found, key=RationalCone.sort_key)
-
-    def cones_of_dim(self, k):
-        return [c for c in self.all_cones() if c.span_dim == k]
 
     def rays(self):
         out = set()

@@ -530,6 +530,17 @@ def quotient_presentation(group, extra_columns):
     return group_from_relations(group.lift_dim, cols)
 
 
+def _relations_among(group, vectors):
+    """Columns spanning {x : sum_i x_i vectors[i] = 0 in ``group``}.
+
+    The kernel of [vectors | group.relation_columns()], truncated to the
+    vectors' coordinates; zero columns are kept.
+    """
+    cols = intmat_from_columns(
+        list(vectors) + group.relation_columns(), nrows=group.lift_dim)
+    return [col[:len(vectors)] for col in mat_columns(kernel_basis(cols))]
+
+
 def subgroup_presentation(group, elements):
     """The subgroup of ``group`` generated by ``elements``, re-presented.
 
@@ -538,12 +549,8 @@ def subgroup_presentation(group, elements):
     ``elements[i]`` in the new coordinates.
     """
     elements = [group.reduce_vector(e) for e in elements]
-    k = len(elements)
-    cols = intmat_from_columns(
-        elements + group.relation_columns(), nrows=group.lift_dim)
-    ker = kernel_basis(cols)
-    rel = [col[:k] for col in mat_columns(ker)]
-    sub, proj = group_from_relations(k, rel)
+    sub, proj = group_from_relations(
+        len(elements), _relations_among(group, elements))
     images = [sub.reduce_vector(col) for col in mat_columns(proj)]
     return sub, images
 
@@ -567,10 +574,7 @@ def hom_is_well_defined(source, target, matrix):
 
 def hom_kernel(source, target, matrix):
     """Kernel of a hom of presented groups, in invariant-factor form."""
-    matrix = _as_matrix(matrix)
-    combined = intmat_from_columns(
-        mat_columns(matrix) + target.relation_columns(), nrows=matrix.shape[0])
-    gens = [col[:source.lift_dim] for col in mat_columns(kernel_basis(combined))]
+    gens = _relations_among(target, mat_columns(_as_matrix(matrix)))
     sub, _ = subgroup_presentation(source, gens) if gens else (
         FgAbelianGroup(0, ()), [])
     return sub

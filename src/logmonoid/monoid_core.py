@@ -301,16 +301,8 @@ def monoid_relation_lattice(monoid):
     These are the group-level relations among the generators; as congruence
     relations (x^+, x^-) they present a monoid with the same integralization.
     """
-    gens = monoid.generators
-    cols = [g.as_vector() for g in gens] + monoid.ambient.relation_columns()
-    mat = xl.intmat_from_columns(cols, nrows=monoid.ambient.lift_dim)
-    k = len(gens)
-    out = []
-    for col in xl.mat_columns(xl.kernel_basis(mat)):
-        col = col[:k]
-        if any(col):
-            out.append(col)
-    return out
+    return [col for col in xl._relations_among(
+        monoid.ambient, [g.as_vector() for g in monoid.generators]) if any(col)]
 
 
 def presentation_of(monoid):
@@ -370,24 +362,13 @@ def units(monoid):
     return tuple(sorted(out))
 
 
-def _sharpen_with_projection(monoid):
-    unit_gens = units(monoid)
-    quot, proj = xl.quotient_presentation(
-        monoid.ambient, [u.as_vector() for u in unit_gens])
-
-    def project(elem):
-        return element_of(quot, xl.apply(proj, elem.as_vector()))
-
-    images = [project(g) for g in monoid.generators]
-    sharp = AffineMonoid(quot, images)
-    reduced = minimal_generators(sharp)
-    return AffineMonoid(quot, reduced), project, unit_gens
-
-
 def sharpen(monoid):
     """The sharp quotient M / M^x, with a lex-sorted minimal generating set."""
-    sharp, _, _ = _sharpen_with_projection(monoid)
-    return sharp
+    quot, proj = xl.quotient_presentation(
+        monoid.ambient, [u.as_vector() for u in units(monoid)])
+    images = [element_of(quot, xl.apply(proj, g.as_vector()))
+              for g in monoid.generators]
+    return AffineMonoid(quot, minimal_generators(AffineMonoid(quot, images)))
 
 
 def minimal_generators(monoid):
@@ -473,26 +454,18 @@ def spec(monoid):
 
     Faces of a fine monoid biject with faces of the rational cone spanned by
     the free parts of its generators (torsion generators sit in every face,
-    units span the lineality space), so each cone face pulls back to the set
-    of generator indices whose free part it contains.  Result is sorted by
-    (face size, indices).
+    units span the lineality space), so each face is the set of generator
+    indices whose free part it contains: ``cone_complex.face_sets`` of the
+    free parts and the cone's facet normals.  Free rank 0 (a finite group)
+    has no facets and one prime, the empty ideal.  Result is sorted by (face
+    size, indices).
     """
     from . import cone_complex as cc
 
     r = monoid.ambient.free_rank
-    if r == 0:
-        # The monoid is a finite group: only the empty ideal.
-        face = frozenset(range(len(monoid.generators)))
-        return [PrimeIdeal(complement_face=face)]
-    cone = cc.RationalCone.from_rays([g.free for g in monoid.generators], r)
-    seen = set()
-    out = []
-    for f in cc.faces(cone):
-        idx = frozenset(i for i, g in enumerate(monoid.generators)
-                        if f.contains(g.free))
-        if idx not in seen:
-            seen.add(idx)
-            out.append(PrimeIdeal(complement_face=idx))
+    free = [g.free for g in monoid.generators]
+    normals = cc.RationalCone.from_rays(free, r).facet_normals if r else ()
+    out = [PrimeIdeal(complement_face=s) for s in cc.face_sets(free, normals)]
     out.sort(key=lambda p: (len(p.complement_face), p.sorted_indices()))
     return out
 

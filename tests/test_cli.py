@@ -352,6 +352,24 @@ def test_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("generators, sets, message", [
+    # closed under intersection, but the ray of (1, 1) is not a face
+    ([[1, 0], [1, 1], [0, 1]], [(), (1,), (0, 1, 2)], "not a face"),
+    # the face of (1, 0) also holds (2, 0)
+    ([[1, 0], [2, 0], [0, 1]], [(), (0,), (2,), (0, 1, 2)], "omits"),
+])
+def test_spec_verify_checks_each_prime_against_the_cone(
+        tmp_path, monkeypatch, capsys, generators, sets, message):
+    p = write_doc(tmp_path / "m.json", {
+        "kind": "affine-monoid", "free_rank": 2, "torsion": [],
+        "generators": generators})
+    monkeypatch.setattr(mc, "spec", lambda monoid: [
+        mc.PrimeIdeal(complement_face=frozenset(s)) for s in sets])
+    assert cli.main(["spec", str(p)]) == 0
+    assert cli.main(["spec", "--verify", str(p)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
     p = write_doc(tmp_path / "n2.json", N2)
 

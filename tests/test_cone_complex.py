@@ -611,6 +611,42 @@ def test_faces_nonpointed():
     assert sorted(f.span_dim for f in fl) == [1, 2]
 
 
+def _oracle_faces(cone):
+    """The faces by breadth-first search through ``facets``, each face
+    built again for every facet of the level above that it lies in."""
+    found = {cone}
+    frontier = [cone]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for f in cc.facets(c):
+                if f not in found:
+                    found.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    return sorted(found, key=cc.RationalCone.sort_key)
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_any_cones())
+def test_faces_match_oracle(cone):
+    assert cc.faces(cone) == _oracle_faces(cone)
+
+
+@pytest.mark.parametrize("gens, dim", [
+    ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+    ([(1, 0), (-1, 0), (0, 1)], 2),
+    ([(1, 0), (-1, 0)], 2),
+    ([], 2),
+])
+def test_faces_build_one_cone_per_proper_face(gens, dim, from_rays_calls):
+    cone = cc.RationalCone.from_rays(gens, dim)
+    from_rays_calls.clear()
+    fl = cc.faces(cone)
+    assert len(from_rays_calls) == len(fl) - 1
+
+
 # ---------------------------------------------------------------------------
 # Hilbert bases
 

@@ -11,7 +11,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError
@@ -360,6 +363,69 @@ def test_spec_of_group_monoid_is_a_point():
     primes = mc.spec(m)
     assert len(primes) == 1
     assert primes[0].complement_face == frozenset(range(len(m.generators)))
+
+
+def _oracle_spec(monoid):
+    """The spectrum by building every face of the cone of free parts (a
+    breadth-first search through ``facets``) and testing each generator's
+    free part against it."""
+    n = len(monoid.generators)
+    r = monoid.ambient.free_rank
+    if r == 0:
+        return [mc.PrimeIdeal(complement_face=frozenset(range(n)))]
+    cone = cc.RationalCone.from_rays([g.free for g in monoid.generators], r)
+    found = {cone}
+    frontier = [cone]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for f in cc.facets(c):
+                if f not in found:
+                    found.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    sets = {frozenset(i for i, g in enumerate(monoid.generators)
+                      if f.contains(g.free)) for f in found}
+    return sorted((mc.PrimeIdeal(complement_face=s) for s in sets),
+                  key=lambda p: (len(p.complement_face), p.sorted_indices()))
+
+
+@st.composite
+def _monoids(draw):
+    """Monoids on up to five generators of Z^r (+) torsion, r = 0..3:
+    with torsion, with the negatives of some generators (units), or with
+    free rank 0 (a finite group)."""
+    rank = draw(st.integers(0, 3))
+    orders = draw(st.sampled_from([(), (2,), (3,), (2, 4), (6,)]))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank,
+                    *[st.integers(0, f - 1) for f in orders])
+    gens = draw(st.lists(vec, max_size=5))
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=len(gens),
+                              max_size=len(gens)))
+        gens += [tuple(-x for x in g) for g, flip in zip(gens, flips) if flip]
+    return mc.AffineMonoid.from_vectors(gens, orders)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_monoids())
+def test_spec_matches_cone_per_face_oracle(monoid):
+    assert mc.spec(monoid) == _oracle_spec(monoid)
+
+
+@pytest.mark.parametrize("monoid, calls", [
+    (mc.AffineMonoid.from_vectors([(1, 0, 1), (0, 1, 1), (-1, 0, 1),
+                                   (0, -1, 1)]), 1),
+    (mc.AffineMonoid.from_vectors([(1, 0), (-1, 0), (0, 1)]), 1),
+    (mc.AffineMonoid.from_vectors([(1, 1), (2, 0)], (4,)), 1),
+    (mc.group_monoid(xl.FgAbelianGroup(0, (2, 6))), 0),
+    (mc.trivial_monoid(), 0),
+])
+def test_spec_builds_at_most_the_cone_of_free_parts(monoid, calls,
+                                                     from_rays_calls):
+    mc.spec(monoid)
+    assert len(from_rays_calls) == calls
 
 
 # ---------------------------------------------------------------------------
