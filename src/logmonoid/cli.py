@@ -350,7 +350,9 @@ def _h_spec(doc, path, args, warn):
                 _check(a & b in face_sets,
                        "faces are not closed under intersection")
         # independent of the incidence rule: each set spans a face of the
-        # cone by the constraint-based test and holds every generator in it
+        # cone by the constraint-based test and holds every generator in it,
+        # and the facets of every listed face, found from its own normals,
+        # are listed, so every face is (all lie below the improper one)
         free = [g.free for g in monoid.generators]
         r = monoid.ambient.free_rank
         cone = cc.RationalCone.from_rays(free, r)
@@ -360,6 +362,10 @@ def _h_spec(doc, path, args, warn):
             _check(all(i in s for i, v in enumerate(free)
                        if face.contains(v)),
                    "a face omits a generator it contains")
+            for f in cc.facets(face):
+                _check(frozenset(i for i, v in enumerate(free)
+                                 if f.contains(v)) in face_sets,
+                       "a facet of a listed face is missing")
     return {"kind": "spectrum",
             "count": len(primes),
             "primes": [{"complement_face": [int(i) for i in p.sorted_indices()]}
@@ -450,8 +456,13 @@ def _h_faces(doc, path, args, warn):
     cone = parse_cone(doc, path, warn)
     face_list = cc.faces(cone)
     if args.verify:
+        # the cone and the facets of every listed face, found from its own
+        # normals, are listed, so every face is (all lie below the cone)
+        _check(cone in face_list, "the cone itself is missing")
         for f in face_list:
             _check(cc.is_face_of(f, cone), "listed face is not a face")
+            _check(all(g in face_list for g in cc.facets(f)),
+                   "a facet of a listed face is missing")
         if len(face_list) <= 24:
             for a in face_list:
                 for b in face_list:

@@ -512,19 +512,37 @@ def pulling_triangulation(cone):
     face induced by this rule equals the rule applied to the face, so the
     pieces of the cones of a fan agree along shared faces.  Returns a list of
     ray tuples (each tuple lex-sorted, the lists sorted).
+
+    The rule needs only the face lattice and the order of the rays, so it
+    runs on index sets into the sorted ``extreme_rays`` and builds no cone.
+    A face F is the set of rays it contains, its lex-smallest ray is min(F),
+    and its facets are the maximal proper sets among F & {i : n . r_i = 0}
+    over the facet normals n of the cone: each is a face of F, and a facet G
+    of F is cut out by a facet of the cone that contains G but not F, since
+    both are intersections of the facets of the cone containing them
+    (Fulton, *Introduction to Toric Varieties*, §1.2; see ``face_sets``).
+    Pulling a simplex at one of its rays gives it back, so below the top
+    level no simplicial test is needed; the recursion ends at the zero face.
     """
     if not cone.is_strongly_convex:
         raise DomainError("pulling triangulation requires a strongly convex cone")
-    if len(cone.extreme_rays) == cone.span_dim:
-        return [cone.extreme_rays]
-    v = cone.extreme_rays[0]
-    out = set()
-    for f in facets(cone):
-        if f.contains(v):
-            continue
-        for simplex in pulling_triangulation(f):
-            out.add(tuple(sorted(simplex + (v,))))
-    return sorted(out)
+    rays = cone.extreme_rays
+    if len(rays) == cone.span_dim:
+        return [rays]
+    zeros = [frozenset(i for i, r in enumerate(rays) if not vdot(n, r))
+             for n in cone.facet_normals]
+
+    def pull(face):
+        if not face:
+            return {face}
+        v = min(face)
+        cut = {face & z for z in zeros} - {face}
+        return {s | {v} for g in cut
+                if v not in g and not any(g < h for h in cut)
+                for s in pull(g)}
+
+    return sorted(tuple(rays[i] for i in sorted(s))
+                  for s in pull(frozenset(range(len(rays)))))
 
 
 def multiplicity(cone):
@@ -762,6 +780,30 @@ def _lemma_separator(a, b):
     return u
 
 
+def _maximal(untouched, groups):
+    """The untouched cones and every cone of the groups that no cone of
+    another group contains, once each, sorted.
+
+    Equal cones count once: a cone shared between groups is kept or dropped
+    with its first copy, and ``!=`` rather than ``is not`` keeps an equal
+    copy in another group from dropping it.  With every cone its own group
+    this is the all-pairs reduction.
+    """
+    keep = list(untouched)
+    seen = set()
+    for i, group in enumerate(groups):
+        for p in group:
+            if p in seen:
+                continue
+            seen.add(p)
+            if not any(q != p and q.contains_cone(p)
+                       for j, other in enumerate(groups) if j != i
+                       for q in other):
+                keep.append(p)
+    keep.sort(key=RationalCone.sort_key)
+    return tuple(keep)
+
+
 @dataclass(frozen=True)
 class Fan:
     """A fan: strongly convex cones meeting along common faces.
@@ -780,21 +822,13 @@ class Fan:
     maximal_cones: tuple
 
     def __post_init__(self):
-        cones = []
         for c in self.maximal_cones:
             if c.dim != self.dim:
                 raise InputError("cone of wrong ambient dimension in fan")
             if not c.is_strongly_convex:
                 raise DomainError("fans consist of strongly convex cones")
-            if c not in cones:
-                cones.append(c)
-        keep = []
-        for c in cones:
-            if not any(other is not c and other.contains_cone(c)
-                       for other in cones):
-                keep.append(c)
-        keep.sort(key=RationalCone.sort_key)
-        object.__setattr__(self, "maximal_cones", tuple(keep))
+        object.__setattr__(self, "maximal_cones", _maximal(
+            (), [(c,) for c in self.maximal_cones]))
 
     @classmethod
     def _stellar(cls, dim, untouched, groups):
@@ -809,21 +843,9 @@ class Fan:
         Testing only pieces that share a ray would not do: cone((1, 1))
         lies in cone((1, 0), (0, 1)) and shares no ray with it.
         """
-        keep = list(untouched)
-        seen = set()
-        for i, group in enumerate(groups):
-            for p in group:
-                if p in seen:
-                    continue
-                seen.add(p)
-                if not any(q != p and q.contains_cone(p)
-                           for j, other in enumerate(groups) if j != i
-                           for q in other):
-                    keep.append(p)
-        keep.sort(key=RationalCone.sort_key)
         fan = object.__new__(cls)
         object.__setattr__(fan, "dim", dim)
-        object.__setattr__(fan, "maximal_cones", tuple(keep))
+        object.__setattr__(fan, "maximal_cones", _maximal(untouched, groups))
         return fan
 
     def validate(self):

@@ -416,16 +416,15 @@ def predicates(monoid):
     """Structural predicates: sharp, saturated, toric, free.
 
     Toric = sharp + saturated + torsion-free Grothendieck group.  Free means
-    the sharpening is N^k: its minimal generators form a lattice basis.
+    the sharpening is N^k: its minimal generators, which ``sharpen`` keeps
+    as its generators, form a lattice basis.
     """
     sharp = not units(monoid)
     saturated = is_saturated(monoid)
     toric = sharp and saturated and not monoid.ambient.invariant_factors
     sharpened = sharpen(monoid)
-    if sharpened.ambient.invariant_factors:
-        free = False
-    else:
-        free = len(minimal_generators(sharpened)) == sharpened.ambient.free_rank
+    free = not sharpened.ambient.invariant_factors and \
+        len(sharpened.generators) == sharpened.ambient.free_rank
     return MonoidPredicates(is_sharp=sharp, is_saturated=saturated,
                             is_toric=toric, is_free=free)
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
 from logmonoid import cli
@@ -357,6 +358,8 @@ def test_internal_check_failure_exits_3(tmp_path, monkeypatch, capsys):
     ([[1, 0], [1, 1], [0, 1]], [(), (1,), (0, 1, 2)], "not a face"),
     # the face of (1, 0) also holds (2, 0)
     ([[1, 0], [2, 0], [0, 1]], [(), (0,), (2,), (0, 1, 2)], "omits"),
+    # faces, closed under intersection, but both rays of N^2 are missing
+    ([[1, 0], [0, 1]], [(), (0, 1)], "missing"),
 ])
 def test_spec_verify_checks_each_prime_against_the_cone(
         tmp_path, monkeypatch, capsys, generators, sets, message):
@@ -368,6 +371,26 @@ def test_spec_verify_checks_each_prime_against_the_cone(
     assert cli.main(["spec", str(p)]) == 0
     assert cli.main(["spec", "--verify", str(p)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dropped", [
+    # faces, closed under intersection, but the proper faces holding
+    # (0, 1, 0) are missing
+    lambda face: face.span_dim < 3 and (0, 1, 0) in face.extreme_rays,
+    # the cone itself is missing
+    lambda face: face.span_dim == 3,
+], ids=["ray-and-its-planes", "cone"])
+def test_faces_verify_finds_a_missing_face(
+        tmp_path, monkeypatch, capsys, dropped):
+    p = write_doc(tmp_path / "c.json", {
+        "kind": "cone", "dim": 3,
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    faces = cc.faces
+    monkeypatch.setattr(cc, "faces", lambda cone: [
+        f for f in faces(cone) if not dropped(f)])
+    assert cli.main(["faces", str(p)]) == 0
+    assert cli.main(["faces", "--verify", str(p)]) == 3
+    assert "missing" in capsys.readouterr().err
 
 
 def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):

@@ -1092,6 +1092,72 @@ def test_pulling_triangulation_of_simplicial_is_itself():
     assert cc.pulling_triangulation(cone) == [cone.extreme_rays]
 
 
+def _oracle_pulling_triangulation(cone):
+    """Pulling at the lex-smallest ray with every facet built as a cone
+    by ``facets``, and a simplicial test at every level."""
+    if len(cone.extreme_rays) == cone.span_dim:
+        return [cone.extreme_rays]
+    v = cone.extreme_rays[0]
+    out = set()
+    for f in cc.facets(cone):
+        if f.contains(v):
+            continue
+        for simplex in _oracle_pulling_triangulation(f):
+            out.add(tuple(sorted(simplex + (v,))))
+    return sorted(out)
+
+
+@st.composite
+def _pointed_cones_to_z5(draw):
+    """A strongly convex cone on up to dim + 3 generators in Z^1..Z^5,
+    zero and repeated ones included; sometimes inside a proper subspace.
+    The generators are drawn with a positive first coordinate, which keeps
+    the cone pointed, and then have their coordinates permuted and their
+    signs flipped."""
+    dim = draw(st.integers(1, 5))
+    r = _ENTRY_RANGE.get(dim, 2)
+    vec = st.tuples(st.integers(1, r), *[st.integers(-r, r)] * (dim - 1))
+    # counted down: hypothesis favours small integers, and non-simplicial
+    # cones need more generators than their dimension
+    size = dim + 3 - draw(st.integers(0, dim + 3))
+    gens = draw(st.lists(vec, min_size=size, max_size=size, unique=True))
+    if dim > 1 and draw(st.booleans()):
+        # nonnegative combinations of k vectors span at most a k-space
+        k = draw(st.integers(1, dim - 1))
+        basis = draw(st.lists(vec, min_size=k, max_size=k))
+        coeffs = st.lists(st.integers(0, 2), min_size=k, max_size=k)
+        gens = [tuple(sum(c * b[i] for c, b in zip(cs, basis))
+                      for i in range(dim))
+                for cs in draw(st.lists(coeffs, min_size=size,
+                                        max_size=size))]
+    order = draw(st.permutations(range(dim)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=dim,
+                          max_size=dim))
+    gens = [tuple(s * g[i] for s, i in zip(signs, order)) for g in gens]
+    return cc.RationalCone.from_rays(
+        draw(_with_zero_and_repeat(gens, dim)), dim)
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_pointed_cones_to_z5())
+def test_pulling_triangulation_matches_oracle(cone):
+    assert cc.pulling_triangulation(cone) == \
+        _oracle_pulling_triangulation(cone)
+
+
+@pytest.mark.parametrize("gens, dim", [
+    ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3),
+    ([(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 0, 1),
+      (1, 0, 1, 1), (0, 1, 1, 1)], 4),
+    ([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)], 4),
+])
+def test_pulling_triangulation_builds_no_cone(gens, dim, from_rays_calls):
+    cone = cc.RationalCone.from_rays(gens, dim)
+    from_rays_calls.clear()
+    assert len(cc.pulling_triangulation(cone)) > 1
+    assert from_rays_calls == []
+
+
 # ---------------------------------------------------------------------------
 # fans
 

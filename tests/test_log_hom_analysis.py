@@ -14,11 +14,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import logmonoid.exact_lattice as xl
 import logmonoid.log_hom_analysis as lha
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError
+from test_monoid_core import _monoids
 
 
 def _hom(src, dst, rows):
@@ -208,6 +211,70 @@ def test_kummer_with_torsion_target():
     # 2 * (1, 1bar) = (2, 0) is in the image, and gp map Z -> Z + Z/2 is
     # injective, so the inclusion is Kummer
     assert lha.is_kummer(incl)
+
+
+def _oracle_is_kummer(hom):
+    """Kummer by one nonnegative solve per target generator q: a solution
+    of sum a_i phi(p_i) - c q = 0 (torsion slack included) with c >= 1."""
+    if not lha.is_gp_injective(hom):
+        return False
+    amb = hom.target.ambient
+    img = [hom.apply(g).as_vector() for g in hom.source.generators]
+    slack = amb.relation_columns(signs=(1, -1))
+    for q in hom.target.generators:
+        cols = img + [tuple(-x for x in q.as_vector())] + slack
+        a = xl.intmat_from_columns(cols, nrows=amb.lift_dim)
+        if not any(sol[len(img)] >= 1
+                   for sol in xl.minimal_nonneg_solutions(a)):
+            return False
+    return True
+
+
+@st.composite
+def _scaled_inclusions(draw):
+    """k times the inclusion of a monoid M into the monoid generated by M
+    and one or two more elements of its group, k = 1..3.  M comes from
+    ``_monoids`` (torsion, units), cut to positive free rank, where Kummer
+    is not automatic, and to four generators, as the oracle's solve grows
+    fast with the columns.  Multiplication by k kills torsion of order
+    dividing k, so the group map is not always injective."""
+    src = draw(_monoids())
+    assume(src.ambient.free_rank and len(src.generators) <= 4)
+    amb = src.ambient
+    vec = st.tuples(*[st.integers(-3, 3)] * amb.free_rank,
+                    *[st.integers(0, f - 1) for f in amb.invariant_factors])
+    extra = [mc.element_of(amb, v)
+             for v in draw(st.lists(vec, min_size=1, max_size=2))]
+    dst = mc.AffineMonoid(amb, src.generators + tuple(extra))
+    k = draw(st.integers(1, 3))
+    n = amb.lift_dim
+    return _hom(src, dst, [[k if i == j else 0 for j in range(n)]
+                           for i in range(n)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scaled_inclusions())
+def test_is_kummer_matches_solver_oracle(hom):
+    assert lha.is_kummer(hom) == _oracle_is_kummer(hom)
+
+
+def test_kummer_of_a_large_index_takes_no_solver(monkeypatch):
+    finite = mc.group_monoid(xl.FgAbelianGroup(0, (2, 6)))
+    homs = [
+        (_hom(_free(1), _free(1), [[3000]]), True),
+        (_hom(_free(1), _free(2), [[3000], [0]]), False),
+        # free rank 0: the image cone lives in Z^0
+        (_hom(finite, finite, [[1, 0], [0, 5]]), True),
+        (_hom(finite, finite, [[1, 0], [0, 2]]), False),
+    ]
+
+    def solver(*args, **kwargs):
+        raise AssertionError("nonnegative solver called")
+
+    monkeypatch.setattr(xl, "minimal_nonneg_solutions", solver)
+    assert [lha.is_kummer(hom) for hom, _ in homs] == \
+        [verdict for _, verdict in homs]
 
 
 def test_relative_characteristic():
