@@ -391,8 +391,12 @@ def _h_rank(doc, path, args, warn):
     monoid = _monoid_input(doc, path, warn)
     rank = mc.characteristic_rank(monoid)
     if args.verify:
-        _check(rank == mc.sharpen(monoid).ambient.free_rank,
-               "characteristic rank does not match the sharpening")
+        # rank M^gp / M^x = rank M^gp - rank M^x, and torsion has rank 0
+        r = monoid.ambient.free_rank
+        unit_span = xl.intmat_from_columns(
+            [u.as_vector()[:r] for u in mc.units(monoid)], nrows=r)
+        _check(rank == r - len(xl.smith_normal_form(unit_span).diag),
+               "characteristic rank is not the rank of M^gp / M^x")
     return {"kind": "characteristic-rank", "rank": int(rank)}
 
 

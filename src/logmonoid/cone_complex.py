@@ -1,11 +1,11 @@
 """Rational polyhedral cones, fans, and their lattice combinatorics.
 
-Everything is exact over Z / Q (Fractions appear only in coefficient
-computations).  A ``RationalCone`` is stored in a fully canonical form —
-extreme rays reduced modulo the lineality lattice, facet normals reduced
-modulo the span equations, both lex-sorted — so equality of cones as point
-sets is equality of the dataclass, and faces shared between cones of a fan
-canonicalize identically.
+Everything is exact over Z; rational coefficients are integer numerators
+over a common denominator.  A ``RationalCone`` is stored in a fully
+canonical form — extreme rays reduced modulo the lineality lattice, facet
+normals reduced modulo the span equations, both lex-sorted — so equality of
+cones as point sets is equality of the dataclass, and faces shared between
+cones of a fan canonicalize identically.
 
 The conversion from generators to inequalities is an incremental double
 description computation with explicit lineality bookkeeping, so no floating
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, InputError, InternalCheckError
@@ -127,14 +126,13 @@ def _quotient_maps(lattice_basis, dim):
     if k == 0:
         eye = xl.identity_mat(dim)
         return eye, eye, xl.zeros_mat(0, dim)
-    m = xl.intmat_from_columns(lattice_basis, nrows=dim)
-    u, uinv, d, v, _ = xl._snf_full(m)
-    for i in range(k):
-        if d[i, i] != 1:
-            raise InternalCheckError("lineality basis is not saturated")
-    return (xl.intmat(u.rows[k:], ncols=dim),
-            xl.intmat_from_columns(xl.mat_columns(uinv)[k:], nrows=dim),
-            v @ xl.IntMatrix(u.rows[:k], dim))
+    dec = xl._snf_full(xl.intmat_from_columns(lattice_basis, nrows=dim))
+    if dec.diag != (1,) * k:
+        raise InternalCheckError("lineality basis is not saturated")
+    u, uinv = dec.left, xl._unimodular_inverse(dec.left)
+    return (xl.IntMatrix(u.rows[k:], dim),
+            xl.IntMatrix(tuple(r[k:] for r in uinv.rows), dim - k),
+            dec.right @ xl.IntMatrix(u.rows[:k], dim))
 
 
 def _saturated_kernel(forms, dim):
@@ -572,22 +570,24 @@ def is_regular(cone):
 
 def _parallelepiped_points(ray_coords, m):
     """Nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for linearly
-    independent rays in Z^m, with their coefficient tuples.
+    independent rays in Z^m, with their coefficient numerators.
 
     Enumerates the quotient Z^m / <rays> through the Smith decomposition and
     reduces each representative into the fundamental parallelepiped.
-    Returns a list of (point, coefficient tuple of Fractions).
+    Returns a list of (point, numerators N) with t_i = N_i / L, 0 <= N_i < L,
+    for L the last invariant factor of the ray matrix; one denominator for
+    all points keeps the order of coefficient tuples and of their sums.
     """
-    a = xl.intmat_from_columns(ray_coords, nrows=m)
-    _, uinv, d, v, _ = xl._snf_full(a)
-    orders = [d[i, i] for i in range(m)]
-    if not all(orders):
+    dec = xl._snf_full(xl.intmat_from_columns(ray_coords, nrows=m))
+    orders = dec.diag
+    if len(orders) < m:
         raise InternalCheckError("parallelepiped rays are linearly dependent")
     # U a V = D, so a c = Uinv r is solved by c = V D^-1 r: with L the last
     # invariant factor, c = N / L for the integer vector N = V diag(L/d) r
     big = orders[-1] if orders else 1
-    scaled = xl.intmat([[x * (big // o) for x, o in zip(row, orders)]
-                        for row in v.rows], ncols=m)
+    scaled = xl.IntMatrix(tuple(tuple(x * (big // o) for x, o in zip(row, orders))
+                                for row in dec.right.rows), m)
+    uinv = xl._unimodular_inverse(dec.left)
     out = []
     for residue in itertools.product(*(range(o) for o in orders)):
         x = xl.apply(uinv, residue)
@@ -596,7 +596,7 @@ def _parallelepiped_points(ray_coords, m):
             x[i] - sum((n // big) * ray[i] for n, ray in zip(nums, ray_coords))
             for i in range(m))
         if any(point):
-            out.append((point, tuple(Fraction(n % big, big) for n in nums)))
+            out.append((point, tuple(n % big for n in nums)))
     return out
 
 
@@ -1017,6 +1017,7 @@ def resolve(fan, validate=True):
         try:
             current.validate()
         except DomainError as exc:
+            fan.validate()  # a caller's non-fan is its own DomainError
             raise InternalCheckError(
                 f"triangulated fan violates the fan axioms: {exc}") from exc
 
@@ -1047,6 +1048,7 @@ def resolve(fan, validate=True):
         try:
             current.validate()
         except DomainError as exc:
+            fan.validate()
             raise InternalCheckError(
                 f"resolved fan violates the fan axioms: {exc}") from exc
     return current

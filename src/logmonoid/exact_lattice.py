@@ -161,27 +161,25 @@ class SmithDecomposition:
 
 
 def _snf_full(a):
-    """Smith normal form with tracked inverses.
+    """The ``SmithDecomposition`` of ``a``, without the divisibility check.
 
-    Returns (U, Uinv, D, V, Vinv) with U @ a @ V == D diagonal, U @ Uinv and
-    V @ Vinv identities.  Pivot rule: smallest nonzero absolute value in the
-    active submatrix, ties broken by lowest row then column index.  The row
-    and column operations run on lists of lists; the results are wrapped as
-    IntMatrix once at the end.
+    Pivot rule: smallest nonzero absolute value in the active submatrix,
+    ties broken by lowest row then column index.  The row and column
+    operations run on lists of lists and update only D, U and V (inverses
+    come from ``_unimodular_inverse``); U and V are wrapped as IntMatrix once
+    at the end.
     """
     a = _as_matrix(a)
     m, n = a.shape
     d = [list(r) for r in a.rows]
-    u, ui = _identity_rows(m), _identity_rows(m)
-    v, vi = _identity_rows(n), _identity_rows(n)
+    u = _identity_rows(m)
+    v = _identity_rows(n)
 
     def swap_rows(i, j):
         if i == j:
             return
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         if i == j:
@@ -190,20 +188,15 @@ def _snf_full(a):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
 
     def add_row(i, j, c):
         # row i += c * row j
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in ui:
-            r[j] -= c * r[i]
 
     def add_col(j, i, c):
         # col j += c * col i
@@ -211,7 +204,6 @@ def _snf_full(a):
             r[j] += c * r[i]
         for r in v:
             r[j] += c * r[i]
-        vi[i] = [x - c * y for x, y in zip(vi[i], vi[j])]
 
     def pivot_at(t):
         # scanning in (row, column) order, the first entry of least absolute
@@ -255,15 +247,11 @@ def _snf_full(a):
             if viol is None:
                 break
             add_row(t, viol, 1)
-        if pivot_at(t) is None:
+        if d[t][t] == 0:
             break
 
-    return _freeze(u, m), _freeze(ui, m), _freeze(d, n), _freeze(v, n), _freeze(vi, n)
-
-
-def _diagonal(d):
-    """The nonzero diagonal entries of a Smith form D, in order."""
-    return tuple(d.rows[i][i] for i in range(min(d.shape)) if d.rows[i][i] != 0)
+    diag = tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
+    return SmithDecomposition(left=_freeze(u, m), diag=diag, right=_freeze(v, n))
 
 
 def smith_normal_form(a):
@@ -272,13 +260,12 @@ def smith_normal_form(a):
     The diagonal lists the nonzero invariant factors only; zeros pad the rest
     of U * A * V.
     """
-    u, _, d, v, _ = _snf_full(a)
-    diag = _diagonal(d)
-    for i in range(len(diag) - 1):
-        if diag[i + 1] % diag[i] != 0:
+    dec = _snf_full(a)
+    for x, y in zip(dec.diag, dec.diag[1:]):
+        if y % x != 0:
             raise InternalCheckError(
-                f"Smith form diagonal {diag} is not a divisibility chain")
-    return SmithDecomposition(left=u, diag=diag, right=v)
+                f"Smith form diagonal {dec.diag} is not a divisibility chain")
+    return dec
 
 
 def kernel_basis(a):
@@ -288,12 +275,12 @@ def kernel_basis(a):
     the columns.  Columns are sign-normalized so their first nonzero entry is
     positive.
     """
-    _, _, d, v, _ = _snf_full(a)
+    dec = _snf_full(a)
     cols = []
-    for col in mat_columns(v)[len(_diagonal(d)):]:
+    for col in mat_columns(dec.right)[len(dec.diag):]:
         lead = next((x for x in col if x != 0), 0)
         cols.append(tuple(-x for x in col) if lead < 0 else col)
-    return _from_columns(cols, v.shape[0])
+    return _from_columns(cols, dec.right.shape[0])
 
 
 def _check_rhs(a, b):
@@ -309,19 +296,13 @@ def solve_integer(a, b):
     """
     a = _as_matrix(a)
     _check_rhs(a, b)
-    m, n = a.shape
-    u, _, d, v, _ = _snf_full(a)
-    w = apply(u, map(int, b))
-    y = [0] * n
-    for i in range(m):
-        di = d.rows[i][i] if i < min(m, n) else 0
-        if di != 0:
-            if w[i] % di != 0:
-                return None
-            y[i] = w[i] // di
-        elif w[i] != 0:
-            return None
-    return apply(v, y)
+    dec = _snf_full(a)
+    w = apply(dec.left, map(int, b))
+    s = len(dec.diag)
+    if any(w[s:]) or any(x % di for x, di in zip(w, dec.diag)):
+        return None
+    y = [x // di for x, di in zip(w, dec.diag)] + [0] * (a.shape[1] - s)
+    return apply(dec.right, y)
 
 
 def det_adjugate(rows):
@@ -354,6 +335,14 @@ def det_adjugate(rows):
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row_k)]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
+
+
+def _unimodular_inverse(mat):
+    """The inverse det(U) adj(U) of a unimodular square matrix U, exactly."""
+    det, adj = det_adjugate(mat.rows)
+    if det not in (1, -1):
+        raise InternalCheckError("Smith transform is not unimodular")
+    return IntMatrix(tuple(tuple(det * x for x in r) for r in adj), mat.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +498,8 @@ def group_from_relations(ngens, relation_columns):
     taking old coordinates to lift coordinates of the quotient.
     """
     rel = intmat_from_columns(relation_columns, nrows=ngens)
-    u, _, d, _, _ = _snf_full(rel)
-    diag = _diagonal(d)
+    dec = _snf_full(rel)
+    u, diag = dec.left, dec.diag
     s = len(diag)
     free_rows = u.rows[s:]
     tors_rows = tuple(u.rows[i] for i in range(s) if diag[i] >= 2)

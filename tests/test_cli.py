@@ -393,6 +393,21 @@ def test_faces_verify_finds_a_missing_face(
     assert "missing" in capsys.readouterr().err
 
 
+def test_rank_verify_catches_a_sharpening_that_keeps_the_units(
+        tmp_path, monkeypatch, capsys):
+    # the half-line N x Z has characteristic rank 1; a sharpen that returns
+    # its input reports 2, which the check against M^gp / M^x must refuse
+    case = Path(__file__).parent / "golden" / "cases" / "rank-halfline"
+    p = str(case / "halfline.json")
+    assert cli.main(["rank", "--verify", p]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mc, "sharpen", lambda monoid: monoid)
+    assert cli.main(["rank", "--verify", p]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "M^gp / M^x" in captured.err
+
+
 def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
     p = write_doc(tmp_path / "n2.json", N2)
 

@@ -709,17 +709,17 @@ def _solve_rational(a, b):
     """One rational solution of a x = b as a tuple of Fractions, or None,
     from the Smith decomposition of a."""
     m, n = a.shape
-    u, _, d, v, _ = xl._snf_full(a)
-    w = xl.apply(u, map(int, b))
+    dec = xl._snf_full(a)
+    w = xl.apply(dec.left, map(int, b))
     y = [Fraction(0)] * n
     for i in range(m):
-        di = d[i, i] if i < min(m, n) else 0
+        di = dec.diag[i] if i < len(dec.diag) else 0
         if di != 0:
             y[i] = Fraction(w[i], di)
         elif w[i] != 0:
             return None
     return tuple(sum(Fraction(c) * yk for c, yk in zip(row, y))
-                 for row in v.rows)
+                 for row in dec.right.rows)
 
 
 def test_solve_rational():
@@ -732,9 +732,10 @@ def _oracle_parallelepiped_points(rays, m):
     """The parallelepiped enumeration with one SNF-backed rational solve per
     residue: the slow path that ``_parallelepiped_points`` replaces."""
     a = xl.intmat_from_columns(rays, nrows=m)
-    _, uinv, d, _, _ = xl._snf_full(a)
+    dec = xl._snf_full(a)
+    uinv = xl._unimodular_inverse(dec.left)
     out = []
-    for residue in itertools.product(*(range(d[i, i]) for i in range(m))):
+    for residue in itertools.product(*(range(f) for f in dec.diag)):
         x = uinv @ residue
         coeffs = _solve_rational(a, x)
         floors = [c.numerator // c.denominator for c in coeffs]
@@ -752,16 +753,21 @@ def test_parallelepiped_points_match_rational_solve():
         m = rng.randint(1, 4)
         rays = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(m)]
         a = xl.intmat_from_columns(rays, nrows=m)
-        if len(xl.smith_normal_form(a).diag) < m:
+        diag = xl.smith_normal_form(a).diag
+        if len(diag) < m:
             continue
         got = cc._parallelepiped_points(rays, m)
+        big = diag[-1] if diag else 1
+        assert all(type(n) is int and 0 <= n < big
+                   for _, nums in got for n in nums)
+        got = [(point, tuple(Fraction(n, big) for n in nums))
+               for point, nums in got]
         assert got == _oracle_parallelepiped_points(rays, m), rays
         det = 1
-        for f in xl.smith_normal_form(a).diag:
+        for f in diag:
             det *= f
         assert len(got) == det - 1
         for point, frac in got:
-            assert all(type(c) is Fraction and 0 <= c < 1 for c in frac)
             assert point == tuple(sum(c * r[i] for c, r in zip(frac, rays))
                                   for i in range(m))
         checked += 1
@@ -1531,6 +1537,31 @@ def test_resolve_3d_cone():
     resolved = cc.resolve(fan)
     assert resolved.is_regular()
     assert len(resolved.maximal_cones) >= 2
+
+
+def test_resolve_of_a_non_fan_is_a_domain_error():
+    # the two cones overlap in cone((1, 1), (1, 2)), a face of neither: the
+    # caller's input is at fault, not the triangulation
+    fan = cc.Fan(dim=2, maximal_cones=(
+        cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
+        cc.RationalCone.from_rays([(1, 1), (0, 1)], 2)))
+    with pytest.raises(DomainError):
+        fan.validate()
+    with pytest.raises(DomainError) as exc:
+        cc.resolve(fan)
+    assert not isinstance(exc.value, InternalCheckError)
+
+
+def test_resolve_of_a_fan_reports_a_broken_triangulation(monkeypatch):
+    # a true fan whose (injected) triangulation overlaps is an internal fault
+    square = cc.RationalCone.from_rays(
+        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    fan = cc.fan_from_cones([square], 3)
+    monkeypatch.setattr(cc, "pulling_triangulation", lambda cone: [
+        ((1, 0, 1), (0, 1, 1), (-1, 0, 1)),
+        ((1, 0, 1), (0, 1, 1), (0, -1, 1))])
+    with pytest.raises(InternalCheckError, match="triangulated"):
+        cc.resolve(fan)
 
 
 # ---------------------------------------------------------------------------

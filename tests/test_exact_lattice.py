@@ -251,36 +251,64 @@ def _random_snf_inputs(seed, count):
     return out
 
 
+def _fraction_inverse(rows):
+    """The inverse over Q by Fraction Gauss-Jordan elimination, or None for a
+    singular matrix."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k]), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        aug[k] = [x / aug[k][k] for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+    return [r[n:] for r in aug]
+
+
 def test_snf_full_identities_on_random_matrices():
     for rows in _random_snf_inputs(20261019, 120):
         m, n = len(rows), len(rows[0])
-        u, ui, d, v, vi = (mat.tolist() for mat in xl._snf_full(rows))
-        assert _matmul(_matmul(u, rows), v) == d, rows
-        assert _matmul(u, ui) == _eye(m), rows
-        assert _matmul(v, vi) == _eye(n), rows
-        assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
-        diag = [d[i][i] for i in range(min(m, n))]
-        nonzero = [x for x in diag if x]
-        assert diag == nonzero + [0] * (len(diag) - len(nonzero)), rows
-        assert all(x > 0 for x in nonzero), rows
-        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:])), rows
+        dec = xl._snf_full(rows)
+        assert isinstance(dec, xl.SmithDecomposition)
+        u, v, diag = dec.left.tolist(), dec.right.tolist(), list(dec.diag)
+        padded = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
+                  for i in range(m)]
+        assert _matmul(_matmul(u, rows), v) == padded, rows
+        for mat, size in ((dec.left, m), (dec.right, n)):
+            inv = xl._unimodular_inverse(mat).tolist()
+            assert _matmul(mat.tolist(), inv) == _eye(size), rows
+            assert inv == _fraction_inverse(mat.tolist()), rows
+        assert all(x > 0 for x in diag), rows
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:])), rows
+
+
+def test_unimodular_inverse_rejects_a_non_unimodular_matrix():
+    with pytest.raises(InternalCheckError):
+        xl._unimodular_inverse(xl.intmat([[2, 0], [0, 1]]))
 
 
 def test_snf_full_outputs_are_pinned():
     # Canonical outputs downstream (kernel bases, quotient coordinates) depend
-    # on the exact pivot order, not just on U A V = D; this digest of all five
-    # outputs was recorded before the kernel moved off numpy arrays.
+    # on the exact pivot order, not just on U A V = D.  This digest of
+    # (U, diag, V) was computed from the outputs of the earlier version that
+    # also tracked U^-1 and V^-1, so it shows that dropping them moved nothing.
     payload = json.dumps(
-        [[mat.tolist() for mat in xl._snf_full(rows)]
-         for rows in _random_snf_inputs(20261018, 50)], separators=(",", ":"))
+        [[dec.left.tolist(), list(dec.diag), dec.right.tolist()]
+         for dec in map(xl._snf_full, _random_snf_inputs(20261018, 50))],
+        separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == \
-        "16357fd0f3a1dcbc269fb5c62306a5ee4382555ae381c8f23e6a0c63f4358e35"
+        "946836e06fff999c8aad2a1c2d413c350534f5c23a114832a04d88ed4d4522cf"
 
 
 def test_smith_normal_form_reports_a_broken_chain(monkeypatch):
-    d = xl.intmat([[2, 0], [0, 3]])
     eye = xl.identity_mat(2)
-    monkeypatch.setattr(xl, "_snf_full", lambda a: (eye, eye, d, eye, eye))
+    monkeypatch.setattr(
+        xl, "_snf_full", lambda a: xl.SmithDecomposition(eye, (2, 3), eye))
     with pytest.raises(InternalCheckError):
         xl.smith_normal_form([[1]])
 

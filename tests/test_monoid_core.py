@@ -392,14 +392,17 @@ def _oracle_spec(monoid):
 
 @st.composite
 def _monoids(draw):
-    """Monoids on up to five generators of Z^r (+) torsion, r = 0..3:
-    with torsion, with the negatives of some generators (units), or with
-    free rank 0 (a finite group)."""
-    rank = draw(st.integers(0, 3))
+    """Monoids on one to five generators of Z^r (+) torsion, r = 0..3:
+    with torsion, with the negatives of some generators (units), and in a
+    small minority of draws with free rank 0 (a finite group, which has no
+    cone).  For r >= 1 the first generator has a nonzero free part, so the
+    monoid keeps a positive free rank."""
+    rank = 0 if draw(st.integers(0, 7)) == 7 else draw(st.integers(1, 3))
     orders = draw(st.sampled_from([(), (2,), (3,), (2, 4), (6,)]))
     vec = st.tuples(*[st.integers(-3, 3)] * rank,
                     *[st.integers(0, f - 1) for f in orders])
-    gens = draw(st.lists(vec, max_size=5))
+    first = vec.filter(lambda v: any(v[:rank])) if rank else vec
+    gens = [draw(first)] + draw(st.lists(vec, max_size=4))
     if draw(st.booleans()):
         flips = draw(st.lists(st.booleans(), min_size=len(gens),
                               max_size=len(gens)))
