@@ -37,12 +37,14 @@ class MonoidIdeal:
     def __post_init__(self):
         gens = []
         seen = set()
+        # a generator of the host lies in it without a membership test
+        host_gens = set(self.host.generators)
         for g in self.generators:
             if not isinstance(g, mc.MonoidElement):
                 g = mc.element_of(self.host.ambient, g)
             else:
                 g = mc.element_of(self.host.ambient, g.as_vector())
-            if not self.host.contains(g):
+            if g not in host_gens and not self.host.contains(g):
                 raise DomainError("ideal generator lies outside the host monoid")
             if g not in seen:
                 seen.add(g)
@@ -72,9 +74,10 @@ class MonoidIdeal:
 
 
 def maximal_ideal(monoid):
-    """The ideal of non-units M+ (for a sharp monoid, everything nonzero)."""
-    gens = [g for g in monoid.generators
-            if not monoid.contains(monoid.neg(g))]
+    """The ideal of non-units M+ (for a sharp monoid, everything nonzero),
+    generated by the generators outside ``monoid_core.units``."""
+    unit_gens = set(mc.units(monoid))
+    gens = [g for g in monoid.generators if g not in unit_gens]
     return MonoidIdeal(host=monoid, generators=tuple(gens))
 
 
@@ -163,8 +166,7 @@ def blowup_fan(monoid, ideal):
     if ideal.is_empty:
         raise DomainError("cannot blow up the empty ideal")
     d = monoid.ambient.free_rank
-    primal = cc.RationalCone.from_rays([g.free for g in monoid.generators], d)
-    sigma = cc.dual_cone(primal)
+    sigma = cc.dual_cone(mc._free_cone(monoid))
     reduced = ideal.reduce()
     regions = []
     for s in reduced.generators:

@@ -321,6 +321,15 @@ def presentation_of(monoid):
     return MonoidPresentation(len(monoid.generators), tuple(rels))
 
 
+def _free_cone(monoid):
+    """The rational cone C in Q^r spanned by the free parts of the
+    generators: the cone of the torsion-free projection of the monoid."""
+    from . import cone_complex as cc
+
+    return cc.RationalCone.from_rays([g.free for g in monoid.generators],
+                                     monoid.ambient.free_rank)
+
+
 def saturate(monoid):
     """The saturation {g in gp(M) : k g in M for some k >= 1}.
 
@@ -340,9 +349,7 @@ def saturate(monoid):
         tors_gens.append(element_of(amb, tuple(e)))
     if r == 0:
         return AffineMonoid(amb, tuple(tors_gens))
-    free_vecs = [g.free for g in monoid.generators]
-    lattice_gens = cc.cone_lattice_generators(
-        cc.RationalCone.from_rays(free_vecs, r))
+    lattice_gens = cc.cone_lattice_generators(_free_cone(monoid))
     new_gens = [element_of(amb, vec + (0,) * len(amb.invariant_factors))
                 for vec in lattice_gens]
     return AffineMonoid(amb, tuple(new_gens) + tuple(tors_gens))
@@ -353,12 +360,30 @@ def saturate(monoid):
 
 
 def units(monoid):
-    """Generators of the unit group M^x = {g in M : -g in M}.
+    """Generators of the unit group M^x = {g in M : -g in M}: those on whose
+    free part every facet normal of the cone C of free parts vanishes, which
+    at free rank 0 (no cone, a finite group) is all of them.
 
     A sum of monoid elements is zero only when every summand is invertible,
-    so the unit group is generated by the invertible generators.
+    so the unit group is generated by the invertible generators, and it is
+    the minimal face of M (Ogus, *Lectures on Logarithmic Algebraic
+    Geometry*, I.1.4).  If g is a unit, free(g) and -free(g) both lie in C,
+    so every facet normal vanishes on free(g).  Conversely, the generators
+    G_0 on whose free parts the normals all vanish generate the minimal face
+    of C, its lineality space C ∩ (-C) (Fulton, *Introduction to Toric
+    Varieties*, §1.2).  So for g in G_0, -free(g) = sum q_h free(h) over h in
+    G_0 with rationals q_h >= 0.  Clearing denominators, N g + sum c_h h has
+    free part 0 for integers N >= 1 and c_h >= 0, so it is torsion and e
+    times it is 0, e the exponent of the torsion subgroup.  That writes 0 as
+    a sum in which g has coefficient eN >= 1, hence
+    -g = (eN - 1) g + sum e c_h h lies in M.  No membership test is run.
     """
-    out = [g for g in monoid.generators if contains(monoid, monoid.neg(g))]
+    from . import cone_complex as cc
+
+    normals = _free_cone(monoid).facet_normals \
+        if monoid.ambient.free_rank else ()
+    out = [g for g in monoid.generators
+           if not any(cc.vdot(n, g.free) for n in normals)]
     return tuple(sorted(out))
 
 
@@ -457,13 +482,14 @@ def spec(monoid):
     indices whose free part it contains: ``cone_complex.face_sets`` of the
     free parts and the cone's facet normals.  Free rank 0 (a finite group)
     has no facets and one prime, the empty ideal.  Result is sorted by (face
-    size, indices).
+    size, indices).  The smallest face is the unit group: its generators are
+    ``units``.
     """
     from . import cone_complex as cc
 
-    r = monoid.ambient.free_rank
+    normals = _free_cone(monoid).facet_normals \
+        if monoid.ambient.free_rank else ()
     free = [g.free for g in monoid.generators]
-    normals = cc.RationalCone.from_rays(free, r).facet_normals if r else ()
     out = [PrimeIdeal(complement_face=s) for s in cc.face_sets(free, normals)]
     out.sort(key=lambda p: (len(p.complement_face), p.sorted_indices()))
     return out

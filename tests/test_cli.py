@@ -408,6 +408,58 @@ def test_rank_verify_catches_a_sharpening_that_keeps_the_units(
     assert "M^gp / M^x" in captured.err
 
 
+@pytest.mark.parametrize("command, message", [
+    ("rank", "M^gp / M^x"),
+    ("sharpen", "still has units"),
+])
+def test_verify_catches_a_wrong_unit_group(monkeypatch, capsys, command,
+                                           message):
+    # the checks find the units by the solver, not by the incidence rule
+    # they check, so a units that reports none of N x Z's units is refused
+    case = Path(__file__).parent / "golden" / "cases" / "rank-halfline"
+    p = str(case / "halfline.json")
+    monkeypatch.setattr(mc, "units", lambda monoid: ())
+    assert cli.main([command, "--verify", p]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_sharpen_verify_catches_an_unreported_unit(monkeypatch, capsys):
+    case = Path(__file__).parent / "golden" / "cases" / "rank-halfline"
+    p = str(case / "halfline.json")
+    # reporting (-1, 0) alone still sharpens correctly, as it spans M^x
+    units = mc.units
+    monkeypatch.setattr(mc, "units", lambda monoid: units(monoid)[:1])
+    assert cli.main(["sharpen", "--verify", p]) == 3
+    assert "not reported" in capsys.readouterr().err
+
+
+# Z^3 (+) Z/2 (+) Z/4 on five generators that are all units: the solver
+# needed seconds per command to find that, the cone of free parts does not
+ALL_UNITS = {"kind": "affine-monoid", "free_rank": 3, "torsion": [2, 4],
+             "generators": [[-3, -2, -2, 1, 0], [-3, -3, 3, 1, 3],
+                            [-2, 2, 3, 0, 1], [3, 3, -1, 0, 1],
+                            [3, -3, 1, 0, 2]]}
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("rank", {"kind": "characteristic-rank", "rank": 0}),
+    ("sharpen", {"kind": "sharpen-result",
+                 "units": sorted(ALL_UNITS["generators"]),
+                 "monoid": {"kind": "affine-monoid", "free_rank": 0,
+                            "torsion": [], "generators": []}}),
+    ("props", {"kind": "predicates", "is_sharp": False, "is_saturated": True,
+               "is_toric": False, "is_free": True}),
+])
+def test_all_units_monoid(tmp_path, command, expected):
+    p = write_doc(tmp_path / "units.json", ALL_UNITS)
+    proc = run_cli(command, p)
+    assert proc.returncode == 0
+    assert proc.stdout == json.dumps(expected, indent=2) + "\n"
+    assert proc.stderr == ""
+
+
 def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):
     p = write_doc(tmp_path / "n2.json", N2)
 

@@ -391,18 +391,18 @@ def _oracle_spec(monoid):
 
 
 @st.composite
-def _monoids(draw):
-    """Monoids on one to five generators of Z^r (+) torsion, r = 0..3:
-    with torsion, with the negatives of some generators (units), and in a
-    small minority of draws with free rank 0 (a finite group, which has no
-    cone).  For r >= 1 the first generator has a nonzero free part, so the
-    monoid keeps a positive free rank."""
+def _monoids(draw, max_gens=5):
+    """Monoids on one to ``max_gens`` generators of Z^r (+) torsion,
+    r = 0..3: with torsion, with the negatives of some generators (units),
+    and in a small minority of draws with free rank 0 (a finite group, which
+    has no cone).  For r >= 1 the first generator has a nonzero free part,
+    so the monoid keeps a positive free rank."""
     rank = 0 if draw(st.integers(0, 7)) == 7 else draw(st.integers(1, 3))
     orders = draw(st.sampled_from([(), (2,), (3,), (2, 4), (6,)]))
     vec = st.tuples(*[st.integers(-3, 3)] * rank,
                     *[st.integers(0, f - 1) for f in orders])
     first = vec.filter(lambda v: any(v[:rank])) if rank else vec
-    gens = [draw(first)] + draw(st.lists(vec, max_size=4))
+    gens = [draw(first)] + draw(st.lists(vec, max_size=max_gens - 1))
     if draw(st.booleans()):
         flips = draw(st.lists(st.booleans(), min_size=len(gens),
                               max_size=len(gens)))
@@ -417,18 +417,70 @@ def test_spec_matches_cone_per_face_oracle(monoid):
     assert mc.spec(monoid) == _oracle_spec(monoid)
 
 
-@pytest.mark.parametrize("monoid, calls", [
+def _solver_units(monoid):
+    """The invertible generators by one membership test each."""
+    return tuple(sorted(g for g in monoid.generators
+                        if monoid.contains(monoid.neg(g))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_monoids(max_gens=4))
+def test_units_match_solver_oracle(monoid):
+    # at five drawn generators the oracle takes over 20 s on some sharp draws
+    import logmonoid.log_ideal_blowup as lib
+    want = _solver_units(monoid)
+    assert mc.units(monoid) == want
+    assert lib.maximal_ideal(monoid).generators == tuple(
+        g for g in monoid.generators if g not in want)
+
+
+# every generator is a unit, and the solver took seconds to show it
+ALL_UNITS = mc.AffineMonoid.from_vectors(
+    [(-3, -2, -2, 1, 0), (-3, -3, 3, 1, 3), (-2, 2, 3, 0, 1), (3, 3, -1, 0, 1),
+     (3, -3, 1, 0, 2)], (2, 4))
+
+CONE_OF_FREE_PARTS_CALLS = [
     (mc.AffineMonoid.from_vectors([(1, 0, 1), (0, 1, 1), (-1, 0, 1),
                                    (0, -1, 1)]), 1),
     (mc.AffineMonoid.from_vectors([(1, 0), (-1, 0), (0, 1)]), 1),
     (mc.AffineMonoid.from_vectors([(1, 1), (2, 0)], (4,)), 1),
     (mc.group_monoid(xl.FgAbelianGroup(0, (2, 6))), 0),
     (mc.trivial_monoid(), 0),
-])
+    (ALL_UNITS, 1),
+]
+
+
+@pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
 def test_spec_builds_at_most_the_cone_of_free_parts(monoid, calls,
                                                      from_rays_calls):
     mc.spec(monoid)
     assert len(from_rays_calls) == calls
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Makes every Contejean-Devie solve from here on fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nonnegative solver was called")
+
+    monkeypatch.setattr(xl, "minimal_nonneg_solutions", refuse)
+
+
+@pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
+def test_units_build_at_most_the_cone_of_free_parts(monoid, calls,
+                                                    from_rays_calls,
+                                                    no_solver):
+    mc.units(monoid)
+    assert len(from_rays_calls) == calls
+
+
+def test_units_of_the_all_units_monoid_need_no_solver(no_solver):
+    import logmonoid.log_ideal_blowup as lib
+    assert mc.units(ALL_UNITS) == tuple(sorted(ALL_UNITS.generators))
+    assert mc.sharpen(ALL_UNITS).ambient.is_trivial
+    assert mc.characteristic_rank(ALL_UNITS) == 0
+    assert lib.maximal_ideal(ALL_UNITS).is_empty
 
 
 # ---------------------------------------------------------------------------
