@@ -185,7 +185,8 @@ def relative_characteristic(hom):
     gens = []
     for q in hom.target.generators:
         gens.append(mc.element_of(quot, xl.apply(proj, q.as_vector())))
-    return mc.AffineMonoid(quot, tuple(gens))
+    # images of the target's spanning generators under the surjective proj
+    return mc.AffineMonoid._spanning(quot, gens)
 
 
 def neat_chart_class(hom, residue_char=0):

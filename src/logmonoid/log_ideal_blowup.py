@@ -124,7 +124,8 @@ def blowup_charts(monoid, ideal):
         gens = list(monoid.generators)
         for j in reduced.generators:
             gens.append(mc.element_of(amb, amb.sub(j.as_vector(), s.as_vector())))
-        fine = mc.AffineMonoid(amb, tuple(gens))
+        # the generators include the host's, which span M^gp
+        fine = mc.AffineMonoid._spanning(amb, gens)
         charts.append(BlowupChart(center=s, fine=fine, fs=mc.saturate(fine)))
     return charts
 
@@ -166,7 +167,7 @@ def blowup_fan(monoid, ideal):
     if ideal.is_empty:
         raise DomainError("cannot blow up the empty ideal")
     d = monoid.ambient.free_rank
-    sigma = cc.dual_cone(mc._free_cone(monoid))
+    sigma = cc.dual_cone(monoid._cone)
     reduced = ideal.reduce()
     regions = []
     for s in reduced.generators:

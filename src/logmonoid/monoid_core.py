@@ -13,11 +13,23 @@ Elements carry a free integer part and torsion residues.  Equality of
 monoids is only ever decided as subset equality inside a shared ambient
 group (``same_submonoid``); no canonical form is claimed across different
 presentations of isomorphic monoids.
+
+Every construction below builds its result with the private constructor
+``AffineMonoid._spanning``, which skips the public constructor's check that
+the generators span the ambient group.  Each call site states why the span
+holds by construction: the generators are images of a spanning set under a
+surjection (``sharpen``, ``integralize``, pushouts), they contain a spanning
+set (blowup charts, saturation), or the quotient that the check would
+compute was just computed (``span_submonoid``).  The public constructor
+``AffineMonoid(...)`` keeps every check.  An affine monoid also caches, in
+private attributes, the membership system that ``contains`` and
+``expression`` solve against and the cone of its free parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, InputError
 from . import exact_lattice as xl
@@ -93,16 +105,14 @@ class MonoidPresentation:
 # affine monoids
 
 
-def _clean_generators(ambient, elements):
-    """Canonical generator tuple: reduced, deduplicated, zero dropped."""
+def _distinct_nonzero(elements):
+    """The elements in order, with zero and repeats dropped."""
     seen = set()
     out = []
     for e in elements:
-        e = element_of(ambient, e.as_vector() if isinstance(e, MonoidElement) else e)
-        if e.is_zero or e in seen:
-            continue
-        seen.add(e)
-        out.append(e)
+        if not e.is_zero and e not in seen:
+            seen.add(e)
+            out.append(e)
     return tuple(out)
 
 
@@ -114,24 +124,56 @@ class AffineMonoid:
     generators, so ``ambient`` is the Grothendieck group of the monoid.
     Use ``AffineMonoid.from_vectors`` for generators that span a proper
     subgroup of the written coordinates; it re-presents the ambient.
+
+    The public constructor reduces every generator and checks the invariant.
+    The constructions of this package use ``_spanning`` instead, where the
+    invariant holds by construction (see the module docstring).  The private
+    cached attributes ``_system`` and ``_cone`` are built on first use;
+    equality and hashing see only the two fields.
     """
 
     ambient: xl.FgAbelianGroup
     generators: tuple = ()
 
     def __post_init__(self):
-        gens = _clean_generators(self.ambient, self.generators)
+        gens = _distinct_nonzero(
+            element_of(self.ambient,
+                       e.as_vector() if isinstance(e, MonoidElement) else e)
+            for e in self.generators)
         object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if len(g.free) != self.ambient.free_rank or \
-                    len(g.torsion) != len(self.ambient.invariant_factors):
-                raise InputError("generator does not live in the ambient group")
         quot, _ = xl.quotient_presentation(
             self.ambient, [g.as_vector() for g in gens])
         if not quot.is_trivial:
             raise InputError(
                 "generators do not generate the ambient group; "
                 "use AffineMonoid.from_vectors to re-present the span")
+
+    @classmethod
+    def _spanning(cls, ambient, generators):
+        """The monoid generated by canonical elements of ``ambient`` that are
+        known to generate it as a group.
+
+        Trusted: it only drops zeros and repeats, and neither reduces the
+        elements nor checks the span.  Each caller states why the span holds.
+        """
+        monoid = object.__new__(cls)
+        object.__setattr__(monoid, "ambient", ambient)
+        object.__setattr__(monoid, "generators", _distinct_nonzero(generators))
+        return monoid
+
+    @cached_property
+    def _system(self):
+        """The membership system of the generators (``_membership_system``)."""
+        return _membership_system(self.ambient, self.generators)
+
+    @cached_property
+    def _cone(self):
+        """The rational cone in Q^r spanned by the free parts of the
+        generators: the cone of the torsion-free projection of the monoid."""
+        from . import cone_complex as cc
+
+        return cc.RationalCone.from_rays([g.free for g in self.generators],
+                                         self.ambient.free_rank)
 
     @classmethod
     def from_vectors(cls, vectors, torsion_orders=()):
@@ -143,7 +185,7 @@ class AffineMonoid:
         torsion_orders = tuple(int(f) for f in torsion_orders)
         vectors = [tuple(int(x) for x in v) for v in vectors]
         if not vectors:
-            return cls(xl.FgAbelianGroup(0, ()), ())
+            return trivial_monoid()
         width = len(vectors[0])
         if any(len(v) != width for v in vectors):
             raise InputError("generator vectors have mixed lengths")
@@ -193,10 +235,12 @@ def span_submonoid(host, vectors):
     quot, _ = xl.quotient_presentation(host, vectors)
     if quot.is_trivial:
         elems = [element_of(host, v) for v in vectors]
-        return AffineMonoid(host, elems), elems
+        # the quotient by the vectors was just found trivial
+        return AffineMonoid._spanning(host, elems), elems
     sub, images = xl.subgroup_presentation(host, vectors)
     elems = [element_of(sub, v) for v in images]
-    return AffineMonoid(sub, elems), elems
+    # the subgroup is presented on these very elements as generators
+    return AffineMonoid._spanning(sub, elems), elems
 
 
 def free_monoid(n):
@@ -204,11 +248,13 @@ def free_monoid(n):
     amb = xl.FgAbelianGroup(n, ())
     gens = [element_of(amb, tuple(1 if i == j else 0 for j in range(n)))
             for i in range(n)]
-    return AffineMonoid(amb, gens)
+    # the standard basis spans Z^n
+    return AffineMonoid._spanning(amb, gens)
 
 
 def trivial_monoid():
-    return AffineMonoid(xl.FgAbelianGroup(0, ()), ())
+    # the empty set spans the trivial group
+    return AffineMonoid._spanning(xl.FgAbelianGroup(0, ()), ())
 
 
 def group_monoid(group):
@@ -223,7 +269,8 @@ def group_monoid(group):
         e = [0] * group.lift_dim
         e[group.free_rank + j] = 1
         gens.append(tuple(e))
-    return AffineMonoid(group, [element_of(group, g) for g in gens])
+    # the basis vectors of the lift coordinates span the group
+    return AffineMonoid._spanning(group, [element_of(group, g) for g in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +291,6 @@ def _membership_system(ambient, gen_elements):
     return xl.intmat_from_columns(cols, nrows=ambient.lift_dim)
 
 
-def _in_span_nonneg(ambient, gen_elements, target):
-    a = _membership_system(ambient, gen_elements)
-    return xl.has_nonneg_solution(a, ambient.reduce_vector(target.as_vector()))
-
-
 def contains(monoid, elem):
     """Whether ``elem`` (MonoidElement or lift vector) lies in ``monoid``."""
     if not isinstance(elem, MonoidElement):
@@ -256,7 +298,8 @@ def contains(monoid, elem):
     if len(elem.free) != monoid.ambient.free_rank or \
             len(elem.torsion) != len(monoid.ambient.invariant_factors):
         raise InputError("element does not live in the ambient group")
-    return _in_span_nonneg(monoid.ambient, monoid.generators, elem)
+    return xl.has_nonneg_solution(
+        monoid._system, monoid.ambient.reduce_vector(elem.as_vector()))
 
 
 def expression(monoid, elem):
@@ -264,8 +307,8 @@ def expression(monoid, elem):
     or None when the element is not in the monoid."""
     if not isinstance(elem, MonoidElement):
         elem = element_of(monoid.ambient, elem)
-    a = _membership_system(monoid.ambient, monoid.generators)
-    sol = xl.solve_nonneg(a, monoid.ambient.reduce_vector(elem.as_vector()))
+    sol = xl.solve_nonneg(
+        monoid._system, monoid.ambient.reduce_vector(elem.as_vector()))
     if sol is None:
         return None
     return sol[:len(monoid.generators)]
@@ -292,7 +335,8 @@ def integralize(pres):
     """The universal integral quotient: the image of the presented monoid in
     its Grothendieck group, as an affine monoid."""
     group, images = grothendieck_group(pres)
-    return AffineMonoid(group, images)
+    # the images of the standard basis under the surjective projection
+    return AffineMonoid._spanning(group, images)
 
 
 def monoid_relation_lattice(monoid):
@@ -321,15 +365,6 @@ def presentation_of(monoid):
     return MonoidPresentation(len(monoid.generators), tuple(rels))
 
 
-def _free_cone(monoid):
-    """The rational cone C in Q^r spanned by the free parts of the
-    generators: the cone of the torsion-free projection of the monoid."""
-    from . import cone_complex as cc
-
-    return cc.RationalCone.from_rays([g.free for g in monoid.generators],
-                                     monoid.ambient.free_rank)
-
-
 def saturate(monoid):
     """The saturation {g in gp(M) : k g in M for some k >= 1}.
 
@@ -347,12 +382,13 @@ def saturate(monoid):
         e = [0] * amb.lift_dim
         e[r + j] = 1
         tors_gens.append(element_of(amb, tuple(e)))
+    # below, the saturation contains M, so gp(M) <= gp(sat M) <= gp(M)
     if r == 0:
-        return AffineMonoid(amb, tuple(tors_gens))
-    lattice_gens = cc.cone_lattice_generators(_free_cone(monoid))
+        return AffineMonoid._spanning(amb, tors_gens)
+    lattice_gens = cc.cone_lattice_generators(monoid._cone)
     new_gens = [element_of(amb, vec + (0,) * len(amb.invariant_factors))
                 for vec in lattice_gens]
-    return AffineMonoid(amb, tuple(new_gens) + tuple(tors_gens))
+    return AffineMonoid._spanning(amb, new_gens + tors_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +416,7 @@ def units(monoid):
     """
     from . import cone_complex as cc
 
-    normals = _free_cone(monoid).facet_normals \
+    normals = monoid._cone.facet_normals \
         if monoid.ambient.free_rank else ()
     out = [g for g in monoid.generators
            if not any(cc.vdot(n, g.free) for n in normals)]
@@ -393,7 +429,10 @@ def sharpen(monoid):
         monoid.ambient, [u.as_vector() for u in units(monoid)])
     images = [element_of(quot, xl.apply(proj, g.as_vector()))
               for g in monoid.generators]
-    return AffineMonoid(quot, minimal_generators(AffineMonoid(quot, images)))
+    # images of a spanning set under a surjection, then a generating set of
+    # the same monoid
+    image = AffineMonoid._spanning(quot, images)
+    return AffineMonoid._spanning(quot, minimal_generators(image))
 
 
 def minimal_generators(monoid):
@@ -410,7 +449,8 @@ def minimal_generators(monoid):
     pending = list(current)
     for i, g in enumerate(current):
         rest = keep + pending[i + 1:]
-        if not _in_span_nonneg(monoid.ambient, rest, g):
+        if not xl.has_nonneg_solution(
+                _membership_system(monoid.ambient, rest), g.as_vector()):
             keep.append(g)
     return tuple(keep)
 
@@ -433,6 +473,9 @@ class MonoidPredicates:
 
 
 def is_saturated(monoid):
+    # a monoid of units is a group, M = gp(M), so it is saturated
+    if len(units(monoid)) == len(monoid.generators):
+        return True
     sat = saturate(monoid)
     return all(contains(monoid, g) for g in sat.generators)
 
@@ -487,7 +530,7 @@ def spec(monoid):
     """
     from . import cone_complex as cc
 
-    normals = _free_cone(monoid).facet_normals \
+    normals = monoid._cone.facet_normals \
         if monoid.ambient.free_rank else ()
     free = [g.free for g in monoid.generators]
     out = [PrimeIdeal(complement_face=s) for s in cc.face_sets(free, normals)]
@@ -553,7 +596,8 @@ def pushout_with_maps(f, g):
 
     left = tuple(image(m.as_vector() + (0,) * ln) for m in f.target.generators)
     right = tuple(image((0,) * lm + n.as_vector()) for n in g.target.generators)
-    monoid = AffineMonoid(group, left + right)
+    # images of spanning sets of M^gp and N^gp under the surjective proj
+    monoid = AffineMonoid._spanning(group, left + right)
     proj_cols = xl.mat_columns(proj)
     return PushoutResult(
         monoid=monoid, left_images=left, right_images=right,

@@ -7,8 +7,11 @@ then no coefficient in a representation of t can exceed the coordinate sum
 of t.
 """
 
+import contextlib
 import itertools
 import random
+import sys
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -89,6 +92,40 @@ def test_ambient_must_be_generated():
     assert len(m.generators) == 2
 
 
+def test_wrong_length_generator_is_refused():
+    amb = xl.FgAbelianGroup(1, (2,))
+    for bad in [(1,), (1, 0, 0), mc.MonoidElement(free=(1,))]:
+        with pytest.raises(InputError):
+            mc.AffineMonoid(amb, [(1, 0), bad])
+
+
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    """The list of ``quotient_presentation`` calls made from here on."""
+    calls = []
+    real = xl.quotient_presentation
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(xl, "quotient_presentation", counting)
+    return calls
+
+
+@pytest.mark.parametrize("vectors, orders", [
+    ([(1, 0), (1, 1)], ()), ([(2,), (4,)], ()), ([(1, 1), (1, 0)], (2,))])
+def test_from_vectors_runs_one_quotient_presentation(vectors, orders,
+                                                     quotient_calls):
+    mc.AffineMonoid.from_vectors(vectors, orders)
+    assert len(quotient_calls) == 1
+
+
+def test_free_monoid_runs_no_quotient_presentation(quotient_calls):
+    mc.free_monoid(3)
+    assert quotient_calls == []
+
+
 def test_from_vectors_preserves_full_span_coordinates():
     m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1)])
     assert m.ambient == xl.FgAbelianGroup(2, ())
@@ -136,6 +173,44 @@ def test_membership_with_torsion():
     assert m.contains((1, 1))
     assert not m.contains((0, 1))  # the famous missing element
     assert m.contains((0, 0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cached_membership_matches_a_rebuild_per_query(data):
+    monoid = data.draw(_monoids(max_gens=4))
+    amb, gens = monoid.ambient, monoid.generators
+    vec = st.tuples(*[st.integers(-3, 3)] * amb.free_rank,
+                    *[st.integers(0, f - 1) for f in amb.invariant_factors])
+    targets = data.draw(st.lists(vec, min_size=1, max_size=3))
+    exponents = st.tuples(*[st.integers(0, 2)] * len(gens))
+    targets += [mc.exponent_sum(amb, e, gens).as_vector()
+                for e in data.draw(st.lists(exponents, max_size=2))]
+    for t in targets:
+        # the old path: a fresh membership system for every query
+        system = mc._membership_system(amb, gens)
+        want = xl.solve_nonneg(system, amb.reduce_vector(t))
+        assert monoid.contains(t) == xl.has_nonneg_solution(
+            system, amb.reduce_vector(t))
+        assert mc.expression(monoid, t) == (
+            None if want is None else want[:len(gens)])
+
+
+def test_one_monoid_builds_its_membership_system_once(monkeypatch):
+    builds = []
+    real = mc._membership_system
+
+    def counting(ambient, gens):
+        builds.append(gens)
+        return real(ambient, gens)
+
+    monkeypatch.setattr(mc, "_membership_system", counting)
+    m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2)])
+    answers = [(m.contains(t), mc.expression(m, t))
+               for t in [(0, 0), (2, 1), (0, 1), (3, 6), (1, -1)]]
+    assert [a for a, _ in answers] == [True, True, False, True, False]
+    assert len(builds) == 1
 
 
 def test_expression_is_lex_smallest():
@@ -435,26 +510,30 @@ def test_units_match_solver_oracle(monoid):
         g for g in monoid.generators if g not in want)
 
 
-# every generator is a unit, and the solver took seconds to show it
-ALL_UNITS = mc.AffineMonoid.from_vectors(
-    [(-3, -2, -2, 1, 0), (-3, -3, 3, 1, 3), (-2, 2, 3, 0, 1), (3, 3, -1, 0, 1),
-     (3, -3, 1, 0, 2)], (2, 4))
+def _all_units():
+    """Every generator is a unit, and the solver took seconds to show it."""
+    return mc.AffineMonoid.from_vectors(
+        [(-3, -2, -2, 1, 0), (-3, -3, 3, 1, 3), (-2, 2, 3, 0, 1),
+         (3, 3, -1, 0, 1), (3, -3, 1, 0, 2)], (2, 4))
 
+
+# factories: each test builds its monoid afresh, since a monoid caches its
+# cone of free parts and a second test would otherwise count no build
 CONE_OF_FREE_PARTS_CALLS = [
-    (mc.AffineMonoid.from_vectors([(1, 0, 1), (0, 1, 1), (-1, 0, 1),
-                                   (0, -1, 1)]), 1),
-    (mc.AffineMonoid.from_vectors([(1, 0), (-1, 0), (0, 1)]), 1),
-    (mc.AffineMonoid.from_vectors([(1, 1), (2, 0)], (4,)), 1),
-    (mc.group_monoid(xl.FgAbelianGroup(0, (2, 6))), 0),
-    (mc.trivial_monoid(), 0),
-    (ALL_UNITS, 1),
+    (partial(mc.AffineMonoid.from_vectors, [(1, 0, 1), (0, 1, 1), (-1, 0, 1),
+                                            (0, -1, 1)]), 1),
+    (partial(mc.AffineMonoid.from_vectors, [(1, 0), (-1, 0), (0, 1)]), 1),
+    (partial(mc.AffineMonoid.from_vectors, [(1, 1), (2, 0)], (4,)), 1),
+    (partial(mc.group_monoid, xl.FgAbelianGroup(0, (2, 6))), 0),
+    (partial(mc.trivial_monoid), 0),
+    (partial(_all_units), 1),
 ]
 
 
 @pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
 def test_spec_builds_at_most_the_cone_of_free_parts(monoid, calls,
                                                      from_rays_calls):
-    mc.spec(monoid)
+    mc.spec(monoid())
     assert len(from_rays_calls) == calls
 
 
@@ -471,16 +550,97 @@ def no_solver(monkeypatch):
 def test_units_build_at_most_the_cone_of_free_parts(monoid, calls,
                                                     from_rays_calls,
                                                     no_solver):
-    mc.units(monoid)
+    mc.units(monoid())
     assert len(from_rays_calls) == calls
 
 
 def test_units_of_the_all_units_monoid_need_no_solver(no_solver):
     import logmonoid.log_ideal_blowup as lib
-    assert mc.units(ALL_UNITS) == tuple(sorted(ALL_UNITS.generators))
-    assert mc.sharpen(ALL_UNITS).ambient.is_trivial
-    assert mc.characteristic_rank(ALL_UNITS) == 0
-    assert lib.maximal_ideal(ALL_UNITS).is_empty
+    all_units = _all_units()
+    assert mc.units(all_units) == tuple(sorted(all_units.generators))
+    assert mc.sharpen(all_units).ambient.is_trivial
+    assert mc.characteristic_rank(all_units) == 0
+    assert lib.maximal_ideal(all_units).is_empty
+
+
+@pytest.mark.parametrize("monoid", [
+    partial(_all_units), partial(mc.group_monoid, xl.FgAbelianGroup(2, (2,))),
+    partial(mc.trivial_monoid)])
+def test_a_group_is_saturated_without_a_membership_test(monoid, no_solver):
+    monoid = monoid()
+    assert mc.is_saturated(monoid)
+    assert mc.predicates(monoid) == mc.MonoidPredicates(
+        is_sharp=monoid.ambient.is_trivial, is_saturated=True,
+        is_toric=monoid.ambient.is_trivial, is_free=True)
+
+
+def test_units_alone_do_not_make_a_monoid_saturated():
+    # N(0,2) + N(0,3) + Z(1,0) misses (0,1), although 2(0,1) lies in it
+    m = mc.AffineMonoid.from_vectors([(1, 0), (-1, 0), (0, 2), (0, 3)])
+    assert len(mc.units(m)) == 2
+    assert not mc.is_saturated(m)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_monoids(max_gens=4))
+def test_is_saturated_matches_the_membership_oracle(monoid):
+    sat = mc.saturate(monoid)
+    assert mc.is_saturated(monoid) == all(
+        monoid.contains(g) for g in sat.generators)
+
+
+# ---------------------------------------------------------------------------
+# trusted construction
+
+
+SPANNING_SITES = {"span_submonoid", "free_monoid", "trivial_monoid",
+                  "group_monoid", "integralize", "saturate", "sharpen",
+                  "pushout_with_maps", "relative_characteristic",
+                  "blowup_charts"}
+
+
+@contextlib.contextmanager
+def _checked_spanning():
+    """Rebuilds every ``AffineMonoid._spanning`` result through the public
+    constructor, which raises InputError when the generators do not span,
+    and requires the two to be equal.  Yields the set of calling functions."""
+    trusted = mc.AffineMonoid._spanning.__func__
+    sites = set()
+
+    def checked(cls, ambient, generators):
+        out = trusted(cls, ambient, generators)
+        assert mc.AffineMonoid(out.ambient, out.generators) == out
+        sites.add(sys._getframe(1).f_code.co_name)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc.AffineMonoid, "_spanning", classmethod(checked))
+        yield sites
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_trusted_construction_matches_the_public_one(data):
+    import logmonoid.log_hom_analysis as lha
+    import logmonoid.log_ideal_blowup as lib
+    with _checked_spanning() as sites:
+        monoid = data.draw(_monoids(max_gens=4))
+        amb, gens = monoid.ambient, monoid.generators
+        mc.trivial_monoid()
+        mc.group_monoid(amb)
+        mc.integralize(mc.presentation_of(monoid))
+        mc.saturate(monoid)
+        mc.sharpen(monoid)
+        rows = [[g.as_vector()[i] for g in gens] for i in range(amb.lift_dim)]
+        onto = lha.MonoidHom(mc.free_monoid(len(gens)), monoid, rows)
+        mc.pushout_with_maps(onto, onto)
+        lha.relative_characteristic(onto)
+        pick = data.draw(st.lists(st.sampled_from(gens), min_size=1,
+                                  max_size=2)) if gens else [monoid.zero]
+        lib.blowup_charts(monoid, lib.MonoidIdeal(monoid, tuple(pick)))
+    assert sites == SPANNING_SITES
 
 
 # ---------------------------------------------------------------------------
