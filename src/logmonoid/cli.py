@@ -205,7 +205,7 @@ def parse_ideal(doc, ctx, warn):
     vecs = _as_vector_list(_get(doc, "generators", ctx),
                            host.ambient.lift_dim, f"{ctx}.generators")
     try:
-        return lib.MonoidIdeal(host, tuple(host.element(v) for v in vecs))
+        return lib.MonoidIdeal(host, tuple(vecs))
     except DomainError as exc:
         raise InputError(f"{ctx}: not an ideal of the given monoid: {exc}") from exc
 
@@ -552,7 +552,7 @@ def _h_resolve(doc, path, args, warn):
 def _h_blowup(doc, path, args, warn):
     ideal = parse_ideal(doc, path, warn)
     charts = lib.blowup_charts(ideal.host, ideal)
-    idempotent = lib.blowup_is_idempotent(ideal.host, ideal)
+    idempotent = lib.charts_are_idempotent(charts, ideal)
     if args.verify:
         for chart in charts:
             for g in ideal.host.generators:

@@ -276,11 +276,17 @@ def kernel_basis(a):
     positive.
     """
     dec = _snf_full(a)
+    return _from_columns(_kernel_columns(dec), dec.right.shape[0])
+
+
+def _kernel_columns(dec):
+    """The kernel basis of ``kernel_basis``, read off a Smith decomposition:
+    the columns of V past the invariant factors, sign-normalized."""
     cols = []
     for col in mat_columns(dec.right)[len(dec.diag):]:
         lead = next((x for x in col if x != 0), 0)
         cols.append(tuple(-x for x in col) if lead < 0 else col)
-    return _from_columns(cols, dec.right.shape[0])
+    return cols
 
 
 def _check_rhs(a, b):
@@ -519,15 +525,20 @@ def quotient_presentation(group, extra_columns):
     return group_from_relations(group.lift_dim, cols)
 
 
+def _decompose_among(group, vectors):
+    """The Smith decomposition of [vectors | group.relation_columns()]."""
+    return _snf_full(intmat_from_columns(
+        list(vectors) + group.relation_columns(), nrows=group.lift_dim))
+
+
 def _relations_among(group, vectors):
     """Columns spanning {x : sum_i x_i vectors[i] = 0 in ``group``}.
 
     The kernel of [vectors | group.relation_columns()], truncated to the
     vectors' coordinates; zero columns are kept.
     """
-    cols = intmat_from_columns(
-        list(vectors) + group.relation_columns(), nrows=group.lift_dim)
-    return [col[:len(vectors)] for col in mat_columns(kernel_basis(cols))]
+    dec = _decompose_among(group, vectors)
+    return [col[:len(vectors)] for col in _kernel_columns(dec)]
 
 
 def subgroup_presentation(group, elements):
@@ -535,11 +546,19 @@ def subgroup_presentation(group, elements):
 
     Returns (sub, images) where ``sub`` is the abstract group in
     invariant-factor form and ``images[i]`` is the lift vector of
-    ``elements[i]`` in the new coordinates.
+    ``elements[i]`` in the new coordinates.  One Smith decomposition of
+    [elements | relations] decides both: its cokernel is the quotient by the
+    elements, and its kernel gives the relations among them.  When the
+    elements generate ``group`` (lift_dim invariant factors 1) the result is
+    ``group`` itself and the coordinates are kept.
     """
     elements = [group.reduce_vector(e) for e in elements]
+    dec = _decompose_among(group, elements)
+    if dec.diag == (1,) * group.lift_dim:
+        return group, elements
+    n = len(elements)
     sub, proj = group_from_relations(
-        len(elements), _relations_among(group, elements))
+        n, [col[:n] for col in _kernel_columns(dec)])
     images = [sub.reduce_vector(col) for col in mat_columns(proj)]
     return sub, images
 
@@ -571,10 +590,7 @@ def hom_kernel(source, target, matrix):
 
 def hom_cokernel(source, target, matrix):
     """Cokernel of a hom of presented groups, in invariant-factor form."""
-    matrix = _as_matrix(matrix)
-    cols = mat_columns(matrix)
-    group, _ = quotient_presentation(target, cols)
-    return group
+    return quotient_presentation(target, mat_columns(_as_matrix(matrix)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,8 @@ class MonoidHom:
                     "homomorphism maps a generator outside the target monoid")
 
     def apply(self, elem):
-        if not isinstance(elem, mc.MonoidElement):
-            elem = mc.element_of(self.source.ambient, elem)
-        return mc.element_of(self.target.ambient,
-                             xl.apply(self.matrix, elem.as_vector()))
+        vec = mc.element_of(self.source.ambient, elem).as_vector()
+        return mc.element_of(self.target.ambient, xl.apply(self.matrix, vec))
 
 
 def identity_hom(monoid):
@@ -80,22 +78,16 @@ def is_gp_injective(hom):
     return gp_kernel(hom).is_trivial
 
 
-def _image_columns(hom):
-    """Images of the source generators as reduced target lift vectors."""
-    return [hom.apply(g).as_vector() for g in hom.source.generators]
-
-
 def monoid_kernel_trivial(hom):
     """Whether no nonzero source monoid element maps to zero.
 
     This is weaker than injectivity of the group map: the group kernel may
     be nontrivial while meeting the monoid only in 0.
     """
-    amb = hom.target.ambient
-    cols = _image_columns(hom) + amb.relation_columns(signs=(-1,))
-    a = xl.intmat_from_columns(cols, nrows=amb.lift_dim)
-    k = len(hom.source.generators)
     src = hom.source
+    a = mc._membership_system(
+        hom.target.ambient, [hom.apply(g) for g in src.generators])
+    k = len(src.generators)
     for sol in xl.minimal_nonneg_solutions(a):
         exps = sol[:k]
         if not any(exps):
@@ -181,10 +173,10 @@ def relative_characteristic(hom):
     Coker(phi^gp), i.e. the quotient of the target by the congruence
     q ~ q + phi(p)."""
     quot, proj = xl.quotient_presentation(
-        hom.target.ambient, _image_columns(hom))
-    gens = []
-    for q in hom.target.generators:
-        gens.append(mc.element_of(quot, xl.apply(proj, q.as_vector())))
+        hom.target.ambient,
+        [hom.apply(g).as_vector() for g in hom.source.generators])
+    gens = [mc.element_of(quot, xl.apply(proj, q.as_vector()))
+            for q in hom.target.generators]
     # images of the target's spanning generators under the surjective proj
     return mc.AffineMonoid._spanning(quot, gens)
 

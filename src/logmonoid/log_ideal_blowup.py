@@ -35,29 +35,18 @@ class MonoidIdeal:
     generators: tuple = ()
 
     def __post_init__(self):
-        gens = []
-        seen = set()
-        # a generator of the host lies in it without a membership test
-        host_gens = set(self.host.generators)
-        for g in self.generators:
-            if not isinstance(g, mc.MonoidElement):
-                g = mc.element_of(self.host.ambient, g)
-            else:
-                g = mc.element_of(self.host.ambient, g.as_vector())
-            if g not in host_gens and not self.host.contains(g):
-                raise DomainError("ideal generator lies outside the host monoid")
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
-        object.__setattr__(self, "generators", tuple(gens))
+        gens = tuple(dict.fromkeys(
+            mc.element_of(self.host.ambient, g) for g in self.generators))
+        if not all(self.host.contains(g) for g in gens):
+            raise DomainError("ideal generator lies outside the host monoid")
+        object.__setattr__(self, "generators", gens)
 
     @property
     def is_empty(self):
         return not self.generators
 
     def contains(self, elem):
-        if not isinstance(elem, mc.MonoidElement):
-            elem = mc.element_of(self.host.ambient, elem)
+        elem = mc.element_of(self.host.ambient, elem)
         return any(self.host.contains(self.host.sub(elem, g))
                    for g in self.generators)
 
@@ -138,12 +127,15 @@ def pulled_ideal(chart_monoid, ideal):
 def blowup_is_idempotent(monoid, ideal):
     """Checks that the blowup is idempotent: on every chart (fine and fs)
     the pulled-back ideal is invertible, so blowing up again is trivial."""
-    for chart in blowup_charts(monoid, ideal):
-        if not is_invertible(pulled_ideal(chart.fine, ideal)):
-            return False
-        if not is_invertible(pulled_ideal(chart.fs, ideal)):
-            return False
-    return True
+    return charts_are_idempotent(blowup_charts(monoid, ideal), ideal)
+
+
+def charts_are_idempotent(charts, ideal):
+    """``blowup_is_idempotent`` on the charts ``blowup_charts`` returned
+    for ``ideal``."""
+    return all(is_invertible(pulled_ideal(chart.fine, ideal)) and
+               is_invertible(pulled_ideal(chart.fs, ideal))
+               for chart in charts)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,17 @@ Every construction below builds its result with the private constructor
 the generators span the ambient group.  Each call site states why the span
 holds by construction: the generators are images of a spanning set under a
 surjection (``sharpen``, ``integralize``, pushouts), they contain a spanning
-set (blowup charts, saturation), or the quotient that the check would
-compute was just computed (``span_submonoid``).  The public constructor
+set (blowup charts, saturation), or the group was just presented on them
+as generators (``span_submonoid``).  The public constructor
 ``AffineMonoid(...)`` keeps every check.  An affine monoid also caches, in
 private attributes, the membership system that ``contains`` and
 ``expression`` solve against and the cone of its free parts.
+
+Membership has one rule each way in.  ``element_of`` is the only place
+where a lift vector or a ``MonoidElement`` becomes a canonical element of
+an ambient group: it reduces the torsion residues and refuses an element
+that does not split as the ambient does.  ``contains`` answers zero and the
+generators by definition and solves only for the rest.
 """
 
 from __future__ import annotations
@@ -58,9 +64,15 @@ class MonoidElement:
         return all(x == 0 for x in self.as_vector())
 
 
-def element_of(ambient, vec):
-    """Builds the canonical MonoidElement of ``ambient`` from a lift vector."""
-    vec = ambient.reduce_vector(vec)
+def element_of(ambient, elem):
+    """The canonical MonoidElement of ``ambient`` for a lift vector or for a
+    MonoidElement, which must split into free part and torsion as it does."""
+    if isinstance(elem, MonoidElement):
+        if len(elem.free) != ambient.free_rank or \
+                len(elem.torsion) != len(ambient.invariant_factors):
+            raise InputError("element does not live in the ambient group")
+        elem = elem.as_vector()
+    vec = ambient.reduce_vector(elem)
     return MonoidElement(free=vec[:ambient.free_rank], torsion=vec[ambient.free_rank:])
 
 
@@ -137,9 +149,7 @@ class AffineMonoid:
 
     def __post_init__(self):
         gens = _distinct_nonzero(
-            element_of(self.ambient,
-                       e.as_vector() if isinstance(e, MonoidElement) else e)
-            for e in self.generators)
+            element_of(self.ambient, e) for e in self.generators)
         object.__setattr__(self, "generators", gens)
         quot, _ = xl.quotient_presentation(
             self.ambient, [g.as_vector() for g in gens])
@@ -231,12 +241,6 @@ def span_submonoid(host, vectors):
     ``images[i]`` is the i-th input vector in the new coordinates.  When the
     vectors generate all of ``host`` the coordinates are kept unchanged.
     """
-    vectors = [host.reduce_vector(v) for v in vectors]
-    quot, _ = xl.quotient_presentation(host, vectors)
-    if quot.is_trivial:
-        elems = [element_of(host, v) for v in vectors]
-        # the quotient by the vectors was just found trivial
-        return AffineMonoid._spanning(host, elems), elems
     sub, images = xl.subgroup_presentation(host, vectors)
     elems = [element_of(sub, v) for v in images]
     # the subgroup is presented on these very elements as generators
@@ -292,23 +296,19 @@ def _membership_system(ambient, gen_elements):
 
 
 def contains(monoid, elem):
-    """Whether ``elem`` (MonoidElement or lift vector) lies in ``monoid``."""
-    if not isinstance(elem, MonoidElement):
-        elem = element_of(monoid.ambient, elem)
-    if len(elem.free) != monoid.ambient.free_rank or \
-            len(elem.torsion) != len(monoid.ambient.invariant_factors):
-        raise InputError("element does not live in the ambient group")
-    return xl.has_nonneg_solution(
-        monoid._system, monoid.ambient.reduce_vector(elem.as_vector()))
+    """Whether ``elem`` (MonoidElement or lift vector) lies in ``monoid``:
+    zero and the generators by definition, anything else by one solve."""
+    elem = element_of(monoid.ambient, elem)
+    if elem.is_zero or elem in monoid.generators:
+        return True
+    return xl.has_nonneg_solution(monoid._system, elem.as_vector())
 
 
 def expression(monoid, elem):
     """The lex-smallest exponent vector writing ``elem`` in the generators,
     or None when the element is not in the monoid."""
-    if not isinstance(elem, MonoidElement):
-        elem = element_of(monoid.ambient, elem)
-    sol = xl.solve_nonneg(
-        monoid._system, monoid.ambient.reduce_vector(elem.as_vector()))
+    sol = xl.solve_nonneg(monoid._system,
+                          element_of(monoid.ambient, elem).as_vector())
     if sol is None:
         return None
     return sol[:len(monoid.generators)]
@@ -427,30 +427,34 @@ def sharpen(monoid):
     """The sharp quotient M / M^x, with a lex-sorted minimal generating set."""
     quot, proj = xl.quotient_presentation(
         monoid.ambient, [u.as_vector() for u in units(monoid)])
-    images = [element_of(quot, xl.apply(proj, g.as_vector()))
-              for g in monoid.generators]
-    # images of a spanning set under a surjection, then a generating set of
-    # the same monoid
-    image = AffineMonoid._spanning(quot, images)
-    return AffineMonoid._spanning(quot, minimal_generators(image))
+    images = _distinct_nonzero(element_of(quot, xl.apply(proj, g.as_vector()))
+                               for g in monoid.generators)
+    # images of a spanning set under a surjection; M/M^x is sharp, so the
+    # scan keeps a generating set of the same monoid
+    return AffineMonoid._spanning(quot, _irreducibles(quot, images))
 
 
 def minimal_generators(monoid):
-    """The unique minimal generating set of a sharp affine monoid.
+    """The unique minimal generating set of a sharp affine monoid."""
+    if units(monoid):
+        raise DomainError("minimal generating sets are defined for sharp monoids")
+    return _irreducibles(monoid.ambient, monoid.generators)
+
+
+def _irreducibles(ambient, generators):
+    """The minimal generating set of the monoid that distinct nonzero
+    ``generators`` generate in ``ambient``, which the caller knows is sharp.
 
     Deterministic: generators are scanned in lexicographic order and removed
     when expressible by the remaining ones; for a sharp monoid the survivors
     are exactly the irreducible elements, independent of scan order.
     """
-    if units(monoid):
-        raise DomainError("minimal generating sets are defined for sharp monoids")
-    current = sorted(monoid.generators)
+    current = sorted(generators)
     keep = []
-    pending = list(current)
     for i, g in enumerate(current):
-        rest = keep + pending[i + 1:]
+        rest = keep + current[i + 1:]
         if not xl.has_nonneg_solution(
-                _membership_system(monoid.ambient, rest), g.as_vector()):
+                _membership_system(ambient, rest), g.as_vector()):
             keep.append(g)
     return tuple(keep)
 
@@ -545,13 +549,8 @@ def spec(monoid):
 def _stack_group_presentation(a, b):
     """Relation columns of the direct sum a (+) b in concatenated lift
     coordinates (a's lift coords first)."""
-    la, lb = a.lift_dim, b.lift_dim
-    cols = []
-    for c in a.relation_columns():
-        cols.append(tuple(c) + (0,) * lb)
-    for c in b.relation_columns():
-        cols.append((0,) * la + tuple(c))
-    return cols
+    return [c + (0,) * b.lift_dim for c in a.relation_columns()] + \
+        [(0,) * a.lift_dim + c for c in b.relation_columns()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -143,6 +143,18 @@ def test_version_exits_zero():
     assert proc.returncode == 0
 
 
+def test_blowup_builds_its_charts_once(count_calls, capsys):
+    # idempotence is read off the charts already built: one blowup_charts
+    # and one saturation per chart for the two charts of the plane
+    import logmonoid.log_ideal_blowup as lib
+    case = Path(__file__).parent / "golden" / "cases" / "blowup-plane"
+    charts = count_calls(lib, "blowup_charts")
+    saturations = count_calls(mc, "saturate")
+    assert cli.main(["blowup", str(case / "ideal.json")]) == 0
+    assert capsys.readouterr().out == (case / "expected.out").read_text()
+    assert (len(charts), len(saturations)) == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # exit 1: usage and ill-typed input
 

@@ -428,7 +428,8 @@ def test_from_rays_of_independent_generators_matches_oracle(case):
         assert cc.multiplicity(cone) == _oracle_det_abs(cone.extreme_rays)
 
 
-def test_independent_generators_make_no_double_description(dd_calls):
+def test_independent_generators_make_no_double_description(count_calls):
+    dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
     # the closed form: one elimination instead of a double description,
     # for full-dimensional simplicial cones only
     for gens in ([(-3,)], [(1, 0), (1, 7)], [(2, 1), (1, 0)],
@@ -442,12 +443,10 @@ def test_independent_generators_make_no_double_description(dd_calls):
     assert len(dd_calls) == 2
 
 
-def test_pointed_double_description_takes_no_smith_form(monkeypatch):
+def test_pointed_double_description_takes_no_smith_form(count_calls):
     # the incremental lineality says when the saturated kernel is 0, and
     # so do the generators tight on every facet in from_rays
-    calls = []
-    snf = xl._snf_full
-    monkeypatch.setattr(xl, "_snf_full", lambda a: calls.append(a) or snf(a))
+    calls = count_calls(xl, "_snf_full")
     square = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
     assert cc.extreme_rays_of_halfspaces(square, 3)[1] == ()
     assert cc.RationalCone.from_rays(square, 3).is_strongly_convex
@@ -503,24 +502,10 @@ def test_span_coordinates_match_integer_solve(cone):
         down(cone.span_equations[0])
 
 
-@pytest.fixture
-def dd_calls(monkeypatch):
-    """The list of double description runs made from here on."""
-    calls = []
-    run = cc.extreme_rays_of_halfspaces
-
-    def counting(*args):
-        calls.append(args)
-        return run(*args)
-
-    monkeypatch.setattr(cc, "extreme_rays_of_halfspaces", counting)
-    return calls
-
-
-def test_duality_double_description_counts(dd_calls):
+def test_duality_double_description_counts(count_calls):
     half = cc.RationalCone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], 3)
     quadrant = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0)], 3)
-    dd_calls.clear()
+    dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
     cc.dual_cone(half)
     cc.dual_cone(quadrant)
     assert len(dd_calls) == 0
@@ -640,9 +625,9 @@ def test_faces_match_oracle(cone):
     ([(1, 0), (-1, 0)], 2),
     ([], 2),
 ])
-def test_faces_build_one_cone_per_proper_face(gens, dim, from_rays_calls):
+def test_faces_build_one_cone_per_proper_face(gens, dim, count_calls):
     cone = cc.RationalCone.from_rays(gens, dim)
-    from_rays_calls.clear()
+    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
     fl = cc.faces(cone)
     assert len(from_rays_calls) == len(fl) - 1
 
@@ -1157,9 +1142,9 @@ def test_pulling_triangulation_matches_oracle(cone):
       (1, 0, 1, 1), (0, 1, 1, 1)], 4),
     ([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)], 4),
 ])
-def test_pulling_triangulation_builds_no_cone(gens, dim, from_rays_calls):
+def test_pulling_triangulation_builds_no_cone(gens, dim, count_calls):
     cone = cc.RationalCone.from_rays(gens, dim)
-    from_rays_calls.clear()
+    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
     assert len(cc.pulling_triangulation(cone)) > 1
     assert from_rays_calls == []
 
@@ -1360,12 +1345,12 @@ def test_validate_rejects_star_of_david():
         cc.fan_from_cones([up, down], 3)
 
 
-def test_validate_2d_resolutions_without_double_description(dd_calls):
+def test_validate_2d_resolutions_without_double_description(count_calls):
     # in 2D every pair of cones of a subdivision of a pointed cone has a
     # separating facet normal, so validation needs no double description
     fans = [cc.resolve(_fan([[(1, 0), (1, k)]], 2), validate=False)
             for k in range(1, 26)]
-    dd_calls.clear()
+    dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
     for fan in fans:
         fan.validate()
     assert sum(len(f.maximal_cones) for f in fans) == 25 * 26 // 2
@@ -1471,13 +1456,13 @@ def test_stellar_drops_a_piece_inside_a_piece_of_another_cone():
     assert new == _oracle_stellar_pieces(fan, (1, 3))[0]
 
 
-def test_resolve_of_simplicial_fans_makes_no_double_description(dd_calls):
+def test_resolve_of_simplicial_fans_makes_no_double_description(count_calls):
     fans = [_fan([[(1, 0), (1, 12)]], 2),
             _fan([[(1, 0), (2, 7)], [(2, 7), (-3, 5)]], 2),
             _fan([[(1, 0, 0), (0, 1, 0), (1, 1, 6)]], 3),
             _fan([[(1, 0, 0), (0, 1, 0), (1, 2, 5)],
                   [(1, 0, 0), (0, 1, 0), (-1, 3, -4)]], 3)]
-    dd_calls.clear()
+    dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
     for fan in fans:
         assert cc.resolve(fan, validate=False).is_regular()
     assert dd_calls == []

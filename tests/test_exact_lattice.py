@@ -430,6 +430,33 @@ def test_quotient_and_subgroup_presentations():
     assert len(images) == 2
 
 
+def _two_step_subgroup_presentation(group, elements):
+    """The old path: a quotient decides the span, then the relations come
+    from a separate kernel of [elements | relations]."""
+    elements = [group.reduce_vector(e) for e in elements]
+    quot, _ = xl.quotient_presentation(group, elements)
+    if quot.is_trivial:
+        return group, elements
+    system = xl.intmat_from_columns(elements + group.relation_columns(),
+                                    nrows=group.lift_dim)
+    relations = [col[:len(elements)]
+                 for col in xl.mat_columns(xl.kernel_basis(system))]
+    sub, proj = xl.group_from_relations(len(elements), relations)
+    return sub, [sub.reduce_vector(col) for col in xl.mat_columns(proj)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_subgroup_presentation_matches_the_two_step_path(data):
+    group = xl.FgAbelianGroup(
+        data.draw(st.integers(0, 2)),
+        data.draw(st.sampled_from([(), (2,), (3,), (2, 4), (6,)])))
+    vec = st.tuples(*[st.integers(-4, 4)] * group.lift_dim)
+    elements = data.draw(st.lists(vec, max_size=4))
+    assert xl.subgroup_presentation(group, elements) == \
+        _two_step_subgroup_presentation(group, elements)
+
+
 def test_hom_kernel_and_cokernel():
     z = xl.FgAbelianGroup(1, ())
     z2 = xl.FgAbelianGroup(2, ())

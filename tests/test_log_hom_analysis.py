@@ -277,6 +277,21 @@ def test_kummer_of_a_large_index_takes_no_solver(monkeypatch):
         [verdict for _, verdict in homs]
 
 
+@pytest.mark.parametrize("vectors, orders", [
+    ([(1, 0), (1, 1), (1, 2)], ()), ([(1, 1), (1, 0)], (2,)),
+    ([(2, 1), (0, 1), (1, 0), (-1, 0)], (4,))])
+def test_a_hom_onto_target_generators_takes_no_solver(vectors, orders,
+                                                      no_solver):
+    # each image is zero or a generator of the target: members by definition
+    target = mc.AffineMonoid.from_vectors(vectors, orders)
+    cols = [g.as_vector() for g in target.generators]
+    cols += [target.ambient.zero()] + cols[:1]
+    rows = [[col[i] for col in cols] for i in range(target.ambient.lift_dim)]
+    hom = _hom(_free(len(cols)), target, rows)
+    assert [hom.apply(g) for g in hom.source.generators] == \
+        list(target.generators) + [target.zero, target.generators[0]]
+
+
 def test_relative_characteristic():
     triple = _hom(_free(1), _free(1), [[3]])
     rc = lha.relative_characteristic(triple)

@@ -99,29 +99,46 @@ def test_wrong_length_generator_is_refused():
             mc.AffineMonoid(amb, [(1, 0), bad])
 
 
-@pytest.fixture
-def quotient_calls(monkeypatch):
-    """The list of ``quotient_presentation`` calls made from here on."""
-    calls = []
-    real = xl.quotient_presentation
+def test_an_element_split_unlike_the_ambient_is_refused():
+    import logmonoid.log_hom_analysis as lha
+    import logmonoid.log_ideal_blowup as lib
+    # free (1, 1) has the lift length of Z (+) Z/2 but two free coordinates;
+    # read as a lift vector it would pass for (1, 1bar), a member
+    m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1)], (2,))
+    bad = mc.MonoidElement(free=(1, 1))
+    sites = {
+        "contains": lambda: m.contains(bad),
+        "expression": lambda: mc.expression(m, bad),
+        "AffineMonoid": lambda: mc.AffineMonoid(m.ambient, [(1, 0), bad]),
+        "MonoidIdeal": lambda: lib.MonoidIdeal(m, (bad,)),
+        "MonoidIdeal.contains": lambda: lib.maximal_ideal(m).contains(bad),
+        "MonoidHom.apply": lambda: lha.identity_hom(m).apply(bad),
+    }
+    accepted = []
+    for site, call in sites.items():
+        try:
+            call()
+        except InputError as exc:
+            assert "does not live in the ambient" in str(exc)
+        else:
+            accepted.append(site)
+    assert accepted == []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(xl, "quotient_presentation", counting)
-    return calls
-
-
-@pytest.mark.parametrize("vectors, orders", [
-    ([(1, 0), (1, 1)], ()), ([(2,), (4,)], ()), ([(1, 1), (1, 0)], (2,))])
-def test_from_vectors_runs_one_quotient_presentation(vectors, orders,
-                                                     quotient_calls):
+@pytest.mark.parametrize("vectors, orders, smith_forms", [
+    ([(1, 0), (1, 1)], (), 1), ([(2,), (4,)], (), 2),
+    ([(1, 1), (1, 0)], (2,), 1)])
+def test_from_vectors_runs_one_smith_form_unless_it_re_presents(
+        vectors, orders, smith_forms, count_calls):
+    # one decomposition decides the span; a proper span takes one more to
+    # present the subgroup
+    calls = count_calls(xl, "_snf_full")
     mc.AffineMonoid.from_vectors(vectors, orders)
-    assert len(quotient_calls) == 1
+    assert len(calls) == smith_forms
 
 
-def test_free_monoid_runs_no_quotient_presentation(quotient_calls):
+def test_free_monoid_runs_no_quotient_presentation(count_calls):
+    quotient_calls = count_calls(xl, "quotient_presentation")
     mc.free_monoid(3)
     assert quotient_calls == []
 
@@ -187,6 +204,8 @@ def test_cached_membership_matches_a_rebuild_per_query(data):
     exponents = st.tuples(*[st.integers(0, 2)] * len(gens))
     targets += [mc.exponent_sum(amb, e, gens).as_vector()
                 for e in data.draw(st.lists(exponents, max_size=2))]
+    # zero and the generators, which contains answers by definition
+    targets += [amb.zero()] + [g.as_vector() for g in gens]
     for t in targets:
         # the old path: a fresh membership system for every query
         system = mc._membership_system(amb, gens)
@@ -197,15 +216,8 @@ def test_cached_membership_matches_a_rebuild_per_query(data):
             None if want is None else want[:len(gens)])
 
 
-def test_one_monoid_builds_its_membership_system_once(monkeypatch):
-    builds = []
-    real = mc._membership_system
-
-    def counting(ambient, gens):
-        builds.append(gens)
-        return real(ambient, gens)
-
-    monkeypatch.setattr(mc, "_membership_system", counting)
+def test_one_monoid_builds_its_membership_system_once(count_calls):
+    builds = count_calls(mc, "_membership_system")
     m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2)])
     answers = [(m.contains(t), mc.expression(m, t))
                for t in [(0, 0), (2, 1), (0, 1), (3, 6), (1, -1)]]
@@ -532,25 +544,25 @@ CONE_OF_FREE_PARTS_CALLS = [
 
 @pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
 def test_spec_builds_at_most_the_cone_of_free_parts(monoid, calls,
-                                                     from_rays_calls):
+                                                     count_calls):
+    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
     mc.spec(monoid())
     assert len(from_rays_calls) == calls
 
 
-@pytest.fixture
-def no_solver(monkeypatch):
-    """Makes every Contejean-Devie solve from here on fail the test."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the nonnegative solver was called")
-
-    monkeypatch.setattr(xl, "minimal_nonneg_solutions", refuse)
+@pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
+def test_units_build_at_most_the_cone_of_free_parts(monoid, calls,
+                                                    count_calls, no_solver):
+    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    mc.units(monoid())
+    assert len(from_rays_calls) == calls
 
 
 @pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
-def test_units_build_at_most_the_cone_of_free_parts(monoid, calls,
-                                                    from_rays_calls,
-                                                    no_solver):
-    mc.units(monoid())
+def test_sharpen_builds_no_cone_for_the_quotient(monoid, calls, count_calls):
+    # M/M^x is sharp by construction: only units(M) builds a cone
+    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    mc.sharpen(monoid())
     assert len(from_rays_calls) == calls
 
 
