@@ -21,6 +21,10 @@ def main():
     print(f"Hilbert basis: {basis}")
     print(f"multiplicity:  {cc.multiplicity(flag)}  "
           f"(regular iff 1: {cc.is_regular(flag)})")
+    tall = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 2000)], 3)
+    print(f"cone((1,0,0), (0,1,0), (1,1,2000)): multiplicity "
+          f"{cc.multiplicity(tall)}, Hilbert basis of "
+          f"{len(cc.hilbert_basis(tall))} elements")
     print()
 
     print("== Resolving the A_3 singularity ==")

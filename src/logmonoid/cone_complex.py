@@ -26,8 +26,10 @@ constraints is the dual of the cone they generate.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
+from operator import le
 
 from .errors import DomainError, InputError, InternalCheckError
 from . import exact_lattice as xl
@@ -568,36 +570,81 @@ def is_regular(cone):
     return cone.is_simplicial and multiplicity(cone) == 1
 
 
-def _parallelepiped_points(ray_coords, m):
-    """Nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for linearly
-    independent rays in Z^m, with their coefficient numerators.
+def _parallelepiped_numerators(ray_coords, m):
+    """The nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for
+    linearly independent rays in Z^m, as coefficient numerators.
 
-    Enumerates the quotient Z^m / <rays> through the Smith decomposition and
-    reduces each representative into the fundamental parallelepiped.
-    Returns a list of (point, numerators N) with t_i = N_i / L, 0 <= N_i < L,
-    for L the last invariant factor of the ray matrix; one denominator for
-    all points keeps the order of coefficient tuples and of their sums.
+    Returns (L, numerators): each point is sum_i (N_i / L) r_i for exactly
+    one tuple N with 0 <= N_i < L, where L is the last invariant factor of
+    the ray matrix; one denominator for all points keeps the order of
+    numerator tuples and of their sums.  The points are the nonzero classes
+    of Z^m / <rays>.  With the Smith decomposition U R V = D, the class of
+    U^-1 e has N = V diag(L/d) e mod L, so an odometer over the digits
+    e_k < d_k with d_k > 1 walks every class once: a step adds one column
+    of V diag(L/d) mod L, and a digit that wraps adds its column a d_k-th
+    time, which is 0 mod L.  A step costs O(m); ``_parallelepiped_point``
+    turns the numerators of a point into the point.
     """
     dec = xl._snf_full(xl.intmat_from_columns(ray_coords, nrows=m))
     orders = dec.diag
     if len(orders) < m:
         raise InternalCheckError("parallelepiped rays are linearly dependent")
-    # U a V = D, so a c = Uinv r is solved by c = V D^-1 r: with L the last
-    # invariant factor, c = N / L for the integer vector N = V diag(L/d) r
     big = orders[-1] if orders else 1
-    scaled = xl.IntMatrix(tuple(tuple(x * (big // o) for x, o in zip(row, orders))
-                                for row in dec.right.rows), m)
-    uinv = xl._unimodular_inverse(dec.left)
+    wheels = [(d, tuple(row[k] * (big // d) % big for row in dec.right.rows))
+              for k, d in enumerate(orders) if d > 1]
+    digits = [0] * len(wheels)
+    nums = (0,) * m
     out = []
-    for residue in itertools.product(*(range(o) for o in orders)):
-        x = xl.apply(uinv, residue)
-        nums = xl.apply(scaled, residue)
-        point = tuple(
-            x[i] - sum((n // big) * ray[i] for n, ray in zip(nums, ray_coords))
-            for i in range(m))
-        if any(point):
-            out.append((point, tuple(n % big for n in nums)))
-    return out
+    while True:
+        for k, (d, col) in enumerate(wheels):
+            nums = tuple([(a + b) % big for a, b in zip(nums, col)])
+            digits[k] += 1
+            if digits[k] < d:
+                break
+            digits[k] = 0
+        else:
+            return big, out
+        out.append(nums)
+
+
+def _parallelepiped_point(nums, big, ray_coords):
+    """The lattice point sum_i (N_i / L) r_i of the numerators N over L."""
+    point = []
+    for coords in zip(*ray_coords):
+        q, r = divmod(vdot(nums, coords), big)
+        if r:
+            raise InternalCheckError(
+                "parallelepiped numerators do not give a lattice point")
+        point.append(q)
+    return tuple(point)
+
+
+def _irreducible(ranked):
+    """The items of the irreducible candidates, in the order of ``ranked``.
+
+    ``ranked`` holds (degree, values, item) triples of points of a pointed
+    monoid S, sorted by degree, where the degree is a linear form positive
+    on S minus 0, and b divides h in S (h - b in S) iff the values of b are
+    at most those of h componentwise.  Every irreducible element of S that
+    divides a candidate must be a candidate.  Each candidate h is tested
+    only against the kept ones of degree at most deg(h) / 2, found by
+    bisection (the degree bound of Bruns and Ichim, "Normaliz: algorithms
+    for affine monoids and rational cones", J. Algebra 324, 2010).  That
+    decides it: if h = x + y with x and y nonzero, one of them, say x, has
+    deg x <= deg h / 2, and an irreducible b dividing x has deg b <= deg x
+    and divides h, so b is a candidate, kept and ranked before h.
+    """
+    kept = []
+    degrees = []
+    kept_values = []
+    for deg, values, item in ranked:
+        cut = bisect_right(degrees, deg // 2)
+        if not any(all(map(le, b, values))
+                   for b in itertools.islice(kept_values, cut)):
+            kept.append(item)
+            degrees.append(deg)
+            kept_values.append(values)
+    return kept
 
 
 def _unimodular_complement(r):
@@ -657,16 +704,24 @@ def hilbert_basis(cone):
     of the two rays in O(log multiplicity) arithmetic steps, whatever the
     ambient dimension.
 
-    In dimension >= 3 the candidates are the extreme rays and the lattice
-    points of the fundamental parallelepipeds of a pulling triangulation of
-    the cone, enumerated in span coordinates and mapped back; they include
-    every irreducible element.  The degree (sum of the inward facet normals)
-    is positive on the cone minus 0, and if h = b + y with b irreducible and
-    y a nonzero cone point then deg b < deg h.  So the candidates are taken
-    in (degree, vector) order and each is tested only against the
-    irreducibles already kept: h - b lies in the cone iff the facet values
-    of h dominate those of b componentwise.  The enumeration still costs
-    time proportional to the multiplicity of the simplices.
+    In dimension >= 3 the cone C is cut into the simplices sigma of its
+    pulling triangulation.  Every irreducible element h of C is irreducible
+    in a simplex that contains it, since a decomposition in sigma is one in
+    C; so Hilb(C) lies in the union of the Hilb(sigma).  Hilb(sigma) is the
+    rays of sigma and the irreducible lattice points of its fundamental
+    parallelepiped: a point with a coefficient >= 1 is divided by that ray.
+    No ray divides a parallelepiped point, and for two such points h - b is
+    in sigma iff the numerators of b are at most those of h componentwise.
+    So each simplex reduces its enumerated numerators among themselves,
+    with the degree sum N, and computes points only for the survivors (see
+    ``_parallelepiped_numerators``).  A simplicial cone is its own simplex
+    and is done.  Otherwise the survivors and the extreme rays of C are
+    reduced once more in C, where h - b lies in C iff the facet values of h
+    dominate those of b, with the degree the sum of the facet values.  Both
+    reductions test a candidate only against kept elements of at most half
+    its degree (``_irreducible`` gives the proof), so the enumeration is
+    linear in the multiplicities of the simplices and the reductions cost
+    about the size of their output times its logarithm.
 
     The result is unique and lex-sorted.
     """
@@ -678,24 +733,22 @@ def hilbert_basis(cone):
     if m == 2:
         rays = [down(r) for r in cone.extreme_rays]
         return tuple(sorted(up(h) for h in _hilbert_basis_2d(*rays)))
-    candidates = set(cone.extreme_rays)
-    for simplex in pulling_triangulation(cone):
-        for point, _ in _parallelepiped_points([down(r) for r in simplex], m):
-            candidates.add(up(point))
-
+    simplices = pulling_triangulation(cone)
+    found = set(cone.extreme_rays)
+    for simplex in simplices:
+        rays = [down(r) for r in simplex]
+        big, nums = _parallelepiped_numerators(rays, m)
+        ranked = sorted((sum(n), n, n) for n in nums)
+        found.update(up(_parallelepiped_point(n, big, rays))
+                     for n in _irreducible(ranked))
+    if len(simplices) == 1:
+        return tuple(sorted(found))
     ranked = []
-    for h in candidates:
+    for h in found:
         values = tuple(vdot(n, h) for n in cone.facet_normals)
-        ranked.append((sum(values), h, values))
+        ranked.append((sum(values), values, h))
     ranked.sort()
-    kept = []
-    kept_values = []
-    for _, h, values in ranked:
-        if not any(all(x >= y for x, y in zip(values, other))
-                   for other in kept_values):
-            kept.append(h)
-            kept_values.append(values)
-    return tuple(sorted(kept))
+    return tuple(sorted(_irreducible(ranked)))
 
 
 def cone_lattice_generators(cone):
@@ -980,15 +1033,12 @@ def _subdivision_point(cone):
     containing the cone as a face-compatible member.
     """
     down, up, m = _to_span_coords(cone)
-    ray_coords = [down(r) for r in cone.extreme_rays]
-    best = None
-    for point, coeffs in _parallelepiped_points(ray_coords, m):
-        key = (sum(coeffs), coeffs)
-        if best is None or key < best[0]:
-            best = (key, point)
-    if best is None:
+    rays = [down(r) for r in cone.extreme_rays]
+    big, nums = _parallelepiped_numerators(rays, m)
+    if not nums:
         raise InternalCheckError("regular cone passed to subdivision point")
-    v = up(best[1])
+    best = min(nums, key=lambda n: (sum(n), n))
+    v = up(_parallelepiped_point(best, big, rays))
     if primitive(v) != v:
         raise InternalCheckError("subdivision point is not primitive")
     return v

@@ -64,14 +64,20 @@ class MonoidElement:
         return all(x == 0 for x in self.as_vector())
 
 
+def _lift(ambient, elem):
+    """The lift vector of a MonoidElement of ``ambient``, which must split
+    into free part and torsion as the ambient does."""
+    if len(elem.free) != ambient.free_rank or \
+            len(elem.torsion) != len(ambient.invariant_factors):
+        raise InputError("element does not live in the ambient group")
+    return elem.as_vector()
+
+
 def element_of(ambient, elem):
     """The canonical MonoidElement of ``ambient`` for a lift vector or for a
     MonoidElement, which must split into free part and torsion as it does."""
     if isinstance(elem, MonoidElement):
-        if len(elem.free) != ambient.free_rank or \
-                len(elem.torsion) != len(ambient.invariant_factors):
-            raise InputError("element does not live in the ambient group")
-        elem = elem.as_vector()
+        elem = _lift(ambient, elem)
     vec = ambient.reduce_vector(elem)
     return MonoidElement(free=vec[:ambient.free_rank], torsion=vec[ambient.free_rank:])
 
@@ -80,8 +86,9 @@ def exponent_sum(ambient, exponents, elements):
     """The element sum_i exponents[i] * elements[i] of ``ambient``."""
     acc = [0] * ambient.lift_dim
     for c, el in zip(exponents, elements):
+        vec = _lift(ambient, el)
         if c:
-            acc = [x + c * y for x, y in zip(acc, el.as_vector(), strict=True)]
+            acc = [x + c * y for x, y in zip(acc, vec, strict=True)]
     return element_of(ambient, acc)
 
 
@@ -213,13 +220,15 @@ class AffineMonoid:
         return element_of(self.ambient, vec)
 
     def add(self, a, b):
-        return element_of(self.ambient, self.ambient.add(a.as_vector(), b.as_vector()))
+        amb = self.ambient
+        return element_of(amb, amb.add(_lift(amb, a), _lift(amb, b)))
 
     def neg(self, a):
-        return element_of(self.ambient, self.ambient.neg(a.as_vector()))
+        return element_of(self.ambient, self.ambient.neg(_lift(self.ambient, a)))
 
     def sub(self, a, b):
-        return element_of(self.ambient, self.ambient.sub(a.as_vector(), b.as_vector()))
+        amb = self.ambient
+        return element_of(amb, amb.sub(_lift(amb, a), _lift(amb, b)))
 
     def contains(self, elem):
         """Membership: is ``elem`` a nonnegative combination of generators?"""

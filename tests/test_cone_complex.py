@@ -715,7 +715,8 @@ def test_solve_rational():
 
 def _oracle_parallelepiped_points(rays, m):
     """The parallelepiped enumeration with one SNF-backed rational solve per
-    residue: the slow path that ``_parallelepiped_points`` replaces."""
+    residue of ``itertools.product``: shares no code with the numerator
+    odometer of ``_parallelepiped_numerators``."""
     a = xl.intmat_from_columns(rays, nrows=m)
     dec = xl._snf_full(a)
     uinv = xl._unimodular_inverse(dec.left)
@@ -731,23 +732,35 @@ def _oracle_parallelepiped_points(rays, m):
     return out
 
 
-def test_parallelepiped_points_match_rational_solve():
-    rng = random.Random(2026)
-    checked = 0
-    while checked < 40:
+def _random_independent_rays(rng):
+    while True:
         m = rng.randint(1, 4)
         rays = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(m)]
-        a = xl.intmat_from_columns(rays, nrows=m)
-        diag = xl.smith_normal_form(a).diag
-        if len(diag) < m:
-            continue
-        got = cc._parallelepiped_points(rays, m)
-        big = diag[-1] if diag else 1
-        assert all(type(n) is int and 0 <= n < big
-                   for _, nums in got for n in nums)
-        got = [(point, tuple(Fraction(n, big) for n in nums))
-               for point, nums in got]
-        assert got == _oracle_parallelepiped_points(rays, m), rays
+        if len(xl.smith_normal_form(
+                xl.intmat_from_columns(rays, nrows=m)).diag) == m:
+            return rays
+
+
+def test_parallelepiped_points_match_rational_solve():
+    # the fixed cases have two or three nontrivial invariant factors, so
+    # every carry of the odometer runs: (2, 2, 2), (2, 6), (2, 4, 12),
+    # (2, 48) and (2, 6, 12)
+    rng = random.Random(2026)
+    fixed = [[(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+             [(2, 0, 0), (0, 6, 0), (0, 0, 1)],
+             [(2, 0, 0), (0, 4, 0), (0, 0, 12)],
+             [(2, 0, 0), (0, 4, 0), (1, 1, 12)],
+             [(4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 6, 0), (1, 0, 0, 3)]]
+    cases = fixed + [_random_independent_rays(rng) for _ in range(40)]
+    for rays in cases:
+        m = len(rays)
+        diag = xl.smith_normal_form(xl.intmat_from_columns(rays, nrows=m)).diag
+        big, nums = cc._parallelepiped_numerators(rays, m)
+        assert big == (diag[-1] if diag else 1)
+        assert all(type(n) is int and 0 <= n < big for ns in nums for n in ns)
+        got = sorted((cc._parallelepiped_point(ns, big, rays),
+                      tuple(Fraction(n, big) for n in ns)) for ns in nums)
+        assert got == sorted(_oracle_parallelepiped_points(rays, m)), rays
         det = 1
         for f in diag:
             det *= f
@@ -755,7 +768,15 @@ def test_parallelepiped_points_match_rational_solve():
         for point, frac in got:
             assert point == tuple(sum(c * r[i] for c, r in zip(frac, rays))
                                   for i in range(m))
-        checked += 1
+    for rays in fixed:
+        diag = xl.smith_normal_form(
+            xl.intmat_from_columns(rays, nrows=len(rays))).diag
+        assert sum(f > 1 for f in diag) >= 2, rays
+
+
+def test_parallelepiped_point_refuses_numerators_off_the_lattice():
+    with pytest.raises(InternalCheckError):
+        cc._parallelepiped_point((1, 0), 2, [(1, 0), (0, 2)])
 
 
 def _oracle_hilbert_basis(cone):
@@ -770,7 +791,7 @@ def _oracle_hilbert_basis(cone):
     inner = cc.RationalCone.from_rays([down(r) for r in cone.extreme_rays], m)
     candidates = {down(r) for r in cone.extreme_rays}
     for simplex in cc.pulling_triangulation(inner):
-        for point, _ in cc._parallelepiped_points(list(simplex), m):
+        for point, _ in _oracle_parallelepiped_points(list(simplex), m):
             candidates.add(point)
 
     def inside(v):
@@ -806,7 +827,7 @@ def _oracle_hilbert_basis_in_span(cone):
     inner = cc.RationalCone.from_rays(rays, m)
     candidates = set(rays)
     for simplex in cc.pulling_triangulation(inner):
-        for point, _ in cc._parallelepiped_points(list(simplex), m):
+        for point, _ in _oracle_parallelepiped_points(list(simplex), m):
             candidates.add(point)
     ranked = []
     for h in candidates:
@@ -942,6 +963,15 @@ def test_hilbert_basis_of_a_2001_element_cone():
     cone = cc.RationalCone.from_rays([(0, 1), (2000, -1999)], 2)
     assert cc.hilbert_basis(cone) == tuple(
         sorted((k, 1 - k) for k in range(2001)))
+
+
+def test_hilbert_basis_of_a_2002_element_3d_cone():
+    # (1,1,k) = p + q forces a summand with first coordinate 0, which is
+    # (0,1,0), and (1,0,k) is in the cone only for k = 0: the basis is the
+    # two rays and every (1,1,k), one per parallelepiped point
+    cone = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 2000)], 3)
+    assert cc.hilbert_basis(cone) == tuple(sorted(
+        [(1, 0, 0), (0, 1, 0)] + [(1, 1, k) for k in range(1, 2001)]))
 
 
 def test_hilbert_basis_matches_continued_fraction_up_to_a_million():

@@ -113,6 +113,10 @@ def test_an_element_split_unlike_the_ambient_is_refused():
         "MonoidIdeal": lambda: lib.MonoidIdeal(m, (bad,)),
         "MonoidIdeal.contains": lambda: lib.maximal_ideal(m).contains(bad),
         "MonoidHom.apply": lambda: lha.identity_hom(m).apply(bad),
+        "add": lambda: m.add(bad, m.generators[0]),
+        "neg": lambda: m.neg(bad),
+        "sub": lambda: m.sub(m.generators[0], bad),
+        "exponent_sum": lambda: mc.exponent_sum(m.ambient, (1,), (bad,)),
     }
     accepted = []
     for site, call in sites.items():
