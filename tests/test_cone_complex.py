@@ -927,6 +927,24 @@ def test_hilbert_basis_matches_oracle_embedded_2d(case):
     _assert_matches_oracle(*case)
 
 
+@st.composite
+def _embedded_3d_cones(draw):
+    """Three independent vectors of Z^4 and an integer combination of them:
+    a cone spanning a 3D subspace that is not a coordinate one, simplicial
+    or not, pointed or not."""
+    vec = st.tuples(*[st.integers(-2, 2)] * 4).filter(any)
+    gens = list(draw(st.tuples(vec, vec, vec).filter(lambda p: _rank(p) == 3)))
+    coeffs = draw(st.tuples(*[st.integers(-1, 2)] * 3))
+    extra = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(4))
+    return gens + [extra] * any(extra), 4
+
+
+@settings(_DIFFERENTIAL, max_examples=100)
+@given(_embedded_3d_cones())
+def test_hilbert_basis_matches_oracle_embedded_3d(case):
+    _assert_matches_oracle(*case)
+
+
 def _hj_digits(m, q):
     """m/q = a_1 - 1/(a_2 - 1/(... - 1/a_s)), every a_i >= 2, in exact
     rational arithmetic."""
