@@ -39,11 +39,13 @@ def _load_doc(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed, nested deeper than the recursion limit, or holding an
+        # integer longer than the int-to-str digit limit
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top-level value must be a JSON object")
@@ -264,274 +266,178 @@ def presentation_block(pres):
 
 
 def _emit(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    # an exact integer may have more digits than str() converts by default
+    # (Python >= 3.10.7 has a limit); lift it for this dump only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
-# shared verification helpers (--verify)
+# command handlers: (doc, path, args, warn) -> (JSON-ready dict, facts), where
+# facts are the arguments of the command's --verify checks
+
+_HANDLERS = {}
+_HELP = {}
 
 
-def _check(cond, msg):
-    if not cond:
-        raise InternalCheckError(f"verification failed: {msg}")
+def _command(name, help_text):
+    """Registers the decorated handler as the command ``name``."""
+    def register(handler):
+        _HANDLERS[name], _HELP[name] = handler, help_text
+        return handler
+    return register
 
 
-def _verify_relations_hold(group, images, relations, what):
-    for (u, v) in relations:
-        _check(mc.exponent_sum(group, u, images) ==
-               mc.exponent_sum(group, v, images),
-               f"{what}: images violate the relation {list(u)} = {list(v)}")
-
-
-# ---------------------------------------------------------------------------
-# command handlers: (doc, path, args, warn) -> JSON-ready dict
-
-
+@_command("gp", "Grothendieck group of a presented or affine monoid")
 def _h_gp(doc, path, args, warn):
     kind = _expect_kind(doc, {"monoid-presentation", "affine-monoid"}, path)
     if kind == "monoid-presentation":
         pres = parse_presentation(doc, path)
         group, images = mc.grothendieck_group(pres)
-        if args.verify:
-            _verify_relations_hold(group, images, pres.relations,
-                                   "grothendieck group")
     else:
         monoid = parse_monoid(doc, path, warn)
-        group, images = monoid.ambient, monoid.generators
+        pres, group, images = None, monoid.ambient, monoid.generators
     out = {"kind": "abelian-group"}
     out.update(group_block(group))
     out["generator_images"] = [_vec(im.as_vector()) for im in images]
-    return out
+    return out, (group, images, pres)
 
 
+@_command("int", "integralization of a monoid presentation")
 def _h_int(doc, path, args, warn):
     pres = parse_presentation(doc, path)
     monoid = mc.integralize(pres)
-    if args.verify:
-        _, images = mc.grothendieck_group(pres)
-        _verify_relations_hold(monoid.ambient, images, pres.relations,
-                               "integralization")
-    return monoid_block(monoid)
+    return monoid_block(monoid), (pres, monoid)
 
 
+@_command("sat", "saturation of a fine monoid")
 def _h_sat(doc, path, args, warn):
     monoid = _monoid_input(doc, path, warn)
     sat = mc.saturate(monoid)
-    if args.verify:
-        _check(mc.is_saturated(sat), "saturation is not saturated")
-        _check(all(sat.contains(g) for g in monoid.generators),
-               "saturation does not contain the original monoid")
-    return monoid_block(sat)
+    return monoid_block(sat), (monoid, sat)
 
 
-def _solver_units(monoid):
-    """The invertible generators by one membership test each, independent of
-    the incidence rule ``monoid_core.units`` reads them off."""
-    return [g for g in monoid.generators if monoid.contains(monoid.neg(g))]
-
-
+@_command("sharpen", "units and sharp quotient of a fine monoid")
 def _h_sharpen(doc, path, args, warn):
     monoid = _monoid_input(doc, path, warn)
     sharp = mc.sharpen(monoid)
     us = mc.units(monoid)
-    if args.verify:
-        _check(not _solver_units(sharp), "sharpening still has units")
-        solved = _solver_units(monoid)
-        _check(all(u in solved for u in us),
-               "a reported unit is not invertible")
-        _check(all(g in us for g in solved),
-               "an invertible generator is not reported")
     return {"kind": "sharpen-result",
             "units": _sorted_vecs(u.as_vector() for u in us),
-            "monoid": monoid_block(sharp)}
+            "monoid": monoid_block(sharp)}, (monoid, sharp, us)
 
 
+@_command("spec", "prime spectrum (faces) of a fine monoid")
 def _h_spec(doc, path, args, warn):
     monoid = _monoid_input(doc, path, warn)
     primes = mc.spec(monoid)
-    if args.verify:
-        face_sets = [frozenset(p.complement_face) for p in primes]
-        _check(frozenset(range(len(monoid.generators))) in face_sets,
-               "the improper face (all generators) is missing")
-        _check(len(set(face_sets)) == len(face_sets), "duplicate faces")
-        for a in face_sets:
-            for b in face_sets:
-                _check(a & b in face_sets,
-                       "faces are not closed under intersection")
-        # independent of the incidence rule: each set spans a face of the
-        # cone by the constraint-based test and holds every generator in it,
-        # and the facets of every listed face, found from its own normals,
-        # are listed, so every face is (all lie below the improper one)
-        free = [g.free for g in monoid.generators]
-        r = monoid.ambient.free_rank
-        cone = cc.RationalCone.from_rays(free, r)
-        for s in face_sets:
-            face = cc.RationalCone.from_rays([free[i] for i in s], r)
-            _check(cc.is_face_of(face, cone), "listed prime is not a face")
-            _check(all(i in s for i, v in enumerate(free)
-                       if face.contains(v)),
-                   "a face omits a generator it contains")
-            for f in cc.facets(face):
-                _check(frozenset(i for i, v in enumerate(free)
-                                 if f.contains(v)) in face_sets,
-                       "a facet of a listed face is missing")
     return {"kind": "spectrum",
             "count": len(primes),
             "primes": [{"complement_face": [int(i) for i in p.sorted_indices()]}
-                       for p in primes]}
+                       for p in primes]}, (monoid, primes)
 
 
+@_command("props", "sharp / saturated / toric / free predicates")
 def _h_props(doc, path, args, warn):
     monoid = _monoid_input(doc, path, warn)
     pred = mc.predicates(monoid)
-    if args.verify:
-        _check(not pred.is_toric or (pred.is_sharp and pred.is_saturated),
-               "toric verdict without sharp + saturated")
-        _check(not pred.is_free or pred.is_saturated,
-               "free verdict without saturation")
     return {"kind": "predicates",
             "is_sharp": pred.is_sharp,
             "is_saturated": pred.is_saturated,
             "is_toric": pred.is_toric,
-            "is_free": pred.is_free}
+            "is_free": pred.is_free}, (pred,)
 
 
+@_command("rank", "rank of the sharpened characteristic monoid")
 def _h_rank(doc, path, args, warn):
     monoid = _monoid_input(doc, path, warn)
     rank = mc.characteristic_rank(monoid)
-    if args.verify:
-        # rank M^gp / M^x = rank M^gp - rank M^x, and torsion has rank 0
-        r = monoid.ambient.free_rank
-        unit_span = xl.intmat_from_columns(
-            [u.as_vector()[:r] for u in _solver_units(monoid)], nrows=r)
-        _check(rank == r - len(xl.smith_normal_form(unit_span).diag),
-               "characteristic rank is not the rank of M^gp / M^x")
-    return {"kind": "characteristic-rank", "rank": int(rank)}
+    return {"kind": "characteristic-rank", "rank": int(rank)}, (monoid, rank)
 
 
+@_command("pushout", "pushout of two homs out of a shared source")
 def _h_pushout(doc, path, args, warn):
     _expect_kind(doc, {"pushout-request"}, path)
     left, right = _hom_pair(doc, path, warn, shared="source")
     if args.mode == "presentation":
         pres = mc.pushout(left, right, "presentation")
-        if args.verify:
-            _check(pres.ngens == len(left.target.generators) +
-                   len(right.target.generators),
-                   "presentation pushout has the wrong generator count")
-        return presentation_block(pres)
+        return presentation_block(pres), (args.mode, left, right, pres)
     result = mc.pushout_with_maps(left, right)
     monoid = result.monoid if args.mode == "fine" else mc.saturate(result.monoid)
-    if args.verify:
-        amb = result.monoid.ambient
-        for l_gen in left.source.generators:
-            lm = xl.apply(result.left_matrix, left.apply(l_gen).as_vector())
-            rm = xl.apply(result.right_matrix, right.apply(l_gen).as_vector())
-            _check(amb.reduce_vector(lm) == amb.reduce_vector(rm),
-                   "pushout square does not commute")
-        if args.mode == "fs":
-            _check(mc.is_saturated(monoid), "fs pushout is not saturated")
     out = {"kind": "pushout-result", "mode": args.mode}
     out["monoid"] = monoid_block(monoid)
     out["left_images"] = [_vec(im.as_vector()) for im in result.left_images]
     out["right_images"] = [_vec(im.as_vector()) for im in result.right_images]
-    return out
+    return out, (args.mode, left, right, result, monoid)
 
 
+@_command("fiber", "fiber product of two homs into a shared target")
 def _h_fiber(doc, path, args, warn):
     _expect_kind(doc, {"fiber-request"}, path)
     left, right = _hom_pair(doc, path, warn, shared="target")
     pairs = mc.fiber_product_generators(left, right)
     monoid = mc.fiber_product(left, right)
-    if args.verify:
-        for (m_el, n_el) in pairs:
-            _check(left.apply(m_el) == right.apply(n_el),
-                   "fiber pair does not equalize the two legs")
-            _check(left.source.contains(m_el) and right.source.contains(n_el),
-                   "fiber pair leaves the factors")
     emitted = sorted((m.as_vector(), n.as_vector()) for (m, n) in pairs)
     return {"kind": "fiber-result",
             "pairs": [[_vec(m), _vec(n)] for (m, n) in emitted],
-            "monoid": monoid_block(monoid)}
+            "monoid": monoid_block(monoid)}, (left, right, pairs)
 
 
+@_command("dual", "dual cone")
 def _h_dual(doc, path, args, warn):
     cone = parse_cone(doc, path, warn)
     dual = cc.dual_cone(cone)
-    if args.verify:
-        # independent of the swap: double description from the inequalities
-        _check(cc.RationalCone.from_rays(cc._signed(
-            cone.facet_normals, cone.span_equations), cone.dim) == dual,
-            "dual differs from the cone the facet normals generate")
-    return cone_block(dual)
+    return cone_block(dual), (cone, dual)
 
 
+@_command("faces", "face lattice of a cone")
 def _h_faces(doc, path, args, warn):
     cone = parse_cone(doc, path, warn)
     face_list = cc.faces(cone)
-    if args.verify:
-        # the cone and the facets of every listed face, found from its own
-        # normals, are listed, so every face is (all lie below the cone)
-        _check(cone in face_list, "the cone itself is missing")
-        for f in face_list:
-            _check(cc.is_face_of(f, cone), "listed face is not a face")
-            _check(all(g in face_list for g in cc.facets(f)),
-                   "a facet of a listed face is missing")
-        if len(face_list) <= 24:
-            for a in face_list:
-                for b in face_list:
-                    _check(cc.intersect(a, b) in face_list,
-                           "faces are not closed under intersection")
     return {"kind": "face-list",
             "count": len(face_list),
             "faces": [{"dimension": int(f.span_dim),
                        "rays": _sorted_vecs(f.generators)}
-                      for f in face_list]}
+                      for f in face_list]}, (cone, face_list)
 
 
+@_command("hilbert", "Hilbert basis of a pointed cone")
 def _h_hilbert(doc, path, args, warn):
     cone = parse_cone(doc, path, warn)
     basis = cc.hilbert_basis(cone)
-    if args.verify:
-        for h in basis:
-            _check(cone.contains(h), "Hilbert basis element outside the cone")
-        for h in basis:
-            for k in basis:
-                if h != k:
-                    diff = tuple(a - b for a, b in zip(h, k))
-                    _check(not (any(diff) and cone.contains(diff)),
-                           "Hilbert basis element is reducible")
     return {"kind": "hilbert-basis",
             "count": len(basis),
-            "vectors": _sorted_vecs(basis)}
+            "vectors": _sorted_vecs(basis)}, (cone, basis)
 
 
+@_command("regular", "regularity of a cone or fan")
 def _h_regular(doc, path, args, warn):
     kind = _expect_kind(doc, {"cone", "fan"}, path)
     if kind == "cone":
         cone = parse_cone(doc, path, warn)
         verdict = cc.is_regular(cone)
-        if args.verify and cone.is_simplicial and cone.is_strongly_convex:
-            _check(verdict == (cc.multiplicity(cone) == 1),
-                   "regularity disagrees with multiplicity")
+        facts = (verdict, cone)
     else:
         fan = parse_fan(doc, path, warn)
         verdict = fan.is_regular()
-        if args.verify:
-            _check(verdict == all(cc.is_regular(c) for c in fan.maximal_cones),
-                   "fan regularity disagrees with its cones")
-    return {"kind": "regularity", "is_regular": bool(verdict)}
+        facts = (verdict, None, fan)
+    return {"kind": "regularity", "is_regular": bool(verdict)}, facts
 
 
+@_command("mult", "multiplicity of a simplicial cone")
 def _h_mult(doc, path, args, warn):
     cone = parse_cone(doc, path, warn)
     m = cc.multiplicity(cone)
-    if args.verify:
-        _check(m >= 1, "multiplicity below one")
-        _check((m == 1) == cc.is_regular(cone),
-               "multiplicity one disagrees with regularity")
-    return {"kind": "multiplicity", "multiplicity": int(m)}
+    return {"kind": "multiplicity", "multiplicity": int(m)}, (cone, m)
 
 
+@_command("resolve", "subdivide a fan until it is regular")
 def _h_resolve(doc, path, args, warn):
     kind = _expect_kind(doc, {"cone", "fan"}, path)
     if kind == "cone":
@@ -540,162 +446,85 @@ def _h_resolve(doc, path, args, warn):
     else:
         fan = parse_fan(doc, path, warn)
     resolved = cc.resolve(fan)
-    if args.verify:
-        _check(resolved.is_regular(), "resolution is not regular")
-        for c in fan.maximal_cones:
-            for r in c.extreme_rays:
-                _check(resolved.support_contains(r),
-                       "resolution lost part of the support")
-    return fan_block(resolved)
+    return fan_block(resolved), (fan, resolved)
 
 
+@_command("blowup", "blowup charts of a monoid ideal")
 def _h_blowup(doc, path, args, warn):
     ideal = parse_ideal(doc, path, warn)
     charts = lib.blowup_charts(ideal.host, ideal)
     idempotent = lib.charts_are_idempotent(charts, ideal)
-    if args.verify:
-        for chart in charts:
-            for g in ideal.host.generators:
-                _check(chart.fine.contains(g.as_vector()),
-                       "blowup chart does not contain the host monoid")
-            _check(mc.is_saturated(chart.fs), "fs chart is not saturated")
     return {"kind": "blowup-charts",
             "count": len(charts),
             "idempotent": bool(idempotent),
             "charts": [{"center": _vec(chart.center.as_vector()),
                         "fine": monoid_block(chart.fine),
                         "fs": monoid_block(chart.fs)}
-                       for chart in charts]}
+                       for chart in charts]}, (ideal, charts)
 
 
+@_command("blowup-fan", "fan of the blowup of a toric monoid ideal")
 def _h_blowup_fan(doc, path, args, warn):
     ideal = parse_ideal(doc, path, warn)
     fan = lib.blowup_fan(ideal.host, ideal)
-    if args.verify:
-        sigma = cc.dual_cone(cc.RationalCone.from_rays(
-            [g.free for g in ideal.host.generators],
-            ideal.host.ambient.free_rank))
-        for c in fan.maximal_cones:
-            _check(sigma.contains_cone(c),
-                   "blowup fan leaves the dual cone of the host")
-    return fan_block(fan)
+    return fan_block(fan), (ideal, fan)
 
 
+@_command("hom-check", "Kato smoothness / etaleness of a hom (monoid side only)")
 def _h_hom_check(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     verdict = lha.kato_criterion(hom, residue_char=args.char)
-    if args.verify:
-        _check(not verdict.is_etale or verdict.is_smooth,
-               "etale verdict without smoothness")
     return {"kind": "smoothness-verdict",
             "residue_char": int(verdict.residue_char),
             "monoid_side_only": True,
             "is_smooth": verdict.is_smooth,
             "is_etale": verdict.is_etale,
             "gp_kernel": group_block(verdict.gp_kernel),
-            "gp_cokernel": group_block(verdict.gp_cokernel)}
+            "gp_cokernel": group_block(verdict.gp_cokernel)}, (verdict,)
 
 
+@_command("kummer", "Kummer verdict and relative characteristic of a hom")
 def _h_kummer(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     kummer = lha.is_kummer(hom)
     injective = lha.is_gp_injective(hom)
     relchar = lha.relative_characteristic(hom)
-    if args.verify:
-        _check(not kummer or injective, "Kummer verdict without injectivity")
     return {"kind": "kummer-verdict",
             "is_kummer": bool(kummer),
             "gp_injective": bool(injective),
-            "relative_characteristic": monoid_block(relchar)}
+            "relative_characteristic": monoid_block(relchar)}, (kummer, injective)
 
 
+@_command("neat", "how locally a neat chart exists: zariski / etale / fppf")
 def _h_neat(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     cls = lha.neat_chart_class(hom, residue_char=args.char)
-    if args.verify:
-        _check(cls in ("zariski", "etale", "fppf"), "unknown chart class")
     return {"kind": "neat-chart-class",
             "residue_char": int(args.char),
-            "class": cls}
+            "class": cls}, (cls,)
 
 
+@_command("diff-rank", "rank of the universal log differential module")
 def _h_diff_rank(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     rank = lha.differential_rank(hom, residue_char=args.char)
-    if args.verify:
-        _check(rank >= lha.gp_cokernel(hom).free_rank,
-               "differential rank below the cokernel free rank")
     return {"kind": "differential-rank",
             "residue_char": int(args.char),
             "rank": int(rank),
             "gp_injective": lha.is_gp_injective(hom),
-            "monoid_kernel_trivial": lha.monoid_kernel_trivial(hom)}
+            "monoid_kernel_trivial": lha.monoid_kernel_trivial(hom)}, (hom, rank)
 
 
+@_command("diff-pres", "symbolic presentation of the log differential module")
 def _h_diff_pres(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     pres = lha.universal_differential_presentation(hom)
-    if args.verify:
-        module, _ = xl.group_from_relations(
-            len(pres.symbols), list(pres.relation_columns))
-        _check(module == pres.module,
-               "module does not match its own presentation")
     return {"kind": "differential-presentation",
             "coefficient_ring": pres.coefficient_ring,
             "symbols": list(pres.symbols),
             "relations": [_vec(c) for c in pres.relation_columns],
-            "module": group_block(pres.module)}
+            "module": group_block(pres.module)}, (pres,)
 
-
-_HANDLERS = {
-    "gp": _h_gp,
-    "int": _h_int,
-    "sat": _h_sat,
-    "sharpen": _h_sharpen,
-    "spec": _h_spec,
-    "props": _h_props,
-    "rank": _h_rank,
-    "pushout": _h_pushout,
-    "fiber": _h_fiber,
-    "dual": _h_dual,
-    "faces": _h_faces,
-    "hilbert": _h_hilbert,
-    "regular": _h_regular,
-    "mult": _h_mult,
-    "resolve": _h_resolve,
-    "blowup": _h_blowup,
-    "blowup-fan": _h_blowup_fan,
-    "hom-check": _h_hom_check,
-    "kummer": _h_kummer,
-    "neat": _h_neat,
-    "diff-rank": _h_diff_rank,
-    "diff-pres": _h_diff_pres,
-}
-
-_HELP = {
-    "gp": "Grothendieck group of a presented or affine monoid",
-    "int": "integralization of a monoid presentation",
-    "sat": "saturation of a fine monoid",
-    "sharpen": "units and sharp quotient of a fine monoid",
-    "spec": "prime spectrum (faces) of a fine monoid",
-    "props": "sharp / saturated / toric / free predicates",
-    "rank": "rank of the sharpened characteristic monoid",
-    "pushout": "pushout of two homs out of a shared source",
-    "fiber": "fiber product of two homs into a shared target",
-    "dual": "dual cone",
-    "faces": "face lattice of a cone",
-    "hilbert": "Hilbert basis of a pointed cone",
-    "regular": "regularity of a cone or fan",
-    "mult": "multiplicity of a simplicial cone",
-    "resolve": "subdivide a fan until it is regular",
-    "blowup": "blowup charts of a monoid ideal",
-    "blowup-fan": "fan of the blowup of a toric monoid ideal",
-    "hom-check": "Kato smoothness / etaleness of a hom (monoid side only)",
-    "kummer": "Kummer verdict and relative characteristic of a hom",
-    "neat": "how locally a neat chart exists: zariski / etale / fppf",
-    "diff-rank": "rank of the universal log differential module",
-    "diff-pres": "symbolic presentation of the log differential module",
-}
 
 _WITH_MODE = {"pushout"}
 _WITH_CHAR = {"hom-check", "neat", "diff-rank"}
@@ -747,14 +576,20 @@ def main(argv=None):
         # argparse exits 2 on usage errors; the documented usage code is 1
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
+    check = None
+    if args.verify:
+        from . import _verify
+        check = getattr(_verify, "check_" + args.command.replace("-", "_"))
     try:
         outputs = []
         for path in args.files:
             doc = _load_doc(path)
-            result = _HANDLERS[args.command](doc, path, args, _warn)
+            result, facts = _HANDLERS[args.command](doc, path, args, _warn)
+            if check is not None:
+                names = ", ".join(check(*facts)) or "none"
+                print(f"verify: {args.command} {path}: {names}: ok",
+                      file=sys.stderr)
             outputs.append(_emit(result))
-            if args.verify:
-                print(f"verify: {args.command} {path}: ok", file=sys.stderr)
         text = "".join(outputs)
         if args.out:
             try:

@@ -395,29 +395,8 @@ def dual_cone(cone):
                         span_equations=cone.lineality)
 
 
-def intersect(a, b):
-    if a.dim != b.dim:
-        raise InputError("cones live in different dimensions")
-    return cone_from_constraints(
-        a.facet_normals + b.facet_normals,
-        a.span_equations + b.span_equations, a.dim)
-
-
 # ---------------------------------------------------------------------------
 # faces
-
-
-def face_by_normal(cone, normal):
-    """The face cut out by one valid inequality: generated by the cone
-    generators the normal vanishes on."""
-    gens = [g for g in cone.generators if vdot(normal, g) == 0]
-    return RationalCone.from_rays(gens, cone.dim)
-
-
-def facets(cone):
-    """Codimension-one faces, one per facet normal, canonically sorted."""
-    out = {face_by_normal(cone, n) for n in cone.facet_normals}
-    return sorted(out, key=RationalCone.sort_key)
 
 
 def face_sets(vectors, normals):
@@ -450,32 +429,8 @@ def faces(cone):
     return sorted(out, key=RationalCone.sort_key)
 
 
-def smallest_containing_face(cone, vectors):
-    """The smallest face of ``cone`` containing all the vectors."""
-    for v in vectors:
-        if not cone.contains(v):
-            raise DomainError("vector outside the cone")
-    tight = [n for n in cone.facet_normals
-             if all(vdot(n, v) == 0 for v in vectors)]
-    return cone_from_constraints(
-        cone.facet_normals, cone.span_equations + tuple(tight), cone.dim)
-
-
-def is_face_of(face, cone):
-    """Whether ``face`` (a cone) is a face of ``cone``."""
-    if not all(cone.contains(g) for g in face.generators):
-        return False
-    return face == smallest_containing_face(cone, face.generators)
-
-
 # ---------------------------------------------------------------------------
 # span-lattice coordinates, multiplicity, Hilbert bases
-
-
-def _span_lattice_basis(cone):
-    """Canonical basis of span(cone) intersected with Z^dim, for a cone
-    that is not full-dimensional."""
-    return _saturated_kernel(cone.span_equations, cone.dim)
 
 
 def _to_span_coords(cone):
@@ -489,7 +444,7 @@ def _to_span_coords(cone):
         def same(v):
             return tuple(int(x) for x in v)
         return same, same, cone.dim
-    basis = _span_lattice_basis(cone)
+    basis = _saturated_kernel(cone.span_equations, cone.dim)
     m = len(basis)
     outside, _, coords = _quotient_maps(basis, cone.dim)
 
@@ -996,28 +951,6 @@ def stellar_subdivision(fan, point, validate=True):
     if validate:
         out.validate()
     return out
-
-
-def barycentric_subdivision(fan, validate=True):
-    """Stellar subdivision at every face barycenter, in descending dimension.
-
-    The barycenter of a face is the sum of its primitive extreme rays; faces
-    of dimension <= 1 are fixed points of the operation and are skipped.
-    """
-    faces_by_dim = {}
-    for f in fan.all_cones():
-        if f.span_dim >= 2:
-            faces_by_dim.setdefault(f.span_dim, []).append(f)
-    current = fan
-    for d in sorted(faces_by_dim, reverse=True):
-        for f in sorted(faces_by_dim[d], key=RationalCone.sort_key):
-            barycenter = f.extreme_rays[0]
-            for r in f.extreme_rays[1:]:
-                barycenter = vadd(barycenter, r)
-            current, _ = _stellar_pieces(current, primitive(barycenter))
-    if validate:
-        current.validate()
-    return current
 
 
 # ---------------------------------------------------------------------------

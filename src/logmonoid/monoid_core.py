@@ -270,22 +270,6 @@ def trivial_monoid():
     return AffineMonoid._spanning(xl.FgAbelianGroup(0, ()), ())
 
 
-def group_monoid(group):
-    """A finitely generated abelian group viewed as a monoid (all units)."""
-    gens = []
-    for i in range(group.free_rank):
-        e = [0] * group.lift_dim
-        e[i] = 1
-        gens.append(tuple(e))
-        gens.append(tuple(-x for x in e))
-    for j in range(len(group.invariant_factors)):
-        e = [0] * group.lift_dim
-        e[group.free_rank + j] = 1
-        gens.append(tuple(e))
-    # the basis vectors of the lift coordinates span the group
-    return AffineMonoid._spanning(group, [element_of(group, g) for g in gens])
-
-
 # ---------------------------------------------------------------------------
 # membership
 
@@ -441,13 +425,6 @@ def sharpen(monoid):
     # images of a spanning set under a surjection; M/M^x is sharp, so the
     # scan keeps a generating set of the same monoid
     return AffineMonoid._spanning(quot, _irreducibles(quot, images))
-
-
-def minimal_generators(monoid):
-    """The unique minimal generating set of a sharp affine monoid."""
-    if units(monoid):
-        raise DomainError("minimal generating sets are defined for sharp monoids")
-    return _irreducibles(monoid.ambient, monoid.generators)
 
 
 def _irreducibles(ambient, generators):

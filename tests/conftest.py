@@ -5,6 +5,20 @@ import inspect
 import pytest
 
 import logmonoid.exact_lattice as xl
+import logmonoid.monoid_core as mc
+
+
+def group_monoid(group):
+    """A finitely generated abelian group viewed as a monoid (all units):
+    the basis vectors of its lift coordinates, and the negatives of the
+    free ones."""
+    gens = []
+    for i in range(group.lift_dim):
+        e = tuple(int(i == j) for j in range(group.lift_dim))
+        gens.append(e)
+        if i < group.free_rank:
+            gens.append(tuple(-x for x in e))
+    return mc.AffineMonoid(group, gens)
 
 
 @pytest.fixture

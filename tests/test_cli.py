@@ -7,6 +7,7 @@ output is canonical JSON on stdout; warnings and verification notes go to
 stderr only.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
+import logmonoid.log_ideal_blowup as lib
 import logmonoid.monoid_core as mc
-from logmonoid import cli
+from logmonoid import _verify, cli
 from logmonoid.errors import InternalCheckError
 
 
@@ -117,9 +119,21 @@ def test_verify_checks_relations_modulo_torsion(tmp_path):
 def test_verify_relations_rejects_a_violated_relation():
     group = xl.FgAbelianGroup(0, (4,))
     images = [mc.element_of(group, (2,)), mc.element_of(group, (3,))]
-    cli._verify_relations_hold(group, images, [((2, 0), (0, 0))], "z4")
+    _verify._verify_relations_hold(group, images, [((2, 0), (0, 0))], "z4")
     with pytest.raises(InternalCheckError):
-        cli._verify_relations_hold(group, images, [((1, 0), (0, 1))], "z4")
+        _verify._verify_relations_hold(group, images, [((1, 0), (0, 1))], "z4")
+
+
+def test_multiplicity_beyond_the_digit_limit_is_exact(tmp_path):
+    # rays (N,1,0), (0,N,1), (1,0,N) with N = 10^2000: the determinant
+    # N^3 + 1 has 6,001 digits, more than str() converts by default
+    n = 10 ** 2000
+    p = write_doc(tmp_path / "cone.json", {
+        "kind": "cone", "dim": 3, "rays": [[n, 1, 0], [0, n, 1], [1, 0, n]]})
+    proc = run_cli("mult", p)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ('{\n  "kind": "multiplicity",\n  "multiplicity": 1'
+                           + "0" * 5999 + "1\n}\n")
 
 
 def test_nonprimitive_ray_warns_but_succeeds(tmp_path):
@@ -166,9 +180,18 @@ def test_missing_file_exits_1(tmp_path):
     assert "error:" in proc.stderr
 
 
-def test_malformed_json_exits_1(tmp_path):
+@pytest.mark.parametrize("content", [
+    b"{not json",
+    # beyond the parser's recursion limit
+    b"[" * 100000 + b"]" * 100000,
+    # beyond Python's int-to-str digit limit of 4,300
+    b"1" * 5000,
+    b"\xff\xfe",
+], ids=["not-json", "nested-100000-deep", "integer-of-5000-digits",
+        "not-utf8"])
+def test_malformed_json_exits_1(tmp_path, content):
     p = tmp_path / "broken.json"
-    p.write_text("{not json")
+    p.write_bytes(content)
     proc = run_cli("gp", str(p))
     assert proc.returncode == 1
     assert "error:" in proc.stderr
@@ -470,6 +493,55 @@ def test_all_units_monoid(tmp_path, command, expected):
     assert proc.returncode == 0
     assert proc.stdout == json.dumps(expected, indent=2) + "\n"
     assert proc.stderr == ""
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cases"
+
+
+def _golden_doc(case, name):
+    return json.loads((GOLDEN / case / name).read_text())
+
+
+def _zero_matrix(mat):
+    return xl.IntMatrix(tuple((0,) * mat.ncols for _ in mat.rows), mat.ncols)
+
+
+@pytest.mark.parametrize("command, doc, owner, name, wrong, message", [
+    ("dual", _golden_doc("dual-flag", "cone.json"), cc, "dual_cone",
+     lambda dual, cone: cone,
+     "dual differs from the cone the facet normals generate"),
+    ("hilbert", _golden_doc("hilbert-flag", "cone.json"), cc, "hilbert_basis",
+     lambda basis, cone: [*basis, cc.vadd(basis[0], basis[1])],
+     "Hilbert basis element is reducible"),
+    ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "resolve",
+     lambda resolved, fan: fan, "resolution is not regular"),
+    ("pushout", _golden_doc("pushout-kummer-fine", "request.json"), mc,
+     "pushout_with_maps",
+     lambda result, left, right: dataclasses.replace(
+         result, right_matrix=_zero_matrix(result.right_matrix)),
+     "pushout square does not commute"),
+    ("fiber", _golden_doc("fiber-sum", "request.json"), mc,
+     "fiber_product_generators",
+     lambda pairs, left, right: [(m, right.source.zero) for m, _ in pairs],
+     "fiber pair does not equalize the two legs"),
+    # the ideal (x^2, y^2) of N^2: its fine charts are not saturated
+    ("blowup", {"kind": "ideal", "monoid": N2, "generators": [[2, 0], [0, 2]]},
+     lib, "blowup_charts",
+     lambda charts, host, ideal: [dataclasses.replace(c, fs=c.fine)
+                                  for c in charts],
+     "fs chart is not saturated"),
+], ids=["dual", "hilbert", "resolve", "pushout", "fiber", "blowup"])
+def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
+                                       doc, owner, name, wrong, message):
+    p = write_doc(tmp_path / "in.json", doc)
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: wrong(real(*args), *args))
+    assert cli.main([command, p]) == 0
+    capsys.readouterr()
+    assert cli.main([command, "--verify", p]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_unexpected_exception_exits_3(tmp_path, monkeypatch, capsys):

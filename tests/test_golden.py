@@ -8,6 +8,7 @@ and review the diff.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,23 @@ def test_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_verify_layer_loads_only_under_the_flag():
+    code = "import sys, logmonoid.cli; print('logmonoid._verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    case_dir = Path(__file__).parent / "golden" / "cases" / "gp-cusp"
+    traced = ("-X", "importtime", "-m", "logmonoid")
+    plain = run_case(case_dir, launcher=traced)
+    assert plain.returncode == 0
+    assert b"logmonoid._verify" not in plain.stderr
+    checked = run_case(case_dir, launcher=traced, options=["--verify"])
+    assert checked.returncode == 0
+    assert b"logmonoid._verify" in checked.stderr
+    # verify: <command> <path>: <check names>: ok
+    report = [line for line in checked.stderr.splitlines()
+              if line.startswith(b"verify: ")]
+    assert len(report) == 1
+    assert re.fullmatch(rb"verify: gp \S+: \w+(, \w+)*: ok", report[0])

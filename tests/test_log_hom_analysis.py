@@ -21,6 +21,7 @@ import logmonoid.exact_lattice as xl
 import logmonoid.log_hom_analysis as lha
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError
+from conftest import group_monoid
 from test_monoid_core import _monoids
 
 
@@ -260,7 +261,7 @@ def test_is_kummer_matches_solver_oracle(hom):
 
 
 def test_kummer_of_a_large_index_takes_no_solver(monkeypatch):
-    finite = mc.group_monoid(xl.FgAbelianGroup(0, (2, 6)))
+    finite = group_monoid(xl.FgAbelianGroup(0, (2, 6)))
     homs = [
         (_hom(_free(1), _free(1), [[3000]]), True),
         (_hom(_free(1), _free(2), [[3000], [0]]), False),

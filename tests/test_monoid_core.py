@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
-from logmonoid.errors import DomainError, InputError
+from logmonoid._verify import facets
+from logmonoid.errors import InputError
+
+from conftest import group_monoid
 
 
 # ---------------------------------------------------------------------------
@@ -342,32 +345,25 @@ def test_sharpen_of_sharp_monoid_is_identity_shaped():
     m = mc.AffineMonoid.from_vectors([(1, 0), (0, 1)])
     sharp = mc.sharpen(m)
     assert sharp.same_submonoid(m)
+    # a sharp monoid keeps its unique minimal generating set
+    m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2), (2, 2), (3, 1)])
+    assert sorted(g.as_vector() for g in mc.sharpen(m).generators) == \
+        [(1, 0), (1, 1), (1, 2)]
 
 
 def test_group_monoid_is_all_units():
     g = xl.FgAbelianGroup(1, (2,))
-    m = mc.group_monoid(g)
+    m = group_monoid(g)
     assert len(mc.units(m)) == len(m.generators)
     sharp = mc.sharpen(m)
     assert sharp.ambient.is_trivial
-
-
-def test_minimal_generators_unique():
-    m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2), (2, 2), (3, 1)])
-    mins = mc.minimal_generators(m)
-    assert sorted(g.as_vector() for g in mins) == [(1, 0), (1, 1), (1, 2)]
-    free = mc.free_monoid(3)
-    assert len(mc.minimal_generators(free)) == 3
-    units_monoid = mc.AffineMonoid.from_vectors([(1,), (-1,)])
-    with pytest.raises(DomainError):
-        mc.minimal_generators(units_monoid)
 
 
 def test_characteristic_rank():
     assert mc.characteristic_rank(mc.free_monoid(3)) == 3
     mixed = mc.AffineMonoid.from_vectors([(1, 0), (-1, 0), (0, 1)])
     assert mc.characteristic_rank(mixed) == 1
-    grp = mc.group_monoid(xl.FgAbelianGroup(2, ()))
+    grp = group_monoid(xl.FgAbelianGroup(2, ()))
     assert mc.characteristic_rank(grp) == 0
 
 
@@ -450,7 +446,7 @@ def test_spec_matches_bounded_face_oracle():
 
 
 def test_spec_of_group_monoid_is_a_point():
-    m = mc.group_monoid(xl.FgAbelianGroup(1, ()))
+    m = group_monoid(xl.FgAbelianGroup(1, ()))
     primes = mc.spec(m)
     assert len(primes) == 1
     assert primes[0].complement_face == frozenset(range(len(m.generators)))
@@ -470,7 +466,7 @@ def _oracle_spec(monoid):
     while frontier:
         nxt = []
         for c in frontier:
-            for f in cc.facets(c):
+            for f in facets(c):
                 if f not in found:
                     found.add(f)
                     nxt.append(f)
@@ -540,7 +536,7 @@ CONE_OF_FREE_PARTS_CALLS = [
                                             (0, -1, 1)]), 1),
     (partial(mc.AffineMonoid.from_vectors, [(1, 0), (-1, 0), (0, 1)]), 1),
     (partial(mc.AffineMonoid.from_vectors, [(1, 1), (2, 0)], (4,)), 1),
-    (partial(mc.group_monoid, xl.FgAbelianGroup(0, (2, 6))), 0),
+    (partial(group_monoid, xl.FgAbelianGroup(0, (2, 6))), 0),
     (partial(mc.trivial_monoid), 0),
     (partial(_all_units), 1),
 ]
@@ -580,7 +576,7 @@ def test_units_of_the_all_units_monoid_need_no_solver(no_solver):
 
 
 @pytest.mark.parametrize("monoid", [
-    partial(_all_units), partial(mc.group_monoid, xl.FgAbelianGroup(2, (2,))),
+    partial(_all_units), partial(group_monoid, xl.FgAbelianGroup(2, (2,))),
     partial(mc.trivial_monoid)])
 def test_a_group_is_saturated_without_a_membership_test(monoid, no_solver):
     monoid = monoid()
@@ -611,7 +607,7 @@ def test_is_saturated_matches_the_membership_oracle(monoid):
 
 
 SPANNING_SITES = {"span_submonoid", "free_monoid", "trivial_monoid",
-                  "group_monoid", "integralize", "saturate", "sharpen",
+                  "integralize", "saturate", "sharpen",
                   "pushout_with_maps", "relative_characteristic",
                   "blowup_charts"}
 
@@ -645,7 +641,6 @@ def test_trusted_construction_matches_the_public_one(data):
         monoid = data.draw(_monoids(max_gens=4))
         amb, gens = monoid.ambient, monoid.generators
         mc.trivial_monoid()
-        mc.group_monoid(amb)
         mc.integralize(mc.presentation_of(monoid))
         mc.saturate(monoid)
         mc.sharpen(monoid)
@@ -788,7 +783,7 @@ def test_fiber_product_solutions_are_generated():
 
 def test_fiber_product_with_torsion_target():
     # legs into Z/2: fiber product of N -> Z/2 (1 -> 1bar) with itself
-    z2 = mc.group_monoid(xl.FgAbelianGroup(0, (2,)))
+    z2 = group_monoid(xl.FgAbelianGroup(0, (2,)))
     n1 = mc.free_monoid(1)
     leg = _hom(n1, z2, [[1]])
     pairs = mc.fiber_product_generators(leg, leg)
