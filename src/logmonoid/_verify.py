@@ -91,6 +91,9 @@ def check_gp(group, images, pres):
         _verify_relations_hold(group, images, pres.relations,
                                "grothendieck group")
         yield "relations"
+    quot, _ = xl.quotient_presentation(group, [g.as_vector() for g in images])
+    yield _check(quot.is_trivial, "generator images do not generate the group",
+                 "generates")
 
 
 def check_int(pres, monoid):
@@ -221,9 +224,12 @@ def check_regular(verdict, cone, fan=None):
     if fan is not None:
         yield _check(verdict == all(cc.is_regular(c) for c in fan.maximal_cones),
                      "fan regularity disagrees with its cones", "cones")
-    elif cone.is_simplicial and cone.is_strongly_convex:
+    elif cone.is_simplicial:
         yield _check(verdict == (cc.multiplicity(cone) == 1),
                      "regularity disagrees with multiplicity", "multiplicity")
+    else:
+        yield _check(not verdict, "a cone that is not simplicial is regular",
+                     "simplicial")
 
 
 def check_mult(cone, mult):

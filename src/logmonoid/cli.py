@@ -586,7 +586,7 @@ def main(argv=None):
             doc = _load_doc(path)
             result, facts = _HANDLERS[args.command](doc, path, args, _warn)
             if check is not None:
-                names = ", ".join(check(*facts)) or "none"
+                names = ", ".join(check(*facts))
                 print(f"verify: {args.command} {path}: {names}: ok",
                       file=sys.stderr)
             outputs.append(_emit(result))

@@ -202,7 +202,7 @@ def extreme_rays_of_halfspaces(normals, dim):
     sets are exact (a combination of two rays is tight exactly where both
     are), so ``_extreme_classes`` keeps the extreme rays by incidence alone.
     """
-    normals = [tuple(int(x) for x in n) for n in normals]
+    normals = [xl._as_ints(n) for n in normals]
     for n in normals:
         if len(n) != dim:
             raise InputError("normal of wrong length")
@@ -279,7 +279,7 @@ class RationalCone:
     def from_rays(cls, vectors, dim):
         vecs = []
         for v in vectors:
-            v = tuple(int(x) for x in v)
+            v = xl._as_ints(v)
             if len(v) != dim:
                 raise InputError("ray of wrong length")
             if any(v):
@@ -343,7 +343,7 @@ class RationalCone:
         return (self.span_dim, self.extreme_rays, self.lineality)
 
     def contains(self, v):
-        v = tuple(int(x) for x in v)
+        v = xl._as_ints(v)
         if len(v) != self.dim:
             raise InputError("vector of wrong length")
         return all(vdot(eq, v) == 0 for eq in self.span_equations) and \

@@ -18,12 +18,24 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, ge, mul
+from operator import add, ge, index, mul
 
 from .errors import DomainError, InputError, InternalCheckError
 
 # ---------------------------------------------------------------------------
 # matrix helpers
+
+
+def _as_ints(values):
+    """The integers ``values`` as a tuple of ints.
+
+    Accepts what ``operator.index`` accepts, so 0.5 or "1" is refused with
+    an InputError instead of being truncated or parsed.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InputError(f"expected integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -290,8 +302,11 @@ def _kernel_columns(dec):
 
 
 def _check_rhs(a, b):
+    """The right-hand side ``b`` of a system with matrix ``a``, as ints."""
+    b = _as_ints(b)
     if len(b) != a.shape[0]:
         raise InputError("right-hand side has wrong length")
+    return b
 
 
 def solve_integer(a, b):
@@ -301,9 +316,8 @@ def solve_integer(a, b):
     kernel coordinates of the Smith decomposition.
     """
     a = _as_matrix(a)
-    _check_rhs(a, b)
     dec = _snf_full(a)
-    w = apply(dec.left, map(int, b))
+    w = apply(dec.left, _check_rhs(a, b))
     s = len(dec.diag)
     if any(w[s:]) or any(x % di for x, di in zip(w, dec.diag)):
         return None
@@ -368,9 +382,11 @@ class FgAbelianGroup:
     invariant_factors: tuple = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        (rank,) = _as_ints((self.free_rank,))
+        if rank < 0:
             raise InputError("negative free rank")
-        fs = tuple(int(f) for f in self.invariant_factors)
+        fs = _as_ints(self.invariant_factors)
+        object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "invariant_factors", fs)
         for f in fs:
             if f < 2:
@@ -393,7 +409,7 @@ class FgAbelianGroup:
 
     def reduce_vector(self, vec):
         """Canonical lift coordinates: torsion entries reduced into [0, f)."""
-        vec = tuple(int(x) for x in vec)
+        vec = _as_ints(vec)
         if len(vec) != self.lift_dim:
             raise InputError(
                 f"vector of length {len(vec)} in group of lift dimension {self.lift_dim}")
@@ -401,21 +417,15 @@ class FgAbelianGroup:
         tors = tuple(vec[r + i] % f for i, f in enumerate(self.invariant_factors))
         return vec[:r] + tors
 
-    def relation_columns(self, signs=(1,)):
-        """Columns generating the relation lattice of the lift presentation.
-
-        One column s * f_i * e_(r+i) per invariant factor f_i and per sign s
-        in ``signs``, in that order.  With ``signs`` (-1,) or (1, -1) these
-        are the torsion slack columns of a nonnegative system: a slack
-        variable >= 0 then subtracts (or adds or subtracts) multiples of f_i.
-        """
+    def relation_columns(self):
+        """Columns generating the relation lattice of the lift presentation:
+        f_i * e_(r+i) for each invariant factor f_i, in order."""
         cols = []
         r = self.free_rank
         for i, f in enumerate(self.invariant_factors):
-            for s in signs:
-                e = [0] * self.lift_dim
-                e[r + i] = s * f
-                cols.append(tuple(e))
+            e = [0] * self.lift_dim
+            e[r + i] = f
+            cols.append(tuple(e))
         return cols
 
     def add(self, x, y):
@@ -521,7 +531,7 @@ def quotient_presentation(group, extra_columns):
     with ``proj`` mapping lift coordinates of ``group`` to lift coordinates of
     the quotient.
     """
-    cols = group.relation_columns() + [tuple(int(x) for x in c) for c in extra_columns]
+    cols = group.relation_columns() + [_as_ints(c) for c in extra_columns]
     return group_from_relations(group.lift_dim, cols)
 
 
@@ -597,19 +607,14 @@ def hom_cokernel(source, target, matrix):
 # nonnegative integer solving (Contejean-Devie)
 
 
-def _check_bounds(bounds, n):
-    """``coordinate_bounds`` as a list of n caps (None for no cap)."""
-    if not isinstance(bounds, (list, tuple)) or len(bounds) != n:
-        raise InputError(f"coordinate_bounds must be a list of {n} entries")
-    for b in bounds:
-        if b is not None and (type(b) is not int or b < 0):
-            raise InputError(
-                f"coordinate bounds must be None or integers >= 0, got {b!r}")
-    return list(bounds)
+def _gram(cols):
+    """The Gram matrix of the columns: G[i][j] = <cols[i], cols[j]>."""
+    return [tuple([sum(map(mul, u, v)) for v in cols]) for u in cols]
 
 
-def minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
-    """All minimal nonzero solutions of a x = 0 with x >= 0 integral.
+def _minimal_solutions(gram, capped=False):
+    """The minimal nonzero solutions of a x = 0 with x >= 0 integral, given
+    the Gram matrix G = A^T A of the columns of a.
 
     The incremental search of Contejean and Devie ("An efficient incremental
     algorithm for solving systems of linear Diophantine equations",
@@ -618,12 +623,12 @@ def minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
     only when <A t, A e_i> < 0.  Each minimal solution s is reached: for
     t < s, sum_i (s - t)_i <A t, A e_i> = -|A t|^2 < 0, so some coordinate
     with t_i < s_i has a negative score.  The frontier tuples with A t = 0
-    of each level are the minimal solutions of that degree, returned in
-    sorted order.  Three devices keep the search cheap:
+    of each level are the minimal solutions of that degree, yielded in
+    sorted order before the next level is built, so a caller that stops
+    iterating stops the search.  Three devices keep the search cheap:
 
-      - scores: with the Gram matrix G = A^T A, each tuple carries its
-        scores G t and its norm |A t|^2, so t + e_i costs one row add
-        (scores + G[i], norm + 2 (G t)_i + G[i][i]);
+      - scores: each tuple carries its scores G t and its norm |A t|^2, so
+        t + e_i costs one row add (scores + G[i], norm + 2 (G t)_i + G[i][i]);
       - domination index: frontier tuples are never above a known minimal
         solution, so t + e_i can only be above a minimal s with
         s_i = t_i + 1; the minimals are indexed by (coordinate, value);
@@ -633,47 +638,30 @@ def minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
         children with j < i, j is frozen in t + e_i: a minimal solution s
         above t not yet found is reached through the least i with
         t_i < s_i and a negative score, so s_j = t_j for every smaller
-        child coordinate j and for every j frozen above.  A coordinate at
-        its cap is frozen.  A tuple reached from several parents keeps the
-        intersection of their frozen sets, so every minimal solution stays
-        reachable.
+        child coordinate j and for every j frozen above.  A tuple reached
+        from several parents keeps the intersection of their frozen sets,
+        so every minimal solution stays reachable.
 
-    ``coordinate_bounds`` optionally caps individual coordinates: a list of
-    n entries, each None or an int >= 0 (sound for recovering the minimal
-    solutions within those caps, since every minimal solution is reached by
-    a coordinatewise-monotone path).  ``stop`` is an optional predicate;
-    the search returns early with the solutions found so far as soon as a
-    freshly found minimal solution satisfies it.
+    ``capped`` freezes the last coordinate once it is 1, which yields the
+    minimal solutions whose last coordinate is at most 1 (every minimal
+    solution is reached by a coordinatewise-monotone path).
     """
-    a = _as_matrix(a)
-    n = a.shape[1]
-    caps = [None] * n if coordinate_bounds is None \
-        else _check_bounds(coordinate_bounds, n)
-    if n == 0:
-        return []
-    cols = mat_columns(a)
-    gram = [tuple([sum(map(mul, u, v)) for v in cols]) for u in cols]
-
+    n = len(gram)
+    cap = 1 << (n - 1) if capped else 0
     frontier = {}
-    frozen = sum(1 << i for i in range(n) if caps[i] == 0)
+    frozen = 0
     for i in range(n):
-        if caps[i] == 0:
-            continue
         e = tuple(1 if k == i else 0 for k in range(n))
-        cap = 1 << i if caps[i] == 1 else 0
-        frontier[e] = [gram[i], gram[i][i], frozen | cap]
+        frontier[e] = [gram[i], gram[i][i], frozen | (1 << i & cap)]
         frozen |= 1 << i
 
-    minimals = []
     index = {}
     while frontier:
         for t in sorted(t for t, node in frontier.items() if node[1] == 0):
-            minimals.append(t)
             for i, v in enumerate(t):
                 if v:
                     index.setdefault((i, v), []).append(t)
-            if stop is not None and stop(t):
-                return minimals
+            yield t
         nxt = {}
         for t, (sc, nrm, frozen) in frontier.items():
             if nrm == 0:
@@ -689,9 +677,9 @@ def minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
                     if bucket and any(all(map(ge, t2, s)) for s in bucket):
                         frozen |= 1 << i
                         continue
-                kids.append((i, v, t2))
-            for i, v, t2 in kids:
-                mask = frozen | (1 << i if v == caps[i] else 0)
+                kids.append((i, t2))
+            for i, t2 in kids:
+                mask = frozen | (1 << i & cap)
                 node = nxt.get(t2)
                 if node is None:
                     row = gram[i]
@@ -701,19 +689,29 @@ def minimal_nonneg_solutions(a, *, coordinate_bounds=None, stop=None):
                     node[2] &= mask
                 frozen |= 1 << i
         frontier = nxt
-    return minimals
 
 
-def _inhomogeneous_minimal_solutions(a, b, *, stop_first=False):
-    """Minimal nonneg solutions of a x = b via homogenization."""
+def minimal_nonneg_solutions(a):
+    """All minimal nonzero solutions of a x = 0 with x >= 0 integral, level
+    by level (by degree) and sorted within a level (``_minimal_solutions``)."""
+    return list(_minimal_solutions(_gram(mat_columns(_as_matrix(a)))))
+
+
+def _nonneg_solutions(a, b):
+    """The minimal solutions x >= 0 of a x = b, in the order of the search.
+
+    Homogenized: they are the minimal solutions (x, 1) of [a | -b] (x, y) = 0
+    with y <= 1.  For b = 0 the only one is x = 0.  The search finds it
+    first, but would then go through every homogeneous solution of a before
+    ``solve_nonneg`` learns that no other comes, so it is not run.
+    """
     a = _as_matrix(a)
-    _check_rhs(a, b)
+    b = _check_rhs(a, b)
     n = a.shape[1]
-    hom = IntMatrix(tuple(r + (-int(x),) for r, x in zip(a.rows, b)), n + 1)
-    bounds = [None] * n + [1]
-    stop = (lambda t: t[n] == 1) if stop_first else None
-    sols = minimal_nonneg_solutions(hom, coordinate_bounds=bounds, stop=stop)
-    return [s[:n] for s in sols if s[n] == 1]
+    if not any(b):
+        return iter([(0,) * n])
+    gram = _gram(mat_columns(a) + [tuple(-x for x in b)])
+    return (s[:n] for s in _minimal_solutions(gram, capped=True) if s[n])
 
 
 def solve_nonneg(a, b):
@@ -723,21 +721,9 @@ def solve_nonneg(a, b):
     (The lex-smallest solution is componentwise-minimal, and the search
     enumerates all minimal solutions.)
     """
-    a = _as_matrix(a)
-    _check_rhs(a, b)
-    n = a.shape[1]
-    if all(int(x) == 0 for x in b):
-        return (0,) * n
-    if n == 0:
-        return None
-    sols = _inhomogeneous_minimal_solutions(a, b)
-    return min(sols) if sols else None
+    return min(_nonneg_solutions(a, b), default=None)
 
 
 def has_nonneg_solution(a, b):
     """Whether a x = b has any nonnegative integer solution."""
-    if all(int(x) == 0 for x in b):
-        return True
-    if _as_matrix(a).shape[1] == 0:
-        return False
-    return bool(_inhomogeneous_minimal_solutions(a, b, stop_first=True))
+    return next(_nonneg_solutions(a, b), None) is not None

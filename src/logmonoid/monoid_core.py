@@ -53,8 +53,8 @@ class MonoidElement:
     torsion: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "free", tuple(int(x) for x in self.free))
-        object.__setattr__(self, "torsion", tuple(int(x) for x in self.torsion))
+        object.__setattr__(self, "free", xl._as_ints(self.free))
+        object.__setattr__(self, "torsion", xl._as_ints(self.torsion))
 
     def as_vector(self):
         return self.free + self.torsion
@@ -110,8 +110,7 @@ class MonoidPresentation:
         rels = []
         for rel in self.relations:
             u, v = rel
-            u = tuple(int(x) for x in u)
-            v = tuple(int(x) for x in v)
+            u, v = xl._as_ints(u), xl._as_ints(v)
             if len(u) != self.ngens or len(v) != self.ngens:
                 raise InputError("relation exponent vector has wrong length")
             if any(x < 0 for x in u + v):
@@ -199,8 +198,8 @@ class AffineMonoid:
         The ambient group of the result is the subgroup the vectors generate,
         re-presented in invariant-factor form; coordinates change accordingly.
         """
-        torsion_orders = tuple(int(f) for f in torsion_orders)
-        vectors = [tuple(int(x) for x in v) for v in vectors]
+        torsion_orders = xl._as_ints(torsion_orders)
+        vectors = [xl._as_ints(v) for v in vectors]
         if not vectors:
             return trivial_monoid()
         width = len(vectors[0])
@@ -275,16 +274,19 @@ def trivial_monoid():
 
 
 def _membership_system(ambient, gen_elements):
-    """Columns of the generator exponent system, torsion slack included.
+    """Columns of the nonnegative system of the elements, torsion slack
+    included: the one system that membership, fiber products and monoid
+    kernels solve against.
 
     For ambient Z^r (+) Z/f_1 (+) ... the system is
         [free parts          0  ]
         [torsion residues  -diag(f)]
-    acting on (exponents, slack) >= 0; residues are reduced into [0, f), so a
-    target with reduced residues is hit iff the element lies in the monoid.
+    acting on (exponents, slack) >= 0.  Residues are reduced into [0, f), so
+    a sum of elements overshoots a target with reduced residues (or zero) by
+    a nonnegative multiple of f, which the slack subtracts.
     """
     cols = [g.as_vector() for g in gen_elements] + \
-        ambient.relation_columns(signs=(-1,))
+        [tuple(-x for x in c) for c in ambient.relation_columns()]
     return xl.intmat_from_columns(cols, nrows=ambient.lift_dim)
 
 
@@ -630,22 +632,19 @@ def pushout(f, g, mode):
 def fiber_product_generators(f, g):
     """Hilbert-basis generators of M x_L N = {(m, n) : f(m) = g(n)}.
 
-    Solves the homogeneous system f(sum a_i m_i) = g(sum b_j n_j) over
-    nonnegative exponents (torsion rows get sign-split slack columns) and
-    maps the minimal solutions to element pairs.  Every solution pair is a
+    Solves the homogeneous system f(sum a_i m_i) - g(sum b_j n_j) = 0 over
+    nonnegative exponents, the membership system of the images of f and the
+    negated images of g, and maps the minimal solutions to element pairs.
+    Every residue there is reduced into [0, f), so subtracting multiples of
+    f is all the slack a zero sum needs.  Every solution pair is a
     nonnegative integer combination of the returned pairs.
     """
     if f.target != g.target:
         raise InputError("fiber product legs must share their target monoid")
-    l_amb = f.target.ambient
     m_mon, n_mon = f.source, g.source
-    cols = []
-    for m in m_mon.generators:
-        cols.append(l_amb.reduce_vector(xl.apply(f.matrix, m.as_vector())))
-    for n in n_mon.generators:
-        cols.append(l_amb.neg(l_amb.reduce_vector(xl.apply(g.matrix, n.as_vector()))))
-    cols.extend(l_amb.relation_columns(signs=(1, -1)))
-    a = xl.intmat_from_columns(cols, nrows=l_amb.lift_dim)
+    a = _membership_system(
+        f.target.ambient, [f.apply(m) for m in m_mon.generators] +
+        [g.target.neg(g.apply(n)) for n in n_mon.generators])
     p, q = len(m_mon.generators), len(n_mon.generators)
     pairs = []
     seen = set()

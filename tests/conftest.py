@@ -1,11 +1,26 @@
 """Fixtures shared by the test modules."""
 
 import inspect
+import warnings
 
 import pytest
 
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
+
+
+def pytest_configure(config):
+    # hypothesis formats a failing example through hypothesis.extra._patching,
+    # whose first import (of libcst) raises a DeprecationWarning; under
+    # -W error that turns the report of the failure into an INTERNALERROR and
+    # stops the run.  Importing it once here, with that warning ignored,
+    # installs no filter: every later warning still fails the run.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:
+            pass
 
 
 def group_monoid(group):
@@ -49,4 +64,4 @@ def no_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the nonnegative solver was called")
 
-    monkeypatch.setattr(xl, "minimal_nonneg_solutions", refuse)
+    monkeypatch.setattr(xl, "_minimal_solutions", refuse)

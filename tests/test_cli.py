@@ -502,6 +502,22 @@ def _golden_doc(case, name):
     return json.loads((GOLDEN / case / name).read_text())
 
 
+# the cone over a square: four rays in dimension 3
+NOT_SIMPLICIAL = {"kind": "cone", "dim": 3,
+                  "rays": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]]}
+
+
+@pytest.mark.parametrize("command, doc, names", [
+    ("gp", N2, "generates"),
+    ("regular", NOT_SIMPLICIAL, "simplicial"),
+])
+def test_verify_names_the_checks_of_gp_and_regular(tmp_path, capsys, command,
+                                                    doc, names):
+    p = write_doc(tmp_path / "in.json", doc)
+    assert cli.main([command, "--verify", p]) == 0
+    assert capsys.readouterr().err == f"verify: {command} {p}: {names}: ok\n"
+
+
 def _zero_matrix(mat):
     return xl.IntMatrix(tuple((0,) * mat.ncols for _ in mat.rows), mat.ncols)
 
@@ -530,7 +546,15 @@ def _zero_matrix(mat):
      lambda charts, host, ideal: [dataclasses.replace(c, fs=c.fine)
                                   for c in charts],
      "fs chart is not saturated"),
-], ids=["dual", "hilbert", "resolve", "pushout", "fiber", "blowup"])
+    # doubled generators of N^2 span a subgroup of index 4
+    ("gp", N2, cli, "parse_monoid",
+     lambda monoid, doc, path, warn: mc.AffineMonoid._spanning(
+         monoid.ambient, [monoid.add(g, g) for g in monoid.generators]),
+     "generator images do not generate the group"),
+    ("regular", NOT_SIMPLICIAL, cc, "is_regular", lambda verdict, cone: True,
+     "a cone that is not simplicial is regular"),
+], ids=["dual", "hilbert", "resolve", "pushout", "fiber", "blowup", "gp",
+        "regular"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)

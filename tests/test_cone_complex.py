@@ -521,6 +521,16 @@ def test_duality_double_description_counts(count_calls):
     assert len(dd_calls) == 1
 
 
+@pytest.mark.parametrize("call", [
+    lambda: cc.RationalCone.from_rays([(1.5, 0), (0, 1)], 2),
+    lambda: cc.RationalCone.from_rays([(1, 0), (0, 1)], 2).contains((0.5, 0)),
+    lambda: cc.extreme_rays_of_halfspaces([(1.5, 0), (0, 1)], 2),
+], ids=["from_rays", "contains", "extreme_rays_of_halfspaces"])
+def test_non_integers_are_refused_not_truncated(call):
+    with pytest.raises(InputError):
+        call()
+
+
 def test_lineality_detection():
     half = cc.RationalCone.from_rays([(1, 0), (-1, 0), (0, 1)], 2)
     assert not half.is_strongly_convex

@@ -95,6 +95,20 @@ def test_ambient_must_be_generated():
     assert len(m.generators) == 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mc.MonoidElement((0.5,)),
+    lambda: mc.MonoidElement((1,), (0.5,)),
+    lambda: mc.MonoidPresentation(1, (((0.5,), (1,)),)),
+    lambda: mc.AffineMonoid.from_vectors([(1.9, 0), (0, 1)]),
+    lambda: mc.AffineMonoid.from_vectors([(1, 0), (0, 1)], (2.5,)),
+    lambda: mc.free_monoid(2).contains((0.5, 0)),
+], ids=["element_free", "element_torsion", "presentation", "from_vectors",
+        "torsion_orders", "contains"])
+def test_non_integers_are_refused_not_truncated(call):
+    with pytest.raises(InputError):
+        call()
+
+
 def test_wrong_length_generator_is_refused():
     amb = xl.FgAbelianGroup(1, (2,))
     for bad in [(1,), (1, 0, 0), mc.MonoidElement(free=(1,))]:
@@ -790,3 +804,61 @@ def test_fiber_product_with_torsion_target():
     got = sorted((m.as_vector(), n.as_vector()) for m, n in pairs)
     # parity-matching pairs are generated by (1,1), (2,0), (0,2)
     assert got == [((0,), (2,)), ((1,), (1,)), ((2,), (0,))]
+
+
+def _old_fiber_product_generators(f, g):
+    """The fiber product generators as they were built before the
+    membership system served them: slack columns that add and subtract
+    each torsion order."""
+    l_amb = f.target.ambient
+    m_mon, n_mon = f.source, g.source
+    cols = [f.apply(m).as_vector() for m in m_mon.generators]
+    cols += [l_amb.neg(g.apply(n).as_vector()) for n in n_mon.generators]
+    cols += [tuple(s * x for x in c)
+             for c in l_amb.relation_columns() for s in (1, -1)]
+    a = xl.intmat_from_columns(cols, nrows=l_amb.lift_dim)
+    p, q = len(m_mon.generators), len(n_mon.generators)
+    pairs = []
+    for sol in sorted(xl.minimal_nonneg_solutions(a)):
+        am, bn = sol[:p], sol[p:p + q]
+        pair = (mc.exponent_sum(m_mon.ambient, am, m_mon.generators),
+                mc.exponent_sum(n_mon.ambient, bn, n_mon.generators))
+        if (any(am) or any(bn)) and pair not in pairs:
+            pairs.append(pair)
+    return pairs
+
+
+@st.composite
+def _cospans(draw):
+    """Homs N^p -> L <- N^q, p, q <= 3, into a monoid L of Z^r (+) torsion,
+    r <= 2, on the lift basis and up to two more small elements: each basis
+    vector of N^p goes to a sum of generators of L with coefficients 0..2."""
+    rank = draw(st.integers(0, 2))
+    orders = draw(st.sampled_from([(2,), (3,), (2, 4), (6,)]))
+    amb = xl.FgAbelianGroup(rank, orders)
+    vec = st.tuples(*[st.integers(-2, 2)] * rank,
+                    *[st.integers(0, f - 1) for f in orders])
+    basis = [tuple(int(i == j) for j in range(amb.lift_dim))
+             for i in range(amb.lift_dim)]
+    target = mc.AffineMonoid(amb, basis + draw(st.lists(vec, max_size=2)))
+    gens = target.generators
+
+    def leg(k):
+        coeffs = draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)),
+            min_size=k, max_size=k))
+        images = [mc.exponent_sum(target.ambient, c, gens).as_vector()
+                  for c in coeffs]
+        return _hom(mc.free_monoid(k), target,
+                    [list(row) for row in zip(*images)])
+
+    return leg(draw(st.integers(1, 3))), leg(draw(st.integers(1, 3)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cospans())
+def test_fiber_product_matches_the_old_slack_system(legs):
+    f, g = legs
+    assert mc.fiber_product_generators(f, g) == \
+        _old_fiber_product_generators(f, g)
