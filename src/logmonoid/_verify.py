@@ -155,8 +155,8 @@ def check_props(pred):
 def check_rank(monoid, rank):
     # rank M^gp / M^x = rank M^gp - rank M^x, and torsion has rank 0
     r = monoid.ambient.free_rank
-    unit_span = xl.intmat_from_columns(
-        [u.as_vector()[:r] for u in _solver_units(monoid)], nrows=r)
+    unit_span = xl._from_columns(
+        [u.as_vector()[:r] for u in _solver_units(monoid)], r)
     yield _check(rank == r - len(xl.smith_normal_form(unit_span).diag),
                  "characteristic rank is not the rank of M^gp / M^x",
                  "quotient_rank")
@@ -282,7 +282,7 @@ def check_diff_rank(hom, rank):
 
 
 def check_diff_pres(pres):
-    module, _ = xl.group_from_relations(
-        len(pres.symbols), list(pres.relation_columns))
+    module, _ = xl._group_from_relations(
+        len(pres.symbols), pres.relation_columns)
     yield _check(module == pres.module,
                  "module does not match its own presentation", "module")

@@ -191,10 +191,10 @@ def parse_hom(doc, ctx, warn):
         raise InputError(
             f"{ctx}.matrix: expected {n_rows} rows (target lift "
             f"coordinates), got {len(raw)}")
-    rows = [_as_vector(r, n_cols, f"{ctx}.matrix[{i}]")
-            for i, r in enumerate(raw)]
+    rows = tuple(_as_vector(r, n_cols, f"{ctx}.matrix[{i}]")
+                 for i, r in enumerate(raw))
     try:
-        return lha.MonoidHom(source, target, rows)
+        return lha.MonoidHom(source, target, xl.IntMatrix(rows, n_cols))
     except DomainError as exc:
         # an ill-typed document, not a precondition failure: the matrix does
         # not describe a homomorphism of the monoids the document declares
@@ -223,46 +223,38 @@ def _hom_pair(doc, ctx, warn, shared):
 
 
 # ---------------------------------------------------------------------------
-# canonical emission
-
-
-def _vec(v):
-    return [int(x) for x in v]
-
-
-def _sorted_vecs(vectors):
-    return [_vec(v) for v in sorted(tuple(int(x) for x in v) for v in vectors)]
+# canonical emission: every value below is a package-built int or tuple of
+# ints, and json.dumps writes a tuple exactly as it writes a list
 
 
 def group_block(group):
-    return {"free_rank": int(group.free_rank),
-            "invariant_factors": [int(f) for f in group.invariant_factors]}
+    return {"free_rank": group.free_rank,
+            "invariant_factors": group.invariant_factors}
 
 
 def monoid_block(monoid):
     return {"kind": "affine-monoid",
-            "free_rank": int(monoid.ambient.free_rank),
-            "torsion": [int(f) for f in monoid.ambient.invariant_factors],
-            "generators": _sorted_vecs(g.as_vector() for g in monoid.generators)}
+            "free_rank": monoid.ambient.free_rank,
+            "torsion": monoid.ambient.invariant_factors,
+            "generators": sorted(g.as_vector() for g in monoid.generators)}
 
 
 def cone_block(cone):
     return {"kind": "cone",
-            "dim": int(cone.dim),
-            "rays": _sorted_vecs(cone.generators)}
+            "dim": cone.dim,
+            "rays": sorted(cone.generators)}
 
 
 def fan_block(fan):
     return {"kind": "fan",
-            "dim": int(fan.dim),
-            "maximal_cones": [_sorted_vecs(c.generators)
-                              for c in fan.maximal_cones]}
+            "dim": fan.dim,
+            "maximal_cones": [sorted(c.generators) for c in fan.maximal_cones]}
 
 
 def presentation_block(pres):
     return {"kind": "monoid-presentation",
-            "ngens": int(pres.ngens),
-            "relations": [[_vec(u), _vec(v)] for (u, v) in pres.relations]}
+            "ngens": pres.ngens,
+            "relations": pres.relations}
 
 
 def _emit(doc):
@@ -305,7 +297,7 @@ def _h_gp(doc, path, args, warn):
         pres, group, images = None, monoid.ambient, monoid.generators
     out = {"kind": "abelian-group"}
     out.update(group_block(group))
-    out["generator_images"] = [_vec(im.as_vector()) for im in images]
+    out["generator_images"] = [im.as_vector() for im in images]
     return out, (group, images, pres)
 
 
@@ -329,7 +321,7 @@ def _h_sharpen(doc, path, args, warn):
     sharp = mc.sharpen(monoid)
     us = mc.units(monoid)
     return {"kind": "sharpen-result",
-            "units": _sorted_vecs(u.as_vector() for u in us),
+            "units": sorted(u.as_vector() for u in us),
             "monoid": monoid_block(sharp)}, (monoid, sharp, us)
 
 
@@ -339,7 +331,7 @@ def _h_spec(doc, path, args, warn):
     primes = mc.spec(monoid)
     return {"kind": "spectrum",
             "count": len(primes),
-            "primes": [{"complement_face": [int(i) for i in p.sorted_indices()]}
+            "primes": [{"complement_face": p.sorted_indices()}
                        for p in primes]}, (monoid, primes)
 
 
@@ -358,7 +350,7 @@ def _h_props(doc, path, args, warn):
 def _h_rank(doc, path, args, warn):
     monoid = _monoid_input(doc, path, warn)
     rank = mc.characteristic_rank(monoid)
-    return {"kind": "characteristic-rank", "rank": int(rank)}, (monoid, rank)
+    return {"kind": "characteristic-rank", "rank": rank}, (monoid, rank)
 
 
 @_command("pushout", "pushout of two homs out of a shared source")
@@ -372,8 +364,8 @@ def _h_pushout(doc, path, args, warn):
     monoid = result.monoid if args.mode == "fine" else mc.saturate(result.monoid)
     out = {"kind": "pushout-result", "mode": args.mode}
     out["monoid"] = monoid_block(monoid)
-    out["left_images"] = [_vec(im.as_vector()) for im in result.left_images]
-    out["right_images"] = [_vec(im.as_vector()) for im in result.right_images]
+    out["left_images"] = [im.as_vector() for im in result.left_images]
+    out["right_images"] = [im.as_vector() for im in result.right_images]
     return out, (args.mode, left, right, result, monoid)
 
 
@@ -383,9 +375,8 @@ def _h_fiber(doc, path, args, warn):
     left, right = _hom_pair(doc, path, warn, shared="target")
     pairs = mc.fiber_product_generators(left, right)
     monoid = mc.fiber_product(left, right)
-    emitted = sorted((m.as_vector(), n.as_vector()) for (m, n) in pairs)
     return {"kind": "fiber-result",
-            "pairs": [[_vec(m), _vec(n)] for (m, n) in emitted],
+            "pairs": sorted((m.as_vector(), n.as_vector()) for (m, n) in pairs),
             "monoid": monoid_block(monoid)}, (left, right, pairs)
 
 
@@ -402,8 +393,8 @@ def _h_faces(doc, path, args, warn):
     face_list = cc.faces(cone)
     return {"kind": "face-list",
             "count": len(face_list),
-            "faces": [{"dimension": int(f.span_dim),
-                       "rays": _sorted_vecs(f.generators)}
+            "faces": [{"dimension": f.span_dim,
+                       "rays": sorted(f.generators)}
                       for f in face_list]}, (cone, face_list)
 
 
@@ -413,7 +404,7 @@ def _h_hilbert(doc, path, args, warn):
     basis = cc.hilbert_basis(cone)
     return {"kind": "hilbert-basis",
             "count": len(basis),
-            "vectors": _sorted_vecs(basis)}, (cone, basis)
+            "vectors": sorted(basis)}, (cone, basis)
 
 
 @_command("regular", "regularity of a cone or fan")
@@ -434,7 +425,7 @@ def _h_regular(doc, path, args, warn):
 def _h_mult(doc, path, args, warn):
     cone = parse_cone(doc, path, warn)
     m = cc.multiplicity(cone)
-    return {"kind": "multiplicity", "multiplicity": int(m)}, (cone, m)
+    return {"kind": "multiplicity", "multiplicity": m}, (cone, m)
 
 
 @_command("resolve", "subdivide a fan until it is regular")
@@ -457,7 +448,7 @@ def _h_blowup(doc, path, args, warn):
     return {"kind": "blowup-charts",
             "count": len(charts),
             "idempotent": bool(idempotent),
-            "charts": [{"center": _vec(chart.center.as_vector()),
+            "charts": [{"center": chart.center.as_vector(),
                         "fine": monoid_block(chart.fine),
                         "fs": monoid_block(chart.fs)}
                        for chart in charts]}, (ideal, charts)
@@ -475,7 +466,7 @@ def _h_hom_check(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     verdict = lha.kato_criterion(hom, residue_char=args.char)
     return {"kind": "smoothness-verdict",
-            "residue_char": int(verdict.residue_char),
+            "residue_char": verdict.residue_char,
             "monoid_side_only": True,
             "is_smooth": verdict.is_smooth,
             "is_etale": verdict.is_etale,
@@ -500,7 +491,7 @@ def _h_neat(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     cls = lha.neat_chart_class(hom, residue_char=args.char)
     return {"kind": "neat-chart-class",
-            "residue_char": int(args.char),
+            "residue_char": args.char,
             "class": cls}, (cls,)
 
 
@@ -509,8 +500,8 @@ def _h_diff_rank(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     rank = lha.differential_rank(hom, residue_char=args.char)
     return {"kind": "differential-rank",
-            "residue_char": int(args.char),
-            "rank": int(rank),
+            "residue_char": args.char,
+            "rank": rank,
             "gp_injective": lha.is_gp_injective(hom),
             "monoid_kernel_trivial": lha.monoid_kernel_trivial(hom)}, (hom, rank)
 
@@ -521,8 +512,8 @@ def _h_diff_pres(doc, path, args, warn):
     pres = lha.universal_differential_presentation(hom)
     return {"kind": "differential-presentation",
             "coefficient_ring": pres.coefficient_ring,
-            "symbols": list(pres.symbols),
-            "relations": [_vec(c) for c in pres.relation_columns],
+            "symbols": pres.symbols,
+            "relations": pres.relation_columns,
             "module": group_block(pres.module)}, (pres,)
 
 

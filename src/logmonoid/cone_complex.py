@@ -70,12 +70,10 @@ def hnf_row_basis(vectors, dim):
 
     Rows are echelonized left to right with positive pivots and the entries
     above each pivot reduced into [0, pivot); the result depends only on the
-    lattice, not on the presented basis.
+    lattice, not on the presented basis.  The vectors are int tuples of
+    length ``dim`` (trusted).
     """
-    rows = [list(int(x) for x in v) for v in vectors]
-    for row in rows:
-        if len(row) != dim:
-            raise InputError("vector of wrong length")
+    rows = [list(v) for v in vectors]
     basis = []
     pivots = []
     for col in range(dim):
@@ -118,23 +116,22 @@ def _signed(vectors, lattice):
 
 
 def _quotient_maps(lattice_basis, dim):
-    """Projection, section and coordinates for Z^dim -> Z^dim / span(basis).
+    """Projection and section for Z^dim -> Z^dim / span(basis).
 
-    Returns (P, R, C) of shapes (dim-k, dim), (dim, dim-k), (k, dim) from one
-    Smith decomposition U B V = [I; 0]: P R = I, the kernel of P is exactly
-    the span of the (saturated) basis B, and C = V U[:k] has C B = I.
+    Returns (P, R) of shapes (dim-k, dim) and (dim, dim-k) from one Smith
+    decomposition U B V = [I; 0]: P R = I, and the kernel of P is exactly
+    the span of the (saturated) basis B.
     """
     k = len(lattice_basis)
     if k == 0:
         eye = xl.identity_mat(dim)
-        return eye, eye, xl.zeros_mat(0, dim)
-    dec = xl._snf_full(xl.intmat_from_columns(lattice_basis, nrows=dim))
+        return eye, eye
+    dec = xl._snf_full(xl._from_columns(lattice_basis, dim))
     if dec.diag != (1,) * k:
         raise InternalCheckError("lineality basis is not saturated")
-    u, uinv = dec.left, xl._unimodular_inverse(dec.left)
-    return (xl.IntMatrix(u.rows[k:], dim),
-            xl.IntMatrix(tuple(r[k:] for r in uinv.rows), dim - k),
-            dec.right @ xl.IntMatrix(u.rows[:k], dim))
+    uinv = xl._unimodular_inverse(dec.left)
+    return (xl.IntMatrix(dec.left.rows[k:], dim),
+            xl.IntMatrix(tuple(r[k:] for r in uinv.rows), dim - k))
 
 
 def _saturated_kernel(forms, dim):
@@ -143,8 +140,8 @@ def _saturated_kernel(forms, dim):
     if not forms:
         return tuple(tuple(1 if j == i else 0 for j in range(dim))
                      for i in range(dim))
-    kernel = xl.kernel_basis(xl.intmat(forms, ncols=dim))
-    return hnf_row_basis(xl.mat_columns(kernel), dim)
+    dec = xl._snf_full(xl.IntMatrix(tuple(forms), dim))
+    return hnf_row_basis(xl._kernel_columns(dec), dim)
 
 
 def _extreme_classes(candidates, lineality, dim):
@@ -169,7 +166,7 @@ def _extreme_classes(candidates, lineality, dim):
     """
     classes = {}
     if lineality:
-        p, r, _ = _quotient_maps(lineality, dim)
+        p, r = _quotient_maps(lineality, dim)
         for v, tight in candidates:
             w = xl.apply(p, v)
             if any(w):
@@ -202,6 +199,7 @@ def extreme_rays_of_halfspaces(normals, dim):
     sets are exact (a combination of two rays is tight exactly where both
     are), so ``_extreme_classes`` keeps the extreme rays by incidence alone.
     """
+    (dim,) = xl._as_ints((dim,))
     normals = [xl._as_ints(n) for n in normals]
     for n in normals:
         if len(n) != dim:
@@ -277,6 +275,7 @@ class RationalCone:
 
     @classmethod
     def from_rays(cls, vectors, dim):
+        (dim,) = xl._as_ints((dim,))
         vecs = []
         for v in vectors:
             v = xl._as_ints(v)
@@ -438,24 +437,30 @@ def _to_span_coords(cone):
 
     Returns (down, up, m): ``down`` maps a lattice point of the span to its
     coordinate tuple, ``up`` is the inverse embedding.  A full-dimensional
-    cone keeps its coordinates.
+    cone keeps its coordinates.  Otherwise one Smith decomposition
+    U E V = [D 0] of the k span equations E gives both: the last m = dim - k
+    columns of V are a basis of the span lattice (the integer kernel of E),
+    and the coordinates of v are the last m entries of V^-1 v, whose first k
+    entries vanish exactly on the span.
     """
     if cone.is_full_dimensional:
-        def same(v):
-            return tuple(int(x) for x in v)
-        return same, same, cone.dim
-    basis = _saturated_kernel(cone.span_equations, cone.dim)
-    m = len(basis)
-    outside, _, coords = _quotient_maps(basis, cone.dim)
+        return tuple, tuple, cone.dim
+    k = len(cone.span_equations)
+    m = cone.dim - k
+    dec = xl._snf_full(xl.IntMatrix(cone.span_equations, cone.dim))
+    if len(dec.diag) != k:
+        raise InternalCheckError("span equations are linearly dependent")
+    vinv = xl._unimodular_inverse(dec.right)
+    basis = xl.IntMatrix(tuple(r[k:] for r in dec.right.rows), m)
 
     def down(v):
-        if any(xl.apply(outside, v)):
+        w = xl.apply(vinv, v)
+        if any(w[:k]):
             raise InternalCheckError("lattice point outside the span lattice")
-        return xl.apply(coords, v)
+        return w[k:]
 
     def up(w):
-        return tuple(sum(basis[j][i] * w[j] for j in range(m))
-                     for i in range(cone.dim))
+        return xl.apply(basis, w)
 
     return down, up, m
 
@@ -540,7 +545,7 @@ def _parallelepiped_numerators(ray_coords, m):
     time, which is 0 mod L.  A step costs O(m); ``_parallelepiped_point``
     turns the numerators of a point into the point.
     """
-    dec = xl._snf_full(xl.intmat_from_columns(ray_coords, nrows=m))
+    dec = xl._snf_full(xl._from_columns(ray_coords, m))
     orders = dec.diag
     if len(orders) < m:
         raise InternalCheckError("parallelepiped rays are linearly dependent")
@@ -715,7 +720,7 @@ def cone_lattice_generators(cone):
     """
     if cone.is_strongly_convex:
         return hilbert_basis(cone)
-    p, r, _ = _quotient_maps(cone.lineality, cone.dim)
+    p, r = _quotient_maps(cone.lineality, cone.dim)
     k = cone.dim - len(cone.lineality)
     image = RationalCone.from_rays(
         [xl.apply(p, ray) for ray in cone.extreme_rays], k)

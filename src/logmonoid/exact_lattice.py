@@ -80,10 +80,11 @@ def intmat(rows, ncols=None):
     ``ncols`` is required when ``rows`` is empty, and is otherwise checked
     against the row length.
     """
-    rows = [tuple(r) for r in rows]
+    rows = tuple(map(tuple, rows))
     if not rows:
         if ncols is None:
             raise InputError("empty matrix needs an explicit column count")
+        (ncols,) = _as_ints((ncols,))
         return IntMatrix((), ncols)
     width = len(rows[0])
     if ncols is not None and ncols != width:
@@ -94,7 +95,7 @@ def intmat(rows, ncols=None):
         for x in r:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InputError(f"matrix entry {x!r} is not an integer")
-    return IntMatrix(tuple(tuple(map(int, r)) for r in rows), width)
+    return IntMatrix(rows, width)
 
 
 def _from_columns(cols, nrows):
@@ -108,6 +109,7 @@ def intmat_from_columns(cols, nrows=None):
     if not cols:
         if nrows is None:
             raise InputError("empty column list needs an explicit row count")
+        (nrows,) = _as_ints((nrows,))
         return IntMatrix(((),) * nrows, 0)
     return _from_columns(intmat(cols).rows, len(cols[0]))
 
@@ -143,16 +145,17 @@ def apply(mat, vec):
     return tuple(sum(map(mul, r, vec)) for r in mat.rows)
 
 
-def _as_matrix(a):
-    """``a`` as an IntMatrix: nested int sequences and 2-d arrays (anything
-    with ``tolist`` and ``shape``) are checked and converted."""
+def _as_matrix(a, ncols=None):
+    """``a`` as an IntMatrix: nested int sequences (with ``ncols`` as in
+    ``intmat``) and 2-d arrays (anything with ``tolist`` and ``shape``) are
+    checked and converted.  An IntMatrix is already checked."""
     if isinstance(a, IntMatrix):
         return a
     if hasattr(a, "tolist"):
         if len(a.shape) != 2:
             raise InputError("expected a 2-d matrix")
         return intmat(a.tolist(), ncols=a.shape[1])
-    return intmat(a)
+    return intmat(a, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +340,7 @@ def det_adjugate(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("determinant of a non-square matrix")
-    m = [[int(x) for x in r] + [int(i == j) for j in range(n)]
+    m = [[*r, *(1 if i == j else 0 for j in range(n))]
          for i, r in enumerate(rows)]
     sign, prev = 1, 1
     for k in range(n):
@@ -452,11 +455,21 @@ def torsion_order(g):
     return out
 
 
+# The least strong pseudoprime to all of the first 13 prime bases, 2 to 41
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017): below it, Miller-Rabin on those bases is a proof.
+_PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test, proven below ``_PSI_13``;
+    a larger n raises DomainError instead of an unproven answer."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n >= _PSI_13:
+        raise DomainError(
+            f"{n} is beyond the range of the deterministic primality test")
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for p in small:
         if n % p == 0:
             return n == p
@@ -496,15 +509,12 @@ def cokernel(a, nrows=None):
     ``nrows`` disambiguates the target rank when ``a`` is given as an empty
     sequence.
     """
-    a = _as_matrix(a) if not (isinstance(a, (list, tuple)) and not a) else intmat([], ncols=0)
-    if a.shape == (0, 0) and nrows is not None:
-        a = zeros_mat(nrows, 0)
+    a = intmat([], ncols=0) if isinstance(a, (list, tuple)) and not a \
+        else _as_matrix(a)
     m = a.shape[0]
-    diag = smith_normal_form(a).diag
-    return FgAbelianGroup(
-        free_rank=m - len(diag),
-        invariant_factors=tuple(d for d in diag if d >= 2),
-    )
+    if a.shape == (0, 0) and nrows is not None:
+        (m,) = _as_ints((nrows,))
+    return _group_from_relations(m, mat_columns(a))[0]
 
 
 def group_from_relations(ngens, relation_columns):
@@ -513,32 +523,38 @@ def group_from_relations(ngens, relation_columns):
     Returns (group, proj) where ``proj`` is the (lift_dim x ngens) matrix
     taking old coordinates to lift coordinates of the quotient.
     """
+    (ngens,) = _as_ints((ngens,))
     rel = intmat_from_columns(relation_columns, nrows=ngens)
-    dec = _snf_full(rel)
+    return _group_from_relations(ngens, mat_columns(rel))
+
+
+def _group_from_relations(ngens, cols):
+    """``group_from_relations`` of int tuples of length ``ngens`` (trusted)."""
+    dec = _snf_full(_from_columns(cols, ngens))
     u, diag = dec.left, dec.diag
     s = len(diag)
     free_rows = u.rows[s:]
     tors_rows = tuple(u.rows[i] for i in range(s) if diag[i] >= 2)
     factors = tuple(f for f in diag if f >= 2)
-    group = FgAbelianGroup(free_rank=rel.shape[0] - s, invariant_factors=factors)
-    return group, IntMatrix(free_rows + tors_rows, rel.shape[0])
+    group = FgAbelianGroup(free_rank=ngens - s, invariant_factors=factors)
+    return group, IntMatrix(free_rows + tors_rows, ngens)
 
 
 def quotient_presentation(group, extra_columns):
     """Quotient of ``group`` by the subgroup generated by the given elements.
 
-    ``extra_columns`` are lift vectors of ``group``.  Returns (quotient, proj)
-    with ``proj`` mapping lift coordinates of ``group`` to lift coordinates of
-    the quotient.
+    ``extra_columns`` are lift vectors of ``group`` (trusted).  Returns
+    (quotient, proj) with ``proj`` mapping lift coordinates of ``group`` to
+    lift coordinates of the quotient.
     """
-    cols = group.relation_columns() + [_as_ints(c) for c in extra_columns]
-    return group_from_relations(group.lift_dim, cols)
+    cols = group.relation_columns() + list(extra_columns)
+    return _group_from_relations(group.lift_dim, cols)
 
 
 def _decompose_among(group, vectors):
     """The Smith decomposition of [vectors | group.relation_columns()]."""
-    return _snf_full(intmat_from_columns(
-        list(vectors) + group.relation_columns(), nrows=group.lift_dim))
+    return _snf_full(_from_columns(
+        list(vectors) + group.relation_columns(), group.lift_dim))
 
 
 def _relations_among(group, vectors):
@@ -567,7 +583,7 @@ def subgroup_presentation(group, elements):
     if dec.diag == (1,) * group.lift_dim:
         return group, elements
     n = len(elements)
-    sub, proj = group_from_relations(
+    sub, proj = _group_from_relations(
         n, [col[:n] for col in _kernel_columns(dec)])
     images = [sub.reduce_vector(col) for col in mat_columns(proj)]
     return sub, images
@@ -612,7 +628,7 @@ def _gram(cols):
     return [tuple([sum(map(mul, u, v)) for v in cols]) for u in cols]
 
 
-def _minimal_solutions(gram, capped=False):
+def _minimal_solutions(gram, capped=False, lexmin=False):
     """The minimal nonzero solutions of a x = 0 with x >= 0 integral, given
     the Gram matrix G = A^T A of the columns of a.
 
@@ -644,7 +660,11 @@ def _minimal_solutions(gram, capped=False):
 
     ``capped`` freezes the last coordinate once it is 1, which yields the
     minimal solutions whose last coordinate is at most 1 (every minimal
-    solution is reached by a coordinatewise-monotone path).
+    solution is reached by a coordinatewise-monotone path).  ``lexmin``
+    drops every tuple that is lexicographically above the least solution
+    with last coordinate 1 yielded so far: the tuples of its subtree are
+    componentwise, hence lexicographically, at least as large, so the least
+    such solution is still yielded, and only tuples below it are.
     """
     n = len(gram)
     cap = 1 << (n - 1) if capped else 0
@@ -656,15 +676,18 @@ def _minimal_solutions(gram, capped=False):
         frozen |= 1 << i
 
     index = {}
+    best = None
     while frontier:
         for t in sorted(t for t, node in frontier.items() if node[1] == 0):
             for i, v in enumerate(t):
                 if v:
                     index.setdefault((i, v), []).append(t)
+            if lexmin and t[-1] == 1 and (best is None or t < best):
+                best = t
             yield t
         nxt = {}
         for t, (sc, nrm, frozen) in frontier.items():
-            if nrm == 0:
+            if nrm == 0 or best is not None and t > best:
                 continue
             kids = []
             for i in range(n):
@@ -697,21 +720,22 @@ def minimal_nonneg_solutions(a):
     return list(_minimal_solutions(_gram(mat_columns(_as_matrix(a)))))
 
 
-def _nonneg_solutions(a, b):
-    """The minimal solutions x >= 0 of a x = b, in the order of the search.
+def _nonneg_solutions(cols, b, lexmin=False):
+    """The minimal solutions x >= 0 of sum_i x_i cols[i] = b, in the order of
+    the search, or with ``lexmin`` those the lexicographically smallest
+    needs (``_minimal_solutions``).  The columns and b are int tuples of one
+    length (trusted).
 
     Homogenized: they are the minimal solutions (x, 1) of [a | -b] (x, y) = 0
     with y <= 1.  For b = 0 the only one is x = 0.  The search finds it
     first, but would then go through every homogeneous solution of a before
     ``solve_nonneg`` learns that no other comes, so it is not run.
     """
-    a = _as_matrix(a)
-    b = _check_rhs(a, b)
-    n = a.shape[1]
+    n = len(cols)
     if not any(b):
         return iter([(0,) * n])
-    gram = _gram(mat_columns(a) + [tuple(-x for x in b)])
-    return (s[:n] for s in _minimal_solutions(gram, capped=True) if s[n])
+    gram = _gram([*cols, tuple(-x for x in b)])
+    return (s[:n] for s in _minimal_solutions(gram, True, lexmin) if s[n])
 
 
 def solve_nonneg(a, b):
@@ -719,11 +743,15 @@ def solve_nonneg(a, b):
 
     Complete: returns None only when no nonnegative integer solution exists.
     (The lex-smallest solution is componentwise-minimal, and the search
-    enumerates all minimal solutions.)
+    yields every minimal solution below the least one found so far.)
     """
-    return min(_nonneg_solutions(a, b), default=None)
+    a = _as_matrix(a)
+    return min(_nonneg_solutions(mat_columns(a), _check_rhs(a, b), True),
+               default=None)
 
 
 def has_nonneg_solution(a, b):
     """Whether a x = b has any nonnegative integer solution."""
-    return next(_nonneg_solutions(a, b), None) is not None
+    a = _as_matrix(a)
+    return next(_nonneg_solutions(mat_columns(a), _check_rhs(a, b)),
+                None) is not None

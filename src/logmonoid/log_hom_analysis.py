@@ -36,8 +36,7 @@ class MonoidHom:
     def __post_init__(self):
         rows = self.target.ambient.lift_dim
         cols = self.source.ambient.lift_dim
-        mat = xl.intmat(self.matrix.tolist() if hasattr(self.matrix, "tolist")
-                        else self.matrix, ncols=cols)
+        mat = xl._as_matrix(self.matrix, ncols=cols)
         if mat.shape != (rows, cols):
             raise InputError(
                 f"hom matrix has shape {mat.shape}, expected {(rows, cols)}")
@@ -88,7 +87,7 @@ def monoid_kernel_trivial(hom):
     a = mc._membership_system(
         hom.target.ambient, [hom.apply(g) for g in src.generators])
     k = len(src.generators)
-    for sol in xl.minimal_nonneg_solutions(a):
+    for sol in xl._minimal_solutions(xl._gram(a)):
         exps = sol[:k]
         if not any(exps):
             continue
@@ -118,9 +117,11 @@ class SmoothnessVerdict:
 
 
 def _check_residue_char(residue_char):
-    if residue_char != 0 and not xl.is_prime(residue_char):
-        raise DomainError(
-            f"residue characteristic must be 0 or prime, got {residue_char}")
+    """The residue characteristic as an int, which must be 0 or prime."""
+    (p,) = xl._as_ints((residue_char,))
+    if p != 0 and not xl.is_prime(p):
+        raise DomainError(f"residue characteristic must be 0 or prime, got {p}")
+    return p
 
 
 def kato_criterion(hom, residue_char=0):
@@ -131,7 +132,7 @@ def kato_criterion(hom, residue_char=0):
     the torsion part of Coker(phi^gp) has invertible order; it is etale iff
     moreover Coker(phi^gp) itself is finite.
     """
-    _check_residue_char(residue_char)
+    residue_char = _check_residue_char(residue_char)
     ker = gp_kernel(hom)
     coker = gp_cokernel(hom)
     smooth = ker.is_finite and \
@@ -190,7 +191,7 @@ def neat_chart_class(hom, residue_char=0):
     locally; in general only an fppf cover works.  Returns "zariski",
     "etale", or "fppf".
     """
-    _check_residue_char(residue_char)
+    residue_char = _check_residue_char(residue_char)
     coker = gp_cokernel(hom)
     if not coker.invariant_factors:
         return "zariski"
@@ -207,7 +208,7 @@ def differential_rank(hom, residue_char=0):
     """The rank of the universal log differential module over a field of the
     given characteristic: the free rank of Coker(phi^gp), plus in positive
     characteristic one for every invariant factor divisible by p."""
-    _check_residue_char(residue_char)
+    residue_char = _check_residue_char(residue_char)
     coker = gp_cokernel(hom)
     if residue_char == 0:
         return coker.free_rank
@@ -239,7 +240,7 @@ def universal_differential_presentation(hom):
     n = amb.lift_dim
     symbols = tuple(f"d{i}" for i in range(n))
     cols = [col for col in xl.mat_columns(hom.matrix) if any(col)]
-    cols.extend(tuple(c) for c in amb.relation_columns())
-    module, _ = xl.group_from_relations(n, cols)
+    cols.extend(amb.relation_columns())
+    module, _ = xl._group_from_relations(n, cols)
     return DifferentialPresentation(
         symbols=symbols, relation_columns=tuple(cols), module=module)

@@ -105,17 +105,19 @@ class MonoidPresentation:
     relations: tuple = ()
 
     def __post_init__(self):
-        if self.ngens < 0:
+        (ngens,) = xl._as_ints((self.ngens,))
+        if ngens < 0:
             raise InputError("negative generator count")
         rels = []
         for rel in self.relations:
             u, v = rel
             u, v = xl._as_ints(u), xl._as_ints(v)
-            if len(u) != self.ngens or len(v) != self.ngens:
+            if len(u) != ngens or len(v) != ngens:
                 raise InputError("relation exponent vector has wrong length")
             if any(x < 0 for x in u + v):
                 raise InputError("relation exponents must be nonnegative")
             rels.append((u, v))
+        object.__setattr__(self, "ngens", ngens)
         object.__setattr__(self, "relations", tuple(rels))
 
 
@@ -275,8 +277,8 @@ def trivial_monoid():
 
 def _membership_system(ambient, gen_elements):
     """Columns of the nonnegative system of the elements, torsion slack
-    included: the one system that membership, fiber products and monoid
-    kernels solve against.
+    included, as the int tuples the solver core takes: the one system that
+    membership, fiber products and monoid kernels solve against.
 
     For ambient Z^r (+) Z/f_1 (+) ... the system is
         [free parts          0  ]
@@ -285,9 +287,8 @@ def _membership_system(ambient, gen_elements):
     a sum of elements overshoots a target with reduced residues (or zero) by
     a nonnegative multiple of f, which the slack subtracts.
     """
-    cols = [g.as_vector() for g in gen_elements] + \
-        [tuple(-x for x in c) for c in ambient.relation_columns()]
-    return xl.intmat_from_columns(cols, nrows=ambient.lift_dim)
+    return tuple(g.as_vector() for g in gen_elements) + \
+        tuple(tuple(-x for x in c) for c in ambient.relation_columns())
 
 
 def contains(monoid, elem):
@@ -296,14 +297,16 @@ def contains(monoid, elem):
     elem = element_of(monoid.ambient, elem)
     if elem.is_zero or elem in monoid.generators:
         return True
-    return xl.has_nonneg_solution(monoid._system, elem.as_vector())
+    return next(xl._nonneg_solutions(monoid._system, elem.as_vector()),
+                None) is not None
 
 
 def expression(monoid, elem):
     """The lex-smallest exponent vector writing ``elem`` in the generators,
     or None when the element is not in the monoid."""
-    sol = xl.solve_nonneg(monoid._system,
-                          element_of(monoid.ambient, elem).as_vector())
+    sol = min(xl._nonneg_solutions(
+        monoid._system, element_of(monoid.ambient, elem).as_vector(), True),
+        default=None)
     if sol is None:
         return None
     return sol[:len(monoid.generators)]
@@ -321,7 +324,7 @@ def grothendieck_group(pres):
     """
     cols = [tuple(u[i] - v[i] for i in range(pres.ngens))
             for (u, v) in pres.relations]
-    group, proj = xl.group_from_relations(pres.ngens, cols)
+    group, proj = xl._group_from_relations(pres.ngens, cols)
     images = tuple(element_of(group, col) for col in xl.mat_columns(proj))
     return group, images
 
@@ -441,15 +444,17 @@ def _irreducibles(ambient, generators):
     keep = []
     for i, g in enumerate(current):
         rest = keep + current[i + 1:]
-        if not xl.has_nonneg_solution(
-                _membership_system(ambient, rest), g.as_vector()):
+        if next(xl._nonneg_solutions(_membership_system(ambient, rest),
+                                     g.as_vector()), None) is None:
             keep.append(g)
     return tuple(keep)
 
 
 def characteristic_rank(monoid):
-    """The rank of the sharpened monoid's Grothendieck group."""
-    return sharpen(monoid).ambient.free_rank
+    """The rank of the sharpened monoid's Grothendieck group, M^gp / M^x:
+    the group ``sharpen`` presents, without its scan for irreducibles."""
+    return xl.quotient_presentation(
+        monoid.ambient, [u.as_vector() for u in units(monoid)])[0].free_rank
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +581,7 @@ def pushout_with_maps(f, g):
     cols = _stack_group_presentation(m_amb, n_amb)
     for fc, gc in zip(xl.mat_columns(f.matrix), xl.mat_columns(g.matrix)):
         cols.append(fc + tuple(-x for x in gc))
-    group, proj = xl.group_from_relations(lm + ln, cols)
+    group, proj = xl._group_from_relations(lm + ln, cols)
 
     def image(vec):
         return element_of(group, xl.apply(proj, vec))
@@ -585,11 +590,10 @@ def pushout_with_maps(f, g):
     right = tuple(image((0,) * lm + n.as_vector()) for n in g.target.generators)
     # images of spanning sets of M^gp and N^gp under the surjective proj
     monoid = AffineMonoid._spanning(group, left + right)
-    proj_cols = xl.mat_columns(proj)
     return PushoutResult(
         monoid=monoid, left_images=left, right_images=right,
-        left_matrix=xl.intmat_from_columns(proj_cols[:lm], nrows=group.lift_dim),
-        right_matrix=xl.intmat_from_columns(proj_cols[lm:], nrows=group.lift_dim))
+        left_matrix=xl.IntMatrix(tuple(r[:lm] for r in proj.rows), lm),
+        right_matrix=xl.IntMatrix(tuple(r[lm:] for r in proj.rows), ln))
 
 
 def _presentation_pushout(f, g):
@@ -648,7 +652,7 @@ def fiber_product_generators(f, g):
     p, q = len(m_mon.generators), len(n_mon.generators)
     pairs = []
     seen = set()
-    for sol in sorted(xl.minimal_nonneg_solutions(a)):
+    for sol in sorted(xl._minimal_solutions(xl._gram(a))):
         am = sol[:p]
         bn = sol[p:p + q]
         if not any(am) and not any(bn):
@@ -670,7 +674,7 @@ def fiber_product(f, g):
     m_amb = f.source.ambient
     n_amb = g.source.ambient
     cols = _stack_group_presentation(m_amb, n_amb)
-    group, proj = xl.group_from_relations(m_amb.lift_dim + n_amb.lift_dim, cols)
+    group, proj = xl._group_from_relations(m_amb.lift_dim + n_amb.lift_dim, cols)
     stacked = []
     for (m_el, n_el) in pairs:
         vec = xl.apply(proj, m_el.as_vector() + n_el.as_vector())

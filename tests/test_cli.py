@@ -301,6 +301,15 @@ def test_composite_char_exits_2(tmp_path):
     assert "prime" in proc.stderr
 
 
+def test_char_past_the_exact_primality_range_exits_2(tmp_path, capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the prime
+    # bases 2 to 37
+    p = write_doc(tmp_path / "hom.json", {
+        "kind": "hom", "source": N1, "target": N1, "matrix": [[2]]})
+    assert cli.main(["hom-check", "--char", "318665857834031151167461", p]) == 2
+    assert "prime" in capsys.readouterr().err
+
+
 def test_invalid_fan_exits_2(tmp_path):
     p = write_doc(tmp_path / "fan.json", {
         "kind": "fan", "dim": 2,
@@ -430,13 +439,14 @@ def test_faces_verify_finds_a_missing_face(
 
 def test_rank_verify_catches_a_sharpening_that_keeps_the_units(
         tmp_path, monkeypatch, capsys):
-    # the half-line N x Z has characteristic rank 1; a sharpen that returns
-    # its input reports 2, which the check against M^gp / M^x must refuse
+    # the half-line N x Z has characteristic rank 1; a sharpening that
+    # keeps the units (none found) reports 2, which the check against
+    # M^gp / M^x, with the units found by the solver, must refuse
     case = Path(__file__).parent / "golden" / "cases" / "rank-halfline"
     p = str(case / "halfline.json")
     assert cli.main(["rank", "--verify", p]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(mc, "sharpen", lambda monoid: monoid)
+    monkeypatch.setattr(mc, "units", lambda monoid: ())
     assert cli.main(["rank", "--verify", p]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -361,7 +361,7 @@ def _oracle_extreme_rays_of_halfspaces(normals, dim):
         if rank == target:
             survivors.append(e)
     if lin_canon:
-        p, r, _ = cc._quotient_maps(lin_canon, dim)
+        p, r = cc._quotient_maps(lin_canon, dim)
         survivors = [xl.apply(r, cc.primitive(xl.apply(p, e)))
                      for e in survivors]
     else:
@@ -491,11 +491,14 @@ def test_extreme_rays_of_halfspaces_oracle_sanity():
 @given(_any_cones())
 def test_span_coordinates_match_integer_solve(cone):
     # one Smith decomposition per cone gives the coordinates that a solve
-    # per vector gave: the span basis has full column rank
+    # per vector gives: the basis that ``up`` embeds spans the integer
+    # kernel of the span equations and has full column rank
     assume(not cone.is_full_dimensional and not cone.is_zero)
     down, up, m = cc._to_span_coords(cone)
-    basis = xl.intmat_from_columns(
-        cc._saturated_kernel(cone.span_equations, cone.dim), nrows=cone.dim)
+    units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    basis = xl.intmat_from_columns([up(e) for e in units], nrows=cone.dim)
+    assert cc.hnf_row_basis(xl.mat_columns(basis), cone.dim) == \
+        cc._saturated_kernel(cone.span_equations, cone.dim)
     for g in cone.generators + (cc.vadd(cone.generators[0],
                                         cone.generators[-1]),):
         assert down(g) == xl.solve_integer(basis, g)

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
+import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError, InternalCheckError
 
 
@@ -488,6 +490,24 @@ def test_is_prime_matches_trial_division():
     assert not xl.is_prime(2 ** 31)
 
 
+# the least strong pseudoprimes to the prime bases up to 37 (psi_12) and up
+# to 41 (psi_13), Sorenson and Webster, Math. Comp. 86 (2017)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_is_exact_up_to_psi_13():
+    # psi_12 passes Miller-Rabin on the bases 2 to 37; base 41 finds it
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not xl.is_prime(PSI_12)
+    assert xl.is_prime(318665857834031151167483)  # the next prime
+    assert xl.is_prime(3317044064679887385961813)  # the last prime below psi_13
+    assert not xl.is_prime(PSI_13 - 1)
+    for n in (PSI_13, PSI_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(DomainError):
+            xl.is_prime(n)
+
+
 def test_order_invertibility():
     g = xl.FgAbelianGroup(1, (6,))
     assert xl.is_order_invertible(g, 0)
@@ -758,9 +778,25 @@ def test_matrix_constructors_reject_garbage():
     lambda: xl.solve_nonneg([[1, 2]], (1.5,)),
     lambda: xl.has_nonneg_solution([[1, 2]], (1.5,)),
     lambda: xl.solve_integer([[1, 2]], (1.5,)),
+    lambda: xl.hom_kernel(xl.FgAbelianGroup(1), xl.FgAbelianGroup(1), [[0.5]]),
 ], ids=["free_rank", "factor", "factor_str", "reduce_vector", "solve_nonneg",
-        "has_nonneg_solution", "solve_integer"])
+        "has_nonneg_solution", "solve_integer", "hom_kernel"])
 def test_non_integers_are_refused_not_truncated(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc.MonoidPresentation(1.5),
+    lambda: cc.RationalCone.from_rays([], 1.5),
+    lambda: cc.extreme_rays_of_halfspaces([], 1.5),
+    lambda: xl.group_from_relations(1.5, []),
+    lambda: xl.cokernel([], nrows=1.5),
+    lambda: xl.intmat([], ncols=1.5),
+    lambda: xl.intmat_from_columns([], nrows=1.5),
+], ids=["ngens", "from_rays_dim", "halfspaces_dim", "group_ngens",
+        "cokernel_nrows", "intmat_ncols", "from_columns_nrows"])
+def test_non_integer_counts_are_refused(call):
     with pytest.raises(InputError):
         call()
 

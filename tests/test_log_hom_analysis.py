@@ -173,6 +173,27 @@ def test_kato_criterion_rejects_composite_char():
         lha.kato_criterion(_nodal(1, 1), residue_char=6)
 
 
+_AT_A_CHAR = [lha.kato_criterion, lha.neat_chart_class, lha.differential_rank]
+
+
+@pytest.mark.parametrize("entry", _AT_A_CHAR,
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_a_non_integer_char_is_refused(entry, p):
+    with pytest.raises(InputError):
+        entry(_nodal(1, 2), residue_char=p)
+
+
+@pytest.mark.parametrize("entry", _AT_A_CHAR,
+                         ids=lambda f: f.__name__)
+def test_chars_beyond_the_exact_primality_range_are_refused(entry):
+    # psi_12 passes Miller-Rabin on the bases 2 to 37, and psi_13 is past
+    # the range where the bases 2 to 41 are a proof
+    for p in (318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(DomainError):
+            entry(_nodal(1, 2), residue_char=p)
+
+
 def test_hollow_chart_is_smooth_never_etale():
     hollow = _hom(_free(0), _free(2), [[], []])
     for p in (0, 2, 5):

@@ -228,13 +228,26 @@ def test_cached_membership_matches_a_rebuild_per_query(data):
     # zero and the generators, which contains answers by definition
     targets += [amb.zero()] + [g.as_vector() for g in gens]
     for t in targets:
-        # the old path: a fresh membership system for every query
-        system = mc._membership_system(amb, gens)
+        # the old path: a fresh membership system for every query, as a
+        # checked matrix through the public solver doors
+        system = xl.intmat_from_columns(mc._membership_system(amb, gens),
+                                        nrows=amb.lift_dim)
         want = xl.solve_nonneg(system, amb.reduce_vector(t))
         assert monoid.contains(t) == xl.has_nonneg_solution(
             system, amb.reduce_vector(t))
         assert mc.expression(monoid, t) == (
             None if want is None else want[:len(gens)])
+
+
+def test_expression_stops_below_the_least_solution():
+    # every generator but (1, 0, 0) and (0, 1, 0) comes with its negative,
+    # so the homogeneous solutions are many; the lex-smallest exponent
+    # vectors below were computed by enumerating every minimal solution
+    m = mc.AffineMonoid.from_vectors(
+        [(0, -1, 0), (25, 20, 33), (1, 0, 0), (-20, -16, -25), (0, 1, 0),
+         (20, 16, 25)])
+    assert mc.expression(m, (1, 0, 0)) == (0, 0, 1, 0, 0, 0)
+    assert mc.expression(m, (0, -1, 0)) == (0, 25, 35, 33, 27, 0)
 
 
 def test_one_monoid_builds_its_membership_system_once(count_calls):
@@ -379,6 +392,22 @@ def test_characteristic_rank():
     assert mc.characteristic_rank(mixed) == 1
     grp = group_monoid(xl.FgAbelianGroup(2, ()))
     assert mc.characteristic_rank(grp) == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_characteristic_rank_is_the_rank_of_the_sharpening(data):
+    monoid = data.draw(_monoids(max_gens=4))
+    assert mc.characteristic_rank(monoid) == \
+        mc.sharpen(monoid).ambient.free_rank
+
+
+def test_characteristic_rank_runs_no_solver(no_solver):
+    # rank M^gp / M^x needs the unit quotient only, not the irreducibles
+    m = mc.AffineMonoid.from_vectors(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1), (0, 2, 1), (0, 3, 1)])
+    assert mc.characteristic_rank(m) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +711,32 @@ def _incl(sub, sup):
 def _hom(src, dst, rows):
     import logmonoid.log_hom_analysis as lha
     return lha.MonoidHom(src, dst, rows)
+
+
+def test_package_built_values_are_not_checked_again(count_calls):
+    # a caller's matrix is checked once, when the hom is built; after that
+    # no construction goes back through the checked matrix builders or the
+    # public solver doors
+    import logmonoid.log_hom_analysis as lha
+    torsion = mc.AffineMonoid.from_vectors([(1, 1), (1, 0), (2, 1)], (2,))
+    n1 = mc.free_monoid(1)
+    double = _hom(n1, n1, [[2]])
+    to_torsion = _hom(n1, torsion, [[2], [0]])
+    cone = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 5)], 3)
+    fan = cc.fan_from_cones([cone], 3)
+    doors = {name: count_calls(xl, name) for name in (
+        "intmat", "intmat_from_columns", "has_nonneg_solution", "solve_nonneg")}
+    mc.saturate(torsion)
+    mc.sharpen(torsion)
+    torsion.contains((3, 1))
+    mc.expression(torsion, (3, 1))
+    mc.fiber_product(double, double)
+    mc.pushout_with_maps(double, to_torsion)
+    lha.kato_criterion(to_torsion, 2)
+    cc.hilbert_basis(cone)
+    cc.resolve(fan)
+    assert {name: len(calls) for name, calls in doors.items()} == \
+        dict.fromkeys(doors, 0)
 
 
 def test_kummer_pushout_fine_and_fs():
