@@ -191,10 +191,10 @@ def parse_hom(doc, ctx, warn):
         raise InputError(
             f"{ctx}.matrix: expected {n_rows} rows (target lift "
             f"coordinates), got {len(raw)}")
-    rows = tuple(_as_vector(r, n_cols, f"{ctx}.matrix[{i}]")
-                 for i, r in enumerate(raw))
+    rows = [_as_vector(r, n_cols, f"{ctx}.matrix[{i}]")
+            for i, r in enumerate(raw)]
     try:
-        return lha.MonoidHom(source, target, xl.IntMatrix(rows, n_cols))
+        return lha.MonoidHom(source, target, rows)
     except DomainError as exc:
         # an ill-typed document, not a precondition failure: the matrix does
         # not describe a homomorphism of the monoids the document declares

@@ -81,14 +81,15 @@ def intmat(rows, ncols=None):
     against the row length.
     """
     rows = tuple(map(tuple, rows))
+    if ncols is not None:
+        (ncols,) = _as_ints((ncols,))
     if not rows:
         if ncols is None:
             raise InputError("empty matrix needs an explicit column count")
-        (ncols,) = _as_ints((ncols,))
         return IntMatrix((), ncols)
     width = len(rows[0])
     if ncols is not None and ncols != width:
-        raise InputError(f"expected {ncols} columns, got {width}")
+        raise InputError(f"expected vectors of length {ncols}, got {width}")
     if any(len(r) != width for r in rows):
         raise InputError("ragged rows in matrix input")
     for r in rows:
@@ -104,14 +105,13 @@ def _from_columns(cols, nrows):
 
 
 def intmat_from_columns(cols, nrows=None):
-    """Builds a matrix whose columns are the given integer vectors."""
-    cols = [tuple(c) for c in cols]
-    if not cols:
-        if nrows is None:
-            raise InputError("empty column list needs an explicit row count")
-        (nrows,) = _as_ints((nrows,))
-        return IntMatrix(((),) * nrows, 0)
-    return _from_columns(intmat(cols).rows, len(cols[0]))
+    """Builds a matrix whose columns are the given integer vectors, checked
+    as the rows of ``intmat`` (so each of length ``nrows`` when given)."""
+    cols = list(cols)
+    if not cols and nrows is None:
+        raise InputError("empty column list needs an explicit row count")
+    transposed = intmat(cols, nrows)
+    return _from_columns(transposed.rows, transposed.ncols)
 
 
 def _identity_rows(n):
@@ -145,17 +145,17 @@ def apply(mat, vec):
     return tuple(sum(map(mul, r, vec)) for r in mat.rows)
 
 
-def _as_matrix(a, ncols=None):
-    """``a`` as an IntMatrix: nested int sequences (with ``ncols`` as in
-    ``intmat``) and 2-d arrays (anything with ``tolist`` and ``shape``) are
-    checked and converted.  An IntMatrix is already checked."""
+def _as_matrix(a):
+    """``a`` as an IntMatrix: nested int sequences and 2-d arrays (anything
+    with ``tolist`` and ``shape``) are checked and converted.  An IntMatrix
+    is taken as it is: its constructor is the unchecked one."""
     if isinstance(a, IntMatrix):
         return a
     if hasattr(a, "tolist"):
         if len(a.shape) != 2:
             raise InputError("expected a 2-d matrix")
         return intmat(a.tolist(), ncols=a.shape[1])
-    return intmat(a, ncols)
+    return intmat(a)
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +455,14 @@ def torsion_order(g):
     return out
 
 
-# The least strong pseudoprime to all of the first 13 prime bases, 2 to 41
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
-# Comp. 86, 2017): below it, Miller-Rabin on those bases is a proof.
+# Miller-Rabin on the prime bases 2 to 41 is a proof below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
 _PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin primality test, proven below ``_PSI_13``;
-    a larger n raises DomainError instead of an unproven answer."""
+    """Deterministic Miller-Rabin primality test, proven below ``_PSI_13``."""
     if n < 2:
         return False
     if n >= _PSI_13:
@@ -511,10 +510,9 @@ def cokernel(a, nrows=None):
     """
     a = intmat([], ncols=0) if isinstance(a, (list, tuple)) and not a \
         else _as_matrix(a)
-    m = a.shape[0]
     if a.shape == (0, 0) and nrows is not None:
-        (m,) = _as_ints((nrows,))
-    return _group_from_relations(m, mat_columns(a))[0]
+        return FgAbelianGroup(nrows)
+    return _group_from_relations(a.shape[0], mat_columns(a))[0]
 
 
 def group_from_relations(ngens, relation_columns):
@@ -523,9 +521,8 @@ def group_from_relations(ngens, relation_columns):
     Returns (group, proj) where ``proj`` is the (lift_dim x ngens) matrix
     taking old coordinates to lift coordinates of the quotient.
     """
-    (ngens,) = _as_ints((ngens,))
     rel = intmat_from_columns(relation_columns, nrows=ngens)
-    return _group_from_relations(ngens, mat_columns(rel))
+    return _group_from_relations(rel.shape[0], mat_columns(rel))
 
 
 def _group_from_relations(ngens, cols):
@@ -606,9 +603,17 @@ def hom_is_well_defined(source, target, matrix):
     return True
 
 
+def _hom_columns(source, target, matrix):
+    """The columns of a lift-coordinate matrix of a hom source -> target."""
+    matrix, shape = _as_matrix(matrix), (target.lift_dim, source.lift_dim)
+    if matrix.shape != shape:
+        raise InputError(f"hom matrix has shape {matrix.shape}, not {shape}")
+    return mat_columns(matrix)
+
+
 def hom_kernel(source, target, matrix):
     """Kernel of a hom of presented groups, in invariant-factor form."""
-    gens = _relations_among(target, mat_columns(_as_matrix(matrix)))
+    gens = _relations_among(target, _hom_columns(source, target, matrix))
     sub, _ = subgroup_presentation(source, gens) if gens else (
         FgAbelianGroup(0, ()), [])
     return sub
@@ -616,7 +621,7 @@ def hom_kernel(source, target, matrix):
 
 def hom_cokernel(source, target, matrix):
     """Cokernel of a hom of presented groups, in invariant-factor form."""
-    return quotient_presentation(target, mat_columns(_as_matrix(matrix)))[0]
+    return quotient_presentation(target, _hom_columns(source, target, matrix))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +633,7 @@ def _gram(cols):
     return [tuple([sum(map(mul, u, v)) for v in cols]) for u in cols]
 
 
-def _minimal_solutions(gram, capped=False, lexmin=False):
+def _minimal_solutions(gram, capped=False):
     """The minimal nonzero solutions of a x = 0 with x >= 0 integral, given
     the Gram matrix G = A^T A of the columns of a.
 
@@ -660,11 +665,7 @@ def _minimal_solutions(gram, capped=False, lexmin=False):
 
     ``capped`` freezes the last coordinate once it is 1, which yields the
     minimal solutions whose last coordinate is at most 1 (every minimal
-    solution is reached by a coordinatewise-monotone path).  ``lexmin``
-    drops every tuple that is lexicographically above the least solution
-    with last coordinate 1 yielded so far: the tuples of its subtree are
-    componentwise, hence lexicographically, at least as large, so the least
-    such solution is still yielded, and only tuples below it are.
+    solution is reached by a coordinatewise-monotone path).
     """
     n = len(gram)
     cap = 1 << (n - 1) if capped else 0
@@ -676,18 +677,15 @@ def _minimal_solutions(gram, capped=False, lexmin=False):
         frozen |= 1 << i
 
     index = {}
-    best = None
     while frontier:
         for t in sorted(t for t, node in frontier.items() if node[1] == 0):
             for i, v in enumerate(t):
                 if v:
                     index.setdefault((i, v), []).append(t)
-            if lexmin and t[-1] == 1 and (best is None or t < best):
-                best = t
             yield t
         nxt = {}
         for t, (sc, nrm, frozen) in frontier.items():
-            if nrm == 0 or best is not None and t > best:
+            if nrm == 0:
                 continue
             kids = []
             for i in range(n):
@@ -720,11 +718,9 @@ def minimal_nonneg_solutions(a):
     return list(_minimal_solutions(_gram(mat_columns(_as_matrix(a)))))
 
 
-def _nonneg_solutions(cols, b, lexmin=False):
+def _nonneg_solutions(cols, b):
     """The minimal solutions x >= 0 of sum_i x_i cols[i] = b, in the order of
-    the search, or with ``lexmin`` those the lexicographically smallest
-    needs (``_minimal_solutions``).  The columns and b are int tuples of one
-    length (trusted).
+    the search.  The columns and b are int tuples of one length (trusted).
 
     Homogenized: they are the minimal solutions (x, 1) of [a | -b] (x, y) = 0
     with y <= 1.  For b = 0 the only one is x = 0.  The search finds it
@@ -735,7 +731,7 @@ def _nonneg_solutions(cols, b, lexmin=False):
     if not any(b):
         return iter([(0,) * n])
     gram = _gram([*cols, tuple(-x for x in b)])
-    return (s[:n] for s in _minimal_solutions(gram, True, lexmin) if s[n])
+    return (s[:n] for s in _minimal_solutions(gram, capped=True) if s[n])
 
 
 def solve_nonneg(a, b):
@@ -743,11 +739,10 @@ def solve_nonneg(a, b):
 
     Complete: returns None only when no nonnegative integer solution exists.
     (The lex-smallest solution is componentwise-minimal, and the search
-    yields every minimal solution below the least one found so far.)
+    enumerates all minimal solutions.)
     """
     a = _as_matrix(a)
-    return min(_nonneg_solutions(mat_columns(a), _check_rhs(a, b), True),
-               default=None)
+    return min(_nonneg_solutions(mat_columns(a), _check_rhs(a, b)), default=None)
 
 
 def has_nonneg_solution(a, b):

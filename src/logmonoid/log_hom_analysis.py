@@ -36,7 +36,8 @@ class MonoidHom:
     def __post_init__(self):
         rows = self.target.ambient.lift_dim
         cols = self.source.ambient.lift_dim
-        mat = xl._as_matrix(self.matrix, ncols=cols)
+        mat = xl.intmat(self.matrix.tolist() if hasattr(self.matrix, "tolist")
+                        else self.matrix, ncols=cols)
         if mat.shape != (rows, cols):
             raise InputError(
                 f"hom matrix has shape {mat.shape}, expected {(rows, cols)}")

@@ -305,7 +305,7 @@ def expression(monoid, elem):
     """The lex-smallest exponent vector writing ``elem`` in the generators,
     or None when the element is not in the monoid."""
     sol = min(xl._nonneg_solutions(
-        monoid._system, element_of(monoid.ambient, elem).as_vector(), True),
+        monoid._system, element_of(monoid.ambient, elem).as_vector()),
         default=None)
     if sol is None:
         return None

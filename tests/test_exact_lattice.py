@@ -801,6 +801,22 @@ def test_non_integer_counts_are_refused(call):
         call()
 
 
+_Z2 = xl.FgAbelianGroup(0, (2,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: xl.intmat_from_columns([(1, 2)], nrows=3),
+    lambda: xl.group_from_relations(3, [(2,)]),
+    lambda: xl.hom_kernel(_Z2, _Z2, [[1], [0]]),
+    lambda: xl.hom_cokernel(_Z2, _Z2, [[1], [0]]),
+    lambda: xl.hom_cokernel(_Z2, _Z2, [[1, 0]]),
+], ids=["from_columns", "group_from_relations", "hom_kernel",
+        "hom_cokernel_rows", "hom_cokernel_cols"])
+def test_wrong_shapes_are_refused_not_truncated(call):
+    with pytest.raises(InputError):
+        call()
+
+
 def test_intmat_surface():
     a = xl.intmat([[1, 2, 3], [4, 5, 6]])
     assert a.shape == (2, 3)

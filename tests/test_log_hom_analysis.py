@@ -103,6 +103,10 @@ def oracle_field_rank(pres, p):
 def test_hom_validation():
     with pytest.raises(InputError):
         _hom(_free(1), _free(2), [[1]])  # wrong shape
+    # an IntMatrix is built unchecked, so the hom checks it like any matrix
+    for unchecked in (xl.IntMatrix(((1, 5),), 1), xl.IntMatrix(((0.5,),), 1)):
+        with pytest.raises(InputError):
+            lha.MonoidHom(_free(1), _free(1), unchecked)
     with pytest.raises(DomainError):
         _hom(_free(1), _free(1), [[-1]])  # image outside target
     # torsion source into a free target: 2 * 1bar = 0 must map to 0

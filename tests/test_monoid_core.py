@@ -239,17 +239,6 @@ def test_cached_membership_matches_a_rebuild_per_query(data):
             None if want is None else want[:len(gens)])
 
 
-def test_expression_stops_below_the_least_solution():
-    # every generator but (1, 0, 0) and (0, 1, 0) comes with its negative,
-    # so the homogeneous solutions are many; the lex-smallest exponent
-    # vectors below were computed by enumerating every minimal solution
-    m = mc.AffineMonoid.from_vectors(
-        [(0, -1, 0), (25, 20, 33), (1, 0, 0), (-20, -16, -25), (0, 1, 0),
-         (20, 16, 25)])
-    assert mc.expression(m, (1, 0, 0)) == (0, 0, 1, 0, 0, 0)
-    assert mc.expression(m, (0, -1, 0)) == (0, 25, 35, 33, 27, 0)
-
-
 def test_one_monoid_builds_its_membership_system_once(count_calls):
     builds = count_calls(mc, "_membership_system")
     m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2)])
