@@ -374,7 +374,7 @@ def _h_fiber(doc, path, args, warn):
     _expect_kind(doc, {"fiber-request"}, path)
     left, right = _hom_pair(doc, path, warn, shared="target")
     pairs = mc.fiber_product_generators(left, right)
-    monoid = mc.fiber_product(left, right)
+    monoid = mc._fiber_monoid(left, right, pairs)
     return {"kind": "fiber-result",
             "pairs": sorted((m.as_vector(), n.as_vector()) for (m, n) in pairs),
             "monoid": monoid_block(monoid)}, (left, right, pairs)

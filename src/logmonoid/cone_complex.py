@@ -123,9 +123,6 @@ def _quotient_maps(lattice_basis, dim):
     the span of the (saturated) basis B.
     """
     k = len(lattice_basis)
-    if k == 0:
-        eye = xl.identity_mat(dim)
-        return eye, eye
     dec = xl._snf_full(xl._from_columns(lattice_basis, dim))
     if dec.diag != (1,) * k:
         raise InternalCheckError("lineality basis is not saturated")
@@ -137,9 +134,6 @@ def _quotient_maps(lattice_basis, dim):
 def _saturated_kernel(forms, dim):
     """Canonical basis of {x in Z^dim : f . x = 0 for every form}: the
     lineality of the cone the forms cut out as inequalities."""
-    if not forms:
-        return tuple(tuple(1 if j == i else 0 for j in range(dim))
-                     for i in range(dim))
     dec = xl._snf_full(xl.IntMatrix(tuple(forms), dim))
     return hnf_row_basis(xl._kernel_columns(dec), dim)
 
@@ -513,8 +507,6 @@ def multiplicity(cone):
         raise DomainError("multiplicity requires a strongly convex cone")
     if not cone.is_simplicial:
         raise DomainError("multiplicity requires a simplicial cone")
-    if cone.is_zero:
-        return 1
     down, _, _ = _to_span_coords(cone)
     d = abs(xl.det_adjugate([down(r) for r in cone.extreme_rays])[0])
     if d == 0:
@@ -530,9 +522,9 @@ def is_regular(cone):
     return cone.is_simplicial and multiplicity(cone) == 1
 
 
-def _parallelepiped_numerators(ray_coords, m):
+def _parallelepiped_numerators(ray_coords):
     """The nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for
-    linearly independent rays in Z^m, as coefficient numerators.
+    m linearly independent rays in Z^m, as coefficient numerators.
 
     Returns (L, numerators): each point is sum_i (N_i / L) r_i for exactly
     one tuple N with 0 <= N_i < L, where L is the last invariant factor of
@@ -545,6 +537,7 @@ def _parallelepiped_numerators(ray_coords, m):
     time, which is 0 mod L.  A step costs O(m); ``_parallelepiped_point``
     turns the numerators of a point into the point.
     """
+    m = len(ray_coords)
     dec = xl._snf_full(xl._from_columns(ray_coords, m))
     orders = dec.diag
     if len(orders) < m:
@@ -687,8 +680,6 @@ def hilbert_basis(cone):
     """
     if not cone.is_strongly_convex:
         raise DomainError("Hilbert bases are defined for strongly convex cones")
-    if cone.is_zero:
-        return ()
     down, up, m = _to_span_coords(cone)
     if m == 2:
         rays = [down(r) for r in cone.extreme_rays]
@@ -697,7 +688,7 @@ def hilbert_basis(cone):
     found = set(cone.extreme_rays)
     for simplex in simplices:
         rays = [down(r) for r in simplex]
-        big, nums = _parallelepiped_numerators(rays, m)
+        big, nums = _parallelepiped_numerators(rays)
         ranked = sorted((sum(n), n, n) for n in nums)
         found.update(up(_parallelepiped_point(n, big, rays))
                      for n in _irreducible(ranked))
@@ -970,9 +961,9 @@ def _subdivision_point(cone):
     smaller coefficient sum) and lies on no regular cone of any fan
     containing the cone as a face-compatible member.
     """
-    down, up, m = _to_span_coords(cone)
+    down, up, _ = _to_span_coords(cone)
     rays = [down(r) for r in cone.extreme_rays]
-    big, nums = _parallelepiped_numerators(rays, m)
+    big, nums = _parallelepiped_numerators(rays)
     if not nums:
         raise InternalCheckError("regular cone passed to subdivision point")
     best = min(nums, key=lambda n: (sum(n), n))
@@ -988,10 +979,10 @@ def resolve(fan, validate=True):
     The fan is first made simplicial by the pulling triangulations of its
     non-simplicial cones; then, while a singular cone remains, the one of
     largest multiplicity (ties by ray tuple) is subdivided at its
-    distinguished parallelepiped point.  After every step it is checked that
-    each replaced cone was replaced by same-dimension pieces of strictly
-    smaller multiplicity; the multiset of multiplicities therefore strictly
-    decreases and the loop terminates.
+    distinguished parallelepiped point.  The pieces of a replaced cone join
+    its facets to a point off them, so they keep its dimension; every step
+    checks that each has strictly smaller multiplicity, so the multiset of
+    multiplicities strictly decreases and the loop terminates.
     """
     simplicial = []
     for c in fan.maximal_cones:
@@ -1016,7 +1007,7 @@ def resolve(fan, validate=True):
             memo[c] = multiplicity(c)
         return memo[c]
 
-    for _ in range(100000):
+    while True:
         singular = [c for c in current.maximal_cones if mult(c) > 1]
         if not singular:
             break
@@ -1025,13 +1016,9 @@ def resolve(fan, validate=True):
         current, replaced = _stellar_pieces(current, v)
         for old, pieces in replaced:
             m_old = mult(old)
-            for piece in pieces:
-                if piece.span_dim == old.span_dim and \
-                        mult(piece) >= m_old:
-                    raise InternalCheckError(
-                        "stellar subdivision failed to decrease multiplicity")
-    else:
-        raise InternalCheckError("resolution did not terminate")
+            if any(mult(piece) >= m_old for piece in pieces):
+                raise InternalCheckError(
+                    "stellar subdivision failed to decrease multiplicity")
     if validate:
         try:
             current.validate()

@@ -663,12 +663,20 @@ def _minimal_solutions(gram, capped=False):
         from several parents keeps the intersection of their frozen sets,
         so every minimal solution stays reachable.
 
-    ``capped`` freezes the last coordinate once it is 1, which yields the
+    ``capped`` freezes the last coordinate once it is 1, which keeps to the
     minimal solutions whose last coordinate is at most 1 (every minimal
-    solution is reached by a coordinatewise-monotone path).
+    solution is reached by a coordinatewise-monotone path), and seeks the
+    lex-least head x of a solution (x, 1).  Once one is yielded, the rest of
+    its level is skipped (sorted after (x, 1), no head there is below x),
+    and a child t + e_i is dropped, with i frozen as for domination, unless
+    t + e_i < best = (x, 0), that is, unless its head is lex-below x.  The
+    path to a solution with a smaller head has smaller heads, so it stays:
+    the last (x, 1) yielded is the least.  Nothing is dropped before the
+    first yield.
     """
     n = len(gram)
     cap = 1 << (n - 1) if capped else 0
+    best = None
     frontier = {}
     frozen = 0
     for i in range(n):
@@ -683,6 +691,9 @@ def _minimal_solutions(gram, capped=False):
                 if v:
                     index.setdefault((i, v), []).append(t)
             yield t
+            if capped and t[-1]:
+                best = t[:-1] + (0,)
+                break
         nxt = {}
         for t, (sc, nrm, frozen) in frontier.items():
             if nrm == 0:
@@ -695,7 +706,8 @@ def _minimal_solutions(gram, capped=False):
                 t2 = t[:i] + (v,) + t[i + 1:]
                 if t2 not in nxt:
                     bucket = index.get((i, v))
-                    if bucket and any(all(map(ge, t2, s)) for s in bucket):
+                    if best and t2 >= best or bucket and any(
+                            all(map(ge, t2, s)) for s in bucket):
                         frozen |= 1 << i
                         continue
                 kids.append((i, t2))
@@ -719,13 +731,14 @@ def minimal_nonneg_solutions(a):
 
 
 def _nonneg_solutions(cols, b):
-    """The minimal solutions x >= 0 of sum_i x_i cols[i] = b, in the order of
-    the search.  The columns and b are int tuples of one length (trusted).
+    """Minimal solutions x >= 0 of sum_i x_i cols[i] = b, in the order of
+    the search: the first one found, then only ones lex-below every earlier
+    one, down to the lex-least.  The columns and b are int tuples of one
+    length (trusted).  Empty iff there is no solution.
 
     Homogenized: they are the minimal solutions (x, 1) of [a | -b] (x, y) = 0
-    with y <= 1.  For b = 0 the only one is x = 0.  The search finds it
-    first, but would then go through every homogeneous solution of a before
-    ``solve_nonneg`` learns that no other comes, so it is not run.
+    with y <= 1, from the capped search.  For b = 0 the only one is x = 0,
+    which needs no search.
     """
     n = len(cols)
     if not any(b):
@@ -739,7 +752,7 @@ def solve_nonneg(a, b):
 
     Complete: returns None only when no nonnegative integer solution exists.
     (The lex-smallest solution is componentwise-minimal, and the search
-    enumerates all minimal solutions.)
+    yields the lex-least minimal solution last.)
     """
     a = _as_matrix(a)
     return min(_nonneg_solutions(mat_columns(a), _check_rhs(a, b)), default=None)

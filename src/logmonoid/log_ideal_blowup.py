@@ -154,7 +154,7 @@ def blowup_fan(monoid, ideal):
     charts of the blowup surject onto, but need not biject with, the maximal
     cones.)
     """
-    if not mc.predicates(monoid).is_toric:
+    if not mc.is_toric(monoid):
         raise DomainError("blowup fans are defined for toric monoids")
     if ideal.is_empty:
         raise DomainError("cannot blow up the empty ideal")

@@ -337,29 +337,21 @@ def integralize(pres):
     return AffineMonoid._spanning(group, images)
 
 
-def monoid_relation_lattice(monoid):
-    """Columns spanning {x in Z^gens : sum x_i g_i = 0 in the ambient group}.
-
-    These are the group-level relations among the generators; as congruence
-    relations (x^+, x^-) they present a monoid with the same integralization.
-    """
-    return [col for col in xl._relations_among(
-        monoid.ambient, [g.as_vector() for g in monoid.generators]) if any(col)]
-
-
 def presentation_of(monoid):
     """A presentation with the same integralization as ``monoid``.
 
-    Relations are the generator relation lattice split into positive and
-    negative parts; the congruence they generate may be smaller than the full
-    congruence of the monoid, but the Grothendieck group and hence the
-    integralization agree.
+    Relations are the nonzero columns spanning the generator relation
+    lattice {x in Z^gens : sum x_i g_i = 0 in the ambient group}, split into
+    positive and negative parts; the congruence they generate may be smaller
+    than the full congruence of the monoid, but the Grothendieck group and
+    hence the integralization agree.
     """
     rels = []
-    for col in monoid_relation_lattice(monoid):
-        u = tuple(max(x, 0) for x in col)
-        v = tuple(max(-x, 0) for x in col)
-        rels.append((u, v))
+    for col in xl._relations_among(
+            monoid.ambient, [g.as_vector() for g in monoid.generators]):
+        if any(col):
+            rels.append((tuple(max(x, 0) for x in col),
+                         tuple(max(-x, 0) for x in col)))
     return MonoidPresentation(len(monoid.generators), tuple(rels))
 
 
@@ -495,7 +487,10 @@ def predicates(monoid):
 
 
 def is_toric(monoid):
-    return predicates(monoid).is_toric
+    """Sharp, saturated, torsion-free: ``predicates(monoid).is_toric``
+    without the ``sharpen`` that ``predicates`` runs for ``is_free``."""
+    return not units(monoid) and not monoid.ambient.invariant_factors and \
+        is_saturated(monoid)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +663,12 @@ def fiber_product_generators(f, g):
 def fiber_product(f, g):
     """The fiber product M x_L N as an affine monoid (re-presented so its
     ambient is its own Grothendieck group)."""
-    pairs = fiber_product_generators(f, g)
-    if not pairs:
-        return trivial_monoid()
+    return _fiber_monoid(f, g, fiber_product_generators(f, g))
+
+
+def _fiber_monoid(f, g, pairs):
+    """The monoid the ``fiber_product_generators`` pairs of f and g generate
+    in the product of the source groups, re-presented on their span."""
     m_amb = f.source.ambient
     n_amb = g.source.ambient
     cols = _stack_group_presentation(m_amb, n_amb)

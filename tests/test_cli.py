@@ -169,6 +169,25 @@ def test_blowup_builds_its_charts_once(count_calls, capsys):
     assert (len(charts), len(saturations)) == (1, 2)
 
 
+def test_fiber_searches_once(count_calls, capsys):
+    # the handler builds the monoid from the pairs it prints, without a
+    # second homogeneous search
+    case = Path(__file__).parent / "golden" / "cases" / "fiber-sum"
+    searches = count_calls(mc, "fiber_product_generators")
+    assert cli.main(["fiber", str(case / "request.json")]) == 0
+    assert capsys.readouterr().out == (case / "expected.out").read_text()
+    assert len(searches) == 1
+
+
+def test_blowup_fan_asks_only_whether_the_host_is_toric(count_calls, capsys):
+    # is_toric needs no sharpening, which predicates runs for is_free
+    case = Path(__file__).parent / "golden" / "cases" / "blowup-fan-plane"
+    sharpenings = count_calls(mc, "sharpen")
+    assert cli.main(["blowup-fan", str(case / "ideal.json")]) == 0
+    assert capsys.readouterr().out == (case / "expected.out").read_text()
+    assert sharpenings == []
+
+
 # ---------------------------------------------------------------------------
 # exit 1: usage and ill-typed input
 

@@ -770,7 +770,7 @@ def test_parallelepiped_points_match_rational_solve():
     for rays in cases:
         m = len(rays)
         diag = xl.smith_normal_form(xl.intmat_from_columns(rays, nrows=m)).diag
-        big, nums = cc._parallelepiped_numerators(rays, m)
+        big, nums = cc._parallelepiped_numerators(rays)
         assert big == (diag[-1] if diag else 1)
         assert all(type(n) is int and 0 <= n < big for ns in nums for n in ns)
         got = sorted((cc._parallelepiped_point(ns, big, rays),
@@ -1120,6 +1120,18 @@ def test_zero_cone_is_regular():
     zero = cc.RationalCone.from_rays([], 2)
     assert cc.multiplicity(zero) == 1
     assert cc.is_regular(zero)
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_zero_cone_takes_the_general_path(dim):
+    # the span lattice is Z^0: no rays have determinant 1, and the pulling
+    # triangulation is one empty simplex without parallelepiped points
+    zero = cc.RationalCone.from_rays([], dim)
+    assert cc.multiplicity(zero) == 1
+    assert cc.hilbert_basis(zero) == ()
+    # no forms cut out all of Z^dim
+    assert cc._saturated_kernel((), dim) == tuple(
+        tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,18 @@ def test_one_monoid_builds_its_membership_system_once(count_calls):
     assert len(builds) == 1
 
 
+def test_expression_on_a_unit_rich_monoid():
+    # every generator but (1,0,0) and (0,1,0) comes with its negative, so
+    # the membership system has many homogeneous solutions; the capped
+    # search reaches the lex-least expression without listing them all
+    m = mc.AffineMonoid.from_vectors([(0, -1, 0), (25, 20, 33), (1, 0, 0),
+                                      (-20, -16, -25), (0, 1, 0),
+                                      (20, 16, 25)])
+    assert mc.expression(m, (1, 0, 0)) == (0, 0, 1, 0, 0, 0)
+    assert mc.expression(m, (0, -1, 0)) == (0, 25, 35, 33, 27, 0)
+    assert mc.expression(m, (0, 1, 0)) == (0, 0, 0, 0, 1, 0)
+
+
 def test_expression_is_lex_smallest():
     m = mc.AffineMonoid.from_vectors([(1, 0), (0, 1), (1, 1)])
     # (1,1) = 1*(0,1) + 1*(1,0) or 1*(1,1); generator order after cleaning
@@ -534,6 +546,13 @@ def _monoids(draw, max_gens=5):
 @given(_monoids())
 def test_spec_matches_cone_per_face_oracle(monoid):
     assert mc.spec(monoid) == _oracle_spec(monoid)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_monoids())
+def test_is_toric_matches_predicates(monoid):
+    assert mc.is_toric(monoid) == mc.predicates(monoid).is_toric
 
 
 def _solver_units(monoid):
@@ -848,6 +867,15 @@ def test_fiber_product_with_torsion_target():
     got = sorted((m.as_vector(), n.as_vector()) for m, n in pairs)
     # parity-matching pairs are generated by (1,1), (2,0), (0,2)
     assert got == [((0,), (2,)), ((1,), (1,)), ((2,), (0,))]
+
+
+def test_fiber_product_of_an_empty_fiber_is_trivial():
+    # N -> Z <- N by 1 -> 1 and 1 -> -1 meet only in (0, 0)
+    z1 = group_monoid(xl.FgAbelianGroup(1, ()))
+    n1 = mc.free_monoid(1)
+    up, down = _hom(n1, z1, [[1]]), _hom(n1, z1, [[-1]])
+    assert mc.fiber_product_generators(up, down) == []
+    assert mc.fiber_product(up, down) == mc.trivial_monoid()
 
 
 def _old_fiber_product_generators(f, g):
