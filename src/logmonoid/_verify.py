@@ -12,6 +12,8 @@ test oracles only.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import cone_complex as cc
 from . import exact_lattice as xl
 from . import log_hom_analysis as lha
@@ -238,11 +240,41 @@ def check_mult(cone, mult):
                  "multiplicity one disagrees with regularity", "regularity")
 
 
+def _is_fan(fan):
+    try:
+        fan.validate()
+    except DomainError:
+        return False
+    return True
+
+
+def _covers(cone, cones):
+    """Whether the cones, which form a fan and lie in ``cone``, cover it:
+    some of them have its dimension, and each facet of one of those lies
+    in a facet of ``cone`` or is a facet of a second one.  Otherwise a
+    generic segment from inside their union to a missed point of ``cone``
+    leaves the union through the relative interior of an unmatched facet."""
+    full = [c for c in cones if c.span_dim == cone.span_dim]
+    shared = Counter(f for c in full for f in facets(c))
+    boundary = facets(cone)
+    return bool(full) and all(
+        n > 1 or any(b.contains_cone(f) for b in boundary)
+        for f, n in shared.items())
+
+
 def check_resolve(fan, resolved):
     yield _check(resolved.is_regular(), "resolution is not regular", "regular")
     yield _check(all(resolved.support_contains(r)
                      for c in fan.maximal_cones for r in c.extreme_rays),
                  "resolution lost part of the support", "support")
+    yield _check(_is_fan(resolved), "resolution is not a fan", "fan")
+    inside = {c: [p for p in resolved.maximal_cones if c.contains_cone(p)]
+              for c in fan.maximal_cones}
+    yield _check(all(any(p in cones for cones in inside.values())
+                     for p in resolved.maximal_cones),
+                 "resolution leaves the input cones", "refines")
+    yield _check(all(_covers(c, cones) for c, cones in inside.items()),
+                 "resolution does not cover an input cone", "covers")
 
 
 def check_blowup(ideal, charts):

@@ -25,6 +25,7 @@ constraints is the dual of the cone they generate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -812,14 +813,16 @@ def _maximal(untouched, groups):
 class Fan:
     """A fan: strongly convex cones meeting along common faces.
 
-    The constructor canonicalizes (sorts, dedupes, drops cones contained in
-    others) and checks strong convexity; pairwise face compatibility is
-    checked by ``validate`` (called by the public entry points).
-
-    Stellar subdivisions build their fans with the private ``_stellar``.
-    It gives the same fan as the constructor, but it tests containment only
-    between pieces of different replaced cones, not between every pair of
-    cones; that rule needs a reduced input fan.
+    The constructor canonicalizes (sorts, dedupes, drops contained cones)
+    and checks strong convexity; ``validate`` checks every pair, on the
+    caller's fan only.  The fans the package derives from a fan are fans by
+    construction: pulling triangulations (De Loera, Rambau and Santos,
+    *Triangulations*, 2010), 2D resolutions (see ``resolve``) and stellar
+    subdivisions (Ewald, *Combinatorial Convexity and Algebraic Geometry*,
+    ch. III), built by ``_stellar``.  In a stellar step at v, an untouched
+    cone rho and a piece cone(G, v) of a replaced cone tau meet in G meet F,
+    with F = tau meet rho a face of tau without v (lambda v + g in F forces
+    lambda = 0): a face of both.  Two pieces reduce to the pieces of one cone.
     """
 
     dim: int
@@ -836,16 +839,17 @@ class Fan:
 
     @classmethod
     def _stellar(cls, dim, untouched, groups):
-        """The fan of one stellar step at a point v: the untouched cones of
-        a fan built by the constructor (so none contains another) and, for
-        each replaced cone, the group of its pieces.
+        """The fan of the untouched cones of a fan built by the constructor
+        (so none contains another) and, for each replaced cone, the group of
+        its pieces.
 
-        Only pairs of pieces of different groups are tested.  A piece
-        contains v and an untouched cone does not; an untouched cone inside
-        a piece would lie inside the replaced cone; two pieces of one cone
-        have the dimension of that cone and disjoint relative interiors.
-        Testing only pieces that share a ray would not do: cone((1, 1))
-        lies in cone((1, 0), (0, 1)) and shares no ray with it.
+        Only pairs of pieces of different groups are tested.  An untouched
+        cone inside a piece would lie inside the replaced cone, and no piece
+        lies inside an untouched cone: a stellar piece contains v, and a 2D
+        piece spans its cone.  Two pieces of one cone have its dimension and
+        disjoint relative interiors.  Testing only pieces that share a ray
+        would not do: cone((1, 1)) lies in cone((1, 0), (0, 1)) and shares
+        no ray with it.
         """
         fan = object.__new__(cls)
         object.__setattr__(fan, "dim", dim)
@@ -942,11 +946,9 @@ def _stellar_pieces(fan, point):
 
 
 def stellar_subdivision(fan, point, validate=True):
-    """The stellar subdivision of the fan at a lattice point of its support."""
-    out, _ = _stellar_pieces(fan, point)
-    if validate:
-        out.validate()
-    return out
+    """The stellar subdivision of the fan at a lattice point of its support;
+    ``validate`` checks the input, as the output is a fan (see ``Fan``)."""
+    return _stellar_pieces(fan.validate() if validate else fan, point)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -973,57 +975,55 @@ def _subdivision_point(cone):
     return v
 
 
-def resolve(fan, validate=True):
-    """A regular subdivision of the fan by iterated stellar subdivisions.
+def _regular_pieces_2d(cone):
+    """The cones on consecutive elements of the Hilbert basis of a singular
+    cone of span dimension 2, listed from ray to ray; () if it is regular."""
+    down, up, _ = _to_span_coords(cone)
+    basis = _hilbert_basis_2d(*(down(r) for r in cone.extreme_rays))
+    pairs = list(zip(basis, basis[1:]))
+    if any(abs(a[0] * b[1] - a[1] * b[0]) != 1 for a, b in pairs):
+        raise InternalCheckError("continued fraction gave a singular cone")
+    return tuple(RationalCone.from_rays([up(a), up(b)], cone.dim)
+                 for a, b in pairs) if len(pairs) > 1 else ()
 
-    The fan is first made simplicial by the pulling triangulations of its
-    non-simplicial cones; then, while a singular cone remains, the one of
-    largest multiplicity (ties by ray tuple) is subdivided at its
-    distinguished parallelepiped point.  The pieces of a replaced cone join
-    its facets to a point off them, so they keep its dimension; every step
-    checks that each has strictly smaller multiplicity, so the multiset of
-    multiplicities strictly decreases and the loop terminates.
-    """
-    simplicial = []
-    for c in fan.maximal_cones:
-        if c.is_simplicial:
-            simplicial.append(c)
-            continue
-        for simplex in pulling_triangulation(c):
-            simplicial.append(RationalCone.from_rays(simplex, fan.dim))
-    current = Fan(dim=fan.dim, maximal_cones=tuple(simplicial))
-    if validate:
-        try:
-            current.validate()
-        except DomainError as exc:
-            fan.validate()  # a caller's non-fan is its own DomainError
-            raise InternalCheckError(
-                f"triangulated fan violates the fan axioms: {exc}") from exc
 
-    memo = {}
-
-    def mult(c):
-        if c not in memo:
-            memo[c] = multiplicity(c)
-        return memo[c]
-
+def _stellar_loop(fan):
+    """Resolves a simplicial fan: while a singular cone remains, the one of
+    largest multiplicity (ties by rays) is split at its subdivision point;
+    each piece must have smaller multiplicity, so the loop ends."""
+    mult = functools.cache(multiplicity)
     while True:
-        singular = [c for c in current.maximal_cones if mult(c) > 1]
+        singular = [c for c in fan.maximal_cones if mult(c) > 1]
         if not singular:
-            break
+            return fan
         worst = min(singular, key=lambda c: (-mult(c), c.extreme_rays))
-        v = _subdivision_point(worst)
-        current, replaced = _stellar_pieces(current, v)
-        for old, pieces in replaced:
-            m_old = mult(old)
-            if any(mult(piece) >= m_old for piece in pieces):
-                raise InternalCheckError(
-                    "stellar subdivision failed to decrease multiplicity")
-    if validate:
-        try:
-            current.validate()
-        except DomainError as exc:
-            fan.validate()
+        fan, replaced = _stellar_pieces(fan, _subdivision_point(worst))
+        if any(mult(piece) >= mult(old)
+               for old, pieces in replaced for piece in pieces):
             raise InternalCheckError(
-                f"resolved fan violates the fan axioms: {exc}") from exc
-    return current
+                "stellar subdivision failed to decrease multiplicity")
+
+
+def resolve(fan, validate=True):
+    """A regular subdivision of the fan.
+
+    ``validate`` checks the input; later fans are fans by construction (see
+    ``Fan``).  After the pulling triangulations, each singular cone of span
+    dimension 2 gets its minimal resolution (Fulton, *Introduction to Toric
+    Varieties*, §2.6) from the continued fraction.  Stellar steps reach the
+    same: the parallelepiped point p of least coefficient sum is irreducible
+    (p = a + b, a and b nonzero, makes a such a point of smaller sum), and
+    the cone on two basis elements has the basis between them as its own.
+    Later steps keep those cones, which meet others in rays or 0, and
+    ``_stellar_loop`` resolves the rest.  Regular cones stay as they are.
+    """
+    if validate:
+        fan.validate()
+    simplicial = [s for c in fan.maximal_cones for s in (
+        [c] if c.is_simplicial else [RationalCone.from_rays(t, fan.dim)
+                                     for t in pulling_triangulation(c)])]
+    cones = Fan(dim=fan.dim, maximal_cones=tuple(simplicial)).maximal_cones
+    pieces = [_regular_pieces_2d(c) if c.span_dim == 2 else () for c in cones]
+    return _stellar_loop(Fan._stellar(
+        fan.dim, [c for c, p in zip(cones, pieces) if not p],
+        [p for p in pieces if p]))

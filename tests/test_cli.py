@@ -560,6 +560,30 @@ def _zero_matrix(mat):
      "Hilbert basis element is reducible"),
     ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "resolve",
      lambda resolved, fan: fan, "resolution is not regular"),
+    # the regular cone((2, 1), (-1, 0)) contains two cones of the resolution
+    # and overlaps the third: the result is regular and covers the support
+    ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "resolve",
+     lambda resolved, fan: cc.Fan(dim=2, maximal_cones=(
+         *resolved.maximal_cones,
+         cc.RationalCone.from_rays([(2, 1), (-1, 0)], 2))),
+     "resolution is not a fan"),
+    # a regular fan on more than the input cone: cone((1, 3), (0, 1)) meets
+    # the resolution in the ray (1, 3)
+    ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "resolve",
+     lambda resolved, fan: cc.Fan(dim=2, maximal_cones=(
+         *resolved.maximal_cones,
+         cc.RationalCone.from_rays([(1, 3), (0, 1)], 2))),
+     "resolution leaves the input cones"),
+    # a regular fan without cone((1, 1), (1, 2)): it keeps every input ray
+    ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "resolve",
+     lambda resolved, fan: cc.Fan(dim=2, maximal_cones=(
+         resolved.maximal_cones[0], resolved.maximal_cones[2])),
+     "resolution does not cover an input cone"),
+    # the two rays of the input cone and nothing between them
+    ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "resolve",
+     lambda resolved, fan: cc.Fan(dim=2, maximal_cones=tuple(
+         cc.RationalCone.from_rays([r], 2) for r in fan.rays())),
+     "resolution does not cover an input cone"),
     ("pushout", _golden_doc("pushout-kummer-fine", "request.json"), mc,
      "pushout_with_maps",
      lambda result, left, right: dataclasses.replace(
@@ -582,8 +606,8 @@ def _zero_matrix(mat):
      "generator images do not generate the group"),
     ("regular", NOT_SIMPLICIAL, cc, "is_regular", lambda verdict, cone: True,
      "a cone that is not simplicial is regular"),
-], ids=["dual", "hilbert", "resolve", "pushout", "fiber", "blowup", "gp",
-        "regular"])
+], ids=["dual", "hilbert", "resolve", "resolve-fan", "resolve-refines",
+        "resolve-covers", "resolve-rays", "pushout", "fiber", "blowup", "gp", "regular"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)

@@ -10,6 +10,7 @@ duality against double description from scratch.
 
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import logmonoid.cli as cli
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
-from logmonoid._verify import (face_by_normal, facets, intersect, is_face_of,
-                               smallest_containing_face)
+from logmonoid._verify import (check_resolve, face_by_normal, facets,
+                               intersect, is_face_of, smallest_containing_face)
 from logmonoid.errors import DomainError, InputError, InternalCheckError
 
 
@@ -1273,6 +1275,17 @@ def test_stellar_outside_support_rejected():
         cc.stellar_subdivision(fan, (-1, 0))
 
 
+def test_stellar_subdivision_validates_its_input():
+    # the cones overlap in cone((1, 1), (1, 2)), which the step at (1, 1)
+    # drops: the output is a fan, but the input is none
+    fan = cc.Fan(dim=2, maximal_cones=(
+        cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
+        cc.RationalCone.from_rays([(1, 1), (0, 1)], 2)))
+    cc.stellar_subdivision(fan, (1, 1), validate=False).validate()
+    with pytest.raises(DomainError):
+        cc.stellar_subdivision(fan, (1, 1))
+
+
 def barycentric_subdivision(fan, validate=True):
     """Stellar subdivision at every face barycenter, in descending dimension.
 
@@ -1635,16 +1648,125 @@ def test_resolve_of_a_non_fan_is_a_domain_error():
     assert not isinstance(exc.value, InternalCheckError)
 
 
-def test_resolve_of_a_fan_reports_a_broken_triangulation(monkeypatch):
-    # a true fan whose (injected) triangulation overlaps is an internal fault
-    square = cc.RationalCone.from_rays(
-        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
-    fan = cc.fan_from_cones([square], 3)
-    monkeypatch.setattr(cc, "pulling_triangulation", lambda cone: [
-        ((1, 0, 1), (0, 1, 1), (-1, 0, 1)),
-        ((1, 0, 1), (0, 1, 1), (0, -1, 1))])
-    with pytest.raises(InternalCheckError, match="triangulated"):
-        cc.resolve(fan)
+def _verify_resolve_with(tmp_path, monkeypatch, capsys, cone, triangles):
+    """The stderr of ``resolve --verify`` on the fan of one cone, with its
+    (injected) triangulation: a true fan whose triangulation overlaps.
+    ``resolve`` trusts the triangulation and exits 0; ``--verify`` reports
+    the result as an internal fault."""
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(
+        {"kind": "fan", "dim": 3, "maximal_cones": [cone]}))
+    monkeypatch.setattr(cc, "pulling_triangulation", lambda c: triangles)
+    assert cli.main(["resolve", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["resolve", "--verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_resolve_of_a_fan_reports_a_broken_triangulation(tmp_path, monkeypatch,
+                                                         capsys):
+    # overlapping triangles of multiplicity 2: the stellar step at (0, 0, 1)
+    # gives a fan that misses the cone over (-1, 0, 1), (0, -1, 1)
+    err = _verify_resolve_with(
+        tmp_path, monkeypatch, capsys,
+        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+        [((1, 0, 1), (0, 1, 1), (-1, 0, 1)),
+         ((1, 0, 1), (0, 1, 1), (0, -1, 1))])
+    assert "resolution does not cover an input cone" in err
+
+
+def test_resolve_of_a_fan_reports_an_overlapping_regular_triangulation(
+        tmp_path, monkeypatch, capsys):
+    # overlapping unit triangles of the unit square: regular, so no stellar
+    # step moves them
+    err = _verify_resolve_with(
+        tmp_path, monkeypatch, capsys,
+        [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+        [((0, 0, 1), (1, 0, 1), (1, 1, 1)),
+         ((0, 0, 1), (0, 1, 1), (1, 0, 1))])
+    assert "resolution is not a fan" in err
+
+
+@st.composite
+def _fans_2d(draw):
+    """A fan of one to ten cones spanning a plane: consecutive pairs of
+    vectors of the upper half plane sorted by angle, sometimes with their
+    negatives, in Z^2 or mapped into Z^3 by an injective integer matrix (so
+    the span lattice is not a coordinate plane)."""
+    vec = st.tuples(st.integers(-30, 30), st.integers(0, 30)).filter(
+        lambda v: v[1] > 0 or v[0] > 0)
+    vecs = {cc.primitive(v) for v in draw(st.lists(vec, min_size=2,
+                                                   max_size=6))}
+    vecs = sorted(vecs, key=functools.cmp_to_key(
+        lambda u, v: v[0] * u[1] - u[0] * v[1]))
+    assume(len(vecs) >= 2)
+    pairs = [p for p in zip(vecs, vecs[1:]) if draw(st.booleans())]
+    assume(pairs)
+    if draw(st.booleans()):
+        pairs += [(cc.vneg(u), cc.vneg(v)) for u, v in pairs]
+    if draw(st.booleans()):
+        return cc.fan_from_cones(
+            [cc.RationalCone.from_rays(p, 2) for p in pairs], 2)
+    cols = draw(st.tuples(*[st.tuples(*[st.integers(-2, 2)] * 3)] * 2))
+    assume(_rank(list(cols)) == 2)
+
+    def embed(v):
+        return tuple(v[0] * a + v[1] * b for a, b in zip(*cols))
+
+    return cc.fan_from_cones(
+        [cc.RationalCone.from_rays([embed(u), embed(v)], 3)
+         for u, v in pairs], 3)
+
+
+@settings(_DIFFERENTIAL, max_examples=100)
+@given(st.one_of(_fans_2d(), _library_fans()))
+def test_resolution_is_a_fan(fan):
+    resolved = cc.resolve(fan)
+    assert resolved.is_regular()
+    resolved.validate()
+    # and a true resolution passes every --verify check
+    assert list(check_resolve(fan, resolved)) == [
+        "regular", "support", "fan", "refines", "covers"]
+
+
+@settings(_DIFFERENTIAL, max_examples=100)
+@given(_fans_2d())
+def test_2d_resolution_matches_the_stellar_loop(fan):
+    resolved = cc.resolve(fan)
+    assert resolved == cc._stellar_loop(fan)
+    # regular cones are kept, not rebuilt
+    regular = [c for c in fan.maximal_cones if cc.is_regular(c)]
+    assert all(any(c is r for r in resolved.maximal_cones) for c in regular)
+
+
+def test_2d_resolution_takes_no_subdivision_point(count_calls):
+    fan = _fan([[(0, 1), (100000, -1)]], 2)
+    points = count_calls(cc, "_subdivision_point")
+    resolved = cc.resolve(fan)
+    assert [c.extreme_rays for c in resolved.maximal_cones] == [
+        ((0, 1), (1, 0)), ((1, 0), (100000, -1))]
+    assert points == []
+
+
+def test_2d_resolution_checks_each_piece(monkeypatch):
+    # a continued fraction that skips a basis element leaves a singular piece
+    real = cc._hilbert_basis_2d
+    monkeypatch.setattr(cc, "_hilbert_basis_2d",
+                        lambda r1, r2: [real(r1, r2)[0], *real(r1, r2)[2:]])
+    with pytest.raises(InternalCheckError, match="continued fraction"):
+        cc.resolve(_fan([[(1, 0), (1, 3)]], 2))
+
+
+def test_resolve_validates_only_its_input(count_calls):
+    # one cone has no pair to check; its 99 pieces are a fan by construction
+    cone = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 50)], 3)
+    fan = cc.fan_from_cones([cone], 3)
+    separators = count_calls(cc, "_facet_separator")
+    resolved = cc.resolve(fan)
+    assert len(resolved.maximal_cones) == 99
+    assert separators == []
 
 
 # ---------------------------------------------------------------------------
