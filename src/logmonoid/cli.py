@@ -436,7 +436,7 @@ def _h_resolve(doc, path, args, warn):
         fan = cc.fan_from_cones([cone], cone.dim, validate=True)
     else:
         fan = parse_fan(doc, path, warn)
-    resolved = cc.resolve(fan)
+    resolved = cc.resolve(fan, validate=False)  # both parsers validate
     return fan_block(resolved), (fan, resolved)
 
 

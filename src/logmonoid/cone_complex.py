@@ -723,17 +723,13 @@ def cone_lattice_generators(cone):
 def monoid_of_cone(cone):
     """cone meet Z^dim as an affine monoid.
 
-    Full-dimensional cones keep their coordinates (the ambient group is
-    Z^dim); otherwise the span sublattice is re-presented, changing
-    coordinates.
+    Full-dimensional cones keep their coordinates (``from_vectors`` keeps
+    those of a spanning set); otherwise the span sublattice is re-presented,
+    changing coordinates.  The zero cone gives the trivial monoid.
     """
     from . import monoid_core as mc
 
-    gens = cone_lattice_generators(cone)
-    if cone.is_full_dimensional:
-        amb = xl.FgAbelianGroup(cone.dim, ())
-        return mc.AffineMonoid(amb, [mc.MonoidElement(free=g) for g in gens])
-    return mc.AffineMonoid.from_vectors(gens) if gens else mc.trivial_monoid()
+    return mc.AffineMonoid.from_vectors(cone_lattice_generators(cone))
 
 
 # ---------------------------------------------------------------------------
@@ -815,14 +811,16 @@ class Fan:
 
     The constructor canonicalizes (sorts, dedupes, drops contained cones)
     and checks strong convexity; ``validate`` checks every pair, on the
-    caller's fan only.  The fans the package derives from a fan are fans by
-    construction: pulling triangulations (De Loera, Rambau and Santos,
-    *Triangulations*, 2010), 2D resolutions (see ``resolve``) and stellar
-    subdivisions (Ewald, *Combinatorial Convexity and Algebraic Geometry*,
-    ch. III), built by ``_stellar``.  In a stellar step at v, an untouched
-    cone rho and a piece cone(G, v) of a replaced cone tau meet in G meet F,
-    with F = tau meet rho a face of tau without v (lambda v + g in F forces
-    lambda = 0): a face of both.  Two pieces reduce to the pieces of one cone.
+    caller's fan only: ``stellar_subdivision`` always validates its input,
+    ``resolve`` unless the caller did.  The fans the package derives from a
+    fan are fans by construction: pulling triangulations (De Loera, Rambau
+    and Santos, *Triangulations*, 2010), 2D resolutions (see ``resolve``)
+    and stellar subdivisions (Ewald, *Combinatorial Convexity and Algebraic
+    Geometry*, ch. III), built by ``_stellar``.  In a stellar step at v, an
+    untouched cone rho and a piece cone(G, v) of a replaced cone tau meet in
+    G meet F, with F = tau meet rho a face of tau without v (lambda v + g in
+    F forces lambda = 0): a face of both.  Two pieces reduce to the pieces
+    of one cone.
     """
 
     dim: int
@@ -945,10 +943,10 @@ def _stellar_pieces(fan, point):
     return new, replaced
 
 
-def stellar_subdivision(fan, point, validate=True):
-    """The stellar subdivision of the fan at a lattice point of its support;
-    ``validate`` checks the input, as the output is a fan (see ``Fan``)."""
-    return _stellar_pieces(fan.validate() if validate else fan, point)[0]
+def stellar_subdivision(fan, point):
+    """The stellar subdivision of the fan at a lattice point of its support.
+    It validates its input only: the output is a fan (see ``Fan``)."""
+    return _stellar_pieces(fan.validate(), point)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -614,9 +614,7 @@ def _hom_columns(source, target, matrix):
 def hom_kernel(source, target, matrix):
     """Kernel of a hom of presented groups, in invariant-factor form."""
     gens = _relations_among(target, _hom_columns(source, target, matrix))
-    sub, _ = subgroup_presentation(source, gens) if gens else (
-        FgAbelianGroup(0, ()), [])
-    return sub
+    return subgroup_presentation(source, gens)[0]
 
 
 def hom_cokernel(source, target, matrix):
@@ -737,12 +735,11 @@ def _nonneg_solutions(cols, b):
     length (trusted).  Empty iff there is no solution.
 
     Homogenized: they are the minimal solutions (x, 1) of [a | -b] (x, y) = 0
-    with y <= 1, from the capped search.  For b = 0 the only one is x = 0,
-    which needs no search.
+    with y <= 1, from the capped search.  For b = 0 the search ends at its
+    first level: (0, ..., 0, 1) is the least tuple there, and no tuple is
+    lex-below the head 0, so x = 0 is the only one.
     """
     n = len(cols)
-    if not any(b):
-        return iter([(0,) * n])
     gram = _gram([*cols, tuple(-x for x in b)])
     return (s[:n] for s in _minimal_solutions(gram, capped=True) if s[n])
 
@@ -752,7 +749,8 @@ def solve_nonneg(a, b):
 
     Complete: returns None only when no nonnegative integer solution exists.
     (The lex-smallest solution is componentwise-minimal, and the search
-    yields the lex-least minimal solution last.)
+    yields the lex-least minimal solution last.)  A zero b costs one level
+    of the search, which yields x = 0 alone.
     """
     a = _as_matrix(a)
     return min(_nonneg_solutions(mat_columns(a), _check_rhs(a, b)), default=None)

@@ -89,10 +89,7 @@ def monoid_kernel_trivial(hom):
         hom.target.ambient, [hom.apply(g) for g in src.generators])
     k = len(src.generators)
     for sol in xl._minimal_solutions(xl._gram(a)):
-        exps = sol[:k]
-        if not any(exps):
-            continue
-        if not mc.exponent_sum(src.ambient, exps, src.generators).is_zero:
+        if not mc.exponent_sum(src.ambient, sol[:k], src.generators).is_zero:
             return False
     return True
 

@@ -73,10 +73,8 @@ def maximal_ideal(monoid):
 def is_invertible(ideal):
     """Whether the ideal is invertible, i.e. principal: J = g + M.
 
-    The empty ideal is not invertible.
+    The empty ideal is not invertible: it reduces to no generators.
     """
-    if ideal.is_empty:
-        return False
     return len(ideal.reduce().generators) == 1
 
 

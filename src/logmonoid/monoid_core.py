@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, InputError
+from . import cone_complex as cc
 from . import exact_lattice as xl
 
 # ---------------------------------------------------------------------------
@@ -188,8 +189,6 @@ class AffineMonoid:
     def _cone(self):
         """The rational cone in Q^r spanned by the free parts of the
         generators: the cone of the torsion-free projection of the monoid."""
-        from . import cone_complex as cc
-
         return cc.RationalCone.from_rays([g.free for g in self.generators],
                                          self.ambient.free_rank)
 
@@ -285,7 +284,8 @@ def _membership_system(ambient, gen_elements):
         [torsion residues  -diag(f)]
     acting on (exponents, slack) >= 0.  Residues are reduced into [0, f), so
     a sum of elements overshoots a target with reduced residues (or zero) by
-    a nonnegative multiple of f, which the slack subtracts.
+    a nonnegative multiple of f, which the slack subtracts.  The slack
+    columns sit on distinct coordinates, so no nonzero solution is all slack.
     """
     return tuple(g.as_vector() for g in gen_elements) + \
         tuple(tuple(-x for x in c) for c in ambient.relation_columns())
@@ -363,8 +363,6 @@ def saturate(monoid):
     saturation of the torsion-free projection; the latter is the cone of the
     free parts intersected with the free lattice.
     """
-    from . import cone_complex as cc
-
     amb = monoid.ambient
     r = amb.free_rank
     tors_gens = []
@@ -372,9 +370,8 @@ def saturate(monoid):
         e = [0] * amb.lift_dim
         e[r + j] = 1
         tors_gens.append(element_of(amb, tuple(e)))
-    # below, the saturation contains M, so gp(M) <= gp(sat M) <= gp(M)
-    if r == 0:
-        return AffineMonoid._spanning(amb, tors_gens)
+    # the saturation contains M, so gp(M) <= gp(sat M) <= gp(M); at free
+    # rank 0 the cone is {0}, with no lattice generators
     lattice_gens = cc.cone_lattice_generators(monoid._cone)
     new_gens = [element_of(amb, vec + (0,) * len(amb.invariant_factors))
                 for vec in lattice_gens]
@@ -404,8 +401,6 @@ def units(monoid):
     a sum in which g has coefficient eN >= 1, hence
     -g = (eN - 1) g + sum e c_h h lies in M.  No membership test is run.
     """
-    from . import cone_complex as cc
-
     normals = monoid._cone.facet_normals \
         if monoid.ambient.free_rank else ()
     out = [g for g in monoid.generators
@@ -520,8 +515,6 @@ def spec(monoid):
     size, indices).  The smallest face is the unit group: its generators are
     ``units``.
     """
-    from . import cone_complex as cc
-
     normals = monoid._cone.facet_normals \
         if monoid.ambient.free_rank else ()
     free = [g.free for g in monoid.generators]
@@ -648,12 +641,8 @@ def fiber_product_generators(f, g):
     pairs = []
     seen = set()
     for sol in sorted(xl._minimal_solutions(xl._gram(a))):
-        am = sol[:p]
-        bn = sol[p:p + q]
-        if not any(am) and not any(bn):
-            continue
-        m_el = exponent_sum(m_mon.ambient, am, m_mon.generators)
-        n_el = exponent_sum(n_mon.ambient, bn, n_mon.generators)
+        m_el = exponent_sum(m_mon.ambient, sol[:p], m_mon.generators)
+        n_el = exponent_sum(n_mon.ambient, sol[p:p + q], n_mon.generators)
         if (m_el, n_el) not in seen:
             seen.add((m_el, n_el))
             pairs.append((m_el, n_el))
@@ -673,9 +662,7 @@ def _fiber_monoid(f, g, pairs):
     n_amb = g.source.ambient
     cols = _stack_group_presentation(m_amb, n_amb)
     group, proj = xl._group_from_relations(m_amb.lift_dim + n_amb.lift_dim, cols)
-    stacked = []
-    for (m_el, n_el) in pairs:
-        vec = xl.apply(proj, m_el.as_vector() + n_el.as_vector())
-        stacked.append(group.reduce_vector(vec))
+    stacked = [xl.apply(proj, m_el.as_vector() + n_el.as_vector())
+               for m_el, n_el in pairs]
     monoid, _ = span_submonoid(group, stacked)
     return monoid

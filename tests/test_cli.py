@@ -188,6 +188,15 @@ def test_blowup_fan_asks_only_whether_the_host_is_toric(count_calls, capsys):
     assert sharpenings == []
 
 
+def test_resolve_validates_a_parsed_fan_once(count_calls, capsys):
+    # parse_fan validates the fan, and resolve is told not to again
+    case = Path(__file__).parent / "golden" / "cases" / "resolve-a3"
+    validations = count_calls(cc.Fan, "validate")
+    assert cli.main(["resolve", str(case / "fan.json")]) == 0
+    assert capsys.readouterr().out == (case / "expected.out").read_text()
+    assert len(validations) == 1
+
+
 # ---------------------------------------------------------------------------
 # exit 1: usage and ill-typed input
 
@@ -612,7 +621,8 @@ def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)
     real = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: wrong(real(*args), *args))
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: wrong(
+        real(*args, **kwargs), *args))
     assert cli.main([command, p]) == 0
     capsys.readouterr()
     assert cli.main([command, "--verify", p]) == 3

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import logmonoid.cli as cli
@@ -1081,6 +1081,40 @@ def test_cone_lattice_generators_nonpointed():
     assert not m.contains((0, -1))
 
 
+def _monoid_of_cone_by_cases(cone):
+    """``monoid_of_cone`` with the removed cases: a full-dimensional cone
+    through the public constructor on Z^dim, the zero cone as the trivial
+    monoid."""
+    gens = cc.cone_lattice_generators(cone)
+    if cone.is_full_dimensional:
+        amb = xl.FgAbelianGroup(cone.dim, ())
+        return mc.AffineMonoid(amb, [mc.MonoidElement(free=g) for g in gens])
+    return mc.AffineMonoid.from_vectors(gens) if gens else mc.trivial_monoid()
+
+
+@st.composite
+def _cones_of_every_dimension(draw):
+    """A cone in Z^0..Z^3 on up to dim + 1 rays with entries in [-2, 2]:
+    the zero cone, lower-dimensional and full-dimensional cones, pointed or
+    not."""
+    dim = draw(st.integers(0, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim)
+    return cc.RationalCone.from_rays(
+        draw(st.lists(vec, max_size=dim + 1)), dim)
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(_cones_of_every_dimension())
+@example(cc.RationalCone.from_rays([], 0))
+@example(cc.RationalCone.from_rays([(0, 0, 0)], 3))
+@example(cc.RationalCone.from_rays([(1, 0, 0), (1, 2, 0)], 3))
+@example(cc.RationalCone.from_rays([(1, 1), (-1, -1)], 2))
+@example(cc.RationalCone.from_rays([(1, 0), (1, 3)], 2))
+@example(cc.RationalCone.from_rays([(1, 0), (-1, 0), (0, 1)], 2))
+def test_monoid_of_cone_matches_the_case_split(cone):
+    assert cc.monoid_of_cone(cone) == _monoid_of_cone_by_cases(cone)
+
+
 # ---------------------------------------------------------------------------
 # multiplicity and regularity
 
@@ -1281,7 +1315,7 @@ def test_stellar_subdivision_validates_its_input():
     fan = cc.Fan(dim=2, maximal_cones=(
         cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
         cc.RationalCone.from_rays([(1, 1), (0, 1)], 2)))
-    cc.stellar_subdivision(fan, (1, 1), validate=False).validate()
+    cc._stellar_pieces(fan, (1, 1))[0].validate()
     with pytest.raises(DomainError):
         cc.stellar_subdivision(fan, (1, 1))
 
@@ -1386,7 +1420,7 @@ def _library_fans(draw):
             point = tuple(sum(c * r[i] for c, r in zip(
                 coeffs, cone.extreme_rays)) for i in range(dim))
             assume(any(point))
-            fan = cc.stellar_subdivision(fan, point, validate=False)
+            fan = cc._stellar_pieces(fan, point)[0]
     return fan
 
 
@@ -1536,8 +1570,8 @@ def test_stellar_pieces_match_oracle(case):
     assert new == old
     assert [(c, set(p)) for c, p in replaced] == \
         [(c, set(p)) for c, p in old_replaced]
-    assert _outcome(cc.stellar_subdivision, fan, point, False) == \
-        _with_oracle_pieces(cc.stellar_subdivision, fan, point, False)
+    assert _outcome(cc.stellar_subdivision, fan, point) == \
+        _with_oracle_pieces(cc.stellar_subdivision, fan, point)
 
 
 @settings(_DIFFERENTIAL, max_examples=100)

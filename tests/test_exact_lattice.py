@@ -471,6 +471,59 @@ def test_hom_kernel_and_cokernel():
     assert (coker.free_rank, coker.invariant_factors) == (2, ())
 
 
+@st.composite
+def _injective_homs(draw):
+    """An injective hom Z^k (+) T -> Z^m (+) Z/g_1 (+) ..., k <= m <= 3,
+    T = 0 or Z/2: the free block is lower triangular with a nonzero
+    diagonal, rows permuted, and the generator of Z/2 goes to half the last
+    (even) invariant factor.  k = 0 with T = 0 is the trivial source."""
+    k = draw(st.integers(0, 2))
+    m = draw(st.integers(k, 3))
+    torsion = draw(st.sampled_from([(), (2,)]))
+    orders = draw(st.sampled_from([(4,), (2, 6)] if torsion else
+                                  [(), (2,), (4,), (2, 6)]))
+    source, target = xl.FgAbelianGroup(k, torsion), xl.FgAbelianGroup(m, orders)
+    free = [[draw(st.integers(-3, 3)) if j < i else
+             draw(st.sampled_from([-2, -1, 1, 3])) if j == i else 0
+             for j in range(k)] for i in range(m)]
+    free = [free[i] for i in draw(st.permutations(range(m)))]
+    residues = [[draw(st.integers(0, g - 1)) for _ in range(k)] for g in orders]
+    rows = [row + [0] * len(torsion) for row in free + residues]
+    if torsion:
+        rows[-1][-1] = orders[-1] // 2
+    return source, target, xl.intmat(rows, ncols=source.lift_dim)
+
+
+def _hom_kernel_with_fallback(source, target, matrix):
+    """``hom_kernel`` with the removed fallback for a kernel without
+    generators."""
+    gens = xl._relations_among(target, xl._hom_columns(source, target, matrix))
+    return xl.subgroup_presentation(source, gens)[0] if gens else \
+        xl.FgAbelianGroup(0, ())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_injective_homs())
+def test_the_kernel_of_an_injective_hom_is_trivial(hom):
+    source, target, matrix = hom
+    assert xl.hom_is_well_defined(source, target, matrix)
+    assert xl.hom_kernel(source, target, matrix) == \
+        _hom_kernel_with_fallback(source, target, matrix) == \
+        xl.FgAbelianGroup(0, ())
+
+
+@pytest.mark.parametrize("target", [
+    xl.FgAbelianGroup(0, ()), xl.FgAbelianGroup(2, ()),
+    xl.FgAbelianGroup(1, (2, 6))])
+def test_a_trivial_source_has_a_kernel_without_generators(target):
+    # the case the removed fallback answered: no relations to present
+    trivial, matrix = xl.FgAbelianGroup(0, ()), xl.intmat(
+        [[]] * target.lift_dim, ncols=0)
+    assert xl._relations_among(target, xl._hom_columns(
+        trivial, target, matrix)) == []
+    assert xl.hom_kernel(trivial, target, matrix) == trivial
+
+
 def test_hom_well_defined_respects_torsion():
     z2 = xl.FgAbelianGroup(0, (2,))
     z = xl.FgAbelianGroup(1, ())
@@ -770,12 +823,25 @@ def test_solve_nonneg_unsolvable():
     assert xl.has_nonneg_solution(xl.intmat([[2, 3]]), (7,))
 
 
-def test_a_zero_target_takes_no_search(no_solver):
-    # x = 0 is the only minimal solution; a search would go on through the
-    # homogeneous solutions of A before the lex minimum is known
-    rows = [[3, -2, 1, -5], [1, 4, -3, -2]]
-    assert xl.solve_nonneg(rows, (0, 0)) == (0, 0, 0, 0)
-    assert xl.has_nonneg_solution(rows, (0, 0))
+@pytest.mark.parametrize("cols", [
+    # the columns of [[3, -2, 1, -5], [1, 4, -3, -2]]
+    [(3, 1), (-2, 4), (1, -3), (-5, -2)],
+    # the membership system of a 10-generator monoid of units of Z^2
+    mc.AffineMonoid.from_vectors([
+        (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (2, 1),
+        (-2, -1), (1, 2), (-1, -2)])._system,
+], ids=["4-columns", "units-of-Z2"])
+def test_a_zero_target_costs_one_level(cols):
+    # (0, ..., 0, 1) is the least tuple of level 1 and no tuple is lex-below
+    # the head 0, so the capped search cuts every child of level 1; without
+    # the cut it would go on through the homogeneous solutions of A
+    n = len(cols)
+    gram = xl._gram([*cols, (0, 0)])
+    assert list(xl._minimal_solutions(gram, capped=True)) == [(0,) * n + (1,)]
+    assert list(xl._nonneg_solutions(cols, (0, 0))) == [(0,) * n]
+    a = xl.intmat_from_columns(cols, nrows=2)
+    assert xl.solve_nonneg(a, (0, 0)) == (0,) * n
+    assert xl.has_nonneg_solution(a, (0, 0))
 
 
 def test_frobenius_gaps_of_2_3():

@@ -22,7 +22,7 @@ import logmonoid.log_hom_analysis as lha
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError
 from conftest import group_monoid
-from test_monoid_core import _monoids
+from test_monoid_core import _cospans, _monoids
 
 
 def _hom(src, dst, rows):
@@ -393,6 +393,36 @@ def test_monoid_kernel_weaker_than_group_kernel():
     skew = _hom(mixed, _free(1), [[1, 0]])
     assert not lha.is_gp_injective(skew)
     assert lha.monoid_kernel_trivial(skew)
+
+
+def _monoid_kernel_trivial_skipping_slack(hom):
+    """``monoid_kernel_trivial`` with the removed skip of minimal solutions
+    that have no generator exponent."""
+    src = hom.source
+    a = mc._membership_system(
+        hom.target.ambient, [hom.apply(g) for g in src.generators])
+    k = len(src.generators)
+    for sol in xl._minimal_solutions(xl._gram(a)):
+        exps = sol[:k]
+        if any(exps) and not mc.exponent_sum(
+                src.ambient, exps, src.generators).is_zero:
+            return False
+    return True
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cospans())
+def test_no_monoid_kernel_solution_is_slack_alone(legs):
+    # each leg maps N^p into a monoid of a group with torsion; its slack
+    # columns -f_i e_i sit on distinct coordinates
+    for hom in legs:
+        k = len(hom.source.generators)
+        a = mc._membership_system(
+            hom.target.ambient, [hom.apply(g) for g in hom.source.generators])
+        assert all(any(sol[:k]) for sol in xl._minimal_solutions(xl._gram(a)))
+        assert lha.monoid_kernel_trivial(hom) == \
+            _monoid_kernel_trivial_skipping_slack(hom)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ host, pulled-back ideals become principal, the construction is idempotent).
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.log_ideal_blowup as lib
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError
+from test_monoid_core import _monoids
 
 
 def _n2():
@@ -60,6 +63,42 @@ def test_invertibility():
     corner = lib.maximal_ideal(m)
     assert not lib.is_invertible(corner)
     empty = lib.MonoidIdeal(m, ())
+    assert not lib.is_invertible(empty)
+
+
+def _is_invertible_with_empty_case(ideal):
+    """``is_invertible`` with the removed answer for the empty ideal."""
+    if ideal.is_empty:
+        return False
+    return len(ideal.reduce().generators) == 1
+
+
+@st.composite
+def _ideals(draw):
+    """An ideal of a drawn monoid on up to three sums of its generators
+    with coefficients 0..2, or on none (the empty ideal)."""
+    monoid = draw(_monoids(max_gens=4))
+    gens = monoid.generators
+    coeffs = st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens))
+    return lib.MonoidIdeal(monoid, tuple(
+        mc.exponent_sum(monoid.ambient, c, gens)
+        for c in draw(st.lists(coeffs, max_size=3))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ideals())
+def test_is_invertible_matches_the_empty_case_split(ideal):
+    assert lib.is_invertible(ideal) == _is_invertible_with_empty_case(ideal)
+
+
+@pytest.mark.parametrize("monoid", [
+    mc.trivial_monoid(), mc.free_monoid(2),
+    mc.AffineMonoid.from_vectors([(1, 0), (-1, 0), (0, 1)], (2,))],
+    ids=["trivial", "N2", "with-units-and-torsion"])
+def test_the_empty_ideal_reduces_to_no_generators(monoid):
+    empty = lib.MonoidIdeal(monoid, ())
+    assert empty.reduce().generators == ()
     assert not lib.is_invertible(empty)
 
 

@@ -359,6 +359,36 @@ def test_saturate_handles_torsion():
     assert mc.is_saturated(sat)
 
 
+@st.composite
+def _finite_group_monoids(draw):
+    """Monoids of free rank 0: up to four elements of a finite group
+    Z/f_1 (+) ..., re-presented on their span (the trivial monoid when
+    none is drawn or all are zero)."""
+    orders = draw(st.sampled_from([(2,), (3,), (2, 4), (6,), (2, 2, 2), (3, 9)]))
+    vec = st.tuples(*[st.integers(0, f - 1) for f in orders])
+    return mc.AffineMonoid.from_vectors(
+        draw(st.lists(vec, max_size=4)), orders)
+
+
+def _saturate_of_a_finite_group(monoid):
+    """The saturation of a monoid of free rank 0 as the removed special
+    case built it: the torsion unit vectors of its ambient group."""
+    amb = monoid.ambient
+    assert amb.free_rank == 0
+    units = [tuple(int(i == j) for j in range(amb.lift_dim))
+             for i in range(amb.lift_dim)]
+    return mc.AffineMonoid._spanning(
+        amb, [mc.element_of(amb, e) for e in units])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_finite_group_monoids())
+def test_saturate_of_a_finite_group_takes_the_general_path(monoid):
+    # the cone of free parts is {0}, with no lattice generators
+    assert cc.cone_lattice_generators(monoid._cone) == ()
+    assert mc.saturate(monoid) == _saturate_of_a_finite_group(monoid)
+
+
 def test_units_and_sharpening():
     m = mc.AffineMonoid.from_vectors([(1, 0), (-1, 0), (0, 1)])
     us = mc.units(m)
@@ -934,3 +964,37 @@ def test_fiber_product_matches_the_old_slack_system(legs):
     f, g = legs
     assert mc.fiber_product_generators(f, g) == \
         _old_fiber_product_generators(f, g)
+
+
+def _fiber_product_generators_skipping_slack(f, g):
+    """``fiber_product_generators`` with the removed skip of minimal
+    solutions that have no generator exponent."""
+    m_mon, n_mon = f.source, g.source
+    a = mc._membership_system(
+        f.target.ambient, [f.apply(m) for m in m_mon.generators] +
+        [g.target.neg(g.apply(n)) for n in n_mon.generators])
+    p, q = len(m_mon.generators), len(n_mon.generators)
+    pairs = []
+    for sol in sorted(xl._minimal_solutions(xl._gram(a))):
+        am, bn = sol[:p], sol[p:p + q]
+        pair = (mc.exponent_sum(m_mon.ambient, am, m_mon.generators),
+                mc.exponent_sum(n_mon.ambient, bn, n_mon.generators))
+        if (any(am) or any(bn)) and pair not in pairs:
+            pairs.append(pair)
+    return pairs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cospans())
+def test_no_fiber_product_solution_is_slack_alone(legs):
+    # the slack columns -f_i e_i sit on distinct coordinates, so a nonzero
+    # minimal solution always has a generator exponent
+    f, g = legs
+    k = len(f.source.generators) + len(g.source.generators)
+    a = mc._membership_system(
+        f.target.ambient, [f.apply(m) for m in f.source.generators] +
+        [g.target.neg(g.apply(n)) for n in g.source.generators])
+    assert all(any(sol[:k]) for sol in xl._minimal_solutions(xl._gram(a)))
+    assert mc.fiber_product_generators(f, g) == \
+        _fiber_product_generators_skipping_slack(f, g)
