@@ -122,8 +122,7 @@ def parse_monoid(doc, ctx, warn):
         _get(doc, "generators", ctx), host.lift_dim, f"{ctx}.generators")
     monoid, images = mc.span_submonoid(host, vecs)
     # the images generate the ambient: it is the host iff no image moved
-    if monoid.ambient != host or [im.as_vector() for im in images] != \
-            [host.reduce_vector(v) for v in vecs]:
+    if monoid.ambient != host or images != [host.reduce_vector(v) for v in vecs]:
         warn(f"{ctx}: generators span a proper subgroup of the written "
              f"ambient group; the monoid was re-presented inside its own "
              f"Grothendieck group")
@@ -236,7 +235,7 @@ def monoid_block(monoid):
     return {"kind": "affine-monoid",
             "free_rank": monoid.ambient.free_rank,
             "torsion": monoid.ambient.invariant_factors,
-            "generators": sorted(g.as_vector() for g in monoid.generators)}
+            "generators": sorted(monoid._vectors)}
 
 
 def cone_block(cone):

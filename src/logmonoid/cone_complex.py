@@ -194,7 +194,7 @@ def extreme_rays_of_halfspaces(normals, dim):
     sets are exact (a combination of two rays is tight exactly where both
     are), so ``_extreme_classes`` keeps the extreme rays by incidence alone.
     """
-    (dim,) = xl._as_ints((dim,))
+    dim = xl._as_count(dim, "dimension")
     normals = [xl._as_ints(n) for n in normals]
     for n in normals:
         if len(n) != dim:
@@ -270,7 +270,7 @@ class RationalCone:
 
     @classmethod
     def from_rays(cls, vectors, dim):
-        (dim,) = xl._as_ints((dim,))
+        dim = xl._as_count(dim, "dimension")
         vecs = []
         for v in vectors:
             v = xl._as_ints(v)
@@ -827,6 +827,7 @@ class Fan:
     maximal_cones: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", xl._as_count(self.dim, "dimension"))
         for c in self.maximal_cones:
             if c.dim != self.dim:
                 raise InputError("cone of wrong ambient dimension in fan")

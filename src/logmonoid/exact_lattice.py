@@ -38,6 +38,14 @@ def _as_ints(values):
         raise InputError(f"expected integers, got {values!r}") from None
 
 
+def _as_count(value, what):
+    """A count or dimension as an int, which must be nonnegative."""
+    (value,) = _as_ints((value,))
+    if value < 0:
+        raise InputError(f"negative {what}")
+    return value
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable integer matrix stored as a tuple of row tuples.
@@ -385,9 +393,7 @@ class FgAbelianGroup:
     invariant_factors: tuple = ()
 
     def __post_init__(self):
-        (rank,) = _as_ints((self.free_rank,))
-        if rank < 0:
-            raise InputError("negative free rank")
+        rank = _as_count(self.free_rank, "free rank")
         fs = _as_ints(self.invariant_factors)
         object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "invariant_factors", fs)
@@ -608,6 +614,8 @@ def _hom_columns(source, target, matrix):
     matrix, shape = _as_matrix(matrix), (target.lift_dim, source.lift_dim)
     if matrix.shape != shape:
         raise InputError(f"hom matrix has shape {matrix.shape}, not {shape}")
+    if not hom_is_well_defined(source, target, matrix):
+        raise DomainError("matrix is not a homomorphism of the ambient groups")
     return mat_columns(matrix)
 
 

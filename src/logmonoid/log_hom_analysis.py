@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError
+from .errors import DomainError
 from . import cone_complex as cc
 from . import exact_lattice as xl
 from . import monoid_core as mc
@@ -34,24 +34,24 @@ class MonoidHom:
     matrix: xl.IntMatrix
 
     def __post_init__(self):
-        rows = self.target.ambient.lift_dim
-        cols = self.source.ambient.lift_dim
         mat = xl.intmat(self.matrix.tolist() if hasattr(self.matrix, "tolist")
-                        else self.matrix, ncols=cols)
-        if mat.shape != (rows, cols):
-            raise InputError(
-                f"hom matrix has shape {mat.shape}, expected {(rows, cols)}")
+                        else self.matrix, ncols=self.source.ambient.lift_dim)
+        # refuses a matrix of the wrong shape and one that is not a hom
+        xl._hom_columns(self.source.ambient, self.target.ambient, mat)
         object.__setattr__(self, "matrix", mat)
-        if not xl.hom_is_well_defined(self.source.ambient, self.target.ambient, mat):
+        if not all(self.target.contains(xl.apply(mat, v))
+                   for v in self.source._vectors):
             raise DomainError(
-                "matrix is not a homomorphism of the ambient groups")
-        for g in self.source.generators:
-            if not self.target.contains(self.apply(g)):
-                raise DomainError(
-                    "homomorphism maps a generator outside the target monoid")
+                "homomorphism maps a generator outside the target monoid")
+
+    def _images(self):
+        """The canonical lift tuples of the source generators' images."""
+        amb = self.target.ambient
+        return [amb.reduce_vector(xl.apply(self.matrix, v))
+                for v in self.source._vectors]
 
     def apply(self, elem):
-        vec = mc.element_of(self.source.ambient, elem).as_vector()
+        vec = mc.vector_of(self.source.ambient, elem)
         return mc.element_of(self.target.ambient, xl.apply(self.matrix, vec))
 
 
@@ -85,13 +85,10 @@ def monoid_kernel_trivial(hom):
     be nontrivial while meeting the monoid only in 0.
     """
     src = hom.source
-    a = mc._membership_system(
-        hom.target.ambient, [hom.apply(g) for g in src.generators])
-    k = len(src.generators)
-    for sol in xl._minimal_solutions(xl._gram(a)):
-        if not mc.exponent_sum(src.ambient, sol[:k], src.generators).is_zero:
-            return False
-    return True
+    a = mc._membership_system(hom.target.ambient, hom._images())
+    k = len(src._vectors)
+    return not any(any(mc._combination(src.ambient, sol[:k], src._vectors))
+                   for sol in xl._minimal_solutions(xl._gram(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +158,8 @@ def is_kummer(hom):
     """
     if not is_gp_injective(hom):
         return False
-    image = cc.RationalCone.from_rays(
-        [hom.apply(g).free for g in hom.source.generators],
-        hom.target.ambient.free_rank)
+    r = hom.target.ambient.free_rank
+    image = cc.RationalCone.from_rays([v[:r] for v in hom._images()], r)
     return all(image.contains(q.free) for q in hom.target.generators)
 
 
@@ -171,11 +167,10 @@ def relative_characteristic(hom):
     """The relative characteristic monoid: the image of the target in
     Coker(phi^gp), i.e. the quotient of the target by the congruence
     q ~ q + phi(p)."""
-    quot, proj = xl.quotient_presentation(
-        hom.target.ambient,
-        [hom.apply(g).as_vector() for g in hom.source.generators])
-    gens = [mc.element_of(quot, xl.apply(proj, q.as_vector()))
-            for q in hom.target.generators]
+    # reduced images: the Smith pivots, and so the emitted coordinates,
+    # depend on the exact entries
+    quot, proj = xl.quotient_presentation(hom.target.ambient, hom._images())
+    gens = [quot.reduce_vector(xl.apply(proj, q)) for q in hom.target._vectors]
     # images of the target's spanning generators under the surjective proj
     return mc.AffineMonoid._spanning(quot, gens)
 

@@ -35,29 +35,32 @@ class MonoidIdeal:
     generators: tuple = ()
 
     def __post_init__(self):
-        gens = tuple(dict.fromkeys(
-            mc.element_of(self.host.ambient, g) for g in self.generators))
-        if not all(self.host.contains(g) for g in gens):
+        amb = self.host.ambient
+        vecs = dict.fromkeys(mc.vector_of(amb, g) for g in self.generators)
+        if not all(self.host.contains(v) for v in vecs):
             raise DomainError("ideal generator lies outside the host monoid")
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generators",
+                           tuple(mc._element(amb, v) for v in vecs))
 
     @property
     def is_empty(self):
         return not self.generators
 
     def contains(self, elem):
-        elem = mc.element_of(self.host.ambient, elem)
-        return any(self.host.contains(self.host.sub(elem, g))
+        amb = self.host.ambient
+        vec = mc.vector_of(amb, elem)
+        return any(self.host.contains(amb.sub(vec, g.as_vector()))
                    for g in self.generators)
 
     def reduce(self):
         """The canonical minimal generator list: lex-sorted survivors after
         removing every generator divisible by another one."""
-        gens = sorted(self.generators)
+        amb = self.host.ambient
+        gens = sorted(g.as_vector() for g in self.generators)
         keep = []
         for i, g in enumerate(gens):
             others = keep + gens[i + 1:]
-            if not any(self.host.contains(self.host.sub(g, h)) for h in others):
+            if not any(self.host.contains(amb.sub(g, h)) for h in others):
                 keep.append(g)
         return MonoidIdeal(host=self.host, generators=tuple(keep))
 
@@ -104,15 +107,14 @@ def blowup_charts(monoid, ideal):
         raise InputError("ideal does not live on the given monoid")
     if ideal.is_empty:
         raise DomainError("cannot blow up the empty ideal")
-    reduced = ideal.reduce()
+    reduced = ideal.reduce().generators
     amb = monoid.ambient
+    centers = [s.as_vector() for s in reduced]
     charts = []
-    for s in reduced.generators:
-        gens = list(monoid.generators)
-        for j in reduced.generators:
-            gens.append(mc.element_of(amb, amb.sub(j.as_vector(), s.as_vector())))
+    for s, c in zip(reduced, centers):
         # the generators include the host's, which span M^gp
-        fine = mc.AffineMonoid._spanning(amb, gens)
+        fine = mc.AffineMonoid._spanning(
+            amb, monoid._vectors + tuple(amb.sub(j, c) for j in centers))
         charts.append(BlowupChart(center=s, fine=fine, fs=mc.saturate(fine)))
     return charts
 

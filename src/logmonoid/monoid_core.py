@@ -25,11 +25,13 @@ as generators (``span_submonoid``).  The public constructor
 private attributes, the membership system that ``contains`` and
 ``expression`` solve against and the cone of its free parts.
 
-Membership has one rule each way in.  ``element_of`` is the only place
-where a lift vector or a ``MonoidElement`` becomes a canonical element of
-an ambient group: it reduces the torsion residues and refuses an element
-that does not split as the ambient does.  ``contains`` answers zero and the
-generators by definition and solves only for the rest.
+Elements have one currency inside the package: the canonical lift tuple,
+free part then torsion residues reduced into [0, f).  ``vector_of`` is the
+one door for a caller's lift vector or ``MonoidElement``: it reduces once
+and refuses an element that does not split as the ambient does.  A
+``MonoidElement`` is built only for a public field or return value.
+``contains`` answers zero and the generators by definition and solves only
+for the rest.
 """
 
 from __future__ import annotations
@@ -65,32 +67,38 @@ class MonoidElement:
         return all(x == 0 for x in self.as_vector())
 
 
-def _lift(ambient, elem):
-    """The lift vector of a MonoidElement of ``ambient``, which must split
-    into free part and torsion as the ambient does."""
-    if len(elem.free) != ambient.free_rank or \
-            len(elem.torsion) != len(ambient.invariant_factors):
-        raise InputError("element does not live in the ambient group")
-    return elem.as_vector()
+def vector_of(ambient, elem):
+    """The canonical lift tuple of ``ambient`` for a lift vector or for a
+    MonoidElement, which must split into free part and torsion as it does."""
+    if isinstance(elem, MonoidElement):
+        if len(elem.free) != ambient.free_rank or \
+                len(elem.torsion) != len(ambient.invariant_factors):
+            raise InputError("element does not live in the ambient group")
+        elem = elem.as_vector()
+    return ambient.reduce_vector(elem)
+
+
+def _element(ambient, vec):
+    """The MonoidElement of a canonical lift tuple of ``ambient``."""
+    return MonoidElement(free=vec[:ambient.free_rank], torsion=vec[ambient.free_rank:])
 
 
 def element_of(ambient, elem):
-    """The canonical MonoidElement of ``ambient`` for a lift vector or for a
-    MonoidElement, which must split into free part and torsion as it does."""
-    if isinstance(elem, MonoidElement):
-        elem = _lift(ambient, elem)
-    vec = ambient.reduce_vector(elem)
-    return MonoidElement(free=vec[:ambient.free_rank], torsion=vec[ambient.free_rank:])
+    """The canonical MonoidElement for ``elem`` (see ``vector_of``)."""
+    return _element(ambient, vector_of(ambient, elem))
+
+
+def _combination(ambient, exponents, vectors):
+    """The canonical tuple of sum_i exponents[i] * vectors[i], for lift
+    tuples of ``ambient``."""
+    return ambient.reduce_vector([sum(c * v[i] for c, v in zip(exponents, vectors))
+                                  for i in range(ambient.lift_dim)])
 
 
 def exponent_sum(ambient, exponents, elements):
     """The element sum_i exponents[i] * elements[i] of ``ambient``."""
-    acc = [0] * ambient.lift_dim
-    for c, el in zip(exponents, elements):
-        vec = _lift(ambient, el)
-        if c:
-            acc = [x + c * y for x, y in zip(acc, vec, strict=True)]
-    return element_of(ambient, acc)
+    return _element(ambient, _combination(
+        ambient, exponents, [vector_of(ambient, e) for e in elements]))
 
 
 @dataclass(frozen=True)
@@ -106,12 +114,13 @@ class MonoidPresentation:
     relations: tuple = ()
 
     def __post_init__(self):
-        (ngens,) = xl._as_ints((self.ngens,))
-        if ngens < 0:
-            raise InputError("negative generator count")
+        ngens = xl._as_count(self.ngens, "generator count")
         rels = []
         for rel in self.relations:
-            u, v = rel
+            try:
+                u, v = rel
+            except (TypeError, ValueError):
+                raise InputError("relation is not a pair (u, v)") from None
             u, v = xl._as_ints(u), xl._as_ints(v)
             if len(u) != ngens or len(v) != ngens:
                 raise InputError("relation exponent vector has wrong length")
@@ -126,15 +135,9 @@ class MonoidPresentation:
 # affine monoids
 
 
-def _distinct_nonzero(elements):
-    """The elements in order, with zero and repeats dropped."""
-    seen = set()
-    out = []
-    for e in elements:
-        if not e.is_zero and e not in seen:
-            seen.add(e)
-            out.append(e)
-    return tuple(out)
+def _distinct_nonzero(vectors):
+    """The lift tuples in order, with zero and repeats dropped."""
+    return tuple(dict.fromkeys(v for v in vectors if any(v)))
 
 
 @dataclass(frozen=True)
@@ -146,44 +149,49 @@ class AffineMonoid:
     Use ``AffineMonoid.from_vectors`` for generators that span a proper
     subgroup of the written coordinates; it re-presents the ambient.
 
-    The public constructor reduces every generator and checks the invariant.
-    The constructions of this package use ``_spanning`` instead, where the
-    invariant holds by construction (see the module docstring).  The private
-    cached attributes ``_system`` and ``_cone`` are built on first use;
-    equality and hashing see only the two fields.
+    The public constructor reduces every generator (``vector_of``) and
+    checks the invariant; the constructions of this package use
+    ``_spanning``, where it holds by construction (see the module
+    docstring).  The private ``_vectors`` are the generators' canonical
+    lift tuples, and the private ``_system`` and ``_cone`` are cached on
+    first use; equality and hashing see only the two fields.
     """
 
     ambient: xl.FgAbelianGroup
     generators: tuple = ()
 
     def __post_init__(self):
-        gens = _distinct_nonzero(
-            element_of(self.ambient, e) for e in self.generators)
-        object.__setattr__(self, "generators", gens)
-        quot, _ = xl.quotient_presentation(
-            self.ambient, [g.as_vector() for g in gens])
+        self._keep(vector_of(self.ambient, e) for e in self.generators)
+        quot, _ = xl.quotient_presentation(self.ambient, self._vectors)
         if not quot.is_trivial:
             raise InputError(
                 "generators do not generate the ambient group; "
                 "use AffineMonoid.from_vectors to re-present the span")
 
+    def _keep(self, vectors):
+        """Sets both kinds of generators from canonical lift tuples."""
+        vectors = _distinct_nonzero(vectors)
+        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "generators",
+                           tuple(_element(self.ambient, v) for v in vectors))
+
     @classmethod
-    def _spanning(cls, ambient, generators):
-        """The monoid generated by canonical elements of ``ambient`` that are
-        known to generate it as a group.
+    def _spanning(cls, ambient, vectors):
+        """The monoid generated by canonical lift tuples of ``ambient`` that
+        are known to generate it as a group.
 
         Trusted: it only drops zeros and repeats, and neither reduces the
-        elements nor checks the span.  Each caller states why the span holds.
+        tuples nor checks the span.  Each caller states why the span holds.
         """
         monoid = object.__new__(cls)
         object.__setattr__(monoid, "ambient", ambient)
-        object.__setattr__(monoid, "generators", _distinct_nonzero(generators))
+        monoid._keep(vectors)
         return monoid
 
     @cached_property
     def _system(self):
         """The membership system of the generators (``_membership_system``)."""
-        return _membership_system(self.ambient, self.generators)
+        return _membership_system(self.ambient, self._vectors)
 
     @cached_property
     def _cone(self):
@@ -214,21 +222,21 @@ class AffineMonoid:
 
     @property
     def zero(self):
-        return element_of(self.ambient, self.ambient.zero())
+        return _element(self.ambient, self.ambient.zero())
 
     def element(self, vec):
         return element_of(self.ambient, vec)
 
     def add(self, a, b):
         amb = self.ambient
-        return element_of(amb, amb.add(_lift(amb, a), _lift(amb, b)))
+        return _element(amb, amb.add(vector_of(amb, a), vector_of(amb, b)))
 
     def neg(self, a):
-        return element_of(self.ambient, self.ambient.neg(_lift(self.ambient, a)))
+        return _element(self.ambient, self.ambient.neg(vector_of(self.ambient, a)))
 
     def sub(self, a, b):
         amb = self.ambient
-        return element_of(amb, amb.sub(_lift(amb, a), _lift(amb, b)))
+        return _element(amb, amb.sub(vector_of(amb, a), vector_of(amb, b)))
 
     def contains(self, elem):
         """Membership: is ``elem`` a nonnegative combination of generators?"""
@@ -238,8 +246,8 @@ class AffineMonoid:
         """Subset equality inside a shared ambient group."""
         if self.ambient != other.ambient:
             return False
-        return all(other.contains(g) for g in self.generators) and \
-            all(self.contains(g) for g in other.generators)
+        return all(other.contains(v) for v in self._vectors) and \
+            all(self.contains(v) for v in other._vectors)
 
 
 def span_submonoid(host, vectors):
@@ -247,22 +255,20 @@ def span_submonoid(host, vectors):
 
     Returns (monoid, images): the ambient of ``monoid`` is the subgroup of
     ``host`` generated by the vectors (invariant-factor form), and
-    ``images[i]`` is the i-th input vector in the new coordinates.  When the
-    vectors generate all of ``host`` the coordinates are kept unchanged.
+    ``images[i]`` is the canonical lift tuple of the i-th input vector in
+    the new coordinates.  When the vectors generate all of ``host`` the
+    coordinates are kept unchanged.
     """
     sub, images = xl.subgroup_presentation(host, vectors)
-    elems = [element_of(sub, v) for v in images]
-    # the subgroup is presented on these very elements as generators
-    return AffineMonoid._spanning(sub, elems), elems
+    # the subgroup is presented on these very images as generators
+    return AffineMonoid._spanning(sub, images), images
 
 
 def free_monoid(n):
     """N^n with its standard basis."""
-    amb = xl.FgAbelianGroup(n, ())
-    gens = [element_of(amb, tuple(1 if i == j else 0 for j in range(n)))
-            for i in range(n)]
     # the standard basis spans Z^n
-    return AffineMonoid._spanning(amb, gens)
+    return AffineMonoid._spanning(xl.FgAbelianGroup(n, ()), [
+        tuple(int(i == j) for j in range(n)) for i in range(n)])
 
 
 def trivial_monoid():
@@ -274,10 +280,10 @@ def trivial_monoid():
 # membership
 
 
-def _membership_system(ambient, gen_elements):
-    """Columns of the nonnegative system of the elements, torsion slack
-    included, as the int tuples the solver core takes: the one system that
-    membership, fiber products and monoid kernels solve against.
+def _membership_system(ambient, vectors):
+    """Columns of the nonnegative system of canonical lift tuples, torsion
+    slack included, as the int tuples the solver core takes: the one system
+    that membership, fiber products and monoid kernels solve against.
 
     For ambient Z^r (+) Z/f_1 (+) ... the system is
         [free parts          0  ]
@@ -287,26 +293,24 @@ def _membership_system(ambient, gen_elements):
     a nonnegative multiple of f, which the slack subtracts.  The slack
     columns sit on distinct coordinates, so no nonzero solution is all slack.
     """
-    return tuple(g.as_vector() for g in gen_elements) + \
+    return tuple(vectors) + \
         tuple(tuple(-x for x in c) for c in ambient.relation_columns())
 
 
 def contains(monoid, elem):
     """Whether ``elem`` (MonoidElement or lift vector) lies in ``monoid``:
     zero and the generators by definition, anything else by one solve."""
-    elem = element_of(monoid.ambient, elem)
-    if elem.is_zero or elem in monoid.generators:
+    vec = vector_of(monoid.ambient, elem)
+    if not any(vec) or vec in monoid._vectors:
         return True
-    return next(xl._nonneg_solutions(monoid._system, elem.as_vector()),
-                None) is not None
+    return next(xl._nonneg_solutions(monoid._system, vec), None) is not None
 
 
 def expression(monoid, elem):
     """The lex-smallest exponent vector writing ``elem`` in the generators,
     or None when the element is not in the monoid."""
     sol = min(xl._nonneg_solutions(
-        monoid._system, element_of(monoid.ambient, elem).as_vector()),
-        default=None)
+        monoid._system, vector_of(monoid.ambient, elem)), default=None)
     if sol is None:
         return None
     return sol[:len(monoid.generators)]
@@ -334,7 +338,7 @@ def integralize(pres):
     its Grothendieck group, as an affine monoid."""
     group, images = grothendieck_group(pres)
     # the images of the standard basis under the surjective projection
-    return AffineMonoid._spanning(group, images)
+    return AffineMonoid._spanning(group, [im.as_vector() for im in images])
 
 
 def presentation_of(monoid):
@@ -347,8 +351,7 @@ def presentation_of(monoid):
     hence the integralization agree.
     """
     rels = []
-    for col in xl._relations_among(
-            monoid.ambient, [g.as_vector() for g in monoid.generators]):
+    for col in xl._relations_among(monoid.ambient, monoid._vectors):
         if any(col):
             rels.append((tuple(max(x, 0) for x in col),
                          tuple(max(-x, 0) for x in col)))
@@ -364,18 +367,13 @@ def saturate(monoid):
     free parts intersected with the free lattice.
     """
     amb = monoid.ambient
-    r = amb.free_rank
-    tors_gens = []
-    for j in range(len(amb.invariant_factors)):
-        e = [0] * amb.lift_dim
-        e[r + j] = 1
-        tors_gens.append(element_of(amb, tuple(e)))
+    r, t = amb.free_rank, len(amb.invariant_factors)
+    torsion = [tuple(int(i == r + j) for i in range(r + t)) for j in range(t)]
     # the saturation contains M, so gp(M) <= gp(sat M) <= gp(M); at free
     # rank 0 the cone is {0}, with no lattice generators
-    lattice_gens = cc.cone_lattice_generators(monoid._cone)
-    new_gens = [element_of(amb, vec + (0,) * len(amb.invariant_factors))
-                for vec in lattice_gens]
-    return AffineMonoid._spanning(amb, new_gens + tors_gens)
+    lattice = [vec + (0,) * t
+               for vec in cc.cone_lattice_generators(monoid._cone)]
+    return AffineMonoid._spanning(amb, lattice + torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -412,27 +410,28 @@ def sharpen(monoid):
     """The sharp quotient M / M^x, with a lex-sorted minimal generating set."""
     quot, proj = xl.quotient_presentation(
         monoid.ambient, [u.as_vector() for u in units(monoid)])
-    images = _distinct_nonzero(element_of(quot, xl.apply(proj, g.as_vector()))
-                               for g in monoid.generators)
+    images = _distinct_nonzero(quot.reduce_vector(xl.apply(proj, v))
+                               for v in monoid._vectors)
     # images of a spanning set under a surjection; M/M^x is sharp, so the
     # scan keeps a generating set of the same monoid
     return AffineMonoid._spanning(quot, _irreducibles(quot, images))
 
 
-def _irreducibles(ambient, generators):
+def _irreducibles(ambient, vectors):
     """The minimal generating set of the monoid that distinct nonzero
-    ``generators`` generate in ``ambient``, which the caller knows is sharp.
+    canonical lift tuples generate in ``ambient``, which the caller knows is
+    sharp.
 
     Deterministic: generators are scanned in lexicographic order and removed
     when expressible by the remaining ones; for a sharp monoid the survivors
     are exactly the irreducible elements, independent of scan order.
     """
-    current = sorted(generators)
+    current = sorted(vectors)
     keep = []
     for i, g in enumerate(current):
         rest = keep + current[i + 1:]
-        if next(xl._nonneg_solutions(_membership_system(ambient, rest),
-                                     g.as_vector()), None) is None:
+        if next(xl._nonneg_solutions(_membership_system(ambient, rest), g),
+                None) is None:
             keep.append(g)
     return tuple(keep)
 
@@ -461,7 +460,7 @@ def is_saturated(monoid):
     if len(units(monoid)) == len(monoid.generators):
         return True
     sat = saturate(monoid)
-    return all(contains(monoid, g) for g in sat.generators)
+    return all(contains(monoid, v) for v in sat._vectors)
 
 
 def predicates(monoid):
@@ -571,15 +570,16 @@ def pushout_with_maps(f, g):
         cols.append(fc + tuple(-x for x in gc))
     group, proj = xl._group_from_relations(lm + ln, cols)
 
-    def image(vec):
-        return element_of(group, xl.apply(proj, vec))
+    def images(vectors):
+        return [group.reduce_vector(xl.apply(proj, v)) for v in vectors]
 
-    left = tuple(image(m.as_vector() + (0,) * ln) for m in f.target.generators)
-    right = tuple(image((0,) * lm + n.as_vector()) for n in g.target.generators)
+    left = images(m + (0,) * ln for m in f.target._vectors)
+    right = images((0,) * lm + n for n in g.target._vectors)
     # images of spanning sets of M^gp and N^gp under the surjective proj
-    monoid = AffineMonoid._spanning(group, left + right)
     return PushoutResult(
-        monoid=monoid, left_images=left, right_images=right,
+        monoid=AffineMonoid._spanning(group, left + right),
+        left_images=tuple(_element(group, v) for v in left),
+        right_images=tuple(_element(group, v) for v in right),
         left_matrix=xl.IntMatrix(tuple(r[:lm] for r in proj.rows), lm),
         right_matrix=xl.IntMatrix(tuple(r[lm:] for r in proj.rows), ln))
 
@@ -592,11 +592,9 @@ def _presentation_pushout(f, g):
             for u, v in presentation_of(m_mon).relations]
     rels += [((0,) * p + u, (0,) * p + v)
              for u, v in presentation_of(n_mon).relations]
-    for l in f.source.generators:
-        img_m = element_of(m_mon.ambient, xl.apply(f.matrix, l.as_vector()))
-        img_n = element_of(n_mon.ambient, xl.apply(g.matrix, l.as_vector()))
-        u = expression(m_mon, img_m)
-        v = expression(n_mon, img_n)
+    for l in f.source._vectors:
+        u = expression(m_mon, xl.apply(f.matrix, l))
+        v = expression(n_mon, xl.apply(g.matrix, l))
         if u is None or v is None:
             raise DomainError("leg image lies outside the target monoid")
         rels.append((u + (0,) * q, (0,) * p + v))
@@ -634,19 +632,15 @@ def fiber_product_generators(f, g):
     if f.target != g.target:
         raise InputError("fiber product legs must share their target monoid")
     m_mon, n_mon = f.source, g.source
-    a = _membership_system(
-        f.target.ambient, [f.apply(m) for m in m_mon.generators] +
-        [g.target.neg(g.apply(n)) for n in n_mon.generators])
-    p, q = len(m_mon.generators), len(n_mon.generators)
-    pairs = []
-    seen = set()
-    for sol in sorted(xl._minimal_solutions(xl._gram(a))):
-        m_el = exponent_sum(m_mon.ambient, sol[:p], m_mon.generators)
-        n_el = exponent_sum(n_mon.ambient, sol[p:p + q], n_mon.generators)
-        if (m_el, n_el) not in seen:
-            seen.add((m_el, n_el))
-            pairs.append((m_el, n_el))
-    return pairs
+    a = _membership_system(f.target.ambient, f._images() + [
+        f.target.ambient.neg(v) for v in g._images()])
+    p, q = len(m_mon._vectors), len(n_mon._vectors)
+    pairs = dict.fromkeys(
+        (_combination(m_mon.ambient, sol[:p], m_mon._vectors),
+         _combination(n_mon.ambient, sol[p:p + q], n_mon._vectors))
+        for sol in sorted(xl._minimal_solutions(xl._gram(a))))
+    return [(_element(m_mon.ambient, m), _element(n_mon.ambient, n))
+            for m, n in pairs]
 
 
 def fiber_product(f, g):

@@ -248,6 +248,18 @@ def test_non_hom_matrix_exits_1(tmp_path):
     assert "not a monoid homomorphism" in proc.stderr
 
 
+def test_a_matrix_that_is_not_a_group_hom_exits_1(tmp_path):
+    # Z/2 -> Z sending the generator to 1 respects no torsion order
+    z2 = {"kind": "affine-monoid", "free_rank": 0, "torsion": [2],
+          "generators": [[1]]}
+    p = write_doc(tmp_path / "hom.json", {
+        "kind": "hom", "source": z2, "target": N1, "matrix": [[1]]})
+    proc = run_cli("hom-check", p)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {p}: not a monoid homomorphism: matrix is "
+                           f"not a homomorphism of the ambient groups\n")
+
+
 def test_ideal_generator_outside_monoid_exits_1(tmp_path):
     sub = {"kind": "affine-monoid", "free_rank": 1, "torsion": [],
            "generators": [[2], [3]]}
@@ -611,7 +623,8 @@ def _zero_matrix(mat):
     # doubled generators of N^2 span a subgroup of index 4
     ("gp", N2, cli, "parse_monoid",
      lambda monoid, doc, path, warn: mc.AffineMonoid._spanning(
-         monoid.ambient, [monoid.add(g, g) for g in monoid.generators]),
+         monoid.ambient,
+         [monoid.add(g, g).as_vector() for g in monoid.generators]),
      "generator images do not generate the group"),
     ("regular", NOT_SIMPLICIAL, cc, "is_regular", lambda verdict, cone: True,
      "a cone that is not simplicial is regular"),

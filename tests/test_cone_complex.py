@@ -536,6 +536,20 @@ def test_non_integers_are_refused_not_truncated(call):
         call()
 
 
+class _Two:
+    """An integer that is not an int: ``operator.index`` reads it as 2."""
+
+    def __index__(self):
+        return 2
+
+
+def test_fan_dimension_is_coerced_to_an_int():
+    ray = cc.RationalCone.from_rays([(1, 0)], 2)
+    fan = cc.Fan(dim=_Two(), maximal_cones=(ray,))
+    assert type(fan.dim) is int and fan.dim == 2
+    assert fan.maximal_cones == (ray,)
+
+
 def test_lineality_detection():
     half = cc.RationalCone.from_rays([(1, 0), (-1, 0), (0, 1)], 2)
     assert not half.is_strongly_convex

@@ -536,6 +536,20 @@ def test_hom_well_defined_respects_torsion():
     assert not xl.hom_is_well_defined(z2, z4, [[1]])
 
 
+@pytest.mark.parametrize("entry, target", [
+    (xl.hom_kernel, xl.FgAbelianGroup(0, (3,))),
+    (xl.hom_cokernel, xl.FgAbelianGroup(1, ())),
+], ids=["kernel-Z2-to-Z3", "cokernel-Z2-to-Z"])
+def test_a_matrix_that_is_not_a_hom_is_refused(entry, target):
+    # the generator of Z/2 has order 2, and 1 has order 3 in Z/3 and is of
+    # infinite order in Z
+    z2 = xl.FgAbelianGroup(0, (2,))
+    assert not xl.hom_is_well_defined(z2, target, [[1]])
+    with pytest.raises(DomainError,
+                       match="^matrix is not a homomorphism of the ambient groups$"):
+        entry(z2, target, [[1]])
+
+
 def test_is_prime_matches_trial_division():
     for n in range(-3, 500):
         assert xl.is_prime(n) == oracle_is_prime(n), n
@@ -888,10 +902,25 @@ def test_non_integers_are_refused_not_truncated(call):
     lambda: xl.cokernel([], nrows=1.5),
     lambda: xl.intmat([], ncols=1.5),
     lambda: xl.intmat_from_columns([], nrows=1.5),
+    lambda: cc.Fan(dim=1.5, maximal_cones=()),
+    lambda: cc.Fan(dim="x", maximal_cones=()),
 ], ids=["ngens", "from_rays_dim", "halfspaces_dim", "group_ngens",
-        "cokernel_nrows", "intmat_ncols", "from_columns_nrows"])
+        "cokernel_nrows", "intmat_ncols", "from_columns_nrows", "fan_dim",
+        "fan_dim_str"])
 def test_non_integer_counts_are_refused(call):
     with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc.MonoidPresentation(-1),
+    lambda: xl.FgAbelianGroup(-1, ()),
+    lambda: cc.RationalCone.from_rays([], -1),
+    lambda: cc.extreme_rays_of_halfspaces([], -1),
+    lambda: cc.Fan(dim=-2, maximal_cones=()),
+], ids=["ngens", "free_rank", "from_rays_dim", "halfspaces_dim", "fan_dim"])
+def test_negative_counts_are_refused(call):
+    with pytest.raises(InputError, match="^negative "):
         call()
 
 

@@ -400,7 +400,7 @@ def _monoid_kernel_trivial_skipping_slack(hom):
     that have no generator exponent."""
     src = hom.source
     a = mc._membership_system(
-        hom.target.ambient, [hom.apply(g) for g in src.generators])
+        hom.target.ambient, [hom.apply(g).as_vector() for g in src.generators])
     k = len(src.generators)
     for sol in xl._minimal_solutions(xl._gram(a)):
         exps = sol[:k]
@@ -418,8 +418,8 @@ def test_no_monoid_kernel_solution_is_slack_alone(legs):
     # columns -f_i e_i sit on distinct coordinates
     for hom in legs:
         k = len(hom.source.generators)
-        a = mc._membership_system(
-            hom.target.ambient, [hom.apply(g) for g in hom.source.generators])
+        a = mc._membership_system(hom.target.ambient, [
+            hom.apply(g).as_vector() for g in hom.source.generators])
         assert all(any(sol[:k]) for sol in xl._minimal_solutions(xl._gram(a)))
         assert lha.monoid_kernel_trivial(hom) == \
             _monoid_kernel_trivial_skipping_slack(hom)

@@ -99,10 +99,13 @@ def test_ambient_must_be_generated():
     lambda: mc.MonoidElement((0.5,)),
     lambda: mc.MonoidElement((1,), (0.5,)),
     lambda: mc.MonoidPresentation(1, (((0.5,), (1,)),)),
+    lambda: mc.MonoidPresentation(1, (((1,),),)),
+    lambda: mc.MonoidPresentation(1, (5,)),
     lambda: mc.AffineMonoid.from_vectors([(1.9, 0), (0, 1)]),
     lambda: mc.AffineMonoid.from_vectors([(1, 0), (0, 1)], (2.5,)),
     lambda: mc.free_monoid(2).contains((0.5, 0)),
-], ids=["element_free", "element_torsion", "presentation", "from_vectors",
+], ids=["element_free", "element_torsion", "presentation",
+        "relation_not_a_pair", "relation_not_iterable", "from_vectors",
         "torsion_orders", "contains"])
 def test_non_integers_are_refused_not_truncated(call):
     with pytest.raises(InputError):
@@ -134,6 +137,8 @@ def test_an_element_split_unlike_the_ambient_is_refused():
         "neg": lambda: m.neg(bad),
         "sub": lambda: m.sub(m.generators[0], bad),
         "exponent_sum": lambda: mc.exponent_sum(m.ambient, (1,), (bad,)),
+        "element": lambda: m.element(bad),
+        "element_of": lambda: mc.element_of(m.ambient, bad),
     }
     accepted = []
     for site, call in sites.items():
@@ -199,7 +204,7 @@ def test_membership_matches_oracle_randomly():
             # translate t into the submonoid's coordinates when the span is
             # proper: solve for t in the span first
             if sub.ambient == host and all(
-                    im.as_vector() == g for im, g in zip(images, gens)):
+                    im == g for im, g in zip(images, gens)):
                 assert sub.contains(t) == want, (gens, t)
 
 
@@ -230,13 +235,69 @@ def test_cached_membership_matches_a_rebuild_per_query(data):
     for t in targets:
         # the old path: a fresh membership system for every query, as a
         # checked matrix through the public solver doors
-        system = xl.intmat_from_columns(mc._membership_system(amb, gens),
-                                        nrows=amb.lift_dim)
+        system = xl.intmat_from_columns(
+            mc._membership_system(amb, [g.as_vector() for g in gens]),
+            nrows=amb.lift_dim)
         want = xl.solve_nonneg(system, amb.reduce_vector(t))
         assert monoid.contains(t) == xl.has_nonneg_solution(
             system, amb.reduce_vector(t))
         assert mc.expression(monoid, t) == (
             None if want is None else want[:len(gens)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_lift_vector_and_its_element_answer_alike(data):
+    # residues outside [0, f) too: the door reduces a lift vector and a
+    # MonoidElement alike, and the solver sees only the reduced target
+    monoid = data.draw(_monoids(max_gens=4))
+    amb = monoid.ambient
+    r = amb.free_rank
+    vec = st.tuples(*[st.integers(-3, 3)] * r,
+                    *[st.integers(-2 * f, 2 * f) for f in amb.invariant_factors])
+    targets = data.draw(st.lists(vec, min_size=1, max_size=3))
+    targets += [amb.zero()] + list(monoid._vectors)
+    for t in targets:
+        elem = mc.MonoidElement(free=t[:r], torsion=t[r:])
+        reduced = amb.reduce_vector(t)
+        assert mc.vector_of(amb, t) == mc.vector_of(amb, elem) == reduced
+        assert mc.element_of(amb, t) == mc.element_of(amb, elem) == \
+            monoid.element(reduced)
+        assert monoid.contains(t) == monoid.contains(elem) == \
+            monoid.contains(reduced)
+        assert mc.expression(monoid, t) == mc.expression(monoid, elem) == \
+            mc.expression(monoid, reduced)
+
+
+def test_constructions_build_elements_only_for_their_results(count_calls):
+    # the package passes its own vectors as canonical tuples: no
+    # construction goes back through element_of, and a MonoidElement is
+    # built only for a generator or image it returns
+    import logmonoid.log_hom_analysis as lha
+    import logmonoid.log_ideal_blowup as lib
+    torsion = mc.AffineMonoid.from_vectors([(1, 1), (1, 0), (2, 1)], (2,))
+    units = mc.AffineMonoid.from_vectors([(1, 0), (-1, 0), (1, 2)])
+    n1 = mc.free_monoid(1)
+    double = lha.MonoidHom(n1, n1, [[2]])
+    to_torsion = lha.MonoidHom(n1, torsion, [[2], [0]])
+    plane = mc.free_monoid(2)
+    ideal = lib.MonoidIdeal(plane, ((2, 0), (1, 1), (0, 2), (2, 2)))
+    calls = count_calls(mc, "element_of")
+    built = count_calls(mc, "_element")
+    results = [mc.saturate(torsion), mc.sharpen(torsion), mc.sharpen(units),
+               mc.span_submonoid(xl.FgAbelianGroup(2, ()), [(2, 0), (1, 1)])[0]]
+    assert len(built) == sum(len(m.generators) for m in results)
+    built.clear()
+    pushout = mc.pushout_with_maps(double, to_torsion)
+    assert len(built) == len(pushout.monoid.generators) + \
+        len(pushout.left_images) + len(pushout.right_images)
+    built.clear()
+    charts = lib.blowup_charts(plane, ideal)
+    # and the reduced ideal, whose generators are the chart centers
+    assert len(built) == len(charts) + sum(
+        len(c.fine.generators) + len(c.fs.generators) for c in charts)
+    assert calls == []
 
 
 def test_one_monoid_builds_its_membership_system_once(count_calls):
@@ -377,8 +438,7 @@ def _saturate_of_a_finite_group(monoid):
     assert amb.free_rank == 0
     units = [tuple(int(i == j) for j in range(amb.lift_dim))
              for i in range(amb.lift_dim)]
-    return mc.AffineMonoid._spanning(
-        amb, [mc.element_of(amb, e) for e in units])
+    return mc.AffineMonoid._spanning(amb, units)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -971,8 +1031,8 @@ def _fiber_product_generators_skipping_slack(f, g):
     solutions that have no generator exponent."""
     m_mon, n_mon = f.source, g.source
     a = mc._membership_system(
-        f.target.ambient, [f.apply(m) for m in m_mon.generators] +
-        [g.target.neg(g.apply(n)) for n in n_mon.generators])
+        f.target.ambient, [f.apply(m).as_vector() for m in m_mon.generators] +
+        [g.target.neg(g.apply(n)).as_vector() for n in n_mon.generators])
     p, q = len(m_mon.generators), len(n_mon.generators)
     pairs = []
     for sol in sorted(xl._minimal_solutions(xl._gram(a))):
@@ -993,8 +1053,8 @@ def test_no_fiber_product_solution_is_slack_alone(legs):
     f, g = legs
     k = len(f.source.generators) + len(g.source.generators)
     a = mc._membership_system(
-        f.target.ambient, [f.apply(m) for m in f.source.generators] +
-        [g.target.neg(g.apply(n)) for n in g.source.generators])
+        f.target.ambient, [f.apply(m).as_vector() for m in f.source.generators] +
+        [g.target.neg(g.apply(n)).as_vector() for n in g.source.generators])
     assert all(any(sol[:k]) for sol in xl._minimal_solutions(xl._gram(a)))
     assert mc.fiber_product_generators(f, g) == \
         _fiber_product_generators_skipping_slack(f, g)
