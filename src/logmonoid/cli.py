@@ -476,8 +476,9 @@ def _h_hom_check(doc, path, args, warn):
 @_command("kummer", "Kummer verdict and relative characteristic of a hom")
 def _h_kummer(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
-    kummer = lha.is_kummer(hom)
+    # is_kummer with the group kernel computed once for both verdicts
     injective = lha.is_gp_injective(hom)
+    kummer = injective and lha._multiples_in_image(hom)
     relchar = lha.relative_characteristic(hom)
     return {"kind": "kummer-verdict",
             "is_kummer": bool(kummer),

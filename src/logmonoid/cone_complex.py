@@ -30,7 +30,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
-from operator import le
+from operator import le, mul
 
 from .errors import DomainError, InputError, InternalCheckError
 from . import exact_lattice as xl
@@ -532,11 +532,12 @@ def _parallelepiped_numerators(ray_coords):
     the ray matrix; one denominator for all points keeps the order of
     numerator tuples and of their sums.  The points are the nonzero classes
     of Z^m / <rays>.  With the Smith decomposition U R V = D, the class of
-    U^-1 e has N = V diag(L/d) e mod L, so an odometer over the digits
-    e_k < d_k with d_k > 1 walks every class once: a step adds one column
-    of V diag(L/d) mod L, and a digit that wraps adds its column a d_k-th
-    time, which is 0 mod L.  A step costs O(m); ``_parallelepiped_point``
-    turns the numerators of a point into the point.
+    U^-1 e has N = V diag(L/d) e mod L, so the digits e_k < d_k of the
+    wheels d_k > 1 name every class once.  Each coordinate of N is built
+    on its own, one list comprehension per wheel, as a mixed-radix sequence
+    mod L, the first wheel fastest; one ``zip`` forms the tuples, and the
+    zero class, which comes first, is dropped.  ``_lattice_points`` turns
+    numerators into points.
     """
     m = len(ray_coords)
     dec = xl._snf_full(xl._from_columns(ray_coords, m))
@@ -544,33 +545,28 @@ def _parallelepiped_numerators(ray_coords):
     if len(orders) < m:
         raise InternalCheckError("parallelepiped rays are linearly dependent")
     big = orders[-1] if orders else 1
-    wheels = [(d, tuple(row[k] * (big // d) % big for row in dec.right.rows))
-              for k, d in enumerate(orders) if d > 1]
-    digits = [0] * len(wheels)
-    nums = (0,) * m
-    out = []
-    while True:
-        for k, (d, col) in enumerate(wheels):
-            nums = tuple([(a + b) % big for a, b in zip(nums, col)])
-            digits[k] += 1
-            if digits[k] < d:
-                break
-            digits[k] = 0
-        else:
-            return big, out
-        out.append(nums)
+    wheels = [(k, d, big // d) for k, d in enumerate(orders) if d > 1]
+    coords = []
+    for row in dec.right.rows:
+        vals = [0]
+        for k, d, scale in reversed(wheels):
+            step = row[k] * scale % big
+            vals = [(v + e * step) % big for v in vals for e in range(d)]
+        coords.append(vals)
+    return big, list(itertools.islice(zip(*coords), 1, None))
 
 
-def _parallelepiped_point(nums, big, ray_coords):
-    """The lattice point sum_i (N_i / L) r_i of the numerators N over L."""
-    point = []
-    for coords in zip(*ray_coords):
-        q, r = divmod(vdot(nums, coords), big)
-        if r:
+def _lattice_points(nums, big, ray_coords):
+    """The lattice points sum_i (N_i / L) r_i of the numerator tuples N
+    over L, in order, built a coordinate at a time."""
+    coords = []
+    for col in zip(*ray_coords):
+        sums = [sum(map(mul, n, col)) for n in nums]
+        if any(x % big for x in sums):
             raise InternalCheckError(
                 "parallelepiped numerators do not give a lattice point")
-        point.append(q)
-    return tuple(point)
+        coords.append([x // big for x in sums])
+    return list(zip(*coords))
 
 
 def _irreducible(ranked):
@@ -587,14 +583,18 @@ def _irreducible(ranked):
     decides it: if h = x + y with x and y nonzero, one of them, say x, has
     deg x <= deg h / 2, and an irreducible b dividing x has deg b <= deg x
     and divides h, so b is a candidate, kept and ranked before h.
+
+    The loop over those kept values stops at the first that divides h; its
+    ``else`` keeps h.
     """
     kept = []
     degrees = []
     kept_values = []
     for deg, values, item in ranked:
-        cut = bisect_right(degrees, deg // 2)
-        if not any(all(map(le, b, values))
-                   for b in itertools.islice(kept_values, cut)):
+        for b in kept_values[:bisect_right(degrees, deg // 2)]:
+            if all(map(le, b, values)):
+                break
+        else:
             kept.append(item)
             degrees.append(deg)
             kept_values.append(values)
@@ -667,15 +667,16 @@ def hilbert_basis(cone):
     No ray divides a parallelepiped point, and for two such points h - b is
     in sigma iff the numerators of b are at most those of h componentwise.
     So each simplex reduces its enumerated numerators among themselves,
-    with the degree sum N, and computes points only for the survivors (see
-    ``_parallelepiped_numerators``).  A simplicial cone is its own simplex
-    and is done.  Otherwise the survivors and the extreme rays of C are
-    reduced once more in C, where h - b lies in C iff the facet values of h
-    dominate those of b, with the degree the sum of the facet values.  Both
-    reductions test a candidate only against kept elements of at most half
-    its degree (``_irreducible`` gives the proof), so the enumeration is
-    linear in the multiplicities of the simplices and the reductions cost
-    about the size of their output times its logarithm.
+    with the degree sum N, and computes points only for the survivors
+    (``_parallelepiped_numerators``, ``_lattice_points``).  A simplicial
+    cone is its own simplex and is done.  Otherwise the survivors and the
+    extreme rays of C are reduced once more in C, where h - b lies in C iff
+    the facet values of h dominate those of b, with the degree the sum of
+    the facet values.  Both reductions test a candidate only against kept
+    elements of at most half its degree (``_irreducible`` gives the proof),
+    up to the first that divides it.  The enumeration is linear in the
+    multiplicities of the simplices; (1,0,0), (0,1,0), (37,91,20000) makes
+    177,116 tests for 19,999 candidates and 762 basis elements.
 
     The result is unique and lex-sorted.
     """
@@ -690,9 +691,8 @@ def hilbert_basis(cone):
     for simplex in simplices:
         rays = [down(r) for r in simplex]
         big, nums = _parallelepiped_numerators(rays)
-        ranked = sorted((sum(n), n, n) for n in nums)
-        found.update(up(_parallelepiped_point(n, big, rays))
-                     for n in _irreducible(ranked))
+        kept = _irreducible(sorted(zip(map(sum, nums), nums, nums)))
+        found.update(map(up, _lattice_points(kept, big, rays)))
     if len(simplices) == 1:
         return tuple(sorted(found))
     ranked = []
@@ -967,8 +967,8 @@ def _subdivision_point(cone):
     big, nums = _parallelepiped_numerators(rays)
     if not nums:
         raise InternalCheckError("regular cone passed to subdivision point")
-    best = min(nums, key=lambda n: (sum(n), n))
-    v = up(_parallelepiped_point(best, big, rays))
+    best = min(zip(map(sum, nums), nums))[1]
+    v = up(_lattice_points([best], big, rays)[0])
     if primitive(v) != v:
         raise InternalCheckError("subdivision point is not primitive")
     return v

@@ -90,7 +90,7 @@ def intmat(rows, ncols=None):
     """
     rows = tuple(map(tuple, rows))
     if ncols is not None:
-        (ncols,) = _as_ints((ncols,))
+        ncols = _as_count(ncols, "vector length")
     if not rows:
         if ncols is None:
             raise InputError("empty matrix needs an explicit column count")
@@ -527,7 +527,8 @@ def group_from_relations(ngens, relation_columns):
     Returns (group, proj) where ``proj`` is the (lift_dim x ngens) matrix
     taking old coordinates to lift coordinates of the quotient.
     """
-    rel = intmat_from_columns(relation_columns, nrows=ngens)
+    rel = intmat_from_columns(relation_columns,
+                              nrows=_as_count(ngens, "generator count"))
     return _group_from_relations(rel.shape[0], mat_columns(rel))
 
 

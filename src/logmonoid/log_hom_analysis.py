@@ -145,7 +145,13 @@ def kato_criterion(hom, residue_char=0):
 
 def is_kummer(hom):
     """Whether the hom is Kummer: injective on groups, with every target
-    element having a multiple in the image of the source.
+    element having a multiple in the image of the source."""
+    return is_gp_injective(hom) and _multiples_in_image(hom)
+
+
+def _multiples_in_image(hom):
+    """Whether every target element has a positive multiple in the image of
+    the source, for a hom that is injective on groups.
 
     Given injectivity, a target element q has a positive multiple in the
     image iff its free part lies in the rational cone of the free parts of
@@ -156,8 +162,6 @@ def is_kummer(hom):
     and one containment test per generator replace a nonnegative solve per
     generator whose cost grows with the index of the image.
     """
-    if not is_gp_injective(hom):
-        return False
     r = hom.target.ambient.free_rank
     image = cc.RationalCone.from_rays([v[:r] for v in hom._images()], r)
     return all(image.contains(q.free) for q in hom.target.generators)

@@ -42,6 +42,20 @@ class MonoidIdeal:
         object.__setattr__(self, "generators",
                            tuple(mc._element(amb, v) for v in vecs))
 
+    @classmethod
+    def _of_members(cls, host, vectors):
+        """The ideal of ``host`` generated by canonical lift tuples that are
+        known to lie in it.
+
+        Trusted: it only drops repeats, and neither reduces the tuples nor
+        checks membership.  Each caller states why membership holds.
+        """
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "host", host)
+        object.__setattr__(ideal, "generators", tuple(
+            mc._element(host.ambient, v) for v in dict.fromkeys(vectors)))
+        return ideal
+
     @property
     def is_empty(self):
         return not self.generators
@@ -62,15 +76,17 @@ class MonoidIdeal:
             others = keep + gens[i + 1:]
             if not any(self.host.contains(amb.sub(g, h)) for h in others):
                 keep.append(g)
-        return MonoidIdeal(host=self.host, generators=tuple(keep))
+        # the survivors are generators of this ideal, so in the host
+        return MonoidIdeal._of_members(self.host, keep)
 
 
 def maximal_ideal(monoid):
     """The ideal of non-units M+ (for a sharp monoid, everything nonzero),
     generated by the generators outside ``monoid_core.units``."""
-    unit_gens = set(mc.units(monoid))
-    gens = [g for g in monoid.generators if g not in unit_gens]
-    return MonoidIdeal(host=monoid, generators=tuple(gens))
+    unit_gens = {u.as_vector() for u in mc.units(monoid)}
+    # generators of the monoid lie in it
+    return MonoidIdeal._of_members(
+        monoid, [g for g in monoid._vectors if g not in unit_gens])
 
 
 def is_invertible(ideal):
@@ -120,8 +136,13 @@ def blowup_charts(monoid, ideal):
 
 
 def pulled_ideal(chart_monoid, ideal):
-    """The ideal generated on a blowup chart by the original generators."""
-    return MonoidIdeal(host=chart_monoid, generators=ideal.generators)
+    """The ideal generated on a blowup chart of ``ideal`` by the original
+    generators."""
+    # a chart holds the generators of the ideal's host (the fine chart is
+    # generated by them and more, the fs chart contains the fine one), so
+    # it holds the ideal's generators
+    return MonoidIdeal._of_members(
+        chart_monoid, [g.as_vector() for g in ideal.generators])
 
 
 def blowup_is_idempotent(monoid, ideal):

@@ -188,6 +188,26 @@ def test_blowup_fan_asks_only_whether_the_host_is_toric(count_calls, capsys):
     assert sharpenings == []
 
 
+def test_kummer_computes_the_group_kernel_once(count_calls, capsys):
+    # the injectivity verdict is computed once and read by both verdicts
+    case = Path(__file__).parent / "golden" / "cases" / "kummer-triple"
+    kernels = count_calls(xl, "hom_kernel")
+    assert cli.main(["kummer", str(case / "hom.json")]) == 0
+    assert capsys.readouterr().out == (case / "expected.out").read_text()
+    assert len(kernels) == 1
+
+
+def test_blowup_trusts_the_ideals_it_builds(count_calls, capsys):
+    # reduced and pulled ideals keep generators known to lie in their host,
+    # so only the divisibility tests search: 4, not the 6 of rebuilding
+    # them through the public constructor
+    case = Path(__file__).parent / "golden" / "cases" / "blowup-plane"
+    searches = count_calls(xl, "_minimal_solutions")
+    assert cli.main(["blowup", str(case / "ideal.json")]) == 0
+    assert capsys.readouterr().out == (case / "expected.out").read_text()
+    assert len(searches) == 4
+
+
 def test_resolve_validates_a_parsed_fan_once(count_calls, capsys):
     # parse_fan validates the fan, and resolve is told not to again
     case = Path(__file__).parent / "golden" / "cases" / "resolve-a3"

@@ -8,9 +8,11 @@ properties, fan validation against the all-pairs intersection check, and
 duality against double description from scratch.
 """
 
+import bisect
 import functools
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -772,16 +774,19 @@ def _random_independent_rays(rng):
             return rays
 
 
+# two or three nontrivial invariant factors each, so every carry between
+# wheels runs: (2, 2, 2), (2, 6), (2, 4, 12), (2, 48) and (2, 6, 12)
+_MULTI_WHEEL_RAYS = [
+    [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+    [(2, 0, 0), (0, 6, 0), (0, 0, 1)],
+    [(2, 0, 0), (0, 4, 0), (0, 0, 12)],
+    [(2, 0, 0), (0, 4, 0), (1, 1, 12)],
+    [(4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 6, 0), (1, 0, 0, 3)]]
+
+
 def test_parallelepiped_points_match_rational_solve():
-    # the fixed cases have two or three nontrivial invariant factors, so
-    # every carry of the odometer runs: (2, 2, 2), (2, 6), (2, 4, 12),
-    # (2, 48) and (2, 6, 12)
     rng = random.Random(2026)
-    fixed = [[(2, 0, 0), (0, 2, 0), (0, 0, 2)],
-             [(2, 0, 0), (0, 6, 0), (0, 0, 1)],
-             [(2, 0, 0), (0, 4, 0), (0, 0, 12)],
-             [(2, 0, 0), (0, 4, 0), (1, 1, 12)],
-             [(4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 6, 0), (1, 0, 0, 3)]]
+    fixed = _MULTI_WHEEL_RAYS
     cases = fixed + [_random_independent_rays(rng) for _ in range(40)]
     for rays in cases:
         m = len(rays)
@@ -789,8 +794,8 @@ def test_parallelepiped_points_match_rational_solve():
         big, nums = cc._parallelepiped_numerators(rays)
         assert big == (diag[-1] if diag else 1)
         assert all(type(n) is int and 0 <= n < big for ns in nums for n in ns)
-        got = sorted((cc._parallelepiped_point(ns, big, rays),
-                      tuple(Fraction(n, big) for n in ns)) for ns in nums)
+        got = sorted(zip(cc._lattice_points(nums, big, rays),
+                         (tuple(Fraction(n, big) for n in ns) for ns in nums)))
         assert got == sorted(_oracle_parallelepiped_points(rays, m)), rays
         det = 1
         for f in diag:
@@ -807,7 +812,113 @@ def test_parallelepiped_points_match_rational_solve():
 
 def test_parallelepiped_point_refuses_numerators_off_the_lattice():
     with pytest.raises(InternalCheckError):
-        cc._parallelepiped_point((1, 0), 2, [(1, 0), (0, 2)])
+        cc._lattice_points([(1, 0)], 2, [(1, 0), (0, 2)])
+    with pytest.raises(InternalCheckError):
+        cc._lattice_points([(0, 0), (1, 1), (1, 0)], 2, [(1, 0), (0, 2)])
+
+
+def _odometer_numerators(ray_coords):
+    """The numerator odometer that ``_parallelepiped_numerators`` replaces:
+    one Python step per class, adding one column of V diag(L/d) mod L, the
+    first wheel fastest; a wrapping digit adds its column a d-th time,
+    which is 0 mod L."""
+    m = len(ray_coords)
+    dec = xl._snf_full(xl._from_columns(ray_coords, m))
+    orders = dec.diag
+    big = orders[-1] if orders else 1
+    wheels = [(d, tuple(row[k] * (big // d) % big for row in dec.right.rows))
+              for k, d in enumerate(orders) if d > 1]
+    digits = [0] * len(wheels)
+    nums = (0,) * m
+    out = []
+    while True:
+        for k, (d, col) in enumerate(wheels):
+            nums = tuple([(a + b) % big for a, b in zip(nums, col)])
+            digits[k] += 1
+            if digits[k] < d:
+                break
+            digits[k] = 0
+        else:
+            return big, out
+        out.append(nums)
+
+
+def _oracle_irreducible(ranked):
+    """The reduction that ``_irreducible`` replaces: ``any`` over a
+    generator of domination tests on an ``islice`` of the kept values."""
+    kept, degrees, kept_values = [], [], []
+    for deg, values, item in ranked:
+        cut = bisect.bisect_right(degrees, deg // 2)
+        if not any(all(map(operator.le, b, values))
+                   for b in itertools.islice(kept_values, cut)):
+            kept.append(item)
+            degrees.append(deg)
+            kept_values.append(values)
+    return kept
+
+
+def _oracle_lattice_point(nums, big, ray_coords):
+    """The point sum_i (N_i / L) r_i of one numerator tuple, a coordinate
+    at a time with ``divmod``, as ``_lattice_points`` did it per point."""
+    point = []
+    for coords in zip(*ray_coords):
+        q, r = divmod(sum(n * c for n, c in zip(nums, coords)), big)
+        assert not r
+        point.append(q)
+    return tuple(point)
+
+
+def _oracle_subdivision_point(cone):
+    """``_subdivision_point`` through the odometer, a key function per
+    class and one point per call."""
+    down, up, _ = cc._to_span_coords(cone)
+    rays = [down(r) for r in cone.extreme_rays]
+    big, nums = _odometer_numerators(rays)
+    best = min(nums, key=lambda n: (sum(n), n))
+    return up(_oracle_lattice_point(best, big, rays))
+
+
+@st.composite
+def _independent_ray_sets(draw):
+    """m linearly independent rays in Z^m for m from 1 to 4, not all
+    primitive, with entries small enough that the odometer stays fast."""
+    m = draw(st.integers(1, 4))
+    r = {1: 60, 2: 12, 3: 6, 4: 3}[m]
+    vec = st.tuples(*[st.integers(-r, r)] * m)
+    return draw(st.lists(vec, min_size=m, max_size=m)
+                .filter(lambda g: _rank(g) == m))
+
+
+@settings(_DIFFERENTIAL, max_examples=200)
+@given(_independent_ray_sets())
+@example(_MULTI_WHEEL_RAYS[0])
+@example(_MULTI_WHEEL_RAYS[1])
+@example(_MULTI_WHEEL_RAYS[2])
+@example(_MULTI_WHEEL_RAYS[3])
+@example(_MULTI_WHEEL_RAYS[4])
+def test_parallelepiped_kernel_matches_the_loops_it_replaces(rays):
+    # the same classes in the same order, the same survivors in the same
+    # order, the same points and the same subdivision point as the
+    # per-class loops
+    big, nums = cc._parallelepiped_numerators(rays)
+    assert (big, nums) == _odometer_numerators(rays)
+    ranked = sorted((sum(n), n, n) for n in nums)
+    assert cc._irreducible(ranked) == _oracle_irreducible(ranked)
+    assert cc._lattice_points(nums, big, rays) == [
+        _oracle_lattice_point(n, big, rays) for n in nums]
+    cone = cc.RationalCone.from_rays(rays, len(rays))
+    if cc.multiplicity(cone) > 1:
+        assert cc._subdivision_point(cone) == _oracle_subdivision_point(cone)
+
+
+@settings(_DIFFERENTIAL, max_examples=200)
+@given(st.lists(st.tuples(*[st.integers(0, 5)] * 3).filter(any),
+                unique=True, max_size=40))
+def test_irreducible_matches_the_loop_it_replaces(values):
+    # ranked by a positive form other than the sum, items apart from values
+    ranked = sorted((v[0] + 2 * v[1] + 3 * v[2], v, i)
+                    for i, v in enumerate(values))
+    assert cc._irreducible(ranked) == _oracle_irreducible(ranked)
 
 
 def _oracle_hilbert_basis(cone):

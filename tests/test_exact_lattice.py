@@ -918,7 +918,11 @@ def test_non_integer_counts_are_refused(call):
     lambda: cc.RationalCone.from_rays([], -1),
     lambda: cc.extreme_rays_of_halfspaces([], -1),
     lambda: cc.Fan(dim=-2, maximal_cones=()),
-], ids=["ngens", "free_rank", "from_rays_dim", "halfspaces_dim", "fan_dim"])
+    lambda: xl.intmat([], ncols=-1),
+    lambda: xl.intmat_from_columns([], nrows=-1),
+    lambda: xl.group_from_relations(-1, []),
+], ids=["ngens", "free_rank", "from_rays_dim", "halfspaces_dim", "fan_dim",
+        "intmat_ncols", "from_columns_nrows", "group_ngens"])
 def test_negative_counts_are_refused(call):
     with pytest.raises(InputError, match="^negative "):
         call()

@@ -5,7 +5,9 @@ by hand; random cases check the structural properties (charts contain the
 host, pulled-back ideals become principal, the construction is idempotent).
 """
 
+import contextlib
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -249,3 +251,42 @@ def test_blowup_fan_requires_toric_host():
     ideal = lib.maximal_ideal(m)
     with pytest.raises(DomainError):
         lib.blowup_fan(m, ideal)
+
+
+# ---------------------------------------------------------------------------
+# trusted construction
+
+
+@contextlib.contextmanager
+def _checked_members():
+    """Rebuilds every ``MonoidIdeal._of_members`` result through the public
+    constructor, which raises DomainError for a generator outside the host,
+    and requires the two to be equal.  Yields the set of calling functions."""
+    trusted = lib.MonoidIdeal._of_members.__func__
+    sites = set()
+
+    def checked(cls, host, vectors):
+        vectors = list(vectors)
+        out = trusted(cls, host, vectors)
+        assert lib.MonoidIdeal(host, tuple(vectors)) == out
+        sites.add(sys._getframe(1).f_code.co_name)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lib.MonoidIdeal, "_of_members", classmethod(checked))
+        yield sites
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_trusted_ideals_match_the_public_constructor(data):
+    with _checked_members() as sites:
+        monoid = data.draw(_monoids(max_gens=4))
+        lib.maximal_ideal(monoid).reduce()
+        gens = monoid.generators
+        pick = data.draw(st.lists(st.sampled_from(gens), min_size=1,
+                                  max_size=2)) if gens else [monoid.zero]
+        ideal = lib.MonoidIdeal(monoid, tuple(pick))
+        lib.charts_are_idempotent(lib.blowup_charts(monoid, ideal), ideal)
+    assert sites == {"maximal_ideal", "reduce", "pulled_ideal"}
