@@ -290,6 +290,10 @@ def check_blowup_fan(ideal, fan):
         [g.free for g in ideal.host.generators], ideal.host.ambient.free_rank))
     yield _check(all(sigma.contains_cone(c) for c in fan.maximal_cones),
                  "blowup fan leaves the dual cone of the host", "in_dual_cone")
+    yield _check(_is_fan(fan), "blowup fan is not a fan", "fan")
+    yield _check(_covers(sigma, fan.maximal_cones),
+                 "blowup fan does not cover the dual cone of the host",
+                 "covers")
 
 
 def check_hom_check(verdict):

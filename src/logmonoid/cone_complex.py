@@ -720,18 +720,6 @@ def cone_lattice_generators(cone):
     return tuple(sorted(set(_signed(lifted, cone.lineality))))
 
 
-def monoid_of_cone(cone):
-    """cone meet Z^dim as an affine monoid.
-
-    Full-dimensional cones keep their coordinates (``from_vectors`` keeps
-    those of a spanning set); otherwise the span sublattice is re-presented,
-    changing coordinates.  The zero cone gives the trivial monoid.
-    """
-    from . import monoid_core as mc
-
-    return mc.AffineMonoid.from_vectors(cone_lattice_generators(cone))
-
-
 # ---------------------------------------------------------------------------
 # fans
 
@@ -781,46 +769,37 @@ def _lemma_separator(a, b):
     return u
 
 
-def _maximal(untouched, groups):
-    """The untouched cones and every cone of the groups that no cone of
-    another group contains, once each, sorted.
-
-    Equal cones count once: a cone shared between groups is kept or dropped
-    with its first copy, and ``!=`` rather than ``is not`` keeps an equal
-    copy in another group from dropping it.  With every cone its own group
-    this is the all-pairs reduction.
-    """
-    keep = list(untouched)
-    seen = set()
-    for i, group in enumerate(groups):
-        for p in group:
-            if p in seen:
-                continue
-            seen.add(p)
-            if not any(q != p and q.contains_cone(p)
-                       for j, other in enumerate(groups) if j != i
-                       for q in other):
-                keep.append(p)
-    keep.sort(key=RationalCone.sort_key)
-    return tuple(keep)
-
-
 @dataclass(frozen=True)
 class Fan:
     """A fan: strongly convex cones meeting along common faces.
 
-    The constructor canonicalizes (sorts, dedupes, drops contained cones)
-    and checks strong convexity; ``validate`` checks every pair, on the
-    caller's fan only: ``stellar_subdivision`` always validates its input,
-    ``resolve`` unless the caller did.  The fans the package derives from a
-    fan are fans by construction: pulling triangulations (De Loera, Rambau
-    and Santos, *Triangulations*, 2010), 2D resolutions (see ``resolve``)
-    and stellar subdivisions (Ewald, *Combinatorial Convexity and Algebraic
-    Geometry*, ch. III), built by ``_stellar``.  In a stellar step at v, an
-    untouched cone rho and a piece cone(G, v) of a replaced cone tau meet in
-    G meet F, with F = tau meet rho a face of tau without v (lambda v + g in
-    F forces lambda = 0): a face of both.  Two pieces reduce to the pieces
-    of one cone.
+    The constructor canonicalizes a caller's list (sorts, dedupes, drops
+    contained cones) and checks strong convexity; ``validate`` checks every
+    pair, on the caller's fan only: ``stellar_subdivision`` always validates
+    its input, ``resolve`` unless the caller did.  The fans the package
+    derives are fans by theorem, with distinct maximal cones none of which
+    contains another, and ``_built`` only sorts them.
+
+    Stellar and 2D pieces.  Pulling triangulations (De Loera, Rambau and
+    Santos, *Triangulations*, 2010), 2D resolutions (see ``resolve``) and
+    stellar steps (Ewald, *Combinatorial Convexity and Algebraic Geometry*,
+    ch. III) cut a maximal cone into pieces of its dimension with disjoint
+    relative interiors; a cone left alone is its own piece.  In a stellar
+    step at v, an untouched cone rho and a piece cone(G, v) of a replaced
+    cone tau meet in G meet F, with F = tau meet rho a face of tau without
+    v (lambda v + g in F forces lambda = 0): a face of both.  A piece of a
+    maximal cone tau1 inside a piece of another, tau2, would lie in the
+    proper face tau1 meet tau2 of tau1, of lower dimension than the piece:
+    pieces of different cones never nest or coincide.
+
+    Blowup regions.  The dual cone of a toric monoid is pointed and
+    full-dimensional, and the region R_s of a minimal ideal generator s is
+    the dual cone cut by <u, t - s> >= 0 over the other minimal generators
+    t (``log_ideal_blowup.blowup_fan``).  A point of R_s with <u, t - s> = 0
+    has <u, j - t> = <u, j - s> >= 0 for every j, so R_s meets R_t in the
+    face that <u, t - s> = 0 cuts from each.  R_s in R_t, both
+    full-dimensional, would make t - s vanish on a spanning set, so t = s:
+    a toric monoid is torsion-free.
     """
 
     dim: int
@@ -833,26 +812,20 @@ class Fan:
                 raise InputError("cone of wrong ambient dimension in fan")
             if not c.is_strongly_convex:
                 raise DomainError("fans consist of strongly convex cones")
-        object.__setattr__(self, "maximal_cones", _maximal(
-            (), [(c,) for c in self.maximal_cones]))
+        cones = dict.fromkeys(self.maximal_cones)
+        object.__setattr__(self, "maximal_cones", tuple(sorted(
+            (p for p in cones
+             if not any(q != p and q.contains_cone(p) for q in cones)),
+            key=RationalCone.sort_key)))
 
     @classmethod
-    def _stellar(cls, dim, untouched, groups):
-        """The fan of the untouched cones of a fan built by the constructor
-        (so none contains another) and, for each replaced cone, the group of
-        its pieces.
-
-        Only pairs of pieces of different groups are tested.  An untouched
-        cone inside a piece would lie inside the replaced cone, and no piece
-        lies inside an untouched cone: a stellar piece contains v, and a 2D
-        piece spans its cone.  Two pieces of one cone have its dimension and
-        disjoint relative interiors.  Testing only pieces that share a ray
-        would not do: cone((1, 1)) lies in cone((1, 0), (0, 1)) and shares
-        no ray with it.
-        """
+    def _built(cls, dim, cones):
+        """The fan of the package-built cones, which are the distinct
+        maximal cones of a fan by theorem (see above): sorted only."""
         fan = object.__new__(cls)
         object.__setattr__(fan, "dim", dim)
-        object.__setattr__(fan, "maximal_cones", _maximal(untouched, groups))
+        object.__setattr__(fan, "maximal_cones", tuple(
+            sorted(cones, key=RationalCone.sort_key)))
         return fan
 
     def validate(self):
@@ -883,13 +856,6 @@ class Fan:
                     raise DomainError(
                         "cones do not meet along a common face")
         return self
-
-    def all_cones(self):
-        """Every face of every maximal cone, sorted by (dimension, rays)."""
-        found = set()
-        for c in self.maximal_cones:
-            found.update(faces(c))
-        return sorted(found, key=RationalCone.sort_key)
 
     def rays(self):
         out = set()
@@ -940,7 +906,8 @@ def _stellar_pieces(fan, point):
             untouched.append(c)
     if not replaced:
         raise DomainError("subdivision point lies outside the fan support")
-    new = Fan._stellar(fan.dim, untouched, [p for _, p in replaced])
+    new = Fan._built(fan.dim, untouched + [
+        p for _, pieces in replaced for p in pieces])
     return new, replaced
 
 
@@ -1007,22 +974,22 @@ def resolve(fan, validate=True):
     """A regular subdivision of the fan.
 
     ``validate`` checks the input; later fans are fans by construction (see
-    ``Fan``).  After the pulling triangulations, each singular cone of span
-    dimension 2 gets its minimal resolution (Fulton, *Introduction to Toric
-    Varieties*, §2.6) from the continued fraction.  Stellar steps reach the
-    same: the parallelepiped point p of least coefficient sum is irreducible
-    (p = a + b, a and b nonzero, makes a such a point of smaller sum), and
-    the cone on two basis elements has the basis between them as its own.
-    Later steps keep those cones, which meet others in rays or 0, and
-    ``_stellar_loop`` resolves the rest.  Regular cones stay as they are.
+    ``Fan``).  A caller passing ``validate=False`` must pass a fan: on one
+    that is not, the result is unspecified.  After the pulling
+    triangulations, each singular cone of span dimension 2 gets its minimal
+    resolution (Fulton, *Introduction to Toric Varieties*, §2.6) from the
+    continued fraction.  Stellar steps reach the same: the parallelepiped
+    point p of least coefficient sum is irreducible (p = a + b, a and b
+    nonzero, makes a such a point of smaller sum), and the cone on two
+    basis elements has the basis between them as its own.  Later steps keep
+    those cones, which meet others in rays or 0, and ``_stellar_loop``
+    resolves the rest.  Regular cones stay as they are.
     """
     if validate:
         fan.validate()
     simplicial = [s for c in fan.maximal_cones for s in (
         [c] if c.is_simplicial else [RationalCone.from_rays(t, fan.dim)
                                      for t in pulling_triangulation(c)])]
-    cones = Fan(dim=fan.dim, maximal_cones=tuple(simplicial)).maximal_cones
-    pieces = [_regular_pieces_2d(c) if c.span_dim == 2 else () for c in cones]
-    return _stellar_loop(Fan._stellar(
-        fan.dim, [c for c, p in zip(cones, pieces) if not p],
-        [p for p in pieces if p]))
+    return _stellar_loop(Fan._built(fan.dim, [
+        p for c in simplicial
+        for p in (_regular_pieces_2d(c) if c.span_dim == 2 else ()) or (c,)]))

@@ -135,10 +135,6 @@ def identity_mat(n):
     return _freeze(_identity_rows(n), n)
 
 
-def zeros_mat(m, n):
-    return IntMatrix(((0,) * n,) * m, n)
-
-
 def mat_columns(a):
     """The columns of ``a`` as a list of int tuples."""
     return list(zip(*a.rows)) if a.rows else [()] * a.ncols
@@ -763,10 +759,3 @@ def solve_nonneg(a, b):
     """
     a = _as_matrix(a)
     return min(_nonneg_solutions(mat_columns(a), _check_rhs(a, b)), default=None)
-
-
-def has_nonneg_solution(a, b):
-    """Whether a x = b has any nonnegative integer solution."""
-    a = _as_matrix(a)
-    return next(_nonneg_solutions(mat_columns(a), _check_rhs(a, b)),
-                None) is not None

@@ -55,11 +55,6 @@ class MonoidHom:
         return mc.element_of(self.target.ambient, xl.apply(self.matrix, vec))
 
 
-def identity_hom(monoid):
-    n = monoid.ambient.lift_dim
-    return MonoidHom(source=monoid, target=monoid, matrix=xl.identity_mat(n))
-
-
 # ---------------------------------------------------------------------------
 # group-level invariants
 

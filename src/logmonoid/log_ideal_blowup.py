@@ -170,10 +170,10 @@ def blowup_fan(monoid, ideal):
     u -> min over the ideal of <u, j> is piecewise linear on sigma; its
     maximal domains of linearity are sigma cut by <u, j - s> >= 0 over the
     minimal generators s.  The fan of the full-dimensional domains is
-    returned.  (Charts whose domain of linearity is lower-dimensional are
-    glue between neighbouring charts and contribute no maximal cone, so the
-    charts of the blowup surject onto, but need not biject with, the maximal
-    cones.)
+    returned, a fan by theorem (see ``cone_complex.Fan``).  (Charts whose
+    domain of linearity is lower-dimensional are glue between neighbouring
+    charts and contribute no maximal cone, so the charts of the blowup
+    surject onto, but need not biject with, the maximal cones.)
     """
     if not mc.is_toric(monoid):
         raise DomainError("blowup fans are defined for toric monoids")
@@ -190,4 +190,4 @@ def blowup_fan(monoid, ideal):
         region = cc.cone_from_constraints(normals, sigma.span_equations, d)
         if region.span_dim == sigma.span_dim:
             regions.append(region)
-    return cc.fan_from_cones(regions, d)
+    return cc.Fan._built(d, regions)

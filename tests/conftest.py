@@ -5,7 +5,9 @@ import warnings
 
 import pytest
 
+import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
+import logmonoid.log_hom_analysis as lha
 import logmonoid.monoid_core as mc
 
 
@@ -34,6 +36,43 @@ def group_monoid(group):
         if i < group.free_rank:
             gens.append(tuple(-x for x in e))
     return mc.AffineMonoid(group, gens)
+
+
+def has_nonneg_solution(a, b):
+    """Whether a x = b has any nonnegative integer solution, through the
+    checked matrix and right-hand-side doors of the solver."""
+    a = xl._as_matrix(a)
+    return next(xl._nonneg_solutions(xl.mat_columns(a), xl._check_rhs(a, b)),
+                None) is not None
+
+
+def zeros_mat(m, n):
+    return xl.IntMatrix(((0,) * n,) * m, n)
+
+
+def identity_hom(monoid):
+    n = monoid.ambient.lift_dim
+    return lha.MonoidHom(source=monoid, target=monoid,
+                         matrix=xl.identity_mat(n))
+
+
+def all_cones(fan):
+    """Every face of every maximal cone of the fan, sorted by (dimension,
+    rays)."""
+    found = set()
+    for c in fan.maximal_cones:
+        found.update(cc.faces(c))
+    return sorted(found, key=cc.RationalCone.sort_key)
+
+
+def monoid_of_cone(cone):
+    """cone meet Z^dim as an affine monoid.
+
+    Full-dimensional cones keep their coordinates (``from_vectors`` keeps
+    those of a spanning set); otherwise the span sublattice is re-presented,
+    changing coordinates.  The zero cone gives the trivial monoid.
+    """
+    return mc.AffineMonoid.from_vectors(cc.cone_lattice_generators(cone))
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ import logmonoid.exact_lattice as xl
 import logmonoid.log_hom_analysis as lha
 import logmonoid.log_ideal_blowup as lib
 import logmonoid.monoid_core as mc
+from conftest import identity_hom, monoid_of_cone
 
 GOLDEN = Path(__file__).parent / "golden" / "cases"
 
@@ -279,7 +280,7 @@ def test_criterion_4_differential_ranks(capsys):
             cone = cc.RationalCone.from_rays(rays, d)
             if cone.is_zero:
                 continue
-            toric = cc.monoid_of_cone(cone)
+            toric = monoid_of_cone(cone)
             lift = toric.ambient.lift_dim
             hollow = _hom(_free(0), toric, [[] for _ in range(lift)])
             for p in (0, 2, 5):
@@ -454,7 +455,7 @@ def test_criterion_7_gordan_and_faces(capsys):
                 continue
             cone = cc.RationalCone.from_rays(rays, d)
             dual = cc.dual_cone(cone)
-            dual_monoid = cc.monoid_of_cone(dual)
+            dual_monoid = monoid_of_cone(dual)
             n_spec = len(mc.spec(dual_monoid))
             n_faces = len(cc.faces(cone))
             if n_spec != n_faces:
@@ -544,8 +545,8 @@ def test_criterion_8_universal_properties(capsys):
         by3 = _hom(n1, n1, [[3]])
         axis = _hom(n1, n2, [[1], [0]])
         diag = _hom(n1, n2, [[1], [1]])
-        ident1 = lha.identity_hom(n1)
-        ident2 = lha.identity_hom(n2)
+        ident1 = identity_hom(n1)
+        ident2 = identity_hom(n2)
         swap = _hom(n2, n2, [[0, 1], [1, 0]])
         split = mc.AffineMonoid.from_vectors([(1, 0), (0, 1)],
                                              torsion_orders=(2,))

@@ -28,6 +28,7 @@ import logmonoid.monoid_core as mc
 from logmonoid._verify import (check_resolve, face_by_normal, facets,
                                intersect, is_face_of, smallest_containing_face)
 from logmonoid.errors import DomainError, InputError, InternalCheckError
+from conftest import all_cones, monoid_of_cone
 
 
 _DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None,
@@ -1237,7 +1238,7 @@ def _cones_of_every_dimension(draw):
 @example(cc.RationalCone.from_rays([(1, 0), (1, 3)], 2))
 @example(cc.RationalCone.from_rays([(1, 0), (-1, 0), (0, 1)], 2))
 def test_monoid_of_cone_matches_the_case_split(cone):
-    assert cc.monoid_of_cone(cone) == _monoid_of_cone_by_cases(cone)
+    assert monoid_of_cone(cone) == _monoid_of_cone_by_cases(cone)
 
 
 # ---------------------------------------------------------------------------
@@ -1434,15 +1435,19 @@ def test_stellar_outside_support_rejected():
         cc.stellar_subdivision(fan, (-1, 0))
 
 
-def test_stellar_subdivision_validates_its_input():
-    # the cones overlap in cone((1, 1), (1, 2)), which the step at (1, 1)
-    # drops: the output is a fan, but the input is none
+def test_stellar_subdivision_validates_its_input(count_calls):
+    # the cones overlap in cone((1, 1), (1, 2)): the input is no fan, and
+    # the step at (1, 1) trusts its pieces and keeps the overlap, so the
+    # check of the input, made before any piece is built, refuses it
     fan = cc.Fan(dim=2, maximal_cones=(
         cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
         cc.RationalCone.from_rays([(1, 1), (0, 1)], 2)))
-    cc._stellar_pieces(fan, (1, 1))[0].validate()
-    with pytest.raises(DomainError):
+    assert _verdict(cc.Fan.validate,
+                    cc._stellar_pieces(fan, (1, 1))[0]) == _BAD_MEET
+    steps = count_calls(cc, "_stellar_pieces")
+    with pytest.raises(DomainError, match=_BAD_MEET):
         cc.stellar_subdivision(fan, (1, 1))
+    assert steps == []
 
 
 def barycentric_subdivision(fan, validate=True):
@@ -1453,7 +1458,7 @@ def barycentric_subdivision(fan, validate=True):
     Generates fans for the differential tests below.
     """
     faces_by_dim = {}
-    for f in fan.all_cones():
+    for f in all_cones(fan):
         if f.span_dim >= 2:
             faces_by_dim.setdefault(f.span_dim, []).append(f)
     current = fan
@@ -1634,7 +1639,7 @@ def test_validate_2d_resolutions_without_double_description(count_calls):
 def _oracle_stellar_pieces(fan, point):
     """Every replaced cone joined with each of its facets not containing
     the point, and the new fan by the public constructor's all-pairs
-    reduction."""
+    reduction, which drops nothing on a fan."""
     v = cc.primitive(point)
     new_max = []
     replaced = []
@@ -1664,31 +1669,56 @@ def _outcome(f, *args):
 
 
 def _with_oracle_pieces(f, *args):
+    """The outcome of the call with the oracle's stellar pieces, and with
+    the public constructor's all-pairs reduction in place of every trusted
+    construction of a fan."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cc, "_stellar_pieces", _oracle_stellar_pieces)
+        mp.setattr(cc.Fan, "_built", classmethod(
+            lambda cls, dim, cones: cls(dim=dim, maximal_cones=tuple(cones))))
         return _outcome(f, *args)
 
 
 @st.composite
-def _stellar_cases(draw):
-    """A fan of one to three cones in Z^2 or Z^3, built without validation
-    (so its cones may overlap), and a nonnegative combination of the rays
-    of one of its cones."""
-    dim = draw(st.sampled_from([2, 3]))
-    cones = draw(st.lists(_pointed_cones(dim), min_size=1, max_size=3))
-    fan = cc.Fan(dim=dim, maximal_cones=tuple(cones))
+def _support_points(draw, fan):
+    """A nonzero nonnegative combination of the rays of one cone of the
+    fan."""
     rays = draw(st.sampled_from(fan.maximal_cones)).extreme_rays
     coeffs = draw(st.lists(st.integers(0, 2), min_size=len(rays),
                            max_size=len(rays)))
     point = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
-                  for i in range(dim))
+                  for i in range(fan.dim))
     assume(any(point))
-    return fan, point
+    return point
+
+
+@st.composite
+def _stellar_fans(draw):
+    """A fan of one to three cones in Z^2 or Z^3: each drawn cone is kept
+    if it meets every kept one along a common face, so the fan validates."""
+    dim = draw(st.sampled_from([2, 3]))
+    kept = []
+    for c in draw(st.lists(_pointed_cones(dim), min_size=1, max_size=3)):
+        if all(_verdict(cc.Fan.validate,
+                        cc.Fan(dim=dim, maximal_cones=(k, c))) is None
+               for k in kept):
+            kept.append(c)
+    return cc.Fan(dim=dim, maximal_cones=tuple(kept))
+
+
+def _stellar_cases(fans):
+    """A fan of ``fans`` and a point of its support."""
+    return fans.flatmap(lambda fan: st.tuples(st.just(fan),
+                                              _support_points(fan)))
 
 
 @settings(_DIFFERENTIAL, max_examples=200)
-@given(_stellar_cases())
+@given(st.one_of(
+    _stellar_cases(_stellar_fans()),
+    _stellar_cases(_library_fans().filter(
+        lambda fan: len(fan.maximal_cones) <= 12))))
 def test_stellar_pieces_match_oracle(case):
+    # on a fan the trusted step keeps what the all-pairs reduction keeps
     fan, point = case
     new, replaced = cc._stellar_pieces(fan, point)
     old, old_replaced = _oracle_stellar_pieces(fan, point)
@@ -1696,34 +1726,43 @@ def test_stellar_pieces_match_oracle(case):
     assert [(c, set(p)) for c, p in replaced] == \
         [(c, set(p)) for c, p in old_replaced]
     assert _outcome(cc.stellar_subdivision, fan, point) == \
-        _with_oracle_pieces(cc.stellar_subdivision, fan, point)
+        _with_oracle_pieces(cc.stellar_subdivision, fan, point) == new
 
 
 @settings(_DIFFERENTIAL, max_examples=100)
 @given(st.one_of(
-    _stellar_cases().map(lambda case: case[0]),
+    _stellar_fans(),
     # with the oracle's all-pairs reduction in every step, resolving a
     # library fan of 24 cones takes 30 s (0.2 s without it)
     _library_fans().filter(lambda fan: len(fan.maximal_cones) <= 4)))
 def test_subdivisions_match_oracle_pieces(fan):
-    # fans built without validation may overlap, and then resolve may fail:
-    # it must fail in the same way
+    # barycentric_subdivision validates its output, resolve its input
     for f in (barycentric_subdivision, cc.resolve):
-        assert _outcome(f, fan, False) == _with_oracle_pieces(f, fan, False)
+        result = _outcome(f, fan, True)
+        assert isinstance(result, cc.Fan)
+        assert result == _with_oracle_pieces(f, fan, True)
 
 
-def test_stellar_drops_a_piece_inside_a_piece_of_another_cone():
-    # an unvalidated fan whose two cones contain v = (1, 3): the piece
-    # cone((0, 1), v) of the quadrant lies in the second cone, which is its
-    # own only piece
-    quadrant = cc.RationalCone.from_rays([(1, 0), (0, 1)], 2)
-    wide = cc.RationalCone.from_rays([(-1, 1), (1, 3)], 2)
-    fan = cc.Fan(dim=2, maximal_cones=(quadrant, wide))
-    new, _ = cc._stellar_pieces(fan, (1, 3))
-    assert new.maximal_cones == (
-        cc.RationalCone.from_rays([(-1, 1), (1, 3)], 2),
-        cc.RationalCone.from_rays([(1, 0), (1, 3)], 2))
-    assert new == _oracle_stellar_pieces(fan, (1, 3))[0]
+def test_stellar_keeps_every_piece_of_a_fan(count_calls):
+    # v = (1, 1, 0) lies on the common facet of the two cones: each has two
+    # pieces, and none lies in a piece of the other, which only a proper
+    # face of each cone could hold
+    up = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    down = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, -1)], 3)
+    fan = cc.fan_from_cones([up, down], 3)
+    contains = count_calls(cc.RationalCone, "contains_cone")
+    new, replaced = cc._stellar_pieces(fan, (1, 1, 0))
+    assert contains == []
+    assert new.maximal_cones == tuple(sorted(
+        (p for _, pieces in replaced for p in pieces),
+        key=cc.RationalCone.sort_key))
+    assert [c.extreme_rays for c in new.maximal_cones] == [
+        ((0, 0, -1), (0, 1, 0), (1, 1, 0)),
+        ((0, 0, -1), (1, 0, 0), (1, 1, 0)),
+        ((0, 0, 1), (0, 1, 0), (1, 1, 0)),
+        ((0, 0, 1), (1, 0, 0), (1, 1, 0))]
+    assert new == _oracle_stellar_pieces(fan, (1, 1, 0))[0]
+    new.validate()
 
 
 def test_resolve_of_simplicial_fans_makes_no_double_description(count_calls):
@@ -1919,13 +1958,21 @@ def test_2d_resolution_checks_each_piece(monkeypatch):
 
 
 def test_resolve_validates_only_its_input(count_calls):
-    # one cone has no pair to check; its 99 pieces are a fan by construction
-    cone = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 50)], 3)
-    fan = cc.fan_from_cones([cone], 3)
-    separators = count_calls(cc, "_facet_separator")
-    resolved = cc.resolve(fan)
-    assert len(resolved.maximal_cones) == 99
-    assert separators == []
+    # one cone has no pair to check, and a caller passing validate=False
+    # vouches for the fan; the triangulated, 2D-resolved and stellar fans
+    # are fans by construction, so none is reduced or checked
+    fans = [(_fan([[(1, 0, 0), (0, 1, 0), (1, 1, 50)]], 3), True),
+            (_fan([[(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]], 3), True),
+            (_fan([[(1, 0), (1, 7)], [(1, 7), (-2, 3)]], 2), False),
+            (_fan([[(1, 0, 0), (0, 1, 0), (1, 2, 5)],
+                   [(1, 0, 0), (0, 1, 0), (-1, 3, -4)]], 3), False)]
+    calls = [count_calls(cc.RationalCone, "contains_cone"),
+             count_calls(cc, "_facet_separator"),
+             count_calls(cc, "_lemma_separator")]
+    resolved = [cc.resolve(fan, validate=v) for fan, v in fans]
+    assert len(resolved[0].maximal_cones) == 99
+    assert all(fan.is_regular() for fan in resolved)
+    assert calls == [[], [], []]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError, InternalCheckError
+from conftest import has_nonneg_solution, zeros_mat
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +735,7 @@ def test_nonneg_solving_matches_the_old_homogenized_search(case):
     hom = [r + [-x] for r, x in zip(rows, b)]
     sols = [s[:n] for s in _oracle_minimal_nonneg_solutions(
         hom, coordinate_bounds=[None] * n + [1]) if s[n] == 1]
-    assert xl.has_nonneg_solution(rows, b) == bool(sols), case
+    assert has_nonneg_solution(rows, b) == bool(sols), case
     assert xl.solve_nonneg(rows, b) == min(sols, default=None), case
 
 
@@ -769,7 +770,7 @@ def _positive_row_systems(draw):
 def test_nonneg_solving_matches_box_enumeration(case):
     rows, b = case
     box = _box_solutions(rows, b, b[0])
-    assert xl.has_nonneg_solution(rows, b) == bool(box), case
+    assert has_nonneg_solution(rows, b) == bool(box), case
     assert xl.solve_nonneg(rows, b) == (box[0] if box else None), case
 
 
@@ -781,7 +782,7 @@ def test_solve_nonneg_on_mixed_signs_is_lex_below_the_box(case, data):
     n = len(rows[0])
     x0 = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     b = tuple(sum(u * v for u, v in zip(r, x0)) for r in rows)
-    assert xl.has_nonneg_solution(rows, b)
+    assert has_nonneg_solution(rows, b)
     x = xl.solve_nonneg(rows, b)
     assert all(c >= 0 for c in x) and xl.apply(xl.intmat(rows), x) == b
     box = _box_solutions(rows, b, 2)
@@ -833,8 +834,8 @@ def test_solve_nonneg_is_lex_smallest():
 def test_solve_nonneg_unsolvable():
     assert xl.solve_nonneg(xl.intmat([[2]]), (3,)) is None
     assert xl.solve_nonneg(xl.intmat([[1, 1]]), (-1,)) is None
-    assert not xl.has_nonneg_solution(xl.intmat([[-1]]), (2,))
-    assert xl.has_nonneg_solution(xl.intmat([[2, 3]]), (7,))
+    assert not has_nonneg_solution(xl.intmat([[-1]]), (2,))
+    assert has_nonneg_solution(xl.intmat([[2, 3]]), (7,))
 
 
 @pytest.mark.parametrize("cols", [
@@ -855,13 +856,13 @@ def test_a_zero_target_costs_one_level(cols):
     assert list(xl._nonneg_solutions(cols, (0, 0))) == [(0,) * n]
     a = xl.intmat_from_columns(cols, nrows=2)
     assert xl.solve_nonneg(a, (0, 0)) == (0,) * n
-    assert xl.has_nonneg_solution(a, (0, 0))
+    assert has_nonneg_solution(a, (0, 0))
 
 
 def test_frobenius_gaps_of_2_3():
     # the numerical semigroup <2,3> misses exactly 1
     a = xl.intmat([[2, 3]])
-    members = [n for n in range(8) if xl.has_nonneg_solution(a, (n,))]
+    members = [n for n in range(8) if has_nonneg_solution(a, (n,))]
     assert members == [0, 2, 3, 4, 5, 6, 7]
 
 
@@ -884,7 +885,7 @@ def test_matrix_constructors_reject_garbage():
     lambda: xl.FgAbelianGroup(1, ("2",)),
     lambda: xl.FgAbelianGroup(1, (2,)).reduce_vector((0.5, 1)),
     lambda: xl.solve_nonneg([[1, 2]], (1.5,)),
-    lambda: xl.has_nonneg_solution([[1, 2]], (1.5,)),
+    lambda: has_nonneg_solution([[1, 2]], (1.5,)),
     lambda: xl.solve_integer([[1, 2]], (1.5,)),
     lambda: xl.hom_kernel(xl.FgAbelianGroup(1), xl.FgAbelianGroup(1), [[0.5]]),
 ], ids=["free_rank", "factor", "factor_str", "reduce_vector", "solve_nonneg",
@@ -952,9 +953,9 @@ def test_intmat_surface():
     assert a @ (1, 0, -1) == (-2, -2)
     assert (a @ xl.intmat_from_columns([(1, 0, 0), (0, 0, 1)])).tolist() == \
         [[1, 3], [4, 6]]
-    assert a.any() and not xl.zeros_mat(2, 3).any()
+    assert a.any() and not zeros_mat(2, 3).any()
     assert a == xl.intmat([(1, 2, 3), (4, 5, 6)])
-    assert a != xl.intmat([[1, 2, 3]]) and xl.zeros_mat(0, 2) != xl.zeros_mat(0, 3)
+    assert a != xl.intmat([[1, 2, 3]]) and zeros_mat(0, 2) != zeros_mat(0, 3)
     assert hash(a) == hash(xl.intmat([[1, 2, 3], [4, 5, 6]]))
     assert xl.intmat_from_columns([(1, 4), (2, 5), (3, 6)]) == a
     with pytest.raises(AttributeError):

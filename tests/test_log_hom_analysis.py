@@ -21,7 +21,7 @@ import logmonoid.exact_lattice as xl
 import logmonoid.log_hom_analysis as lha
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError
-from conftest import group_monoid
+from conftest import group_monoid, identity_hom
 from test_monoid_core import _cospans, _monoids
 
 
@@ -126,7 +126,7 @@ def test_apply_reduces_in_target():
 
 def test_identity_hom():
     m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1)])
-    ident = lha.identity_hom(m)
+    ident = identity_hom(m)
     assert lha.gp_kernel(ident).is_trivial
     assert lha.gp_cokernel(ident).is_trivial
     assert lha.is_kummer(ident)
@@ -331,7 +331,7 @@ def test_relative_characteristic():
     rc2 = lha.relative_characteristic(diag2)
     assert rc2.ambient.invariant_factors == (2, 2)
 
-    ident = lha.identity_hom(_free(2))
+    ident = identity_hom(_free(2))
     rci = lha.relative_characteristic(ident)
     assert rci.ambient.is_trivial
     assert all(g.is_zero for g in rci.generators)

@@ -8,16 +8,20 @@ host, pulled-back ideals become principal, the construction is idempotent).
 import contextlib
 import random
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.log_ideal_blowup as lib
 import logmonoid.monoid_core as mc
+from logmonoid import cli
+from logmonoid._verify import check_blowup_fan
 from logmonoid.errors import DomainError, InputError
+from conftest import monoid_of_cone
 from test_monoid_core import _monoids
 
 
@@ -251,6 +255,94 @@ def test_blowup_fan_requires_toric_host():
     ideal = lib.maximal_ideal(m)
     with pytest.raises(DomainError):
         lib.blowup_fan(m, ideal)
+
+
+@st.composite
+def _toric_ideals(draw):
+    """An ideal of a toric monoid: the lattice points of a full-dimensional
+    pointed cone in Z^2 or Z^3.  The ideal is generated by one to three of
+    the monoid's generators, which are irreducible, so none divides
+    another, and by at most one sum of generators."""
+    dim = draw(st.sampled_from([2, 3]))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    cone = cc.RationalCone.from_rays(
+        draw(st.lists(vec, min_size=dim, max_size=dim + 1, unique=True)), dim)
+    assume(cone.is_strongly_convex and cone.is_full_dimensional)
+    m = monoid_of_cone(cone)
+    n = len(m.generators)
+    picks = draw(st.lists(st.sampled_from(m._vectors), min_size=1,
+                          max_size=3, unique=True))
+    sums = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                         max_size=1))
+    # generators and their sums lie in the monoid, so the public
+    # constructor's membership solve, seconds on some draws, is skipped
+    return lib.MonoidIdeal._of_members(m, picks + [
+        mc.exponent_sum(m.ambient, e, m.generators).as_vector()
+        for e in sums if any(e)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_toric_ideals())
+def test_blowup_fan_passes_every_verify_check(ideal):
+    # the regions are a fan by theorem: the all-pairs reduction drops none,
+    # they meet along common faces and they cover the dual cone
+    fan = lib.blowup_fan(ideal.host, ideal)
+    assert cc.Fan(dim=fan.dim, maximal_cones=fan.maximal_cones) == fan
+    assert list(check_blowup_fan(ideal, fan)) == [
+        "in_dual_cone", "fan", "covers"]
+
+
+def test_blowup_fan_reduces_and_checks_no_region(count_calls):
+    hosts = [_n2(), mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2)]),
+             mc.free_monoid(3)]
+    ideals = [lib.maximal_ideal(m) for m in hosts]
+    calls = [count_calls(cc.RationalCone, "contains_cone"),
+             count_calls(cc, "_facet_separator"),
+             count_calls(cc, "_lemma_separator")]
+    fans = [lib.blowup_fan(m, ideal) for m, ideal in zip(hosts, ideals)]
+    assert [len(fan.maximal_cones) for fan in fans] == [2, 2, 3]
+    assert calls == [[], [], []]
+
+
+def _verify_blowup_fan_with(monkeypatch, capsys, swap):
+    """The stderr of ``blowup-fan --verify`` on the golden case
+    ``blowup-fan-plane``, whose regions are cone((0, 1), (1, 1)) and
+    cone((1, 0), (1, 1)), with each region that ``swap`` names replaced
+    by its value.  ``blowup-fan`` trusts the regions and exits 0;
+    ``--verify`` reports the result as an internal fault."""
+    path = (Path(__file__).parent / "golden" / "cases" / "blowup-fan-plane"
+            / "ideal.json")
+    real = cc.cone_from_constraints
+
+    def injected(normals, equations, dim):
+        region = real(normals, equations, dim)
+        return swap.get(region, region)
+
+    monkeypatch.setattr(cc, "cone_from_constraints", injected)
+    assert cli.main(["blowup-fan", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["blowup-fan", "--verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_blowup_fan_verify_reports_an_overlapping_region(monkeypatch, capsys):
+    # cone((1, 0), (1, 2)) overlaps cone((0, 1), (1, 1)) in
+    # cone((1, 1), (1, 2)), a face of neither
+    err = _verify_blowup_fan_with(monkeypatch, capsys, {
+        cc.RationalCone.from_rays([(1, 0), (1, 1)], 2):
+            cc.RationalCone.from_rays([(1, 0), (1, 2)], 2)})
+    assert "blowup fan is not a fan" in err
+
+
+def test_blowup_fan_verify_reports_a_missing_region(monkeypatch, capsys):
+    # cone((1, 0), (2, 1)) leaves cone((2, 1), (1, 1)) uncovered
+    err = _verify_blowup_fan_with(monkeypatch, capsys, {
+        cc.RationalCone.from_rays([(1, 0), (1, 1)], 2):
+            cc.RationalCone.from_rays([(1, 0), (2, 1)], 2)})
+    assert "blowup fan does not cover the dual cone of the host" in err
 
 
 # ---------------------------------------------------------------------------

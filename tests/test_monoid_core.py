@@ -23,7 +23,7 @@ import logmonoid.monoid_core as mc
 from logmonoid._verify import facets
 from logmonoid.errors import InputError
 
-from conftest import group_monoid
+from conftest import group_monoid, has_nonneg_solution, identity_hom
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_an_element_split_unlike_the_ambient_is_refused():
         "AffineMonoid": lambda: mc.AffineMonoid(m.ambient, [(1, 0), bad]),
         "MonoidIdeal": lambda: lib.MonoidIdeal(m, (bad,)),
         "MonoidIdeal.contains": lambda: lib.maximal_ideal(m).contains(bad),
-        "MonoidHom.apply": lambda: lha.identity_hom(m).apply(bad),
+        "MonoidHom.apply": lambda: identity_hom(m).apply(bad),
         "add": lambda: m.add(bad, m.generators[0]),
         "neg": lambda: m.neg(bad),
         "sub": lambda: m.sub(m.generators[0], bad),
@@ -239,7 +239,7 @@ def test_cached_membership_matches_a_rebuild_per_query(data):
             mc._membership_system(amb, [g.as_vector() for g in gens]),
             nrows=amb.lift_dim)
         want = xl.solve_nonneg(system, amb.reduce_vector(t))
-        assert monoid.contains(t) == xl.has_nonneg_solution(
+        assert monoid.contains(t) == has_nonneg_solution(
             system, amb.reduce_vector(t))
         assert mc.expression(monoid, t) == (
             None if want is None else want[:len(gens)])
@@ -823,7 +823,7 @@ def test_package_built_values_are_not_checked_again(count_calls):
     cone = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 5)], 3)
     fan = cc.fan_from_cones([cone], 3)
     doors = {name: count_calls(xl, name) for name in (
-        "intmat", "intmat_from_columns", "has_nonneg_solution", "solve_nonneg")}
+        "intmat", "intmat_from_columns", "solve_nonneg")}
     mc.saturate(torsion)
     mc.sharpen(torsion)
     torsion.contains((3, 1))
