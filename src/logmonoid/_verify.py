@@ -13,6 +13,7 @@ test oracles only.
 from __future__ import annotations
 
 from collections import Counter
+from math import prod
 
 from . import cone_complex as cc
 from . import exact_lattice as xl
@@ -222,13 +223,32 @@ def check_hilbert(cone, basis):
                  "Hilbert basis element is reducible", "irreducible")
 
 
+def _smith_multiplicity(cone):
+    """The multiplicity of a simplicial cone as the product of the Smith
+    invariant factors of its ray matrix: the order of the torsion of
+    Z^dim / <rays>, which is the index of the rays' lattice in the span's,
+    found without the determinant ``cone_complex.multiplicity`` takes."""
+    rays = xl._from_columns(cone.extreme_rays, cone.dim)
+    return prod(xl.smith_normal_form(rays).diag)
+
+
+def _smith_regular(cone):
+    return cone.is_simplicial and _smith_multiplicity(cone) == 1
+
+
 def check_regular(verdict, cone, fan=None):
     if fan is not None:
         yield _check(verdict == all(cc.is_regular(c) for c in fan.maximal_cones),
                      "fan regularity disagrees with its cones", "cones")
+        yield _check(verdict == all(map(_smith_regular, fan.maximal_cones)),
+                     "fan regularity disagrees with the Smith invariant factors",
+                     "smith")
     elif cone.is_simplicial:
         yield _check(verdict == (cc.multiplicity(cone) == 1),
                      "regularity disagrees with multiplicity", "multiplicity")
+        yield _check(verdict == _smith_regular(cone),
+                     "regularity disagrees with the Smith invariant factors",
+                     "smith")
     else:
         yield _check(not verdict, "a cone that is not simplicial is regular",
                      "simplicial")
@@ -238,6 +258,8 @@ def check_mult(cone, mult):
     yield _check(mult >= 1, "multiplicity below one", "positive")
     yield _check((mult == 1) == cc.is_regular(cone),
                  "multiplicity one disagrees with regularity", "regularity")
+    yield _check(mult == _smith_multiplicity(cone),
+                 "multiplicity differs from the Smith invariant factors", "smith")
 
 
 def _is_fan(fan):

@@ -58,9 +58,7 @@ def vcomb(a, u, b, v):
 
 def primitive(v):
     """v divided by the gcd of its entries (direction preserved)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g == 0:
         raise InputError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -278,8 +276,7 @@ class RationalCone:
                 raise InputError("ray of wrong length")
             if any(v):
                 vecs.append(primitive(v))
-        seen = set()
-        vecs = [v for v in vecs if not (v in seen or seen.add(v))]
+        vecs = list(dict.fromkeys(vecs))
         cone = _simplicial_cone(vecs, dim) if len(vecs) == dim else None
         if cone is None:
             # dual description: facet normals = extreme rays of the dual

@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from operator import add, ge, index, mul
 
 from .errors import DomainError, InputError, InternalCheckError
@@ -129,10 +130,6 @@ def _identity_rows(n):
 def _freeze(rows, ncols):
     """An IntMatrix from a list of int lists (unchecked)."""
     return IntMatrix(tuple(map(tuple, rows)), ncols)
-
-
-def identity_mat(n):
-    return _freeze(_identity_rows(n), n)
 
 
 def mat_columns(a):
@@ -451,10 +448,7 @@ class FgAbelianGroup:
 
 def torsion_order(g):
     """The order of the torsion subgroup (product of invariant factors)."""
-    out = 1
-    for f in g.invariant_factors:
-        out *= f
-    return out
+    return prod(g.invariant_factors)
 
 
 # Miller-Rabin on the prime bases 2 to 41 is a proof below psi_13, the least
@@ -491,17 +485,22 @@ def is_prime(n):
     return True
 
 
+def _check_residue_char(residue_char):
+    """The residue characteristic as an int, which must be 0 or prime."""
+    (p,) = _as_ints((residue_char,))
+    if p != 0 and not is_prime(p):
+        raise DomainError(f"residue characteristic must be 0 or prime, got {p}")
+    return p
+
+
 def is_order_invertible(g, p):
     """Whether the torsion order of ``g`` is invertible in residue char p.
 
     p = 0 means characteristic zero (always invertible); otherwise p must be
     prime and the answer is whether p does not divide the torsion order.
     """
-    if p == 0:
-        return True
-    if not is_prime(p):
-        raise DomainError(f"residue characteristic must be 0 or prime, got {p}")
-    return torsion_order(g) % p != 0
+    p = _check_residue_char(p)
+    return p == 0 or torsion_order(g) % p != 0
 
 
 def cokernel(a, nrows=None):
@@ -590,20 +589,13 @@ def subgroup_presentation(group, elements):
 
 
 def hom_is_well_defined(source, target, matrix):
-    """Whether a lift-coordinate matrix defines a hom of groups."""
+    """Whether a lift-coordinate matrix defines a hom of groups: whether it
+    maps every relation of the source to zero in the target."""
     matrix = _as_matrix(matrix)
     if matrix.shape != (target.lift_dim, source.lift_dim):
         return False
-    r = source.free_rank
-    for i, f in enumerate(source.invariant_factors):
-        col = [row[r + i] for row in matrix.rows]
-        for j in range(target.free_rank):
-            if f * col[j] != 0:
-                return False
-        for j, g in enumerate(target.invariant_factors):
-            if (f * col[target.free_rank + j]) % g != 0:
-                return False
-    return True
+    return not any(any(target.reduce_vector(apply(matrix, c)))
+                   for c in source.relation_columns())
 
 
 def _hom_columns(source, target, matrix):

@@ -106,14 +106,6 @@ class SmoothnessVerdict:
     gp_cokernel: xl.FgAbelianGroup
 
 
-def _check_residue_char(residue_char):
-    """The residue characteristic as an int, which must be 0 or prime."""
-    (p,) = xl._as_ints((residue_char,))
-    if p != 0 and not xl.is_prime(p):
-        raise DomainError(f"residue characteristic must be 0 or prime, got {p}")
-    return p
-
-
 def kato_criterion(hom, residue_char=0):
     """The chart criterion for log smoothness / etaleness.
 
@@ -122,7 +114,7 @@ def kato_criterion(hom, residue_char=0):
     the torsion part of Coker(phi^gp) has invertible order; it is etale iff
     moreover Coker(phi^gp) itself is finite.
     """
-    residue_char = _check_residue_char(residue_char)
+    residue_char = xl._check_residue_char(residue_char)
     ker = gp_kernel(hom)
     coker = gp_cokernel(hom)
     smooth = ker.is_finite and \
@@ -183,7 +175,7 @@ def neat_chart_class(hom, residue_char=0):
     locally; in general only an fppf cover works.  Returns "zariski",
     "etale", or "fppf".
     """
-    residue_char = _check_residue_char(residue_char)
+    residue_char = xl._check_residue_char(residue_char)
     coker = gp_cokernel(hom)
     if not coker.invariant_factors:
         return "zariski"
@@ -200,7 +192,7 @@ def differential_rank(hom, residue_char=0):
     """The rank of the universal log differential module over a field of the
     given characteristic: the free rank of Coker(phi^gp), plus in positive
     characteristic one for every invariant factor divisible by p."""
-    residue_char = _check_residue_char(residue_char)
+    residue_char = xl._check_residue_char(residue_char)
     coker = gp_cokernel(hom)
     if residue_char == 0:
         return coker.free_rank
@@ -233,6 +225,5 @@ def universal_differential_presentation(hom):
     symbols = tuple(f"d{i}" for i in range(n))
     cols = [col for col in xl.mat_columns(hom.matrix) if any(col)]
     cols.extend(amb.relation_columns())
-    module, _ = xl._group_from_relations(n, cols)
     return DifferentialPresentation(
-        symbols=symbols, relation_columns=tuple(cols), module=module)
+        symbols=symbols, relation_columns=tuple(cols), module=gp_cokernel(hom))

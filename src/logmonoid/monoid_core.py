@@ -210,7 +210,7 @@ class AffineMonoid:
         torsion_orders = xl._as_ints(torsion_orders)
         vectors = [xl._as_ints(v) for v in vectors]
         if not vectors:
-            return trivial_monoid()
+            return free_monoid(0)
         width = len(vectors[0])
         if any(len(v) != width for v in vectors):
             raise InputError("generator vectors have mixed lengths")
@@ -269,11 +269,6 @@ def free_monoid(n):
     # the standard basis spans Z^n
     return AffineMonoid._spanning(xl.FgAbelianGroup(n, ()), [
         tuple(int(i == j) for j in range(n)) for i in range(n)])
-
-
-def trivial_monoid():
-    # the empty set spans the trivial group
-    return AffineMonoid._spanning(xl.FgAbelianGroup(0, ()), ())
 
 
 # ---------------------------------------------------------------------------

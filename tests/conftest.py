@@ -50,10 +50,15 @@ def zeros_mat(m, n):
     return xl.IntMatrix(((0,) * n,) * m, n)
 
 
+def identity_mat(n):
+    return xl.IntMatrix(tuple(tuple(int(i == j) for j in range(n))
+                              for i in range(n)), n)
+
+
 def identity_hom(monoid):
     n = monoid.ambient.lift_dim
     return lha.MonoidHom(source=monoid, target=monoid,
-                         matrix=xl.identity_mat(n))
+                         matrix=identity_mat(n))
 
 
 def all_cones(fan):

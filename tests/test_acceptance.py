@@ -25,7 +25,7 @@ import logmonoid.exact_lattice as xl
 import logmonoid.log_hom_analysis as lha
 import logmonoid.log_ideal_blowup as lib
 import logmonoid.monoid_core as mc
-from conftest import identity_hom, monoid_of_cone
+from conftest import identity_hom, identity_mat, monoid_of_cone
 
 GOLDEN = Path(__file__).parent / "golden" / "cases"
 
@@ -150,7 +150,7 @@ def test_criterion_2_fine_monomorphisms(capsys):
                 failures.append(f"{tag}: not a proper inclusion")
                 continue
             incl = _hom(p_mon, q_mon,
-                        xl.identity_mat(q_mon.ambient.lift_dim).tolist())
+                        identity_mat(q_mon.ambient.lift_dim).tolist())
             res = mc.pushout_with_maps(incl, incl)
             po = res.monoid
             left_vecs = [im.as_vector() for im in res.left_images]

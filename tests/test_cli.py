@@ -648,8 +648,21 @@ def _zero_matrix(mat):
      "generator images do not generate the group"),
     ("regular", NOT_SIMPLICIAL, cc, "is_regular", lambda verdict, cone: True,
      "a cone that is not simplicial is regular"),
+    # the cone of mult-flag and the fan of regular-a2-fan have multiplicity
+    # 2; cc.is_regular reads the patched multiplicity too, so only the Smith
+    # invariant factors of the rays disagree
+    ("mult", _golden_doc("mult-flag", "cone.json"), cc, "multiplicity",
+     lambda mult, cone: mult + 1,
+     "multiplicity differs from the Smith invariant factors"),
+    ("regular", _golden_doc("mult-flag", "cone.json"), cc, "multiplicity",
+     lambda mult, cone: 1,
+     "regularity disagrees with the Smith invariant factors"),
+    ("regular", _golden_doc("regular-a2-fan", "fan.json"), cc, "multiplicity",
+     lambda mult, cone: 1,
+     "fan regularity disagrees with the Smith invariant factors"),
 ], ids=["dual", "hilbert", "resolve", "resolve-fan", "resolve-refines",
-        "resolve-covers", "resolve-rays", "pushout", "fiber", "blowup", "gp", "regular"])
+        "resolve-covers", "resolve-rays", "pushout", "fiber", "blowup", "gp",
+        "regular", "mult-smith", "regular-smith", "regular-fan-smith"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)

@@ -1215,7 +1215,7 @@ def _monoid_of_cone_by_cases(cone):
     if cone.is_full_dimensional:
         amb = xl.FgAbelianGroup(cone.dim, ())
         return mc.AffineMonoid(amb, [mc.MonoidElement(free=g) for g in gens])
-    return mc.AffineMonoid.from_vectors(gens) if gens else mc.trivial_monoid()
+    return mc.AffineMonoid.from_vectors(gens) if gens else mc.free_monoid(0)
 
 
 @st.composite

@@ -22,7 +22,7 @@ import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError, InternalCheckError
-from conftest import has_nonneg_solution, zeros_mat
+from conftest import has_nonneg_solution, identity_mat, zeros_mat
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_snf_full_outputs_are_pinned():
 
 
 def test_smith_normal_form_reports_a_broken_chain(monkeypatch):
-    eye = xl.identity_mat(2)
+    eye = identity_mat(2)
     monkeypatch.setattr(
         xl, "_snf_full", lambda a: xl.SmithDecomposition(eye, (2, 3), eye))
     with pytest.raises(InternalCheckError):
@@ -535,6 +535,77 @@ def test_hom_well_defined_respects_torsion():
     z4 = xl.FgAbelianGroup(0, (4,))
     assert xl.hom_is_well_defined(z2, z4, [[2]])
     assert not xl.hom_is_well_defined(z2, z4, [[1]])
+
+
+def _hom_is_well_defined_per_coordinate(source, target, matrix):
+    """The earlier ``hom_is_well_defined``: each torsion generator of the
+    source, times its order, must map to zero coordinate by coordinate."""
+    matrix = xl._as_matrix(matrix)
+    if matrix.shape != (target.lift_dim, source.lift_dim):
+        return False
+    r = source.free_rank
+    for i, f in enumerate(source.invariant_factors):
+        col = [row[r + i] for row in matrix.rows]
+        for j in range(target.free_rank):
+            if f * col[j] != 0:
+                return False
+        for j, g in enumerate(target.invariant_factors):
+            if (f * col[target.free_rank + j]) % g != 0:
+                return False
+    return True
+
+
+_TORSION = [(), (2,), (3,), (4,), (6,), (2, 4), (2, 6), (3, 9)]
+
+
+@st.composite
+def _lift_matrices(draw):
+    """Groups with torsion on both sides and a matrix of the lift shape.
+
+    Half the draws make each torsion column a hom on its own: zero on the
+    free rows, and a multiple of g / gcd(f, g) on the row of each target
+    factor g.  The other half keep the raw entries, which are rarely a hom
+    when the source has torsion."""
+    source, target = (xl.FgAbelianGroup(draw(st.integers(0, 2)),
+                                        draw(st.sampled_from(_TORSION)))
+                      for _ in range(2))
+    rows = [[draw(st.integers(-12, 12)) for _ in range(source.lift_dim)]
+            for _ in range(target.lift_dim)]
+    if draw(st.booleans()):
+        orders = (0,) * target.free_rank + target.invariant_factors
+        for i, f in enumerate(source.invariant_factors, source.free_rank):
+            for row, g in zip(rows, orders):
+                row[i] = g // gcd(f, g) * row[i] if g else 0
+    return source, target, xl.intmat(rows, ncols=source.lift_dim)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_lift_matrices())
+def test_hom_well_defined_matches_the_per_coordinate_test(case):
+    # relations mapping to zero is the per-coordinate torsion rule
+    source, target, matrix = case
+    assert xl.hom_is_well_defined(source, target, matrix) == \
+        _hom_is_well_defined_per_coordinate(source, target, matrix)
+
+
+@pytest.mark.parametrize("source, target", [
+    ((0, (4,)), (1, (6,))), ((0, (2, 4)), (0, (6,))), ((1, (3,)), (0, (9,))),
+    ((0, (6,)), (0, (2, 4)))],
+    ids=["Z4-to-Z+Z6", "Z2+Z4-to-Z6", "Z+Z3-to-Z9", "Z6-to-Z2+Z4"])
+def test_hom_well_defined_matches_the_per_coordinate_test_on_every_small_matrix(
+        source, target):
+    # every matrix with entries in [-6, 6]: homs and non-homs both occur
+    source, target = xl.FgAbelianGroup(*source), xl.FgAbelianGroup(*target)
+    seen = set()
+    for entries in itertools.product(range(-6, 7), repeat=2):
+        it = iter(entries)
+        matrix = xl.intmat([[next(it) for _ in range(source.lift_dim)]
+                            for _ in range(target.lift_dim)])
+        verdict = xl.hom_is_well_defined(source, target, matrix)
+        assert verdict == _hom_is_well_defined_per_coordinate(
+            source, target, matrix), matrix
+        seen.add(verdict)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("entry, target", [

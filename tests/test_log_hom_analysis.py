@@ -177,12 +177,18 @@ def test_kato_criterion_rejects_composite_char():
         lha.kato_criterion(_nodal(1, 1), residue_char=6)
 
 
-_AT_A_CHAR = [lha.kato_criterion, lha.neat_chart_class, lha.differential_rank]
+def _cokernel_order_invertible(hom, residue_char):
+    return xl.is_order_invertible(lha.gp_cokernel(hom), residue_char)
+
+
+# every entry point that takes a residue characteristic
+_AT_A_CHAR = [lha.kato_criterion, lha.neat_chart_class, lha.differential_rank,
+              _cokernel_order_invertible]
 
 
 @pytest.mark.parametrize("entry", _AT_A_CHAR,
                          ids=lambda f: f.__name__)
-@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("p", [2.0, 1.5, 2.5])
 def test_a_non_integer_char_is_refused(entry, p):
     with pytest.raises(InputError):
         entry(_nodal(1, 2), residue_char=p)
@@ -455,6 +461,9 @@ def test_differential_module_is_gp_cokernel():
         coker = lha.gp_cokernel(hom)
         assert pres.module.free_rank == coker.free_rank
         assert pres.module.invariant_factors == coker.invariant_factors
+        # the group the presentation's own relations define
+        assert pres.module == xl.group_from_relations(
+            len(pres.symbols), pres.relation_columns)[0]
 
 
 def test_differential_rank_matches_field_oracle():
@@ -476,6 +485,7 @@ def test_differential_rank_with_torsion_target():
     pres = lha.universal_differential_presentation(hom)
     # relations: the image column (1, 0) and the torsion column (0, 2)
     assert (0, 2) in pres.relation_columns
+    assert pres.module == xl.group_from_relations(2, pres.relation_columns)[0]
     for p in (0, 2, 3):
         assert lha.differential_rank(hom, p) == oracle_field_rank(pres, p)
     assert lha.differential_rank(hom, 2) == 1
@@ -487,10 +497,10 @@ def test_differential_rank_rejects_composite_char():
         lha.differential_rank(_nodal(1, 2), residue_char=9)
 
 
-@pytest.mark.parametrize("check", [lha.kato_criterion, lha.neat_chart_class,
-                                   lha.differential_rank])
+@pytest.mark.parametrize("check", _AT_A_CHAR, ids=lambda f: f.__name__)
 def test_composite_char_message_is_the_same_everywhere(check):
-    with pytest.raises(DomainError) as err:
-        check(_nodal(1, 2), 9)
-    assert str(err.value) == \
-        "residue characteristic must be 0 or prime, got 9"
+    for p in (9, 4):
+        with pytest.raises(DomainError) as err:
+            check(_nodal(1, 2), p)
+        assert str(err.value) == \
+            f"residue characteristic must be 0 or prime, got {p}"

@@ -678,7 +678,7 @@ CONE_OF_FREE_PARTS_CALLS = [
     (partial(mc.AffineMonoid.from_vectors, [(1, 0), (-1, 0), (0, 1)]), 1),
     (partial(mc.AffineMonoid.from_vectors, [(1, 1), (2, 0)], (4,)), 1),
     (partial(group_monoid, xl.FgAbelianGroup(0, (2, 6))), 0),
-    (partial(mc.trivial_monoid), 0),
+    (partial(mc.free_monoid, 0), 0),
     (partial(_all_units), 1),
 ]
 
@@ -718,7 +718,7 @@ def test_units_of_the_all_units_monoid_need_no_solver(no_solver):
 
 @pytest.mark.parametrize("monoid", [
     partial(_all_units), partial(group_monoid, xl.FgAbelianGroup(2, (2,))),
-    partial(mc.trivial_monoid)])
+    partial(mc.free_monoid, 0)])
 def test_a_group_is_saturated_without_a_membership_test(monoid, no_solver):
     monoid = monoid()
     assert mc.is_saturated(monoid)
@@ -747,8 +747,8 @@ def test_is_saturated_matches_the_membership_oracle(monoid):
 # trusted construction
 
 
-SPANNING_SITES = {"span_submonoid", "free_monoid", "trivial_monoid",
-                  "integralize", "saturate", "sharpen",
+SPANNING_SITES = {"span_submonoid", "free_monoid", "integralize",
+                  "saturate", "sharpen",
                   "pushout_with_maps", "relative_characteristic",
                   "blowup_charts"}
 
@@ -781,7 +781,7 @@ def test_trusted_construction_matches_the_public_one(data):
     with _checked_spanning() as sites:
         monoid = data.draw(_monoids(max_gens=4))
         amb, gens = monoid.ambient, monoid.generators
-        mc.trivial_monoid()
+        mc.free_monoid(0)
         mc.integralize(mc.presentation_of(monoid))
         mc.saturate(monoid)
         mc.sharpen(monoid)
@@ -965,7 +965,7 @@ def test_fiber_product_of_an_empty_fiber_is_trivial():
     n1 = mc.free_monoid(1)
     up, down = _hom(n1, z1, [[1]]), _hom(n1, z1, [[-1]])
     assert mc.fiber_product_generators(up, down) == []
-    assert mc.fiber_product(up, down) == mc.trivial_monoid()
+    assert mc.fiber_product(up, down) == mc.free_monoid(0)
 
 
 def _old_fiber_product_generators(f, g):
