@@ -286,6 +286,9 @@ def _covers(cone, cones):
 
 def check_resolve(fan, resolved):
     yield _check(resolved.is_regular(), "resolution is not regular", "regular")
+    yield _check(all(map(_smith_regular, resolved.maximal_cones)),
+                 "resolution is not regular by the Smith invariant factors",
+                 "smith")
     yield _check(all(resolved.support_contains(r)
                      for c in fan.maximal_cones for r in c.extreme_rays),
                  "resolution lost part of the support", "support")

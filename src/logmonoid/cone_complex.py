@@ -25,10 +25,12 @@ constraints is the dual of the cone they generate.
 
 from __future__ import annotations
 
-import functools
+import heapq
 import itertools
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import le, mul
 
@@ -343,6 +345,15 @@ class RationalCone:
     def contains_cone(self, other):
         return all(self.contains(g) for g in other.generators)
 
+    @cached_property
+    def _abs_det(self):
+        """|det| of the extreme rays in coordinates of the span lattice, for
+        a simplicial cone; ``multiplicity`` reads it.  ``_simplicial_cone``
+        sets it from the determinant it computes; any other cone computes it
+        here, once, on first use."""
+        down, _, _ = _to_span_coords(self)
+        return abs(xl.det_adjugate([down(r) for r in self.extreme_rays])[0])
+
 
 def _simplicial_cone(vecs, dim):
     """The canonical cone of dim distinct primitive generators in Z^dim, or
@@ -354,6 +365,8 @@ def _simplicial_cone(vecs, dim):
     it vanishes on every r_j but r_i and is det(R) on r_i (Fulton,
     *Introduction to Toric Varieties*, §1.2).  Made primitive and sorted,
     these are exactly the canonical forms that double description gives.
+    A full-dimensional cone keeps its coordinates in ``_to_span_coords``,
+    so |det(R)| is its multiplicity, and the cone keeps it.
     """
     det, adj = xl.det_adjugate(list(zip(*vecs)))
     if not det:
@@ -361,9 +374,11 @@ def _simplicial_cone(vecs, dim):
     normals = (primitive(row) for row in adj)
     if det < 0:
         normals = (vneg(n) for n in normals)
-    return RationalCone(dim=dim, extreme_rays=tuple(sorted(vecs)),
+    cone = RationalCone(dim=dim, extreme_rays=tuple(sorted(vecs)),
                         lineality=(), facet_normals=tuple(sorted(normals)),
                         span_equations=())
+    vars(cone)["_abs_det"] = abs(det)
+    return cone
 
 
 def cone_from_constraints(normals, equations, dim):
@@ -500,13 +515,14 @@ def pulling_triangulation(cone):
 def multiplicity(cone):
     """The index of the subgroup spanned by the primitive rays of a
     simplicial cone inside the saturated lattice spanning the cone (1 exactly
-    for regular cones)."""
+    for regular cones): |det| of the rays in coordinates of the span
+    lattice.  It is kept on each cone from its construction, with no global
+    cache (``RationalCone._abs_det``)."""
     if not cone.is_strongly_convex:
         raise DomainError("multiplicity requires a strongly convex cone")
     if not cone.is_simplicial:
         raise DomainError("multiplicity requires a simplicial cone")
-    down, _, _ = _to_span_coords(cone)
-    d = abs(xl.det_adjugate([down(r) for r in cone.extreme_rays])[0])
+    d = cone._abs_det
     if d == 0:
         raise InternalCheckError("simplicial cone with degenerate rays")
     return d
@@ -952,19 +968,52 @@ def _regular_pieces_2d(cone):
 
 def _stellar_loop(fan):
     """Resolves a simplicial fan: while a singular cone remains, the one of
-    largest multiplicity (ties by rays) is split at its subdivision point;
-    each piece must have smaller multiplicity, so the loop ends."""
-    mult = functools.cache(multiplicity)
-    while True:
-        singular = [c for c in fan.maximal_cones if mult(c) > 1]
-        if not singular:
-            return fan
-        worst = min(singular, key=lambda c: (-mult(c), c.extreme_rays))
-        fan, replaced = _stellar_pieces(fan, _subdivision_point(worst))
-        if any(mult(piece) >= mult(old)
-               for old, pieces in replaced for piece in pieces):
-            raise InternalCheckError(
-                "stellar subdivision failed to decrease multiplicity")
+    largest multiplicity (ties by rays) is split at its subdivision point v;
+    each piece must have smaller multiplicity, so the loop ends.
+
+    A step touches only the star of v, the cones that contain it.  Those
+    are the cones that have every ray of F, the smallest face of the worst
+    cone through v.  A cone that has them contains F and v.  A cone sigma
+    that contains v meets the worst cone in a common face of both, which
+    holds v and so F; F is then a face of sigma, and its rays are extreme
+    rays of sigma.  So an index from rays to the live cones that have them
+    finds the star, and a heap of the singular cones, keyed by
+    (-multiplicity, rays), gives the worst one.  A replaced cone never comes
+    back, since every later cone that contains v has it as a ray, so a
+    popped cone that is no longer live is skipped.
+    """
+    live = set()
+    by_ray = defaultdict(set)       # ray -> the live cones that have it
+    heap = []
+
+    def add(cone):
+        live.add(cone)
+        for r in cone.extreme_rays:
+            by_ray[r].add(cone)
+        mult = multiplicity(cone)
+        if mult > 1:
+            heapq.heappush(heap, (-mult, cone.extreme_rays, cone))
+        return mult
+
+    for c in fan.maximal_cones:
+        add(c)
+    while heap:
+        worst = heapq.heappop(heap)[2]
+        if worst not in live:
+            continue
+        v = _subdivision_point(worst)
+        tight = [n for n in worst.facet_normals if not vdot(n, v)]
+        face = [r for r in worst.extreme_rays
+                if not any(vdot(n, r) for n in tight)]
+        for old in set.intersection(*(by_ray[r] for r in face)):
+            live.remove(old)
+            for r in old.extreme_rays:
+                by_ray[r].discard(old)
+            mult = multiplicity(old)
+            if any(add(piece) >= mult for piece in _joins(old, v)):
+                raise InternalCheckError(
+                    "stellar subdivision failed to decrease multiplicity")
+    return Fan._built(fan.dim, live)
 
 
 def resolve(fan, validate=True):

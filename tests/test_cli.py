@@ -660,9 +660,16 @@ def _zero_matrix(mat):
     ("regular", _golden_doc("regular-a2-fan", "fan.json"), cc, "multiplicity",
      lambda mult, cone: 1,
      "fan regularity disagrees with the Smith invariant factors"),
+    # the stellar loop and the regular check read the patched multiplicity:
+    # the cone of multiplicity 5 comes back unresolved as one regular cone
+    ("resolve", {"kind": "cone", "dim": 3,
+                 "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 5]]}, cc, "multiplicity",
+     lambda mult, cone: 1,
+     "resolution is not regular by the Smith invariant factors"),
 ], ids=["dual", "hilbert", "resolve", "resolve-fan", "resolve-refines",
         "resolve-covers", "resolve-rays", "pushout", "fiber", "blowup", "gp",
-        "regular", "mult-smith", "regular-smith", "regular-fan-smith"])
+        "regular", "mult-smith", "regular-smith", "regular-fan-smith",
+        "resolve-smith"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)

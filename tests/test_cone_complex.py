@@ -9,6 +9,7 @@ duality against double description from scratch.
 """
 
 import bisect
+import dataclasses
 import functools
 import itertools
 import json
@@ -25,8 +26,9 @@ import logmonoid.cli as cli
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
-from logmonoid._verify import (check_resolve, face_by_normal, facets,
-                               intersect, is_face_of, smallest_containing_face)
+from logmonoid._verify import (_smith_multiplicity, check_resolve,
+                               face_by_normal, facets, intersect, is_face_of,
+                               smallest_containing_face)
 from logmonoid.errors import DomainError, InputError, InternalCheckError
 from conftest import all_cones, monoid_of_cone
 
@@ -1257,6 +1259,27 @@ def test_multiplicity_keeps_no_global_cache():
     assert not hasattr(cc.multiplicity, "cache_info")
 
 
+def test_simplicial_cones_keep_their_determinant(count_calls):
+    # the closed form of from_rays computes det(R) once, and multiplicity,
+    # is_regular and Fan.is_regular read it
+    cones = [cc.RationalCone.from_rays(gens, len(gens[0])) for gens in (
+        [(-3,)], [(1, 0), (1, 7)], [(1, 0, 0), (0, 1, 0), (1, 1, -5)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 9)])]
+    cones.append(cc._simplicial_cone([(0, 1), (1, 0)], 2))
+    dets = count_calls(xl, "det_adjugate")
+    assert [cc.multiplicity(c) for c in cones] == [1, 7, 5, 9, 1]
+    assert [cc.is_regular(c) for c in cones] == [True, False, False, False,
+                                                 True]
+    assert not cc.Fan(dim=3, maximal_cones=(cones[2],)).is_regular()
+    assert dets == []
+    # any other cone computes it on first use only
+    plane = cc.RationalCone.from_rays([(1, 0, 1), (1, 2, 1)], 3)
+    assert cc.multiplicity(plane) == 2
+    first = len(dets)
+    assert cc.multiplicity(plane) == 2
+    assert len(dets) == first
+
+
 def test_multiplicity_respects_span_lattice():
     # a 2-dimensional cone inside Z^3: multiplicity uses the saturated span
     # lattice, not the raw coordinates
@@ -1384,6 +1407,75 @@ def test_pulling_triangulation_builds_no_cone(gens, dim, count_calls):
     from_rays_calls = count_calls(cc.RationalCone, "from_rays")
     assert len(cc.pulling_triangulation(cone)) > 1
     assert from_rays_calls == []
+
+
+# ---------------------------------------------------------------------------
+# the multiplicity each cone keeps, on every route that builds a cone
+
+
+def _from_rays(case):
+    return [cc.RationalCone.from_rays(*case)]
+
+
+def _joins_at(case, coeffs):
+    """The joins of a full-dimensional simplicial cone with the nonzero
+    nonnegative combination ``coeffs`` of its rays."""
+    cone = cc.RationalCone.from_rays(*case)
+    v = tuple(sum(c * r[i] for c, r in zip(coeffs, cone.extreme_rays))
+              for i in range(cone.dim))
+    if len(cone.extreme_rays) != cone.dim or not any(v):
+        return []
+    return list(cc._joins(cone, cc.primitive(v)))
+
+
+def _pieces_2d(rays, dim):
+    if dim == 3:
+        rays = [(a, b, a + 2 * b) for a, b in rays]
+    if _rank(rays) < 2:
+        return []
+    return list(cc._regular_pieces_2d(cc.RationalCone.from_rays(rays, dim)))
+
+
+def _pulled(cone):
+    if not cone.is_strongly_convex:
+        return []
+    return [cc.RationalCone.from_rays(t, cone.dim)
+            for t in cc.pulling_triangulation(cone)]
+
+
+def _dual_and_replaced(case, other):
+    """The dual of a full-dimensional simplicial cone, and that cone with
+    every field replaced by those of ``other``, each after the multiplicity
+    of the cone it comes from was read."""
+    cone = cc.RationalCone.from_rays(*case)
+    if len(cone.extreme_rays) != cone.dim:
+        return []
+    cc.multiplicity(cone)
+    [c] = _from_rays(other)
+    return [cc.dual_cone(cone), dataclasses.replace(cone, **{
+        f.name: getattr(c, f.name) for f in dataclasses.fields(c)})]
+
+
+_small_rays_2d = st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                          min_size=2, max_size=2)
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(st.one_of(
+    _independent_generator_lists().map(_from_rays),
+    st.builds(_joins_at, _independent_generator_lists(),
+              st.lists(st.integers(0, 2), min_size=4, max_size=4)),
+    st.builds(_pieces_2d, _small_rays_2d, st.sampled_from([2, 3])),
+    _pointed_cones_to_z5().map(_pulled),
+    st.builds(_dual_and_replaced, _independent_generator_lists(),
+              _independent_generator_lists())))
+def test_kept_multiplicity_matches_the_smith_invariant_factors(cones):
+    for cone in cones:
+        assert cone.is_simplicial
+        m = _smith_multiplicity(cone)
+        assert cc.multiplicity(cone) == m
+        if cone.is_full_dimensional:
+            assert m == _oracle_det_abs(cone.extreme_rays)
 
 
 # ---------------------------------------------------------------------------
@@ -1668,12 +1760,30 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _oracle_stellar_loop(fan):
+    """The resolution loop that rescans every cone at each step: while a
+    singular cone remains, the one of largest multiplicity (ties by rays) is
+    split at its subdivision point by ``_stellar_pieces``."""
+    mult = functools.cache(cc.multiplicity)
+    while True:
+        singular = [c for c in fan.maximal_cones if mult(c) > 1]
+        if not singular:
+            return fan
+        worst = min(singular, key=lambda c: (-mult(c), c.extreme_rays))
+        fan, replaced = cc._stellar_pieces(fan, cc._subdivision_point(worst))
+        if any(mult(piece) >= mult(old)
+               for old, pieces in replaced for piece in pieces):
+            raise InternalCheckError(
+                "stellar subdivision failed to decrease multiplicity")
+
+
 def _with_oracle_pieces(f, *args):
-    """The outcome of the call with the oracle's stellar pieces, and with
-    the public constructor's all-pairs reduction in place of every trusted
-    construction of a fan."""
+    """The outcome of the call with the rescanning loop on the oracle's
+    stellar pieces, and with the public constructor's all-pairs reduction
+    in place of every trusted construction of a fan."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cc, "_stellar_pieces", _oracle_stellar_pieces)
+        mp.setattr(cc, "_stellar_loop", _oracle_stellar_loop)
         mp.setattr(cc.Fan, "_built", classmethod(
             lambda cls, dim, cones: cls(dim=dim, maximal_cones=tuple(cones))))
         return _outcome(f, *args)
@@ -1736,7 +1846,8 @@ def test_stellar_pieces_match_oracle(case):
     # library fan of 24 cones takes 30 s (0.2 s without it)
     _library_fans().filter(lambda fan: len(fan.maximal_cones) <= 4)))
 def test_subdivisions_match_oracle_pieces(fan):
-    # barycentric_subdivision validates its output, resolve its input
+    # barycentric_subdivision validates its output, resolve its input;
+    # resolve runs the star-local loop, its oracle the rescanning one
     for f in (barycentric_subdivision, cc.resolve):
         result = _outcome(f, fan, True)
         assert isinstance(result, cc.Fan)
@@ -1926,7 +2037,64 @@ def test_resolution_is_a_fan(fan):
     resolved.validate()
     # and a true resolution passes every --verify check
     assert list(check_resolve(fan, resolved)) == [
-        "regular", "support", "fan", "refines", "covers"]
+        "regular", "smith", "support", "fan", "refines", "covers"]
+
+
+@st.composite
+def _simplicial_fans_3d(draw):
+    """One or two full-dimensional simplicial cones in Z^3: cone(a, b, c),
+    alone, with its negative (they meet at 0), or with cone(a, b, d) for a
+    d on the other side of span(a, b) (they meet in cone(a, b))."""
+    vec = st.tuples(*[st.integers(-4, 4)] * 3).filter(any)
+    a, b, c = draw(st.lists(vec, min_size=3, max_size=3).filter(
+        lambda g: _rank(g) == 3))
+    cones = [cc.RationalCone.from_rays([a, b, c], 3)]
+    other = draw(st.sampled_from(["none", "negative", "neighbour"]))
+    if other == "negative":
+        cones.append(cc.RationalCone.from_rays([cc.vneg(c), cc.vneg(b),
+                                                cc.vneg(a)], 3))
+    elif other == "neighbour":
+        s, t = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        d = tuple(s * x + t * y - 2 * z for x, y, z in zip(a, b, c))
+        cones.append(cc.RationalCone.from_rays([a, b, d], 3))
+    return cc.fan_from_cones(cones, 3)
+
+
+def _triangulated(fan):
+    """The fan of the pulling triangulations of the cones of a fan."""
+    return cc.Fan._built(fan.dim, [
+        s for c in fan.maximal_cones
+        for s in ([c] if c.is_simplicial else [
+            cc.RationalCone.from_rays(t, fan.dim)
+            for t in cc.pulling_triangulation(c)])])
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(st.one_of(
+    _fans_2d(), _stellar_fans(), _simplicial_fans_3d(),
+    _library_fans().filter(lambda fan: len(fan.maximal_cones) <= 12)))
+def test_stellar_loop_matches_the_rescanning_loop(fan):
+    # the same fan, cones in the same order, by the star-local steps
+    simplicial = _triangulated(fan)
+    assert cc._stellar_loop(simplicial).maximal_cones == \
+        _oracle_stellar_loop(simplicial).maximal_cones
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cc, "_stellar_loop", _oracle_stellar_loop)
+        old = cc.resolve(fan, validate=False)
+    assert cc.resolve(fan, validate=False).maximal_cones == old.maximal_cones
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_stellar_steps_touch_only_the_star(n, count_calls):
+    # the rescanning loop tests every cone at every step: 2,842 membership
+    # tests for n = 50 and 41,392 for n = 200, quadratic in n; the star-local
+    # loop tests only the generators of the pieces it builds
+    fan = _fan([[(1, 0, 0), (0, 1, 0), (1, 1, n)]], 3)
+    contains = count_calls(cc.RationalCone, "contains")
+    resolved = cc._stellar_loop(fan)
+    assert len(resolved.maximal_cones) == 2 * n - 1
+    assert resolved.is_regular()
+    assert len(contains) <= 5 * len(resolved.maximal_cones)
 
 
 @settings(_DIFFERENTIAL, max_examples=100)
