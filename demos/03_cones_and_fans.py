@@ -4,6 +4,7 @@ Run with:  python3 demos/03_cones_and_fans.py
 """
 
 import logmonoid.cone_complex as cc
+from logmonoid.errors import DomainError
 
 
 def main():
@@ -44,6 +45,11 @@ def main():
     star = cc.stellar_subdivision(fan, (1, 1, 0))
     print(f"stellar subdivision of the square cone at (1,1,0): "
           f"{len(star.maximal_cones)} cones, regular: {star.is_regular()}")
+    try:
+        cc.Fan(2, (cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
+                   cc.RationalCone.from_rays([(1, 1), (0, 1)], 2)))
+    except DomainError as exc:
+        print(f"Fan refuses cone((1,0), (1,2)) with cone((1,1), (0,1)): {exc}")
 
 
 if __name__ == "__main__":

@@ -174,7 +174,7 @@ def parse_fan(doc, ctx, warn):
         vecs = _as_vector_list(rays, dim, sub)
         _warn_nonprimitive(vecs, sub, warn)
         cones.append(cc.RationalCone.from_rays(vecs, dim))
-    return cc.fan_from_cones(cones, dim, validate=True)
+    return cc.Fan(dim, tuple(cones))
 
 
 def parse_hom(doc, ctx, warn):
@@ -432,10 +432,10 @@ def _h_resolve(doc, path, args, warn):
     kind = _expect_kind(doc, {"cone", "fan"}, path)
     if kind == "cone":
         cone = parse_cone(doc, path, warn)
-        fan = cc.fan_from_cones([cone], cone.dim, validate=True)
+        fan = cc.Fan(cone.dim, (cone,))
     else:
         fan = parse_fan(doc, path, warn)
-    resolved = cc.resolve(fan, validate=False)  # both parsers validate
+    resolved = cc.resolve(fan)
     return fan_block(resolved), (fan, resolved)
 
 

@@ -787,11 +787,11 @@ class Fan:
     """A fan: strongly convex cones meeting along common faces.
 
     The constructor canonicalizes a caller's list (sorts, dedupes, drops
-    contained cones) and checks strong convexity; ``validate`` checks every
-    pair, on the caller's fan only: ``stellar_subdivision`` always validates
-    its input, ``resolve`` unless the caller did.  The fans the package
-    derives are fans by theorem, with distinct maximal cones none of which
-    contains another, and ``_built`` only sorts them.
+    contained cones), checks strong convexity and checks every pair
+    (``validate``), so every ``Fan`` is a fan and ``stellar_subdivision``
+    and ``resolve`` trust theirs.  The fans the package derives are fans by
+    theorem, with distinct maximal cones none of which contains another,
+    and ``_built`` only sorts them.
 
     Stellar and 2D pieces.  Pulling triangulations (De Loera, Rambau and
     Santos, *Triangulations*, 2010), 2D resolutions (see ``resolve``) and
@@ -830,6 +830,7 @@ class Fan:
             (p for p in cones
              if not any(q != p and q.contains_cone(p) for q in cones)),
             key=RationalCone.sort_key)))
+        self.validate()
 
     @classmethod
     def _built(cls, dim, cones):
@@ -884,10 +885,8 @@ class Fan:
 
 
 def fan_from_cones(cones, dim, validate=True):
-    fan = Fan(dim=dim, maximal_cones=tuple(cones))
-    if validate:
-        fan.validate()
-    return fan
+    """``Fan(dim, tuple(cones))``; ``validate`` is accepted and ignored."""
+    return Fan(dim, tuple(cones))
 
 
 def _joins(cone, v):
@@ -903,31 +902,23 @@ def _joins(cone, v):
         for n in cone.facet_normals if vdot(n, v))
 
 
-def _stellar_pieces(fan, point):
-    """Stellar subdivision data: (new fan, [(replaced cone, pieces)]).
-
-    Each cone containing the point is replaced by the joins of the point
-    with the facets not containing it.
-    """
-    v = primitive(point)
-    untouched = []
-    replaced = []
+def stellar_subdivision(fan, point):
+    """The stellar subdivision of the fan at a lattice point of its
+    support: each cone containing the point is replaced by the joins of the
+    point with its facets not containing it.  It trusts the fan, which its
+    constructor checked, and the output is a fan (see ``Fan``)."""
+    v = primitive(xl._as_ints(point))
+    if len(v) != fan.dim:
+        raise InputError("subdivision point of wrong length")
+    untouched, pieces = [], []
     for c in fan.maximal_cones:
         if c.contains(v):
-            replaced.append((c, _joins(c, v)))
+            pieces += _joins(c, v)
         else:
             untouched.append(c)
-    if not replaced:
+    if not pieces:
         raise DomainError("subdivision point lies outside the fan support")
-    new = Fan._built(fan.dim, untouched + [
-        p for _, pieces in replaced for p in pieces])
-    return new, replaced
-
-
-def stellar_subdivision(fan, point):
-    """The stellar subdivision of the fan at a lattice point of its support.
-    It validates its input only: the output is a fan (see ``Fan``)."""
-    return _stellar_pieces(fan.validate(), point)[0]
+    return Fan._built(fan.dim, untouched + pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,20 +1010,18 @@ def _stellar_loop(fan):
 def resolve(fan, validate=True):
     """A regular subdivision of the fan.
 
-    ``validate`` checks the input; later fans are fans by construction (see
-    ``Fan``).  A caller passing ``validate=False`` must pass a fan: on one
-    that is not, the result is unspecified.  After the pulling
-    triangulations, each singular cone of span dimension 2 gets its minimal
-    resolution (Fulton, *Introduction to Toric Varieties*, §2.6) from the
-    continued fraction.  Stellar steps reach the same: the parallelepiped
-    point p of least coefficient sum is irreducible (p = a + b, a and b
-    nonzero, makes a such a point of smaller sum), and the cone on two
-    basis elements has the basis between them as its own.  Later steps keep
-    those cones, which meet others in rays or 0, and ``_stellar_loop``
-    resolves the rest.  Regular cones stay as they are.
+    It trusts the fan, which its constructor checked, and every later fan
+    is a fan by construction (see ``Fan``); ``validate`` is accepted and
+    ignored.  After the pulling triangulations, each singular cone of span
+    dimension 2 gets its minimal resolution (Fulton, *Introduction to Toric
+    Varieties*, §2.6) from the continued fraction.  Stellar steps reach the
+    same: the parallelepiped point p of least coefficient sum is
+    irreducible (p = a + b, a and b nonzero, makes a such a point of
+    smaller sum), and the cone on two basis elements has the basis between
+    them as its own.  Later steps keep those cones, which meet others in
+    rays or 0, and ``_stellar_loop`` resolves the rest.  Regular cones stay
+    as they are.
     """
-    if validate:
-        fan.validate()
     simplicial = [s for c in fan.maximal_cones for s in (
         [c] if c.is_simplicial else [RationalCone.from_rays(t, fan.dim)
                                      for t in pulling_triangulation(c)])]

@@ -602,9 +602,10 @@ def _zero_matrix(mat):
     ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "resolve",
      lambda resolved, fan: fan, "resolution is not regular"),
     # the regular cone((2, 1), (-1, 0)) contains two cones of the resolution
-    # and overlaps the third: the result is regular and covers the support
+    # and overlaps the third: the result is regular and covers the support,
+    # and only the trusted constructor builds it
     ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "resolve",
-     lambda resolved, fan: cc.Fan(dim=2, maximal_cones=(
+     lambda resolved, fan: cc.Fan._built(2, (
          *resolved.maximal_cones,
          cc.RationalCone.from_rays([(2, 1), (-1, 0)], 2))),
      "resolution is not a fan"),

@@ -1527,19 +1527,19 @@ def test_stellar_outside_support_rejected():
         cc.stellar_subdivision(fan, (-1, 0))
 
 
-def test_stellar_subdivision_validates_its_input(count_calls):
-    # the cones overlap in cone((1, 1), (1, 2)): the input is no fan, and
-    # the step at (1, 1) trusts its pieces and keeps the overlap, so the
-    # check of the input, made before any piece is built, refuses it
-    fan = cc.Fan(dim=2, maximal_cones=(
-        cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
-        cc.RationalCone.from_rays([(1, 1), (0, 1)], 2)))
+def test_the_constructor_refuses_an_overlapping_pair():
+    # the cones overlap in cone((1, 1), (1, 2)): they make no fan, and the
+    # step at (1, 1) trusts its input and keeps the overlap, so the
+    # constructor, which every caller's fan goes through, refuses them
+    cones = (cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
+             cc.RationalCone.from_rays([(1, 1), (0, 1)], 2))
+    trusted = cc.Fan._built(2, cones)
     assert _verdict(cc.Fan.validate,
-                    cc._stellar_pieces(fan, (1, 1))[0]) == _BAD_MEET
-    steps = count_calls(cc, "_stellar_pieces")
+                    cc.stellar_subdivision(trusted, (1, 1))) == _BAD_MEET
     with pytest.raises(DomainError, match=_BAD_MEET):
-        cc.stellar_subdivision(fan, (1, 1))
-    assert steps == []
+        cc.Fan(2, cones)
+    with pytest.raises(DomainError, match=_BAD_MEET):
+        cc.fan_from_cones(cones, 2, validate=False)
 
 
 def barycentric_subdivision(fan, validate=True):
@@ -1559,7 +1559,7 @@ def barycentric_subdivision(fan, validate=True):
             barycenter = f.extreme_rays[0]
             for r in f.extreme_rays[1:]:
                 barycenter = cc.vadd(barycenter, r)
-            current, _ = cc._stellar_pieces(current, cc.primitive(barycenter))
+            current = cc.stellar_subdivision(current, barycenter)
     if validate:
         current.validate()
     return current
@@ -1633,7 +1633,7 @@ def _library_fans(draw):
         if len(fan.maximal_cones) > 8:
             break
         if step == "resolve":
-            fan = cc.resolve(fan, validate=False)
+            fan = cc.resolve(fan)
         elif step == "barycentric":
             fan = barycentric_subdivision(fan, validate=False)
         else:
@@ -1642,7 +1642,7 @@ def _library_fans(draw):
             point = tuple(sum(c * r[i] for c, r in zip(
                 coeffs, cone.extreme_rays)) for i in range(dim))
             assume(any(point))
-            fan = cc._stellar_pieces(fan, point)[0]
+            fan = cc.stellar_subdivision(fan, point)
     return fan
 
 
@@ -1658,10 +1658,12 @@ def test_validate_matches_oracle_on_library_fans(fan):
 @given(st.sampled_from([2, 3]).flatmap(
     lambda dim: st.tuples(_pointed_cones(dim), _pointed_cones(dim))))
 def test_validate_matches_oracle_on_random_pairs(pair):
-    fan = cc.Fan(dim=pair[0].dim, maximal_cones=pair)
-    assume(len(fan.maximal_cones) == 2)
+    a, b = pair
+    assume(not a.contains_cone(b) and not b.contains_cone(a))
+    fan = cc.Fan._built(a.dim, pair)
     expected = _verdict(_oracle_validate, fan)
     assert _verdict(cc.Fan.validate, fan) == expected
+    assert _verdict(lambda cones: cc.Fan(a.dim, cones), pair) == expected
 
 
 @st.composite
@@ -1685,7 +1687,7 @@ def _overlapping_pairs(draw):
     assume(second.is_strongly_convex)
     assume(not first.contains_cone(second))
     assume(not second.contains_cone(first))
-    return cc.Fan(dim=dim, maximal_cones=(first, second))
+    return cc.Fan._built(dim, (first, second))
 
 
 @settings(_DIFFERENTIAL, max_examples=60)
@@ -1694,6 +1696,8 @@ def test_validate_matches_oracle_on_overlapping_pairs(fan):
     assert len(fan.maximal_cones) == 2
     assert _verdict(_oracle_validate, fan) == _BAD_MEET
     assert _verdict(cc.Fan.validate, fan) == _BAD_MEET
+    with pytest.raises(DomainError, match=_BAD_MEET):
+        cc.Fan(fan.dim, fan.maximal_cones)
 
 
 def test_validate_rejects_star_of_david():
@@ -1706,8 +1710,10 @@ def test_validate_rejects_star_of_david():
     # a form positive on both cones vanishes on no ray of either, but it
     # does not separate them
     assert not cc._separates_along_common_face((0, 0, 1), up, down)
-    fan = cc.Fan(dim=3, maximal_cones=(up, down))
+    fan = cc.Fan._built(3, (up, down))
     assert _verdict(_oracle_validate, fan) == _BAD_MEET
+    with pytest.raises(DomainError, match=_BAD_MEET):
+        cc.Fan(3, (up, down))
     with pytest.raises(DomainError, match=_BAD_MEET):
         cc.fan_from_cones([up, down], 3)
 
@@ -1715,7 +1721,7 @@ def test_validate_rejects_star_of_david():
 def test_validate_2d_resolutions_without_double_description(count_calls):
     # in 2D every pair of cones of a subdivision of a pointed cone has a
     # separating facet normal, so validation needs no double description
-    fans = [cc.resolve(_fan([[(1, 0), (1, k)]], 2), validate=False)
+    fans = [cc.resolve(_fan([[(1, 0), (1, k)]], 2))
             for k in range(1, 26)]
     dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
     for fan in fans:
@@ -1728,28 +1734,24 @@ def test_validate_2d_resolutions_without_double_description(count_calls):
 # stellar subdivision against the facet-by-facet path
 
 
-def _oracle_stellar_pieces(fan, point):
-    """Every replaced cone joined with each of its facets not containing
-    the point, and the new fan by the public constructor's all-pairs
-    reduction, which drops nothing on a fan."""
-    v = cc.primitive(point)
-    new_max = []
-    replaced = []
-    for c in fan.maximal_cones:
-        if not c.contains(v):
-            new_max.append(c)
-            continue
-        pieces = []
-        for f in facets(c):
-            if f.contains(v):
-                continue
-            pieces.append(cc.RationalCone.from_rays(f.generators + (v,),
-                                                    fan.dim))
-        new_max.extend(pieces)
-        replaced.append((c, tuple(pieces)))
-    if not replaced:
-        raise DomainError("subdivision point lies outside the fan support")
-    return cc.Fan(dim=fan.dim, maximal_cones=tuple(new_max)), replaced
+def _oracle_joins(cone, v):
+    """The joins of v with the facets of the cone not containing it, each
+    facet built as a cone."""
+    return tuple(cc.RationalCone.from_rays(f.generators + (v,), cone.dim)
+                 for f in facets(cone) if not f.contains(v))
+
+
+_TRUSTED_FAN = cc.Fan._built
+
+
+def _reduced(cls, dim, cones):
+    """The public constructor's reduction without its pair check: the
+    distinct cones inside no other one, sorted by the trusted constructor.
+    On a fan it drops nothing."""
+    cones = list(dict.fromkeys(cones))
+    return _TRUSTED_FAN(dim, [
+        p for p in cones
+        if not any(q != p and q.contains_cone(p) for q in cones)])
 
 
 def _outcome(f, *args):
@@ -1763,29 +1765,32 @@ def _outcome(f, *args):
 def _oracle_stellar_loop(fan):
     """The resolution loop that rescans every cone at each step: while a
     singular cone remains, the one of largest multiplicity (ties by rays) is
-    split at its subdivision point by ``_stellar_pieces``."""
+    split at its subdivision point by ``stellar_subdivision``, and the
+    pieces of a replaced cone are the new cones inside it."""
     mult = functools.cache(cc.multiplicity)
     while True:
         singular = [c for c in fan.maximal_cones if mult(c) > 1]
         if not singular:
             return fan
         worst = min(singular, key=lambda c: (-mult(c), c.extreme_rays))
-        fan, replaced = cc._stellar_pieces(fan, cc._subdivision_point(worst))
+        v = cc._subdivision_point(worst)
+        new = cc.stellar_subdivision(fan, v)
         if any(mult(piece) >= mult(old)
-               for old, pieces in replaced for piece in pieces):
+               for old in fan.maximal_cones if old.contains(v)
+               for piece in new.maximal_cones if old.contains_cone(piece)):
             raise InternalCheckError(
                 "stellar subdivision failed to decrease multiplicity")
+        fan = new
 
 
 def _with_oracle_pieces(f, *args):
-    """The outcome of the call with the rescanning loop on the oracle's
-    stellar pieces, and with the public constructor's all-pairs reduction
-    in place of every trusted construction of a fan."""
+    """The outcome of the call with the facet-by-facet joins, the rescanning
+    loop, and the reduction of ``_reduced`` in place of every trusted
+    construction of a fan."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cc, "_stellar_pieces", _oracle_stellar_pieces)
+        mp.setattr(cc, "_joins", _oracle_joins)
         mp.setattr(cc, "_stellar_loop", _oracle_stellar_loop)
-        mp.setattr(cc.Fan, "_built", classmethod(
-            lambda cls, dim, cones: cls(dim=dim, maximal_cones=tuple(cones))))
+        mp.setattr(cc.Fan, "_built", classmethod(_reduced))
         return _outcome(f, *args)
 
 
@@ -1805,12 +1810,11 @@ def _support_points(draw, fan):
 @st.composite
 def _stellar_fans(draw):
     """A fan of one to three cones in Z^2 or Z^3: each drawn cone is kept
-    if it meets every kept one along a common face, so the fan validates."""
+    if the constructor takes it with every kept one, so the fan validates."""
     dim = draw(st.sampled_from([2, 3]))
     kept = []
     for c in draw(st.lists(_pointed_cones(dim), min_size=1, max_size=3)):
-        if all(_verdict(cc.Fan.validate,
-                        cc.Fan(dim=dim, maximal_cones=(k, c))) is None
+        if all(_verdict(lambda pair: cc.Fan(dim, pair), (k, c)) is None
                for k in kept):
             kept.append(c)
     return cc.Fan(dim=dim, maximal_cones=tuple(kept))
@@ -1828,30 +1832,29 @@ def _stellar_cases(fans):
     _stellar_cases(_library_fans().filter(
         lambda fan: len(fan.maximal_cones) <= 12))))
 def test_stellar_pieces_match_oracle(case):
-    # on a fan the trusted step keeps what the all-pairs reduction keeps
+    # the joins of each cone through the point are its facet-by-facet
+    # pieces, and on a fan the trusted step keeps what the reduction keeps
     fan, point = case
-    new, replaced = cc._stellar_pieces(fan, point)
-    old, old_replaced = _oracle_stellar_pieces(fan, point)
-    assert new == old
-    assert [(c, set(p)) for c, p in replaced] == \
-        [(c, set(p)) for c, p in old_replaced]
-    assert _outcome(cc.stellar_subdivision, fan, point) == \
-        _with_oracle_pieces(cc.stellar_subdivision, fan, point) == new
+    v = cc.primitive(point)
+    for c in fan.maximal_cones:
+        if c.contains(v):
+            assert set(cc._joins(c, v)) == set(_oracle_joins(c, v))
+    assert _with_oracle_pieces(cc.stellar_subdivision, fan, point) == \
+        cc.stellar_subdivision(fan, point)
 
 
 @settings(_DIFFERENTIAL, max_examples=100)
 @given(st.one_of(
     _stellar_fans(),
-    # with the oracle's all-pairs reduction in every step, resolving a
-    # library fan of 24 cones takes 30 s (0.2 s without it)
+    # the oracle reduces every intermediate fan over all pairs of cones
     _library_fans().filter(lambda fan: len(fan.maximal_cones) <= 4)))
 def test_subdivisions_match_oracle_pieces(fan):
-    # barycentric_subdivision validates its output, resolve its input;
-    # resolve runs the star-local loop, its oracle the rescanning one
+    # barycentric_subdivision validates its output; resolve runs the
+    # star-local loop, its oracle the rescanning one
     for f in (barycentric_subdivision, cc.resolve):
-        result = _outcome(f, fan, True)
+        result = _outcome(f, fan)
         assert isinstance(result, cc.Fan)
-        assert result == _with_oracle_pieces(f, fan, True)
+        assert result == _with_oracle_pieces(f, fan)
 
 
 def test_stellar_keeps_every_piece_of_a_fan(count_calls):
@@ -1862,17 +1865,17 @@ def test_stellar_keeps_every_piece_of_a_fan(count_calls):
     down = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, -1)], 3)
     fan = cc.fan_from_cones([up, down], 3)
     contains = count_calls(cc.RationalCone, "contains_cone")
-    new, replaced = cc._stellar_pieces(fan, (1, 1, 0))
+    new = cc.stellar_subdivision(fan, (1, 1, 0))
     assert contains == []
     assert new.maximal_cones == tuple(sorted(
-        (p for _, pieces in replaced for p in pieces),
+        cc._joins(up, (1, 1, 0)) + cc._joins(down, (1, 1, 0)),
         key=cc.RationalCone.sort_key))
     assert [c.extreme_rays for c in new.maximal_cones] == [
         ((0, 0, -1), (0, 1, 0), (1, 1, 0)),
         ((0, 0, -1), (1, 0, 0), (1, 1, 0)),
         ((0, 0, 1), (0, 1, 0), (1, 1, 0)),
         ((0, 0, 1), (1, 0, 0), (1, 1, 0))]
-    assert new == _oracle_stellar_pieces(fan, (1, 1, 0))[0]
+    assert new == _with_oracle_pieces(cc.stellar_subdivision, fan, (1, 1, 0))
     new.validate()
 
 
@@ -1884,7 +1887,7 @@ def test_resolve_of_simplicial_fans_makes_no_double_description(count_calls):
                   [(1, 0, 0), (0, 1, 0), (-1, 3, -4)]], 3)]
     dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
     for fan in fans:
-        assert cc.resolve(fan, validate=False).is_regular()
+        assert cc.resolve(fan).is_regular()
     assert dd_calls == []
 
 
@@ -1946,14 +1949,14 @@ def test_resolve_3d_cone():
 
 def test_resolve_of_a_non_fan_is_a_domain_error():
     # the two cones overlap in cone((1, 1), (1, 2)), a face of neither: the
-    # caller's input is at fault, not the triangulation
-    fan = cc.Fan(dim=2, maximal_cones=(
-        cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
-        cc.RationalCone.from_rays([(1, 1), (0, 1)], 2)))
-    with pytest.raises(DomainError):
-        fan.validate()
-    with pytest.raises(DomainError) as exc:
-        cc.resolve(fan)
+    # caller's input is at fault, not the triangulation, and the fan that
+    # resolve would take is refused when it is built
+    cones = (cc.RationalCone.from_rays([(1, 0), (1, 2)], 2),
+             cc.RationalCone.from_rays([(1, 1), (0, 1)], 2))
+    with pytest.raises(DomainError, match=_BAD_MEET):
+        cc.Fan._built(2, cones).validate()
+    with pytest.raises(DomainError, match=_BAD_MEET) as exc:
+        cc.resolve(cc.Fan(2, cones))
     assert not isinstance(exc.value, InternalCheckError)
 
 
@@ -2080,8 +2083,8 @@ def test_stellar_loop_matches_the_rescanning_loop(fan):
         _oracle_stellar_loop(simplicial).maximal_cones
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cc, "_stellar_loop", _oracle_stellar_loop)
-        old = cc.resolve(fan, validate=False)
-    assert cc.resolve(fan, validate=False).maximal_cones == old.maximal_cones
+        old = cc.resolve(fan)
+    assert cc.resolve(fan).maximal_cones == old.maximal_cones
 
 
 @pytest.mark.parametrize("n", [50, 200])
@@ -2126,21 +2129,34 @@ def test_2d_resolution_checks_each_piece(monkeypatch):
 
 
 def test_resolve_validates_only_its_input(count_calls):
-    # one cone has no pair to check, and a caller passing validate=False
-    # vouches for the fan; the triangulated, 2D-resolved and stellar fans
-    # are fans by construction, so none is reduced or checked
-    fans = [(_fan([[(1, 0, 0), (0, 1, 0), (1, 1, 50)]], 3), True),
-            (_fan([[(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]], 3), True),
-            (_fan([[(1, 0), (1, 7)], [(1, 7), (-2, 3)]], 2), False),
-            (_fan([[(1, 0, 0), (0, 1, 0), (1, 2, 5)],
-                   [(1, 0, 0), (0, 1, 0), (-1, 3, -4)]], 3), False)]
+    # a caller's fan is checked once, by its constructor (one cone has no
+    # pair to check); resolve and stellar_subdivision trust a Fan, and the
+    # triangulated, 2D-resolved and stellar fans are fans by construction,
+    # so none is reduced or checked
+    fans = [_fan([[(1, 0, 0), (0, 1, 0), (1, 1, 50)]], 3),
+            _fan([[(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]], 3),
+            _fan([[(1, 0), (1, 7)], [(1, 7), (-2, 3)]], 2),
+            _fan([[(1, 0, 0), (0, 1, 0), (1, 2, 5)],
+                  [(1, 0, 0), (0, 1, 0), (-1, 3, -4)]], 3)]
     calls = [count_calls(cc.RationalCone, "contains_cone"),
              count_calls(cc, "_facet_separator"),
              count_calls(cc, "_lemma_separator")]
-    resolved = [cc.resolve(fan, validate=v) for fan, v in fans]
+    resolved = [cc.resolve(fan) for fan in fans]
     assert len(resolved[0].maximal_cones) == 99
     assert all(fan.is_regular() for fan in resolved)
     assert calls == [[], [], []]
+    # composed public calls check no pair either; validate= is ignored
+    assert cc.stellar_subdivision(resolved[0], (1, 1, 1)).is_regular()
+    assert cc.resolve(resolved[0], validate=True) == resolved[0]
+    assert calls == [[], [], []]
+    # each construction of a caller's fan checks its pairs exactly once
+    checks = count_calls(cc.Fan, "validate")
+    cones = resolved[2].maximal_cones
+    cc.Fan(2, cones)
+    cc.fan_from_cones(cones, 2)
+    cc.fan_from_cones(cones, 2, validate=False)
+    assert [len(c[0].maximal_cones) for c in checks] == [len(cones)] * 3
+    assert len(calls[1]) == 3 * len(cones) * (len(cones) - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -950,6 +950,10 @@ def test_matrix_constructors_reject_garbage():
     assert xl.intmat_from_columns([], nrows=2).shape == (2, 0)
 
 
+_QUADRANT = cc.fan_from_cones(
+    [cc.RationalCone.from_rays([(1, 0), (0, 1)], 2)], 2)
+
+
 @pytest.mark.parametrize("call", [
     lambda: xl.FgAbelianGroup(1.5),
     lambda: xl.FgAbelianGroup(1, (2.5,)),
@@ -959,8 +963,11 @@ def test_matrix_constructors_reject_garbage():
     lambda: has_nonneg_solution([[1, 2]], (1.5,)),
     lambda: xl.solve_integer([[1, 2]], (1.5,)),
     lambda: xl.hom_kernel(xl.FgAbelianGroup(1), xl.FgAbelianGroup(1), [[0.5]]),
+    lambda: cc.stellar_subdivision(_QUADRANT, (0.5, 1)),
+    lambda: cc.stellar_subdivision(_QUADRANT, ("1", 1)),
 ], ids=["free_rank", "factor", "factor_str", "reduce_vector", "solve_nonneg",
-        "has_nonneg_solution", "solve_integer", "hom_kernel"])
+        "has_nonneg_solution", "solve_integer", "hom_kernel",
+        "stellar_point", "stellar_point_str"])
 def test_non_integers_are_refused_not_truncated(call):
     with pytest.raises(InputError):
         call()
@@ -1009,8 +1016,11 @@ _Z2 = xl.FgAbelianGroup(0, (2,))
     lambda: xl.hom_kernel(_Z2, _Z2, [[1], [0]]),
     lambda: xl.hom_cokernel(_Z2, _Z2, [[1], [0]]),
     lambda: xl.hom_cokernel(_Z2, _Z2, [[1, 0]]),
+    lambda: cc.stellar_subdivision(_QUADRANT, (1, 1, 0)),
+    lambda: cc.stellar_subdivision(cc.Fan(2, ()), (1, 1, 0)),
 ], ids=["from_columns", "group_from_relations", "hom_kernel",
-        "hom_cokernel_rows", "hom_cokernel_cols"])
+        "hom_cokernel_rows", "hom_cokernel_cols", "stellar_point",
+        "stellar_point_empty_fan"])
 def test_wrong_shapes_are_refused_not_truncated(call):
     with pytest.raises(InputError):
         call()
