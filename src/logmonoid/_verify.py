@@ -289,6 +289,10 @@ def check_resolve(fan, resolved):
     yield _check(all(map(_smith_regular, resolved.maximal_cones)),
                  "resolution is not regular by the Smith invariant factors",
                  "smith")
+    yield _check(all(c == cc.RationalCone.from_rays(c.extreme_rays, c.dim)
+                     for c in resolved.maximal_cones),
+                 "resolution cone differs from the cone of its rays",
+                 "canonical")
     yield _check(all(resolved.support_contains(r)
                      for c in fan.maximal_cones for r in c.extreme_rays),
                  "resolution lost part of the support", "support")

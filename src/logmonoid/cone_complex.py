@@ -371,9 +371,14 @@ def _simplicial_cone(vecs, dim):
     det, adj = xl.det_adjugate(list(zip(*vecs)))
     if not det:
         return None
-    normals = (primitive(row) for row in adj)
-    if det < 0:
-        normals = (vneg(n) for n in normals)
+    return _from_adjugate(dim, vecs, det, [primitive(row) for row in adj])
+
+
+def _from_adjugate(dim, vecs, det, rows):
+    """The cone of ``_simplicial_cone`` from det(R) and the rows of adj(R),
+    already made primitive, for the dim distinct primitive independent
+    columns of R."""
+    normals = [vneg(n) for n in rows] if det < 0 else rows
     cone = RationalCone(dim=dim, extreme_rays=tuple(sorted(vecs)),
                         lineality=(), facet_normals=tuple(sorted(normals)),
                         span_equations=())
@@ -890,16 +895,29 @@ def fan_from_cones(cones, dim, validate=True):
 
 
 def _joins(cone, v):
-    """The joins of v, a point of the strongly convex cone, with the facets
-    of the cone not containing it.
+    """The joins of v, a primitive point of the strongly convex cone, with
+    the facets of the cone not containing it.
 
     The facet cut out by the normal n is generated by the generators n
     vanishes on, and contains v iff n vanishes on v, so no facet is built.
+    On a full-dimensional simplicial cone a facet has dim - 1 of its
+    canonical extreme rays, and with v, which is primitive and off the
+    facet, they are dim distinct primitive independent generators: the
+    join is ``_simplicial_cone`` of them, built from their adjugate, which
+    is what ``from_rays`` returns for them.  Other cones, such as those a
+    public fan gives ``stellar_subdivision``, go through ``from_rays``.
     """
-    return tuple(
-        RationalCone.from_rays(
-            [g for g in cone.generators if not vdot(n, g)] + [v], cone.dim)
-        for n in cone.facet_normals if vdot(n, v))
+    closed = cone.is_simplicial and cone.is_full_dimensional
+    pieces = []
+    for n in cone.facet_normals:
+        if vdot(n, v):
+            gens = [g for g in cone.generators if not vdot(n, g)] + [v]
+            piece = _simplicial_cone(gens, cone.dim) if closed else \
+                RationalCone.from_rays(gens, cone.dim)
+            if piece is None:
+                raise InternalCheckError("join with a facet is degenerate")
+            pieces.append(piece)
+    return tuple(pieces)
 
 
 def stellar_subdivision(fan, point):
@@ -947,14 +965,30 @@ def _subdivision_point(cone):
 
 def _regular_pieces_2d(cone):
     """The cones on consecutive elements of the Hilbert basis of a singular
-    cone of span dimension 2, listed from ray to ray; () if it is regular."""
+    cone of span dimension 2, listed from ray to ray; () if it is regular.
+
+    Consecutive elements a, b have det(a, b) = s = +-1.  In Z^2 the piece
+    is then known in closed form: its rays are a and b, its inward facet
+    normals s (b1, -b0) and s (-a1, a0), the rows of the adjugate of the
+    ray matrix times the sign of its determinant, which are primitive since
+    the matrix is unimodular, and its multiplicity is 1.  So
+    ``_from_adjugate`` builds what ``_simplicial_cone``, and so
+    ``from_rays``, returns for a and b.  A cone of span dimension 2 in a
+    larger lattice builds its pieces with ``from_rays``.
+    """
     down, up, _ = _to_span_coords(cone)
     basis = _hilbert_basis_2d(*(down(r) for r in cone.extreme_rays))
     pairs = list(zip(basis, basis[1:]))
-    if any(abs(a[0] * b[1] - a[1] * b[0]) != 1 for a, b in pairs):
+    dets = [a[0] * b[1] - a[1] * b[0] for a, b in pairs]
+    if any(abs(s) != 1 for s in dets):
         raise InternalCheckError("continued fraction gave a singular cone")
-    return tuple(RationalCone.from_rays([up(a), up(b)], cone.dim)
-                 for a, b in pairs) if len(pairs) > 1 else ()
+    if len(pairs) == 1:
+        return ()
+    if cone.dim != 2:
+        return tuple(RationalCone.from_rays([up(a), up(b)], cone.dim)
+                     for a, b in pairs)
+    return tuple(_from_adjugate(2, (a, b), s, ((b[1], -b[0]), (-a[1], a[0])))
+                 for (a, b), s in zip(pairs, dets))
 
 
 def _stellar_loop(fan):

@@ -626,6 +626,14 @@ def _zero_matrix(mat):
      lambda resolved, fan: cc.Fan(dim=2, maximal_cones=tuple(
          cc.RationalCone.from_rays([r], 2) for r in fan.rays())),
      "resolution does not cover an input cone"),
+    # a 2D piece with one facet normal negated: regular by its rays, and
+    # its rays still cover the input, but it is not the cone of its rays
+    ("resolve", _golden_doc("resolve-a3", "fan.json"), cc, "_regular_pieces_2d",
+     lambda pieces, cone: (pieces[0], dataclasses.replace(
+         pieces[1], facet_normals=(cc.vneg(pieces[1].facet_normals[0]),
+                                   *pieces[1].facet_normals[1:])),
+         *pieces[2:]),
+     "resolution cone differs from the cone of its rays"),
     ("pushout", _golden_doc("pushout-kummer-fine", "request.json"), mc,
      "pushout_with_maps",
      lambda result, left, right: dataclasses.replace(
@@ -668,7 +676,8 @@ def _zero_matrix(mat):
      lambda mult, cone: 1,
      "resolution is not regular by the Smith invariant factors"),
 ], ids=["dual", "hilbert", "resolve", "resolve-fan", "resolve-refines",
-        "resolve-covers", "resolve-rays", "pushout", "fiber", "blowup", "gp",
+        "resolve-covers", "resolve-rays", "resolve-canonical", "pushout",
+        "fiber", "blowup", "gp",
         "regular", "mult-smith", "regular-smith", "regular-fan-smith",
         "resolve-smith"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,

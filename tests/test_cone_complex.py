@@ -2040,7 +2040,8 @@ def test_resolution_is_a_fan(fan):
     resolved.validate()
     # and a true resolution passes every --verify check
     assert list(check_resolve(fan, resolved)) == [
-        "regular", "smith", "support", "fan", "refines", "covers"]
+        "regular", "smith", "canonical", "support", "fan", "refines",
+        "covers"]
 
 
 @st.composite
@@ -2126,6 +2127,86 @@ def test_2d_resolution_checks_each_piece(monkeypatch):
                         lambda r1, r2: [real(r1, r2)[0], *real(r1, r2)[2:]])
     with pytest.raises(InternalCheckError, match="continued fraction"):
         cc.resolve(_fan([[(1, 0), (1, 3)]], 2))
+
+
+@st.composite
+def _singular_cones_2d(draw):
+    """A singular cone in Z^2: an A_k-type cone (1, 0), (1, k), or two
+    independent vectors with entries up to 40, in either order."""
+    if draw(st.booleans()):
+        rays = [(1, 0), (1, draw(st.integers(2, 400)))]
+    else:
+        vec = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any)
+        rays = draw(st.lists(vec, min_size=2, max_size=2).filter(
+            lambda g: _rank(g) == 2))
+    cone = cc.RationalCone.from_rays(rays, 2)
+    assume(cc.multiplicity(cone) > 1)
+    return cone
+
+
+@settings(_DIFFERENTIAL, max_examples=200)
+@given(_singular_cones_2d())
+def test_2d_pieces_match_from_rays(cone):
+    # each closed-form piece is the cone from_rays builds from its rays
+    pieces = cc._regular_pieces_2d(cone)
+    assert len(pieces) > 1
+    for piece in pieces:
+        oracle = cc.RationalCone.from_rays(piece.extreme_rays, 2)
+        for f in dataclasses.fields(cc.RationalCone):
+            assert getattr(piece, f.name) == getattr(oracle, f.name)
+        assert piece._abs_det == oracle._abs_det == 1
+        assert cc.multiplicity(piece) == cc.multiplicity(oracle) == 1
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_2d_resolution_builds_no_cone_by_double_description(n, count_calls):
+    # the continued fraction gives the rays, the adjugate of each unimodular
+    # pair its normals: no from_rays and no determinant
+    fan = _fan([[(1, 0), (1, n)]], 2)
+    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    det_calls = count_calls(xl, "det_adjugate")
+    resolved = cc.resolve(fan)
+    assert len(resolved.maximal_cones) == n
+    assert from_rays_calls == []
+    assert det_calls == []
+
+
+@st.composite
+def _full_simplicial_cases(draw):
+    """A full-dimensional simplicial cone in Z^3 or Z^4 and a primitive
+    nonzero nonnegative combination of its rays (possibly a ray)."""
+    dim = draw(st.sampled_from([3, 4]))
+    r = _ENTRY_RANGE[dim]
+    vec = st.tuples(*[st.integers(-r, r)] * dim).filter(any)
+    gens = draw(st.lists(vec, min_size=dim, max_size=dim).filter(
+        lambda g: _rank(g) == dim))
+    cone = cc.RationalCone.from_rays(gens, dim)
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
+    point = tuple(sum(c * g[i] for c, g in zip(coeffs, cone.extreme_rays))
+                  for i in range(dim))
+    assume(any(point))
+    return cone, cc.primitive(point)
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(_full_simplicial_cases())
+def test_joins_of_full_dimensional_simplicial_cones_match_oracle(case):
+    cone, v = case
+    assert set(cc._joins(cone, v)) == set(_oracle_joins(cone, v))
+
+
+@pytest.mark.parametrize("rays, v", [
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 5)], (1, 1, 1)),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 5)], (1, 1, 5)),
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 4)], (1, 1, 1, 1)),
+])
+def test_joins_of_a_full_dimensional_simplicial_cone_skip_from_rays(
+        rays, v, count_calls):
+    cone = cc.RationalCone.from_rays(rays, len(v))
+    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    pieces = cc._joins(cone, v)
+    assert from_rays_calls == []
+    assert set(pieces) == set(_oracle_joins(cone, v))
 
 
 def test_resolve_validates_only_its_input(count_calls):
