@@ -289,7 +289,9 @@ def check_resolve(fan, resolved):
     yield _check(all(map(_smith_regular, resolved.maximal_cones)),
                  "resolution is not regular by the Smith invariant factors",
                  "smith")
-    yield _check(all(c == cc.RationalCone.from_rays(c.extreme_rays, c.dim)
+    # from the constraints, not from the rays that built the cone
+    yield _check(all(c == cc.cone_from_constraints(
+                         c.facet_normals, c.span_equations, c.dim)
                      for c in resolved.maximal_cones),
                  "resolution cone differs from the cone of its rays",
                  "canonical")

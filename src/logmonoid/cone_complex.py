@@ -15,9 +15,9 @@ candidate ray class is extreme iff no other class is tight on a superset of
 its inequalities.  This picks the extreme rays out of the double
 description's own candidates, and out of the generators of a cone once its
 facets are known, so a cone costs at most one double description run.  It
-costs none when it has dim linearly independent generators in Z^dim: such a
-cone is simplicial, and its facet normals are the rows of the adjugate of
-its rays, from one fraction-free elimination.  The facet normals and span
+costs none when its generators are linearly independent: such a cone is
+simplicial, and its facet normals are the rows of the adjugate of its rays
+in span coordinates (``RationalCone._span``).  The facet normals and span
 equations of a cone are stored as the canonical extreme rays and lineality
 of its dual, so the dual is the four fields swapped, and a cone given by
 constraints is the dual of the cone they generate.
@@ -30,7 +30,7 @@ import itertools
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 from operator import le, mul
 
@@ -109,11 +109,7 @@ def _signed(vectors, lattice):
     cone(vectors) + span(lattice), or constraints n . x >= 0 and e . x = 0."""
     if not lattice:
         return tuple(vectors)
-    out = list(vectors)
-    for l in lattice:
-        out.append(l)
-        out.append(vneg(l))
-    return tuple(out)
+    return (*vectors, *(x for l in lattice for x in (l, vneg(l))))
 
 
 def _quotient_maps(lattice_basis, dim):
@@ -270,6 +266,11 @@ class RationalCone:
 
     @classmethod
     def from_rays(cls, vectors, dim):
+        """The canonical cone the vectors generate, by one of two routes:
+        independent generators take the closed form ``_simplicial_cone``,
+        others one double description run for the facets, which then pick
+        the extreme rays out of the generators.  Either way every generator
+        must lie in the result."""
         dim = xl._as_count(dim, "dimension")
         vecs = []
         for v in vectors:
@@ -279,7 +280,11 @@ class RationalCone:
             if any(v):
                 vecs.append(primitive(v))
         vecs = list(dict.fromkeys(vecs))
-        cone = _simplicial_cone(vecs, dim) if len(vecs) == dim else None
+        # independent iff as many as the rank of their span
+        equations = () if len(vecs) >= dim else _saturated_kernel(vecs, dim)
+        cone = _simplicial_cone(
+            vecs, dim, equations, _span_maps(equations, dim)) \
+            if len(vecs) + len(equations) == dim else None
         if cone is None:
             # dual description: facet normals = extreme rays of the dual
             # cone, span equations = lineality of the dual cone
@@ -347,42 +352,68 @@ class RationalCone:
 
     @cached_property
     def _abs_det(self):
-        """|det| of the extreme rays in coordinates of the span lattice, for
-        a simplicial cone; ``multiplicity`` reads it.  ``_simplicial_cone``
-        sets it from the determinant it computes; any other cone computes it
-        here, once, on first use."""
-        down, _, _ = _to_span_coords(self)
+        """|det| of the extreme rays in span coordinates (``_span``), for a
+        simplicial cone, read by ``multiplicity``: ``_from_adjugate`` sets
+        it; any other cone computes it here, once, on first use."""
+        down = self._span[0]
         return abs(xl.det_adjugate([down(r) for r in self.extreme_rays])[0])
 
+    @cached_property
+    def _span(self):
+        """(down, up, lift): ``down`` maps a point of the span lattice L to
+        its coordinates in Z^m, m = ``span_dim``, ``up`` maps them back, and
+        ``lift`` maps a form on Z^m to a form on Z^dim equal to it on L.  A
+        full-dimensional cone keeps its coordinates; ``_from_adjugate``
+        gives the pieces built inside a cone its maps, others compute them
+        here, once.  Otherwise (P, R) = ``_quotient_maps(E, dim)`` for the k
+        span equations E, from U E^T V = [I; 0]: P is the last m rows of U,
+        R the last m columns of U^-1, and down = R^T, up = P^T, lift = R.
+        With y = U^-T x, x is in L iff the first k entries of y vanish, the
+        last m are R^T x, and x = U^T y = P^T R^T x.  A form n' on Z^m is
+        (R n') . x on L, and ``_extreme_classes`` reduces R n' modulo E,
+        with these same maps, to R primitive(P R n') = R n' for a primitive
+        n', as P R = I: a lifted primitive normal is the canonical one.
+        """
+        return _span_maps(self.span_equations, self.dim)
 
-def _simplicial_cone(vecs, dim):
-    """The canonical cone of dim distinct primitive generators in Z^dim, or
-    None when they are linearly dependent.
 
-    Independent generators are the extreme rays of a full-dimensional
-    pointed cone, and the facet opposite r_i has the inward normal row i of
-    adj(R) (the matrix with the r_j as columns) times the sign of det(R):
-    it vanishes on every r_j but r_i and is det(R) on r_i (Fulton,
-    *Introduction to Toric Varieties*, §1.2).  Made primitive and sorted,
-    these are exactly the canonical forms that double description gives.
-    A full-dimensional cone keeps its coordinates in ``_to_span_coords``,
-    so |det(R)| is its multiplicity, and the cone keeps it.
+def _span_maps(equations, dim):
+    """The maps of ``RationalCone._span`` for canonical span equations."""
+    if not equations:
+        return tuple, tuple, tuple
+    p, r = _quotient_maps(equations, dim)
+    return (partial(xl.apply, xl._from_columns(r.rows, r.ncols)),
+            partial(xl.apply, xl._from_columns(p.rows, dim)),
+            partial(xl.apply, r))
+
+
+def _simplicial_cone(vecs, dim, equations, span):
+    """The canonical cone of distinct primitive generators of the span
+    lattice L of the canonical ``equations``, as many as its rank m, with
+    ``span`` the maps of L (``RationalCone._span``); None if they are
+    dependent.  With their coordinates in Z^m as the columns of R, the
+    facet opposite r_i has the inward normal row i of adj(R) times the sign
+    of det(R): it vanishes on every r_j but r_i and is det(R) on r_i
+    (Fulton, *Introduction to Toric Varieties*, §1.2).  Made primitive,
+    lifted and sorted, these are the canonical normals, and |det(R)| is
+    the multiplicity.
     """
-    det, adj = xl.det_adjugate(list(zip(*vecs)))
+    down, _, lift = span
+    det, adj = xl.det_adjugate(list(zip(*map(down, vecs))))
     if not det:
         return None
-    return _from_adjugate(dim, vecs, det, [primitive(row) for row in adj])
+    return _from_adjugate(dim, equations, span, vecs, [
+        lift(primitive(r if det > 0 else vneg(r))) for r in adj], abs(det))
 
 
-def _from_adjugate(dim, vecs, det, rows):
-    """The cone of ``_simplicial_cone`` from det(R) and the rows of adj(R),
-    already made primitive, for the dim distinct primitive independent
-    columns of R."""
-    normals = [vneg(n) for n in rows] if det < 0 else rows
-    cone = RationalCone(dim=dim, extreme_rays=tuple(sorted(vecs)),
+def _from_adjugate(dim, equations, span, rays, normals, abs_det):
+    """The simplicial cone on the distinct primitive ``rays`` with the
+    canonical ``normals`` of ``_simplicial_cone``; it keeps |det| and the
+    maps ``span`` of its span lattice, which the pieces built inside share."""
+    cone = RationalCone(dim=dim, extreme_rays=tuple(sorted(rays)),
                         lineality=(), facet_normals=tuple(sorted(normals)),
-                        span_equations=())
-    vars(cone)["_abs_det"] = abs(det)
+                        span_equations=equations)
+    vars(cone).update(_abs_det=abs_det, _span=span)
     return cone
 
 
@@ -441,40 +472,7 @@ def faces(cone):
 
 
 # ---------------------------------------------------------------------------
-# span-lattice coordinates, multiplicity, Hilbert bases
-
-
-def _to_span_coords(cone):
-    """Maps between Z^dim and the span lattice Z^m of the cone.
-
-    Returns (down, up, m): ``down`` maps a lattice point of the span to its
-    coordinate tuple, ``up`` is the inverse embedding.  A full-dimensional
-    cone keeps its coordinates.  Otherwise one Smith decomposition
-    U E V = [D 0] of the k span equations E gives both: the last m = dim - k
-    columns of V are a basis of the span lattice (the integer kernel of E),
-    and the coordinates of v are the last m entries of V^-1 v, whose first k
-    entries vanish exactly on the span.
-    """
-    if cone.is_full_dimensional:
-        return tuple, tuple, cone.dim
-    k = len(cone.span_equations)
-    m = cone.dim - k
-    dec = xl._snf_full(xl.IntMatrix(cone.span_equations, cone.dim))
-    if len(dec.diag) != k:
-        raise InternalCheckError("span equations are linearly dependent")
-    vinv = xl._unimodular_inverse(dec.right)
-    basis = xl.IntMatrix(tuple(r[k:] for r in dec.right.rows), m)
-
-    def down(v):
-        w = xl.apply(vinv, v)
-        if any(w[:k]):
-            raise InternalCheckError("lattice point outside the span lattice")
-        return w[k:]
-
-    def up(w):
-        return xl.apply(basis, w)
-
-    return down, up, m
+# multiplicity, Hilbert bases
 
 
 def pulling_triangulation(cone):
@@ -700,8 +698,8 @@ def hilbert_basis(cone):
     """
     if not cone.is_strongly_convex:
         raise DomainError("Hilbert bases are defined for strongly convex cones")
-    down, up, m = _to_span_coords(cone)
-    if m == 2:
+    down, up, _ = cone._span
+    if cone.span_dim == 2:
         rays = [down(r) for r in cone.extreme_rays]
         return tuple(sorted(up(h) for h in _hilbert_basis_2d(*rays)))
     simplices = pulling_triangulation(cone)
@@ -781,10 +779,7 @@ def _lemma_separator(a, b):
     lemma).  One double description run."""
     vecs = sorted(set(a.extreme_rays) | {vneg(r) for r in b.extreme_rays})
     normals, _ = extreme_rays_of_halfspaces(vecs, a.dim)
-    u = (0,) * a.dim
-    for n in normals:
-        u = vadd(u, n)
-    return u
+    return tuple(map(sum, zip((0,) * a.dim, *normals)))
 
 
 @dataclass(frozen=True)
@@ -877,10 +872,8 @@ class Fan:
         return self
 
     def rays(self):
-        out = set()
-        for c in self.maximal_cones:
-            out.update(c.extreme_rays)
-        return tuple(sorted(out))
+        return tuple(sorted({r for c in self.maximal_cones
+                             for r in c.extreme_rays}))
 
     def support_contains(self, v):
         return any(c.contains(v) for c in self.maximal_cones)
@@ -900,19 +893,19 @@ def _joins(cone, v):
 
     The facet cut out by the normal n is generated by the generators n
     vanishes on, and contains v iff n vanishes on v, so no facet is built.
-    On a full-dimensional simplicial cone a facet has dim - 1 of its
-    canonical extreme rays, and with v, which is primitive and off the
-    facet, they are dim distinct primitive independent generators: the
-    join is ``_simplicial_cone`` of them, built from their adjugate, which
-    is what ``from_rays`` returns for them.  Other cones, such as those a
-    public fan gives ``stellar_subdivision``, go through ``from_rays``.
+    On a simplicial cone a facet has all rays but one, and with v, which
+    is in the span and off the facet, they are independent: the join is
+    ``_simplicial_cone`` of them in the span coordinates of the cone, what
+    ``from_rays`` returns for them.  A cone that is not simplicial, which
+    only a public fan gives ``stellar_subdivision``, goes through
+    ``from_rays``.
     """
-    closed = cone.is_simplicial and cone.is_full_dimensional
     pieces = []
     for n in cone.facet_normals:
         if vdot(n, v):
             gens = [g for g in cone.generators if not vdot(n, g)] + [v]
-            piece = _simplicial_cone(gens, cone.dim) if closed else \
+            piece = _simplicial_cone(gens, cone.dim, cone.span_equations,
+                                     cone._span) if cone.is_simplicial else \
                 RationalCone.from_rays(gens, cone.dim)
             if piece is None:
                 raise InternalCheckError("join with a facet is degenerate")
@@ -951,7 +944,7 @@ def _subdivision_point(cone):
     smaller coefficient sum) and lies on no regular cone of any fan
     containing the cone as a face-compatible member.
     """
-    down, up, _ = _to_span_coords(cone)
+    down, up, _ = cone._span
     rays = [down(r) for r in cone.extreme_rays]
     big, nums = _parallelepiped_numerators(rays)
     if not nums:
@@ -967,16 +960,16 @@ def _regular_pieces_2d(cone):
     """The cones on consecutive elements of the Hilbert basis of a singular
     cone of span dimension 2, listed from ray to ray; () if it is regular.
 
-    Consecutive elements a, b have det(a, b) = s = +-1.  In Z^2 the piece
-    is then known in closed form: its rays are a and b, its inward facet
-    normals s (b1, -b0) and s (-a1, a0), the rows of the adjugate of the
-    ray matrix times the sign of its determinant, which are primitive since
-    the matrix is unimodular, and its multiplicity is 1.  So
-    ``_from_adjugate`` builds what ``_simplicial_cone``, and so
-    ``from_rays``, returns for a and b.  A cone of span dimension 2 in a
-    larger lattice builds its pieces with ``from_rays``.
+    In span coordinates (``_span``) consecutive elements a, b have
+    det(a, b) = s = +-1, so the piece on them is known in closed form: its
+    rays are up(a) and up(b), its normals the lifts of s (b1, -b0) and
+    s (-a1, a0), the rows of the adjugate times the sign of the
+    determinant, primitive since the matrix is unimodular, and its
+    multiplicity is 1: what ``_simplicial_cone`` returns for the two rays.
+    The rows are the forms det(., b) and -det(., a), so each basis element
+    h gives its ray and the lifts of +-det(., h) once.
     """
-    down, up, _ = _to_span_coords(cone)
+    down, up, lift = span = cone._span
     basis = _hilbert_basis_2d(*(down(r) for r in cone.extreme_rays))
     pairs = list(zip(basis, basis[1:]))
     dets = [a[0] * b[1] - a[1] * b[0] for a, b in pairs]
@@ -984,11 +977,13 @@ def _regular_pieces_2d(cone):
         raise InternalCheckError("continued fraction gave a singular cone")
     if len(pairs) == 1:
         return ()
-    if cone.dim != 2:
-        return tuple(RationalCone.from_rays([up(a), up(b)], cone.dim)
-                     for a, b in pairs)
-    return tuple(_from_adjugate(2, (a, b), s, ((b[1], -b[0]), (-a[1], a[0])))
-                 for (a, b), s in zip(pairs, dets))
+    rays = [up(h) for h in basis]
+    pos = [lift((h[1], -h[0])) for h in basis]
+    neg = [lift((-h[1], h[0])) for h in basis]
+    return tuple(_from_adjugate(
+        cone.dim, cone.span_equations, span, rays[i:i + 2],
+        (pos[i + 1], neg[i]) if s > 0 else (neg[i + 1], pos[i]), 1)
+        for i, s in enumerate(dets))
 
 
 def _stellar_loop(fan):

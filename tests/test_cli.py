@@ -634,6 +634,15 @@ def _zero_matrix(mat):
                                    *pieces[1].facet_normals[1:])),
          *pieces[2:]),
      "resolution cone differs from the cone of its rays"),
+    # the same for a cone of span dimension 2 in Z^3, whose pieces are
+    # lifted from its span coordinates
+    ("resolve", {"kind": "cone", "dim": 3, "rays": [[1, 0, 0], [1, 3, 0]]},
+     cc, "_regular_pieces_2d",
+     lambda pieces, cone: (pieces[0], dataclasses.replace(
+         pieces[1], facet_normals=(cc.vneg(pieces[1].facet_normals[0]),
+                                   *pieces[1].facet_normals[1:])),
+         *pieces[2:]),
+     "resolution cone differs from the cone of its rays"),
     ("pushout", _golden_doc("pushout-kummer-fine", "request.json"), mc,
      "pushout_with_maps",
      lambda result, left, right: dataclasses.replace(
@@ -676,7 +685,8 @@ def _zero_matrix(mat):
      lambda mult, cone: 1,
      "resolution is not regular by the Smith invariant factors"),
 ], ids=["dual", "hilbert", "resolve", "resolve-fan", "resolve-refines",
-        "resolve-covers", "resolve-rays", "resolve-canonical", "pushout",
+        "resolve-covers", "resolve-rays", "resolve-canonical",
+        "resolve-canonical-span", "pushout",
         "fiber", "blowup", "gp",
         "regular", "mult-smith", "regular-smith", "regular-fan-smith",
         "resolve-smith"])

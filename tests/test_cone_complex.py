@@ -416,10 +416,12 @@ def _independent_generator_lists(draw):
 
 
 def _oracle_det_abs(vectors):
-    """|det| as the product of the Smith invariant factors (0 when
-    singular), the old path of ``multiplicity``."""
+    """|det| in the span lattice as the product of the Smith invariant
+    factors (0 when dependent), the old path of ``multiplicity``: the index
+    of the lattice the vectors span in its saturation."""
     n = len(vectors)
-    diag = xl.smith_normal_form(xl.intmat(vectors, ncols=n)).diag
+    diag = xl.smith_normal_form(
+        xl.intmat(vectors, ncols=len(vectors[0]))).diag
     out = 1
     for d in diag:
         out *= d
@@ -433,22 +435,22 @@ def test_from_rays_of_independent_generators_matches_oracle(case):
     cone = cc.RationalCone.from_rays(gens, dim)
     assert cone == _oracle_from_rays(gens, dim)
     assert cone.is_simplicial
-    if cone.is_full_dimensional:
-        assert cc.multiplicity(cone) == _oracle_det_abs(cone.extreme_rays)
+    assert cc.multiplicity(cone) == _oracle_det_abs(cone.extreme_rays)
 
 
 def test_independent_generators_make_no_double_description(count_calls):
     dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
-    # the closed form: one elimination instead of a double description,
-    # for full-dimensional simplicial cones only
+    # the closed form: one elimination in the span lattice instead of a
+    # double description, for every list of independent generators
     for gens in ([(-3,)], [(1, 0), (1, 7)], [(2, 1), (1, 0)],
                  [(1, 0, 0), (0, 1, 0), (1, 1, -5)],
-                 [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 9)]):
+                 [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 9)],
+                 [(1, 0, 1), (1, 2, 1)], [(0, 2, 0, 4)], [(0, 0, 0)]):
         cone = cc.RationalCone.from_rays(gens, len(gens[0]))
-        assert cone.is_simplicial and cone.is_full_dimensional
+        assert cone.is_simplicial
     assert dd_calls == []
-    cc.RationalCone.from_rays([(1, 0, 1), (1, 2, 1)], 3)
-    cc.RationalCone.from_rays([(1, 0), (2, 0)], 2)
+    cc.RationalCone.from_rays([(1, 0, 1), (1, 2, 1), (2, 2, 2)], 3)
+    cc.RationalCone.from_rays([(1, 0), (2, 0), (-1, 0)], 2)
     assert len(dd_calls) == 2
 
 
@@ -501,7 +503,8 @@ def test_span_coordinates_match_integer_solve(cone):
     # per vector gives: the basis that ``up`` embeds spans the integer
     # kernel of the span equations and has full column rank
     assume(not cone.is_full_dimensional and not cone.is_zero)
-    down, up, m = cc._to_span_coords(cone)
+    down, up, lift = cone._span
+    m = cone.span_dim
     units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     basis = xl.intmat_from_columns([up(e) for e in units], nrows=cone.dim)
     assert cc.hnf_row_basis(xl.mat_columns(basis), cone.dim) == \
@@ -510,8 +513,10 @@ def test_span_coordinates_match_integer_solve(cone):
                                         cone.generators[-1]),):
         assert down(g) == xl.solve_integer(basis, g)
         assert up(down(g)) == g
-    with pytest.raises(InternalCheckError):
-        down(cone.span_equations[0])
+    # each canonical facet normal is the lift of the form it is on the
+    # span lattice
+    for n in cone.facet_normals:
+        assert lift(tuple(cc.vdot(n, b) for b in xl.mat_columns(basis))) == n
 
 
 def test_duality_double_description_counts(count_calls):
@@ -874,7 +879,7 @@ def _oracle_lattice_point(nums, big, ray_coords):
 def _oracle_subdivision_point(cone):
     """``_subdivision_point`` through the odometer, a key function per
     class and one point per call."""
-    down, up, _ = cc._to_span_coords(cone)
+    down, up, _ = cone._span
     rays = [down(r) for r in cone.extreme_rays]
     big, nums = _odometer_numerators(rays)
     best = min(nums, key=lambda n: (sum(n), n))
@@ -932,7 +937,8 @@ def _oracle_hilbert_basis(cone):
         raise DomainError("Hilbert bases are defined for strongly convex cones")
     if cone.is_zero:
         return ()
-    down, up, m = cc._to_span_coords(cone)
+    down, up, _ = cone._span
+    m = cone.span_dim
     inner = cc.RationalCone.from_rays([down(r) for r in cone.extreme_rays], m)
     candidates = {down(r) for r in cone.extreme_rays}
     for simplex in cc.pulling_triangulation(inner):
@@ -965,7 +971,8 @@ def _oracle_hilbert_basis_in_span(cone):
         raise DomainError("Hilbert bases are defined for strongly convex cones")
     if cone.is_zero:
         return ()
-    down, up, m = cc._to_span_coords(cone)
+    down, up, _ = cone._span
+    m = cone.span_dim
     rays = [down(r) for r in cone.extreme_rays]
     if m == 2:
         return tuple(sorted(up(h) for h in cc._hilbert_basis_2d(*rays)))
@@ -1264,16 +1271,18 @@ def test_simplicial_cones_keep_their_determinant(count_calls):
     # is_regular and Fan.is_regular read it
     cones = [cc.RationalCone.from_rays(gens, len(gens[0])) for gens in (
         [(-3,)], [(1, 0), (1, 7)], [(1, 0, 0), (0, 1, 0), (1, 1, -5)],
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 9)])]
-    cones.append(cc._simplicial_cone([(0, 1), (1, 0)], 2))
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 9)],
+        [(1, 0, 1), (1, 2, 1)])]
+    cones.append(cc._simplicial_cone([(0, 1), (1, 0)], 2, (),
+                                     cc._span_maps((), 2)))
     dets = count_calls(xl, "det_adjugate")
-    assert [cc.multiplicity(c) for c in cones] == [1, 7, 5, 9, 1]
+    assert [cc.multiplicity(c) for c in cones] == [1, 7, 5, 9, 2, 1]
     assert [cc.is_regular(c) for c in cones] == [True, False, False, False,
-                                                 True]
+                                                 False, True]
     assert not cc.Fan(dim=3, maximal_cones=(cones[2],)).is_regular()
     assert dets == []
-    # any other cone computes it on first use only
-    plane = cc.RationalCone.from_rays([(1, 0, 1), (1, 2, 1)], 3)
+    # a cone from double description computes it on first use only
+    plane = cc.RationalCone.from_rays([(1, 0, 1), (1, 2, 1), (2, 2, 2)], 3)
     assert cc.multiplicity(plane) == 2
     first = len(dets)
     assert cc.multiplicity(plane) == 2
@@ -2131,15 +2140,19 @@ def test_2d_resolution_checks_each_piece(monkeypatch):
 
 @st.composite
 def _singular_cones_2d(draw):
-    """A singular cone in Z^2: an A_k-type cone (1, 0), (1, k), or two
-    independent vectors with entries up to 40, in either order."""
+    """A singular cone of span dimension 2 in Z^2, Z^3 or Z^4: an A_k-type
+    cone (1, 0), (1, k) padded with zeros, or two independent vectors with
+    entries up to 40 in Z^2 and up to 6 beyond, in either order."""
+    dim = draw(st.sampled_from([2, 2, 3, 4]))
     if draw(st.booleans()):
-        rays = [(1, 0), (1, draw(st.integers(2, 400)))]
+        pad = (0,) * (dim - 2)
+        rays = [(1, 0, *pad), (1, draw(st.integers(2, 400)), *pad)]
     else:
-        vec = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any)
+        r = 40 if dim == 2 else 6
+        vec = st.tuples(*[st.integers(-r, r)] * dim).filter(any)
         rays = draw(st.lists(vec, min_size=2, max_size=2).filter(
             lambda g: _rank(g) == 2))
-    cone = cc.RationalCone.from_rays(rays, 2)
+    cone = cc.RationalCone.from_rays(rays, dim)
     assume(cc.multiplicity(cone) > 1)
     return cone
 
@@ -2147,41 +2160,51 @@ def _singular_cones_2d(draw):
 @settings(_DIFFERENTIAL, max_examples=200)
 @given(_singular_cones_2d())
 def test_2d_pieces_match_from_rays(cone):
-    # each closed-form piece is the cone from_rays builds from its rays
+    # each closed-form piece, lifted from the span coordinates of the cone,
+    # is the cone double description builds from its rays
     pieces = cc._regular_pieces_2d(cone)
     assert len(pieces) > 1
     for piece in pieces:
-        oracle = cc.RationalCone.from_rays(piece.extreme_rays, 2)
+        oracle = _oracle_from_rays(piece.extreme_rays, cone.dim)
         for f in dataclasses.fields(cc.RationalCone):
             assert getattr(piece, f.name) == getattr(oracle, f.name)
-        assert piece._abs_det == oracle._abs_det == 1
+        assert piece._abs_det == 1
         assert cc.multiplicity(piece) == cc.multiplicity(oracle) == 1
 
 
-@pytest.mark.parametrize("n", [50, 500])
-def test_2d_resolution_builds_no_cone_by_double_description(n, count_calls):
+@pytest.mark.parametrize("n, dim", [(50, 2), (500, 2), (500, 3)],
+                         ids=["50", "500", "500-in-z3"])
+def test_2d_resolution_builds_no_cone_by_double_description(n, dim,
+                                                            count_calls):
     # the continued fraction gives the rays, the adjugate of each unimodular
-    # pair its normals: no from_rays and no determinant
-    fan = _fan([[(1, 0), (1, n)]], 2)
+    # pair its normals, in the span coordinates of the input cone: no
+    # from_rays, no determinant, and one span decomposition, made when the
+    # input cone is built and shared by every piece
+    pad = (0,) * (dim - 2)
+    quotient_calls = count_calls(cc, "_quotient_maps")
+    fan = _fan([[(1, 0, *pad), (1, n, *pad)]], dim)
     from_rays_calls = count_calls(cc.RationalCone, "from_rays")
     det_calls = count_calls(xl, "det_adjugate")
     resolved = cc.resolve(fan)
     assert len(resolved.maximal_cones) == n
     assert from_rays_calls == []
     assert det_calls == []
+    assert len(quotient_calls) == (1 if dim > 2 else 0)
 
 
 @st.composite
-def _full_simplicial_cases(draw):
-    """A full-dimensional simplicial cone in Z^3 or Z^4 and a primitive
-    nonzero nonnegative combination of its rays (possibly a ray)."""
-    dim = draw(st.sampled_from([3, 4]))
-    r = _ENTRY_RANGE[dim]
+def _simplicial_cases(draw):
+    """A simplicial cone, full-dimensional in Z^3 or Z^4 or of span
+    dimension 2 or 3 in Z^3 to Z^5, and a primitive nonzero nonnegative
+    combination of its rays (possibly a ray)."""
+    dim = draw(st.sampled_from([3, 4, 5]))
+    span = draw(st.sampled_from([2, 3, dim] if dim < 5 else [2, 3]))
+    r = _ENTRY_RANGE[span]
     vec = st.tuples(*[st.integers(-r, r)] * dim).filter(any)
-    gens = draw(st.lists(vec, min_size=dim, max_size=dim).filter(
-        lambda g: _rank(g) == dim))
+    gens = draw(st.lists(vec, min_size=span, max_size=span).filter(
+        lambda g: _rank(g) == span))
     cone = cc.RationalCone.from_rays(gens, dim)
-    coeffs = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=span, max_size=span))
     point = tuple(sum(c * g[i] for c, g in zip(coeffs, cone.extreme_rays))
                   for i in range(dim))
     assume(any(point))
@@ -2189,16 +2212,24 @@ def _full_simplicial_cases(draw):
 
 
 @settings(_DIFFERENTIAL, max_examples=150)
-@given(_full_simplicial_cases())
-def test_joins_of_full_dimensional_simplicial_cones_match_oracle(case):
+@given(_simplicial_cases())
+def test_joins_of_simplicial_cones_match_oracle(case):
+    # built in the span coordinates of the cone, each join is the cone
+    # double description builds from its rays, of the same multiplicity
     cone, v = case
-    assert set(cc._joins(cone, v)) == set(_oracle_joins(cone, v))
+    joins = cc._joins(cone, v)
+    assert set(joins) == set(_oracle_joins(cone, v))
+    for join in joins:
+        assert join == _oracle_from_rays(join.extreme_rays, cone.dim)
+        assert cc.multiplicity(join) == _oracle_det_abs(join.extreme_rays)
 
 
 @pytest.mark.parametrize("rays, v", [
     ([(1, 0, 0), (0, 1, 0), (1, 1, 5)], (1, 1, 1)),
     ([(1, 0, 0), (0, 1, 0), (1, 1, 5)], (1, 1, 5)),
     ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 4)], (1, 1, 1, 1)),
+    # full-dimensional in its span lattice, of rank 3 in Z^4
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 50, 0)], (1, 1, 1, 0)),
 ])
 def test_joins_of_a_full_dimensional_simplicial_cone_skip_from_rays(
         rays, v, count_calls):
