@@ -11,10 +11,12 @@ duality against double description from scratch.
 import bisect
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import operator
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -452,6 +454,18 @@ def test_independent_generators_make_no_double_description(count_calls):
     cc.RationalCone.from_rays([(1, 0, 1), (1, 2, 1), (2, 2, 2)], 3)
     cc.RationalCone.from_rays([(1, 0), (2, 0), (-1, 0)], 2)
     assert len(dd_calls) == 2
+
+
+def test_dependent_generators_fewer_than_dim_take_one_saturated_kernel(
+        count_calls):
+    # from_rays computes the span equations to test independence and hands
+    # them to the double description as its lineality
+    calls = count_calls(cc, "_saturated_kernel")
+    gens = [(1, 0, 0, 1), (1, 2, 0, 1), (2, 2, 0, 2)]
+    cone = cc.RationalCone.from_rays(gens, 4)
+    assert len(calls) == 1
+    assert cone == _oracle_from_rays(gens, 4)
+    assert cone.span_equations == ((1, 0, 0, -1), (0, 0, 1, 0))
 
 
 def test_pointed_double_description_takes_no_smith_form(count_calls):
@@ -912,6 +926,8 @@ def test_parallelepiped_kernel_matches_the_loops_it_replaces(rays):
     assert (big, nums) == _odometer_numerators(rays)
     ranked = sorted((sum(n), n, n) for n in nums)
     assert cc._irreducible(ranked) == _oracle_irreducible(ranked)
+    if len(rays) == 3:
+        assert cc._minimal_triples(nums) == sorted(_oracle_irreducible(ranked))
     assert cc._lattice_points(nums, big, rays) == [
         _oracle_lattice_point(n, big, rays) for n in nums]
     cone = cc.RationalCone.from_rays(rays, len(rays))
@@ -927,6 +943,61 @@ def test_irreducible_matches_the_loop_it_replaces(values):
     ranked = sorted((v[0] + 2 * v[1] + 3 * v[2], v, i)
                     for i, v in enumerate(values))
     assert cc._irreducible(ranked) == _oracle_irreducible(ranked)
+
+
+@st.composite
+def _triples_with_ties(draw):
+    """Distinct nonzero triples over few first coordinates and few
+    projections to the last two, so that triples tie in the first
+    coordinate and share their projection, in no particular order."""
+    firsts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=1, max_size=6))
+    triples = draw(st.lists(
+        st.tuples(st.sampled_from(firsts), st.sampled_from(pairs)),
+        max_size=30))
+    return draw(st.permutations(
+        sorted({(a, b, c) for a, (b, c) in triples if a or b or c})))
+
+
+def _closed_under_differences(triples):
+    """The least set of triples that holds the given ones and h - b for any
+    two of its members b <= h, b != h: like the numerators of a
+    parallelepiped, whose differences of that kind are numerators too.
+    ``_irreducible`` needs that for its degree bound."""
+    out = set(triples)
+    todo = list(out)
+    while todo:
+        h = todo.pop()
+        for b in list(out):
+            for x, y in ((h, b), (b, h)):
+                d = tuple(map(operator.sub, x, y))
+                if any(d) and min(d) >= 0 and d not in out:
+                    out.add(d)
+                    todo.append(d)
+    return sorted(out)
+
+
+def _minimal_by_all_pairs(triples):
+    return sorted(t for t in triples if not any(
+        u != t and all(map(operator.le, u, t)) for u in triples))
+
+
+@settings(_DIFFERENTIAL, max_examples=300)
+@given(_triples_with_ties())
+@example([(0, 1, 2), (1, 1, 2), (0, 2, 1), (2, 0, 4), (2, 0, 3), (3, 2, 1)])
+@example([(1, 2, 3), (1, 3, 2), (1, 2, 2), (0, 3, 3), (0, 4, 1), (4, 0, 0)])
+def test_minimal_triples_match_the_degree_ranked_reduction(triples):
+    # as sets, the sweep keeps what the reduction it replaces for span
+    # dimension 3 keeps, on a set closed like the numerators it reduces;
+    # it needs no closure, and keeps the minimal ones of any set, in lex
+    # order
+    closed = _closed_under_differences(triples)
+    ranked = sorted((sum(t), t, t) for t in closed)
+    kept = cc._minimal_triples(closed[::-1])
+    assert kept == sorted(_oracle_irreducible(ranked))
+    assert kept == _minimal_by_all_pairs(closed)
+    assert cc._minimal_triples(triples) == _minimal_by_all_pairs(triples)
 
 
 def _oracle_hilbert_basis(cone):
@@ -1095,6 +1166,48 @@ def _embedded_3d_cones(draw):
 @given(_embedded_3d_cones())
 def test_hilbert_basis_matches_oracle_embedded_3d(case):
     _assert_matches_oracle(*case)
+
+
+@st.composite
+def _span_3_simplices(draw):
+    """Three independent vectors of Z^3 or Z^4: a simplicial cone of span
+    dimension 3, of multiplicity up to about a hundred."""
+    dim = draw(st.sampled_from([3, 4]))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    gens = draw(st.lists(vec, min_size=3, max_size=3, unique=True)
+                .filter(lambda g: _rank(g) == 3))
+    return gens, dim
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(_span_3_simplices())
+@example(([(1, 0, 0), (0, 1, 0), (37, 91, 200)], 3))
+@example(([(1, 0, 0), (0, 1, 0), (1, 1, 60)], 3))
+@example(([(2, 0, 0), (0, 4, 0), (1, 1, 12)], 3))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (3, 5, 40, 40)], 4))
+@example(([(1, 1, 0, 2), (0, 1, 1, -1), (3, -2, 5, 7)], 4))
+def test_hilbert_basis_matches_oracle_span_3_simplices(case):
+    # the Pareto-minima sweep of the parallelepiped numerators against the
+    # all-pairs reduction of every candidate point
+    gens, dim = case
+    cone = cc.RationalCone.from_rays(gens, dim)
+    assert cone.is_simplicial and cone.span_dim == 3
+    assert cc.hilbert_basis(cone) == _oracle_hilbert_basis(cone), gens
+
+
+def test_hilbert_basis_of_a_multiplicity_200000_simplex():
+    # 199,999 parallelepiped points and 7,589 basis elements; the digest
+    # is that of the basis the degree-ranked reduction returned, in 8-9 s
+    cone = cc.RationalCone.from_rays(
+        [(1, 0, 0), (0, 1, 0), (37, 91, 200000)], 3)
+    start = time.perf_counter()
+    basis = cc.hilbert_basis(cone)
+    elapsed = time.perf_counter() - start
+    assert len(basis) == 7589
+    payload = json.dumps(basis, separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == \
+        "e36d7b2e376deebd73781980b87cdfc1abf3180f17478213b6c426b591d48970"
+    assert elapsed < 3, f"{elapsed:.2f} s"
 
 
 def _hj_digits(m, q):
