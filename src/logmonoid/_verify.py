@@ -275,13 +275,19 @@ def _covers(cone, cones):
     some of them have its dimension, and each facet of one of those lies
     in a facet of ``cone`` or is a facet of a second one.  Otherwise a
     generic segment from inside their union to a missed point of ``cone``
-    leaves the union through the relative interior of an unmatched facet."""
+    leaves the union through the relative interior of an unmatched facet.
+
+    A facet is keyed by the generators of its cone on which its normal
+    vanishes: a face is generated by the generators it holds, and those of
+    a canonical cone are canonical, so equal keys mean equal facets.  It
+    lies in the facet of ``cone`` with normal n iff n vanishes on its key."""
     full = [c for c in cones if c.span_dim == cone.span_dim]
-    shared = Counter(f for c in full for f in facets(c))
-    boundary = facets(cone)
+    shared = Counter(frozenset(g for g in c.generators if cc.vdot(n, g) == 0)
+                     for c in full for n in c.facet_normals)
     return bool(full) and all(
-        n > 1 or any(b.contains_cone(f) for b in boundary)
-        for f, n in shared.items())
+        k > 1 or any(all(cc.vdot(n, g) == 0 for g in f)
+                     for n in cone.facet_normals)
+        for f, k in shared.items())
 
 
 def check_resolve(fan, resolved):
@@ -301,8 +307,8 @@ def check_resolve(fan, resolved):
     yield _check(_is_fan(resolved), "resolution is not a fan", "fan")
     inside = {c: [p for p in resolved.maximal_cones if c.contains_cone(p)]
               for c in fan.maximal_cones}
-    yield _check(all(any(p in cones for cones in inside.values())
-                     for p in resolved.maximal_cones),
+    placed = {p for cones in inside.values() for p in cones}
+    yield _check(all(p in placed for p in resolved.maximal_cones),
                  "resolution leaves the input cones", "refines")
     yield _check(all(_covers(c, cones) for c, cones in inside.items()),
                  "resolution does not cover an input cone", "covers")
@@ -327,25 +333,60 @@ def check_blowup_fan(ideal, fan):
                  "covers")
 
 
-def check_hom_check(verdict):
+def _second_kernel(hom):
+    """Ker(phi^gp) by a decomposition apart from the one the verdicts read:
+    ``kernel_basis`` of [matrix | -target relations], cut to the source
+    coordinates, generates it."""
+    amb, n = hom.target.ambient, hom.source.ambient.lift_dim
+    cols = xl.mat_columns(hom.matrix) + [
+        tuple(-x for x in c) for c in amb.relation_columns()]
+    basis = xl.kernel_basis(xl._from_columns(cols, amb.lift_dim))
+    return xl.subgroup_presentation(
+        hom.source.ambient, [c[:n] for c in xl.mat_columns(basis)])[0]
+
+
+def _second_cokernel(hom):
+    """Coker(phi^gp) as the quotient of the target group, relations first."""
+    return xl.quotient_presentation(
+        hom.target.ambient, xl.mat_columns(hom.matrix))[0]
+
+
+def check_hom_check(hom, verdict):
     yield _check(not verdict.is_etale or verdict.is_smooth,
                  "etale verdict without smoothness", "etale_smooth")
+    yield _check(verdict.gp_kernel == _second_kernel(hom),
+                 "group kernel differs from a second decomposition", "kernel")
+    yield _check(verdict.gp_cokernel == _second_cokernel(hom),
+                 "group cokernel differs from a second decomposition",
+                 "cokernel")
 
 
-def check_kummer(kummer, injective):
+def check_kummer(hom, kummer, injective):
     yield _check(not kummer or injective, "Kummer verdict without injectivity",
                  "injective")
+    yield _check(injective == _second_kernel(hom).is_trivial,
+                 "injectivity differs from the kernel of a second "
+                 "decomposition", "kernel")
+    yield _check(not kummer or _second_cokernel(hom).is_finite,
+                 "Kummer verdict with an infinite group cokernel", "cokernel")
 
 
-def check_neat(cls):
+def check_neat(hom, cls):
     yield _check(cls in ("zariski", "etale", "fppf"), "unknown chart class",
                  "known_class")
+    yield _check(lha.gp_cokernel(hom) == _second_cokernel(hom),
+                 "group cokernel differs from a second decomposition",
+                 "cokernel")
 
 
 def check_diff_rank(hom, rank):
-    yield _check(rank >= lha.gp_cokernel(hom).free_rank,
+    coker = _second_cokernel(hom)
+    yield _check(rank >= coker.free_rank,
                  "differential rank below the cokernel free rank",
                  "cokernel_rank")
+    yield _check(lha.gp_cokernel(hom) == coker,
+                 "group cokernel differs from a second decomposition",
+                 "cokernel")
 
 
 def check_diff_pres(pres):

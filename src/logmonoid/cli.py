@@ -470,20 +470,19 @@ def _h_hom_check(doc, path, args, warn):
             "is_smooth": verdict.is_smooth,
             "is_etale": verdict.is_etale,
             "gp_kernel": group_block(verdict.gp_kernel),
-            "gp_cokernel": group_block(verdict.gp_cokernel)}, (verdict,)
+            "gp_cokernel": group_block(verdict.gp_cokernel)}, (hom, verdict)
 
 
 @_command("kummer", "Kummer verdict and relative characteristic of a hom")
 def _h_kummer(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
-    # is_kummer with the group kernel computed once for both verdicts
-    injective = lha.is_gp_injective(hom)
-    kummer = injective and lha._multiples_in_image(hom)
+    kummer, injective = lha.is_kummer(hom), lha.is_gp_injective(hom)
     relchar = lha.relative_characteristic(hom)
     return {"kind": "kummer-verdict",
-            "is_kummer": bool(kummer),
-            "gp_injective": bool(injective),
-            "relative_characteristic": monoid_block(relchar)}, (kummer, injective)
+            "is_kummer": kummer,
+            "gp_injective": injective,
+            "relative_characteristic": monoid_block(relchar)}, \
+        (hom, kummer, injective)
 
 
 @_command("neat", "how locally a neat chart exists: zariski / etale / fppf")
@@ -492,7 +491,7 @@ def _h_neat(doc, path, args, warn):
     cls = lha.neat_chart_class(hom, residue_char=args.char)
     return {"kind": "neat-chart-class",
             "residue_char": args.char,
-            "class": cls}, (cls,)
+            "class": cls}, (hom, cls)
 
 
 @_command("diff-rank", "rank of the universal log differential module")

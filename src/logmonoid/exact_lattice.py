@@ -295,13 +295,14 @@ def kernel_basis(a):
     return _from_columns(_kernel_columns(dec), dec.right.shape[0])
 
 
-def _kernel_columns(dec):
+def _kernel_columns(dec, n=None):
     """The kernel basis of ``kernel_basis``, read off a Smith decomposition:
-    the columns of V past the invariant factors, sign-normalized."""
+    the columns of V past the invariant factors, sign-normalized, and cut
+    to their first n coordinates when n is given."""
     cols = []
     for col in mat_columns(dec.right)[len(dec.diag):]:
         lead = next((x for x in col if x != 0), 0)
-        cols.append(tuple(-x for x in col) if lead < 0 else col)
+        cols.append((tuple(-x for x in col) if lead < 0 else col)[:n])
     return cols
 
 
@@ -530,13 +531,15 @@ def group_from_relations(ngens, relation_columns):
 def _group_from_relations(ngens, cols):
     """``group_from_relations`` of int tuples of length ``ngens`` (trusted)."""
     dec = _snf_full(_from_columns(cols, ngens))
-    u, diag = dec.left, dec.diag
-    s = len(diag)
-    free_rows = u.rows[s:]
-    tors_rows = tuple(u.rows[i] for i in range(s) if diag[i] >= 2)
-    factors = tuple(f for f in diag if f >= 2)
-    group = FgAbelianGroup(free_rank=ngens - s, invariant_factors=factors)
-    return group, IntMatrix(free_rows + tors_rows, ngens)
+    rows, s = dec.left.rows, len(dec.diag)
+    tors_rows = tuple(rows[i] for i in range(s) if dec.diag[i] >= 2)
+    return _cokernel_of(dec), IntMatrix(rows[s:] + tors_rows, ngens)
+
+
+def _cokernel_of(dec):
+    """Z^m modulo the columns of an m-row matrix, from its Smith form."""
+    return FgAbelianGroup(dec.left.ncols - len(dec.diag),
+                          tuple(f for f in dec.diag if f >= 2))
 
 
 def quotient_presentation(group, extra_columns):
@@ -562,8 +565,7 @@ def _relations_among(group, vectors):
     The kernel of [vectors | group.relation_columns()], truncated to the
     vectors' coordinates; zero columns are kept.
     """
-    dec = _decompose_among(group, vectors)
-    return [col[:len(vectors)] for col in _kernel_columns(dec)]
+    return _kernel_columns(_decompose_among(group, vectors), len(vectors))
 
 
 def subgroup_presentation(group, elements):
@@ -582,8 +584,7 @@ def subgroup_presentation(group, elements):
     if dec.diag == (1,) * group.lift_dim:
         return group, elements
     n = len(elements)
-    sub, proj = _group_from_relations(
-        n, [col[:n] for col in _kernel_columns(dec)])
+    sub, proj = _group_from_relations(n, _kernel_columns(dec, n))
     images = [sub.reduce_vector(col) for col in mat_columns(proj)]
     return sub, images
 
@@ -608,15 +609,23 @@ def _hom_columns(source, target, matrix):
     return mat_columns(matrix)
 
 
+def _kernel_of(source, dec):
+    """Ker of a hom out of ``source``, generated by the relations among its
+    columns, read off their ``_decompose_among`` the target."""
+    return subgroup_presentation(
+        source, _kernel_columns(dec, source.lift_dim))[0]
+
+
 def hom_kernel(source, target, matrix):
     """Kernel of a hom of presented groups, in invariant-factor form."""
-    gens = _relations_among(target, _hom_columns(source, target, matrix))
-    return subgroup_presentation(source, gens)[0]
+    return _kernel_of(source, _decompose_among(
+        target, _hom_columns(source, target, matrix)))
 
 
 def hom_cokernel(source, target, matrix):
     """Cokernel of a hom of presented groups, in invariant-factor form."""
-    return quotient_presentation(target, _hom_columns(source, target, matrix))[0]
+    return _cokernel_of(_decompose_among(
+        target, _hom_columns(source, target, matrix)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ kernel and cokernel of the group map, the chart criterion for log smoothness
 and log etaleness at a residue characteristic, Kummer-ness, the relative
 characteristic monoid, the classification of how local one must go to find a
 neat chart, and the rank and presentation of the universal log differentials.
+
+Every verdict but the relative characteristic (its coordinates depend on the
+entries it decomposes) reads the two groups off ``MonoidHom._smith``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 from . import cone_complex as cc
@@ -44,6 +48,18 @@ class MonoidHom:
             raise DomainError(
                 "homomorphism maps a generator outside the target monoid")
 
+    @cached_property
+    def _smith(self):
+        """[matrix columns | target relations] in Smith form, kept with its
+        kernel: its invariant factors present Coker(phi^gp), and its kernel
+        columns, cut to the matrix columns, generate Ker(phi^gp)."""
+        return xl._decompose_among(self.target.ambient,
+                                   xl.mat_columns(self.matrix))
+
+    @cached_property
+    def _kernel(self):
+        return xl._kernel_of(self.source.ambient, self._smith)
+
     def _images(self):
         """The canonical lift tuples of the source generators' images."""
         amb = self.target.ambient
@@ -61,12 +77,12 @@ class MonoidHom:
 
 def gp_kernel(hom):
     """Ker of the map on Grothendieck groups, in invariant-factor form."""
-    return xl.hom_kernel(hom.source.ambient, hom.target.ambient, hom.matrix)
+    return hom._kernel
 
 
 def gp_cokernel(hom):
     """Coker of the map on Grothendieck groups, in invariant-factor form."""
-    return xl.hom_cokernel(hom.source.ambient, hom.target.ambient, hom.matrix)
+    return xl._cokernel_of(hom._smith)
 
 
 def is_gp_injective(hom):
@@ -132,13 +148,16 @@ def kato_criterion(hom, residue_char=0):
 
 def is_kummer(hom):
     """Whether the hom is Kummer: injective on groups, with every target
-    element having a multiple in the image of the source."""
-    return is_gp_injective(hom) and _multiples_in_image(hom)
+    element having a multiple in the image of the source.  As the target
+    generates its group, that makes Coker(phi^gp) torsion, hence finite:
+    the cheapest test comes first."""
+    return gp_cokernel(hom).is_finite and is_gp_injective(hom) and \
+        _multiples_in_image(hom)
 
 
 def _multiples_in_image(hom):
     """Whether every target element has a positive multiple in the image of
-    the source, for a hom that is injective on groups.
+    the source, for a hom that is injective on groups with finite cokernel.
 
     Given injectivity, a target element q has a positive multiple in the
     image iff its free part lies in the rational cone of the free parts of
@@ -147,7 +166,8 @@ def _multiples_in_image(hom):
     and a further multiple kills that.  The elements with such a multiple
     form a submonoid, so testing the target generators suffices.  One cone
     and one containment test per generator replace a nonnegative solve per
-    generator whose cost grows with the index of the image.
+    generator whose cost grows with the index of the image.  The cokernel
+    is finite, so the free parts span Q^r: the cone needs no span equations.
     """
     r = hom.target.ambient.free_rank
     image = cc.RationalCone.from_rays([v[:r] for v in hom._images()], r)

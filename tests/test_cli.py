@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
+import logmonoid.log_hom_analysis as lha
 import logmonoid.log_ideal_blowup as lib
 import logmonoid.monoid_core as mc
 from logmonoid import _verify, cli
@@ -189,12 +190,34 @@ def test_blowup_fan_asks_only_whether_the_host_is_toric(count_calls, capsys):
 
 
 def test_kummer_computes_the_group_kernel_once(count_calls, capsys):
-    # the injectivity verdict is computed once and read by both verdicts
+    # the hom keeps its kernel, and both verdicts read it
     case = Path(__file__).parent / "golden" / "cases" / "kummer-triple"
-    kernels = count_calls(xl, "hom_kernel")
+    kernels = count_calls(xl, "_kernel_of")
     assert cli.main(["kummer", str(case / "hom.json")]) == 0
     assert capsys.readouterr().out == (case / "expected.out").read_text()
     assert len(kernels) == 1
+
+
+@pytest.mark.parametrize("case", ["hom-check-nodal", "kummer-triple"])
+def test_every_hom_verdict_reads_one_decomposition(count_calls, case):
+    # the door checks the matrix once, and every group verdict reads the
+    # one Smith decomposition of [matrix columns | target relations]
+    doc = json.loads((Path(__file__).parent / "golden" / "cases" / case /
+                      "hom.json").read_text())
+    doors = count_calls(xl, "_hom_columns")
+    decompositions = count_calls(xl, "_decompose_among")
+    hom = cli.parse_hom(doc, case, pytest.fail)
+    for p in (0, 2, 3):
+        lha.kato_criterion(hom, p)
+        lha.neat_chart_class(hom, p)
+        lha.differential_rank(hom, p)
+    lha.is_kummer(hom)
+    lha.is_gp_injective(hom)
+    lha.universal_differential_presentation(hom)
+    cols = xl.mat_columns(hom.matrix)
+    assert len(doors) == 1
+    assert [args for args in decompositions if list(args[1]) == cols] == \
+        [(hom.target.ambient, cols)]
 
 
 def test_blowup_trusts_the_ideals_it_builds(count_calls, capsys):
@@ -684,12 +707,28 @@ def _zero_matrix(mat):
                  "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 5]]}, cc, "multiplicity",
      lambda mult, cone: 1,
      "resolution is not regular by the Smith invariant factors"),
+    # readings of the hom's one decomposition, against a second one: the
+    # nodal N -> N^2, 1 |-> (2, 2), is injective, and so is 1 |-> 3 on N
+    ("hom-check", _golden_doc("hom-check-nodal", "hom.json"), xl,
+     "_kernel_of", lambda ker, source, dec: xl.FgAbelianGroup(0, (2,)),
+     "group kernel differs from a second decomposition"),
+    ("kummer", _golden_doc("kummer-triple", "hom.json"), xl, "_kernel_of",
+     lambda ker, source, dec: xl.FgAbelianGroup(1),
+     "injectivity differs from the kernel of a second decomposition"),
+    ("neat", _golden_doc("neat-double", "hom.json"), lha, "gp_cokernel",
+     lambda coker, hom: xl.FgAbelianGroup(coker.free_rank + 1,
+                                          coker.invariant_factors),
+     "group cokernel differs from a second decomposition"),
+    ("diff-rank", _golden_doc("diff-rank-nodal", "hom.json"), lha,
+     "gp_cokernel", lambda coker, hom: xl.FgAbelianGroup(coker.free_rank),
+     "group cokernel differs from a second decomposition"),
 ], ids=["dual", "hilbert", "resolve", "resolve-fan", "resolve-refines",
         "resolve-covers", "resolve-rays", "resolve-canonical",
         "resolve-canonical-span", "pushout",
         "fiber", "blowup", "gp",
         "regular", "mult-smith", "regular-smith", "regular-fan-smith",
-        "resolve-smith"])
+        "resolve-smith", "hom-check-kernel", "kummer-kernel",
+        "neat-cokernel", "diff-rank-cokernel"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)

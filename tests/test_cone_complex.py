@@ -9,6 +9,7 @@ duality against double description from scratch.
 """
 
 import bisect
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -28,9 +29,9 @@ import logmonoid.cli as cli
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
-from logmonoid._verify import (_smith_multiplicity, check_resolve,
-                               face_by_normal, facets, intersect, is_face_of,
-                               smallest_containing_face)
+from logmonoid._verify import (_covers, _smith_multiplicity, check_resolve,
+                               face_by_normal, facets, intersect,
+                               is_face_of, smallest_containing_face)
 from logmonoid.errors import DomainError, InputError, InternalCheckError
 from conftest import all_cones, monoid_of_cone
 
@@ -2208,6 +2209,44 @@ def test_stellar_loop_matches_the_rescanning_loop(fan):
         mp.setattr(cc, "_stellar_loop", _oracle_stellar_loop)
         old = cc.resolve(fan)
     assert cc.resolve(fan).maximal_cones == old.maximal_cones
+
+
+def _covers_by_facet_cones(cone, cones):
+    """``_covers`` with every facet built as a cone, and matched as one."""
+    full = [c for c in cones if c.span_dim == cone.span_dim]
+    shared = collections.Counter(f for c in full for f in facets(c))
+    boundary = facets(cone)
+    return bool(full) and all(
+        n > 1 or any(b.contains_cone(f) for b in boundary)
+        for f, n in shared.items())
+
+
+@settings(_DIFFERENTIAL, max_examples=150)
+@given(st.one_of(
+    _fans_2d(), _stellar_fans(), _simplicial_fans_3d(),
+    _library_fans().filter(lambda fan: len(fan.maximal_cones) <= 12)),
+    st.sampled_from([cc.resolve, _triangulated]), st.data())
+def test_covers_matches_the_facet_cones(fan, subdivide, data):
+    # the pieces in each input cone, all of them or some dropped
+    pieces = subdivide(fan).maximal_cones
+    for cone in fan.maximal_cones:
+        inside = [p for p in pieces if cone.contains_cone(p)]
+        drop = data.draw(st.sets(st.integers(0, len(inside) - 1),
+                                 max_size=2))
+        kept = [p for i, p in enumerate(inside) if i not in drop]
+        assert _covers(cone, kept) == _covers_by_facet_cones(cone, kept)
+        assert _covers(cone, inside)
+
+
+@pytest.mark.parametrize("rays", [[(1, 0), (1, 40)], [(1, 0, 0), (1, 40, 0)],
+                                  [(1, 0, 0), (0, 1, 0), (1, 1, 12)]])
+def test_covers_builds_no_cone(rays, count_calls):
+    cone = cc.RationalCone.from_rays(rays, len(rays[0]))
+    pieces = cc.resolve(_fan([rays], cone.dim)).maximal_cones
+    cones = count_calls(cc.RationalCone, "from_rays")
+    assert _covers(cone, pieces)
+    assert not _covers(cone, pieces[1:])
+    assert cones == []
 
 
 @pytest.mark.parametrize("n", [50, 200])

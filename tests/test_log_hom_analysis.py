@@ -10,6 +10,7 @@ Oracles used here:
   the presented module over a field must match ``differential_rank``.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -139,7 +140,6 @@ def test_identity_hom():
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
 def test_kato_criterion_nodal_family(p):
-    import math
     for a in range(1, 7):
         for b in range(1, 7):
             verdict = lha.kato_criterion(_nodal(a, b), residue_char=p)
@@ -212,6 +212,65 @@ def test_hollow_chart_is_smooth_never_etale():
         assert lha.differential_rank(hollow, p) == 2
 
 
+@st.composite
+def _torsion_homs(draw):
+    """A hom out of a monoid of ``_monoids`` (torsion, units, free rank
+    0..3) into a group Z^r (+) torsion, r = 0..2, on a random matrix: a
+    torsion column of order f takes, on a factor g, a multiple of
+    g / gcd(f, g), so the matrix is a hom.  The target monoid is generated
+    by the unit vectors and the images, so kernels and cokernels, finite
+    and infinite, with and without torsion, all occur."""
+    src = draw(_monoids(max_gens=4))
+    tgt = xl.FgAbelianGroup(draw(st.integers(0, 2)), draw(
+        st.sampled_from([(), (2,), (4,), (2, 6)])))
+    r, gs = tgt.free_rank, tgt.invariant_factors
+    orders = (0,) * src.ambient.free_rank + src.ambient.invariant_factors
+    cols = [tuple(draw(st.integers(-3, 3)) if f == 0 else 0
+                  for _ in range(r)) +
+            tuple(draw(st.integers(0, 3)) * (g // math.gcd(f, g))
+                  for g in gs)
+            for f in orders]
+    units = [tuple(int(i == j) for j in range(tgt.lift_dim))
+             for i in range(tgt.lift_dim)]
+    images = [xl.apply(xl._from_columns(cols, tgt.lift_dim), v)
+              for v in src._vectors]
+    return _hom(src, mc.AffineMonoid(tgt, units + images),
+                [list(row) for row in zip(*cols)] if cols
+                else [[] for _ in range(tgt.lift_dim)])
+
+
+def _groups_by_two_decompositions(hom):
+    """Ker and Coker of phi^gp by two decompositions: the relations among
+    the matrix columns, and the quotient of the target by them."""
+    amb, cols = hom.target.ambient, xl.mat_columns(hom.matrix)
+    ker = xl.subgroup_presentation(hom.source.ambient,
+                                   xl._relations_among(amb, cols))[0]
+    return ker, xl.quotient_presentation(amb, cols)[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_torsion_homs())
+def test_verdicts_read_the_groups_of_two_decompositions(hom):
+    ker, coker = _groups_by_two_decompositions(hom)
+    assert lha.gp_kernel(hom) == ker
+    assert lha.gp_cokernel(hom) == coker
+    assert lha.is_gp_injective(hom) == ker.is_trivial
+    for p in (0, 2, 3):
+        smooth = ker.is_finite and xl.is_order_invertible(ker, p) and \
+            xl.is_order_invertible(coker, p)
+        verdict = lha.kato_criterion(hom, p)
+        assert (verdict.is_smooth, verdict.is_etale, verdict.gp_kernel,
+                verdict.gp_cokernel) == \
+            (smooth, smooth and coker.is_finite, ker, coker)
+        assert lha.neat_chart_class(hom, p) == (
+            "zariski" if not coker.invariant_factors else
+            "etale" if xl.is_order_invertible(coker, p) else "fppf")
+        assert lha.differential_rank(hom, p) == coker.free_rank + sum(
+            1 for f in coker.invariant_factors if p and f % p == 0)
+    assert lha.universal_differential_presentation(hom).module == coker
+
+
 # ---------------------------------------------------------------------------
 # Kummer homomorphisms
 
@@ -267,10 +326,11 @@ def _oracle_is_kummer(hom):
 @st.composite
 def _scaled_inclusions(draw):
     """k times the inclusion of a monoid M into the monoid generated by M
-    and one or two more elements of its group, k = 1..3.  M comes from
-    ``_monoids`` (torsion, units), cut to positive free rank, where Kummer
-    is not automatic, and to four generators, as the oracle's solve grows
-    fast with the columns.  Multiplication by k kills torsion of order
+    and one or two more elements of its group, k = 1..3, in half the draws
+    followed by M' -> M' (+) N, whose group cokernel is infinite.  M comes
+    from ``_monoids`` (torsion, units), cut to positive free rank, where
+    Kummer is not automatic, and to four generators, as the oracle's solve
+    grows fast with the columns.  Multiplication by k kills torsion of order
     dividing k, so the group map is not always injective."""
     src = draw(_monoids())
     assume(src.ambient.free_rank and len(src.generators) <= 4)
@@ -282,8 +342,14 @@ def _scaled_inclusions(draw):
     dst = mc.AffineMonoid(amb, src.generators + tuple(extra))
     k = draw(st.integers(1, 3))
     n = amb.lift_dim
-    return _hom(src, dst, [[k if i == j else 0 for j in range(n)]
-                           for i in range(n)])
+    rows = [[k if i == j else 0 for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        r = amb.free_rank
+        wide = xl.FgAbelianGroup(r + 1, amb.invariant_factors)
+        dst = mc.AffineMonoid(wide, [v[:r] + (0,) + v[r:] for v in dst._vectors]
+                              + [tuple(int(i == r) for i in range(n + 1))])
+        rows.insert(r, [0] * n)
+    return _hom(src, dst, rows)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,
