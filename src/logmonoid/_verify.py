@@ -36,10 +36,17 @@ def _verify_relations_hold(group, images, relations, what):
                f"{what}: images violate the relation {list(u)} = {list(v)}")
 
 
+def _searched(monoid, elem):
+    """Membership by one Contejean-Devie search of the membership system,
+    independent of the lattice verdict ``monoid_core.contains`` reads."""
+    vec = mc.vector_of(monoid.ambient, elem)
+    return next(xl._nonneg_solutions(monoid._system, vec), None) is not None
+
+
 def _solver_units(monoid):
-    """The invertible generators by one membership test each, independent of
-    the incidence rule ``monoid_core.units`` reads them off."""
-    return [g for g in monoid.generators if monoid.contains(monoid.neg(g))]
+    """The invertible generators by one membership search each, independent
+    of the incidence rule ``monoid_core.units`` reads them off."""
+    return [g for g in monoid.generators if _searched(monoid, monoid.neg(g))]
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +116,7 @@ def check_int(pres, monoid):
 def check_sat(monoid, sat):
     yield _check(mc.is_saturated(sat), "saturation is not saturated",
                  "saturated")
-    yield _check(all(sat.contains(g) for g in monoid.generators),
+    yield _check(all(_searched(sat, g) for g in monoid.generators),
                  "saturation does not contain the original monoid", "contains")
 
 
@@ -148,9 +155,12 @@ def check_spec(monoid, primes):
                  "a facet of a listed face is missing", "complete")
 
 
-def check_props(pred):
+def check_props(pred, monoid):
     yield _check(not pred.is_toric or (pred.is_sharp and pred.is_saturated),
                  "toric verdict without sharp + saturated", "toric")
+    yield _check(pred.is_saturated == all(
+        _searched(monoid, v) for v in mc.saturate(monoid)._vectors),
+        "saturation verdict differs from the membership search", "saturated")
     yield _check(not pred.is_free or pred.is_saturated,
                  "free verdict without saturation", "free")
 
@@ -187,7 +197,7 @@ def check_pushout(mode, left, right, result, monoid=None):
 def check_fiber(left, right, pairs):
     yield _check(all(left.apply(m) == right.apply(n) for m, n in pairs),
                  "fiber pair does not equalize the two legs", "equalizes")
-    yield _check(all(left.source.contains(m) and right.source.contains(n)
+    yield _check(all(_searched(left.source, m) and _searched(right.source, n)
                      for m, n in pairs),
                  "fiber pair leaves the factors", "in_factors")
 
@@ -315,7 +325,7 @@ def check_resolve(fan, resolved):
 
 
 def check_blowup(ideal, charts):
-    yield _check(all(c.fine.contains(g.as_vector())
+    yield _check(all(_searched(c.fine, g.as_vector())
                      for c in charts for g in ideal.host.generators),
                  "blowup chart does not contain the host monoid", "contains_host")
     yield _check(all(mc.is_saturated(c.fs) for c in charts),
@@ -379,7 +389,7 @@ def check_neat(hom, cls):
                  "cokernel")
 
 
-def check_diff_rank(hom, rank):
+def check_diff_rank(hom, rank, injective, kernel_trivial):
     coker = _second_cokernel(hom)
     yield _check(rank >= coker.free_rank,
                  "differential rank below the cokernel free rank",
@@ -387,6 +397,14 @@ def check_diff_rank(hom, rank):
     yield _check(lha.gp_cokernel(hom) == coker,
                  "group cokernel differs from a second decomposition",
                  "cokernel")
+    second = _second_kernel(hom).is_trivial
+    yield _check(injective == second,
+                 "injectivity differs from the kernel of a second "
+                 "decomposition", "injective")
+    # Ker(phi) on M lies in Ker(phi^gp)
+    yield _check(not second or kernel_trivial,
+                 "a hom injective on groups has a nontrivial monoid kernel",
+                 "monoid_kernel")
 
 
 def check_diff_pres(pres):

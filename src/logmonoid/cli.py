@@ -342,7 +342,7 @@ def _h_props(doc, path, args, warn):
             "is_sharp": pred.is_sharp,
             "is_saturated": pred.is_saturated,
             "is_toric": pred.is_toric,
-            "is_free": pred.is_free}, (pred,)
+            "is_free": pred.is_free}, (pred, monoid)
 
 
 @_command("rank", "rank of the sharpened characteristic monoid")
@@ -498,11 +498,14 @@ def _h_neat(doc, path, args, warn):
 def _h_diff_rank(doc, path, args, warn):
     hom = parse_hom(doc, path, warn)
     rank = lha.differential_rank(hom, residue_char=args.char)
+    injective = lha.is_gp_injective(hom)
+    kernel_trivial = lha.monoid_kernel_trivial(hom)
     return {"kind": "differential-rank",
             "residue_char": args.char,
             "rank": rank,
-            "gp_injective": lha.is_gp_injective(hom),
-            "monoid_kernel_trivial": lha.monoid_kernel_trivial(hom)}, (hom, rank)
+            "gp_injective": injective,
+            "monoid_kernel_trivial": kernel_trivial}, \
+        (hom, rank, injective, kernel_trivial)
 
 
 @_command("diff-pres", "symbolic presentation of the log differential module")

@@ -579,14 +579,20 @@ def subgroup_presentation(group, elements):
     elements generate ``group`` (lift_dim invariant factors 1) the result is
     ``group`` itself and the coordinates are kept.
     """
+    return _span_presentation(group, elements)[:2]
+
+
+def _span_presentation(group, elements):
+    """(sub, images, dec): ``subgroup_presentation`` with the Smith
+    decomposition of [reduced elements | relations] it reads them off."""
     elements = [group.reduce_vector(e) for e in elements]
     dec = _decompose_among(group, elements)
     if dec.diag == (1,) * group.lift_dim:
-        return group, elements
+        return group, elements, dec
     n = len(elements)
     sub, proj = _group_from_relations(n, _kernel_columns(dec, n))
     images = [sub.reduce_vector(col) for col in mat_columns(proj)]
-    return sub, images
+    return sub, images, dec
 
 
 def hom_is_well_defined(source, target, matrix):

@@ -22,22 +22,26 @@ surjection (``sharpen``, ``integralize``, pushouts), they contain a spanning
 set (blowup charts, saturation), or the group was just presented on them
 as generators (``span_submonoid``).  The public constructor
 ``AffineMonoid(...)`` keeps every check.  An affine monoid also caches, in
-private attributes, the membership system that ``contains`` and
-``expression`` solve against and the cone of its free parts.
+private attributes, the membership system that ``expression`` solves
+against, the lattice of relations among its generators that ``contains``
+decides in, and the cone of its free parts.
 
 Elements have one currency inside the package: the canonical lift tuple,
 free part then torsion residues reduced into [0, f).  ``vector_of`` is the
 one door for a caller's lift vector or ``MonoidElement``: it reduces once
 and refuses an element that does not split as the ambient does.  A
 ``MonoidElement`` is built only for a public field or return value.
-``contains`` answers zero and the generators by definition and solves only
-for the rest.
+``contains`` answers zero and the generators by definition, decides the
+rest in the lattice of relations when it has rank at most 2, and searches
+only above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
+from operator import mul
 
 from .errors import DomainError, InputError
 from . import cone_complex as cc
@@ -153,8 +157,9 @@ class AffineMonoid:
     checks the invariant; the constructions of this package use
     ``_spanning``, where it holds by construction (see the module
     docstring).  The private ``_vectors`` are the generators' canonical
-    lift tuples, and the private ``_system`` and ``_cone`` are cached on
-    first use; equality and hashing see only the two fields.
+    lift tuples, and the private ``_smith``, ``_system``, ``_lattice`` and
+    ``_cone`` are cached on first use; equality and hashing see only the
+    two fields.
     """
 
     ambient: xl.FgAbelianGroup
@@ -162,8 +167,9 @@ class AffineMonoid:
 
     def __post_init__(self):
         self._keep(vector_of(self.ambient, e) for e in self.generators)
-        quot, _ = xl.quotient_presentation(self.ambient, self._vectors)
-        if not quot.is_trivial:
+        # they generate the ambient iff [generators | relations] has
+        # lift_dim invariant factors, all 1: a trivial cokernel
+        if self._smith.diag != (1,) * self.ambient.lift_dim:
             raise InputError(
                 "generators do not generate the ambient group; "
                 "use AffineMonoid.from_vectors to re-present the span")
@@ -192,6 +198,19 @@ class AffineMonoid:
     def _system(self):
         """The membership system of the generators (``_membership_system``)."""
         return _membership_system(self.ambient, self._vectors)
+
+    @cached_property
+    def _smith(self):
+        """The Smith decomposition of [generators | ambient relations]
+        (``xl._decompose_among``), which ``span_submonoid`` passes on."""
+        return xl._decompose_among(self.ambient, self._vectors)
+
+    @cached_property
+    def _lattice(self):
+        """The relation lattice that ``contains`` decides in
+        (``_relation_lattice``)."""
+        return _relation_lattice(self._smith, len(self._vectors),
+                                 self.ambient.lift_dim)
 
     @cached_property
     def _cone(self):
@@ -259,9 +278,14 @@ def span_submonoid(host, vectors):
     the new coordinates.  When the vectors generate all of ``host`` the
     coordinates are kept unchanged.
     """
-    sub, images = xl.subgroup_presentation(host, vectors)
+    sub, images, dec = xl._span_presentation(host, vectors)
     # the subgroup is presented on these very images as generators
-    return AffineMonoid._spanning(sub, images), images
+    monoid = AffineMonoid._spanning(sub, images)
+    if sub is host and len(monoid._vectors) == len(images):
+        # coordinates kept and nothing dropped: dec decomposes
+        # [monoid._vectors | relations], as ``_smith`` does
+        object.__setattr__(monoid, "_smith", dec)
+    return monoid, images
 
 
 def free_monoid(n):
@@ -292,13 +316,117 @@ def _membership_system(ambient, vectors):
         tuple(tuple(-x for x in c) for c in ambient.relation_columns())
 
 
+def _relation_lattice(dec, n, lift):
+    """(particular, kernel) from the Smith decomposition U A V of
+    A = [n generators | relations] of a group of lift dimension ``lift``
+    that they generate: n rows each, the rows of V_head U and of the kernel
+    columns of V, cut to the generators' coordinates (see ``contains``)."""
+    left, right = dec.left.rows, dec.right.rows[:n]
+    particular = tuple(tuple(sum(map(mul, row[:lift], col))
+                             for col in zip(*left)) for row in right)
+    return particular, tuple(row[lift:] for row in right)
+
+
+def _bounds(rows):
+    """The least and greatest integer t with a + c t >= 0 for every (a, c)
+    in ``rows``, -inf or inf where no row bounds t; lo > hi when no t
+    exists."""
+    lo, hi = -inf, inf
+    for a, c in rows:
+        if c > 0:
+            lo = max(lo, -(a // c))
+        elif c < 0:
+            hi = min(hi, a // -c)
+        elif a < 0:
+            return inf, -inf
+    return lo, hi
+
+
+def _has_point(rows):
+    """Whether some integer t has a + c t >= 0 for every (a, c) in rows."""
+    lo, hi = _bounds(rows)
+    return lo <= hi
+
+
+def _lattice_verdict(lattice, vec):
+    """Whether x0 + K lam >= 0 for some integer lam, with x0 and K read off
+    ``lattice`` for the target ``vec``, at kernel rank k <= 2; None when
+    k >= 3 or the projection of the k = 2 polyhedron is unbounded (see
+    ``contains``)."""
+    particular, kernel = lattice
+    x0 = [sum(map(mul, row, vec)) for row in particular]
+    k = len(kernel[0])
+    if k == 0:
+        return min(x0) >= 0
+    if k == 1:
+        return _has_point((a, c) for a, (c,) in zip(x0, kernel))
+    if k > 2:
+        return None
+    rows = [(a, c1, c2) for a, (c1, c2) in zip(x0, kernel)]
+    up = [row for row in rows if row[2] > 0]
+    lo, hi = _bounds([(a, c1) for a, c1, c2 in rows if not c2] + [
+        (c * a - d * b, c * c1 - d * e1)
+        for a, c1, d in rows if d < 0 for b, e1, c in up])
+    if lo > hi:
+        return False
+    if lo == -inf or hi == inf:
+        return None
+    return any(_has_point([(a + c1 * t, c2) for a, c1, c2 in rows])
+               for t in range(lo, hi + 1))
+
+
 def contains(monoid, elem):
     """Whether ``elem`` (MonoidElement or lift vector) lies in ``monoid``:
-    zero and the generators by definition, anything else by one solve."""
+    zero and the generators by definition, anything else in the lattice of
+    relations among the generators, and by one Contejean-Devie search only
+    where that is not decided in closed form.
+
+    At free rank 0 the ambient is finite, and M, a submonoid of a finite
+    group, is a group (-g = (e - 1) g for g of order e), which generates
+    the ambient: M is all of it.
+
+    Otherwise, with generators g_1..g_n and b the canonical lift tuple of
+    ``elem``, b is in M iff the membership system (``_membership_system``)
+    has a solution (x, s) >= 0 of sum_i x_i g_i - diag(f) s = b.  The slack
+    needs no sign condition: the residues of the g_i and of b are reduced
+    into [0, f), so for x >= 0 each f_j s_j = sum_i x_i g_ij - b_j > -f_j,
+    hence s_j >= 0.  So b is in M iff some integer x >= 0 has
+    sum_i x_i g_i = b in the ambient.  The generators span the ambient, so
+    the Smith decomposition U A V = D of A = [g | diag(f)]
+    (``xl._decompose_among``) has lift_dim invariant factors, all 1:
+    A V_head U b = b for V_head the first lift_dim columns of V, and the
+    other n + t - lift_dim = n - r = k columns of V span the integer kernel
+    of A.  The sign of the slack rows is then immaterial, and they are cut
+    off: the k kernel columns stay independent on the first n rows, since a
+    kernel vector with x = 0 has diag(f) s = 0.  With x0 and K the first n
+    rows of V_head U b and of the kernel columns (``_relation_lattice``,
+    cached per monoid as ``_lattice``), b is in M iff x0 + K lam >= 0 for
+    some lam in Z^k.  Each row a + c lam >= 0 with one unknown bounds lam
+    below by ceil(-a / c) = -(a // c) when c > 0, above by a // -c when
+    c < 0, and holds or fails outright when c = 0 (``_bounds``).
+
+      - k = 0: b is in M iff x0 >= 0;
+      - k = 1: iff no row fails and the greatest lower bound is at most the
+        least upper bound, which holds at once when one side is unbounded;
+      - k = 2: one Fourier-Motzkin step eliminates lam_2 (Schrijver,
+        *Theory of Linear and Integer Programming*, 12.2): the rows whose
+        lam_2 coefficient is 0 and, for each pair of rows p, q with lam_2
+        coefficients c > 0 > d, the row c q - d p, cut out exactly the
+        real projection of the polyhedron on lam_1.  Every integer point
+        of the polyhedron lies over an integer lam_1 in that range, and
+        for each such lam_1 the k = 1 test decides lam_2.  An empty range is a no;
+        a range unbounded on one side makes the polyhedron unbounded, so
+        its recession cone {K lam >= 0} holds some lam != 0, and K lam is a
+        nonzero x >= 0 with sum x_i g_i = 0: M has units, and the search
+        decides, as it does for every k >= 3.
+    """
     vec = vector_of(monoid.ambient, elem)
-    if not any(vec) or vec in monoid._vectors:
+    if not any(vec) or vec in monoid._vectors or not monoid.ambient.free_rank:
         return True
-    return next(xl._nonneg_solutions(monoid._system, vec), None) is not None
+    verdict = _lattice_verdict(monoid._lattice, vec)
+    if verdict is None:
+        return next(xl._nonneg_solutions(monoid._system, vec), None) is not None
+    return verdict
 
 
 def expression(monoid, elem):

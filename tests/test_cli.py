@@ -222,13 +222,15 @@ def test_every_hom_verdict_reads_one_decomposition(count_calls, case):
 
 def test_blowup_trusts_the_ideals_it_builds(count_calls, capsys):
     # reduced and pulled ideals keep generators known to lie in their host,
-    # so only the divisibility tests search: 4, not the 6 of rebuilding
-    # them through the public constructor
+    # so only the divisibility tests decide a membership that is not zero
+    # or a generator: 4, not the 6 of rebuilding them through the public
+    # constructor
     case = Path(__file__).parent / "golden" / "cases" / "blowup-plane"
+    decided = count_calls(mc, "_lattice_verdict")
     searches = count_calls(xl, "_minimal_solutions")
     assert cli.main(["blowup", str(case / "ideal.json")]) == 0
     assert capsys.readouterr().out == (case / "expected.out").read_text()
-    assert len(searches) == 4
+    assert len(decided) == 4 and searches == []
 
 
 def test_resolve_validates_a_parsed_fan_once(count_calls, capsys):
@@ -722,13 +724,27 @@ def _zero_matrix(mat):
     ("diff-rank", _golden_doc("diff-rank-nodal", "hom.json"), lha,
      "gp_cokernel", lambda coker, hom: xl.FgAbelianGroup(coker.free_rank),
      "group cokernel differs from a second decomposition"),
+    ("diff-rank", _golden_doc("diff-rank-nodal", "hom.json"), lha,
+     "is_gp_injective", lambda injective, hom: not injective,
+     "injectivity differs from the kernel of a second decomposition"),
+    ("diff-rank", _golden_doc("diff-rank-nodal", "hom.json"), lha,
+     "monoid_kernel_trivial", lambda trivial, hom: False,
+     "a hom injective on groups has a nontrivial monoid kernel"),
+    # <(1, 0), (1, 1)> in Z (+) Z/2 misses (0, 1) of its saturation, which
+    # the lattice of relations (kernel rank 1) decides; flipped, the monoid
+    # reads as saturated
+    ("props", _golden_doc("props-kummer-monoid", "kummer.json"), mc,
+     "_lattice_verdict",
+     lambda verdict, lattice, vec: None if verdict is None else not verdict,
+     "saturation verdict differs from the membership search"),
 ], ids=["dual", "hilbert", "resolve", "resolve-fan", "resolve-refines",
         "resolve-covers", "resolve-rays", "resolve-canonical",
         "resolve-canonical-span", "pushout",
         "fiber", "blowup", "gp",
         "regular", "mult-smith", "regular-smith", "regular-fan-smith",
         "resolve-smith", "hom-check-kernel", "kummer-kernel",
-        "neat-cokernel", "diff-rank-cokernel"])
+        "neat-cokernel", "diff-rank-cokernel", "diff-rank-injective",
+        "diff-rank-monoid-kernel", "props-saturated"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)

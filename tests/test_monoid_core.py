@@ -11,16 +11,17 @@ import contextlib
 import itertools
 import random
 import sys
+import time
 from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
-from logmonoid._verify import facets
+from logmonoid._verify import _searched, facets
 from logmonoid.errors import InputError
 
 from conftest import group_monoid, has_nonneg_solution, identity_hom
@@ -216,6 +217,68 @@ def test_membership_with_torsion():
     assert m.contains((1, 1))
     assert not m.contains((0, 1))  # the famous missing element
     assert m.contains((0, 0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_lattice_membership_matches_the_search(data):
+    monoid = data.draw(_monoids())
+    amb, vectors = monoid.ambient, monoid._vectors
+    k = len(vectors) - amb.free_rank
+    event(f"kernel rank {k}" if amb.free_rank else "free rank 0")
+    vec = st.tuples(*[st.integers(-4, 4)] * amb.free_rank,
+                    *[st.integers(0, f - 1) for f in amb.invariant_factors])
+    exponents = st.tuples(*[st.integers(0, 3)] * len(vectors))
+    sums = [mc._combination(amb, e, vectors)
+            for e in data.draw(st.lists(exponents, min_size=1, max_size=3))]
+    for t in sums + data.draw(st.lists(vec, min_size=1, max_size=3)):
+        if amb.free_rank and any(t) and k <= 2 and \
+                mc._lattice_verdict(monoid._lattice, t) is None:
+            event("search at kernel rank <= 2")
+        assert mc.contains(monoid, t) == _searched(monoid, t), t
+    assert all(mc.contains(monoid, t) for t in sums)
+
+
+def test_a_large_target_is_decided_at_once():
+    # the search ran for more than 120 s on (200, 300), and 1.8 s on (60, 90)
+    m = mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2), (1, 3)])
+    start = time.perf_counter()
+    assert m.contains((200, 300))
+    assert m.contains((60, 90))
+    assert not m.contains((200, 601))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_far_hole_of_a_monoid_that_is_not_saturated_is_decided_at_once():
+    # (2m + 1, 1) lies inside the cone, the quadrant, and in the group, but
+    # every sum of the generators at height 1 has even first coordinate
+    m = mc.AffineMonoid.from_vectors([(2, 0), (0, 1), (2, 1), (1, 2)])
+    assert m.ambient == xl.FgAbelianGroup(2) and not mc.is_saturated(m)
+    start = time.perf_counter()
+    assert not m.contains((2 * 10 ** 6 + 1, 1))
+    assert m.contains((2 * 10 ** 6 + 1, 2))
+    assert m.contains((2 * 10 ** 6, 1))
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("gens, torsion", [
+    ([(1, 0), (0, 1)], ()),
+    ([(1, 0), (1, 1), (1, 2)], ()),
+    ([(1, 0), (1, 1), (1, 2), (1, 3)], ()),
+    ([(2, 0), (0, 1), (2, 1), (1, 2)], ()),
+    ([(1, 1), (1, 0), (2, 1)], (2,)),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 2), (2, 1, 3), (1, 2, 3)], ()),
+])
+def test_a_sharp_monoid_of_kernel_rank_at_most_2_needs_no_search(
+        gens, torsion, count_calls):
+    m = mc.AffineMonoid.from_vectors(gens, torsion)
+    assert not mc.units(m) and len(m._vectors) - m.ambient.free_rank <= 2
+    searches = count_calls(xl, "_nonneg_solutions")
+    box = itertools.product(range(-1, 7), repeat=m.ambient.free_rank)
+    answers = [m.contains(t + (0,) * len(torsion)) for t in box]
+    assert True in answers and False in answers
+    assert searches == []
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200,
@@ -646,9 +709,9 @@ def test_is_toric_matches_predicates(monoid):
 
 
 def _solver_units(monoid):
-    """The invertible generators by one membership test each."""
+    """The invertible generators by one membership search each."""
     return tuple(sorted(g for g in monoid.generators
-                        if monoid.contains(monoid.neg(g))))
+                        if _searched(monoid, monoid.neg(g))))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200,
@@ -740,7 +803,7 @@ def test_units_alone_do_not_make_a_monoid_saturated():
 def test_is_saturated_matches_the_membership_oracle(monoid):
     sat = mc.saturate(monoid)
     assert mc.is_saturated(monoid) == all(
-        monoid.contains(g) for g in sat.generators)
+        _searched(monoid, g) for g in sat._vectors)
 
 
 # ---------------------------------------------------------------------------
