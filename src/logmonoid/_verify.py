@@ -361,14 +361,25 @@ def _second_cokernel(hom):
         hom.target.ambient, xl.mat_columns(hom.matrix))[0]
 
 
-def check_hom_check(hom, verdict):
-    yield _check(not verdict.is_etale or verdict.is_smooth,
-                 "etale verdict without smoothness", "etale_smooth")
-    yield _check(verdict.gp_kernel == _second_kernel(hom),
+def _invertible(group, p):
+    """Whether the torsion order of ``group`` is invertible in residue
+    characteristic p, 0 or a prime: whether p divides no invariant factor."""
+    return p == 0 or all(f % p for f in group.invariant_factors)
+
+
+def check_hom_check(hom, verdict, char):
+    ker, coker = _second_kernel(hom), _second_cokernel(hom)
+    yield _check(verdict.gp_kernel == ker,
                  "group kernel differs from a second decomposition", "kernel")
-    yield _check(verdict.gp_cokernel == _second_cokernel(hom),
+    yield _check(verdict.gp_cokernel == coker,
                  "group cokernel differs from a second decomposition",
                  "cokernel")
+    smooth = ker.is_finite and _invertible(ker, char) and \
+        _invertible(coker, char)
+    yield _check((verdict.residue_char, verdict.is_smooth, verdict.is_etale) ==
+                 (char, smooth, smooth and coker.is_finite),
+                 "smoothness verdict differs from the chart criterion on a "
+                 "second decomposition", "criterion")
 
 
 def check_kummer(hom, kummer, injective):
@@ -381,22 +392,28 @@ def check_kummer(hom, kummer, injective):
                  "Kummer verdict with an infinite group cokernel", "cokernel")
 
 
-def check_neat(hom, cls):
-    yield _check(cls in ("zariski", "etale", "fppf"), "unknown chart class",
-                 "known_class")
-    yield _check(lha.gp_cokernel(hom) == _second_cokernel(hom),
-                 "group cokernel differs from a second decomposition",
-                 "cokernel")
-
-
-def check_diff_rank(hom, rank, injective, kernel_trivial):
+def check_neat(hom, cls, char):
     coker = _second_cokernel(hom)
-    yield _check(rank >= coker.free_rank,
-                 "differential rank below the cokernel free rank",
-                 "cokernel_rank")
     yield _check(lha.gp_cokernel(hom) == coker,
                  "group cokernel differs from a second decomposition",
                  "cokernel")
+    want = "etale" if _invertible(coker, char) else "fppf"
+    yield _check(cls == (want if coker.invariant_factors else "zariski"),
+                 "chart class differs from the torsion of a second "
+                 "decomposition", "class")
+
+
+def check_diff_rank(hom, rank, injective, kernel_trivial, char):
+    coker = _second_cokernel(hom)
+    yield _check(lha.gp_cokernel(hom) == coker,
+                 "group cokernel differs from a second decomposition",
+                 "cokernel")
+    # Coker (x) F_p: a free rank for Z, and one for each Z/f that p divides
+    divisible = sum(f % char == 0 for f in coker.invariant_factors) \
+        if char else 0
+    yield _check(rank == coker.free_rank + divisible,
+                 "differential rank differs from the cokernel of a second "
+                 "decomposition", "rank")
     second = _second_kernel(hom).is_trivial
     yield _check(injective == second,
                  "injectivity differs from the kernel of a second "

@@ -470,7 +470,8 @@ def _h_hom_check(doc, path, args, warn):
             "is_smooth": verdict.is_smooth,
             "is_etale": verdict.is_etale,
             "gp_kernel": group_block(verdict.gp_kernel),
-            "gp_cokernel": group_block(verdict.gp_cokernel)}, (hom, verdict)
+            "gp_cokernel": group_block(verdict.gp_cokernel)}, \
+        (hom, verdict, args.char)
 
 
 @_command("kummer", "Kummer verdict and relative characteristic of a hom")
@@ -491,7 +492,7 @@ def _h_neat(doc, path, args, warn):
     cls = lha.neat_chart_class(hom, residue_char=args.char)
     return {"kind": "neat-chart-class",
             "residue_char": args.char,
-            "class": cls}, (hom, cls)
+            "class": cls}, (hom, cls, args.char)
 
 
 @_command("diff-rank", "rank of the universal log differential module")
@@ -505,7 +506,7 @@ def _h_diff_rank(doc, path, args, warn):
             "rank": rank,
             "gp_injective": injective,
             "monoid_kernel_trivial": kernel_trivial}, \
-        (hom, rank, injective, kernel_trivial)
+        (hom, rank, injective, kernel_trivial, args.char)
 
 
 @_command("diff-pres", "symbolic presentation of the log differential module")

@@ -66,73 +66,12 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-def hnf_row_basis(vectors, dim):
-    """The canonical (row-style Hermite) basis of the lattice the vectors span.
-
-    Rows are echelonized left to right with positive pivots and the entries
-    above each pivot reduced into [0, pivot); the result depends only on the
-    lattice, not on the presented basis.  The vectors are int tuples of
-    length ``dim`` (trusted).
-    """
-    rows = [list(v) for v in vectors]
-    basis = []
-    pivots = []
-    for col in range(dim):
-        live = [r for r in rows if r[col] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            small = live[0]
-            for r in live[1:]:
-                q = r[col] // small[col]
-                for k in range(dim):
-                    r[k] -= q * small[k]
-            live = [r for r in rows if r[col] != 0]
-        if not live:
-            continue
-        piv = live[0]
-        rows.remove(piv)
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        for b in basis:
-            if b[col] != 0:
-                q = b[col] // piv[col]
-                for k in range(dim):
-                    b[k] -= q * piv[k]
-        basis.append(piv)
-        pivots.append(col)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return tuple(tuple(basis[i]) for i in order)
-
-
 def _signed(vectors, lattice):
     """The vectors followed by +/- each lattice basis vector: generators of
     cone(vectors) + span(lattice), or constraints n . x >= 0 and e . x = 0."""
     if not lattice:
         return tuple(vectors)
     return (*vectors, *(x for l in lattice for x in (l, vneg(l))))
-
-
-def _quotient_maps(lattice_basis, dim):
-    """Projection and section for Z^dim -> Z^dim / span(basis).
-
-    Returns (P, R) of shapes (dim-k, dim) and (dim, dim-k) from one Smith
-    decomposition U B V = [I; 0]: P R = I, and the kernel of P is exactly
-    the span of the (saturated) basis B.
-    """
-    k = len(lattice_basis)
-    dec = xl._snf_full(xl._from_columns(lattice_basis, dim))
-    if dec.diag != (1,) * k:
-        raise InternalCheckError("lineality basis is not saturated")
-    uinv = xl._unimodular_inverse(dec.left)
-    return (xl.IntMatrix(dec.left.rows[k:], dim),
-            xl.IntMatrix(tuple(r[k:] for r in uinv.rows), dim - k))
-
-
-def _saturated_kernel(forms, dim):
-    """Canonical basis of {x in Z^dim : f . x = 0 for every form}: the
-    lineality of the cone the forms cut out as inequalities."""
-    dec = xl._snf_full(xl.IntMatrix(tuple(forms), dim))
-    return hnf_row_basis(xl._kernel_columns(dec), dim)
 
 
 def _extreme_classes(candidates, lineality, dim):
@@ -157,7 +96,7 @@ def _extreme_classes(candidates, lineality, dim):
     """
     classes = {}
     if lineality:
-        p, r = _quotient_maps(lineality, dim)
+        p, r = xl._quotient_maps(lineality, dim)
         for v, tight in candidates:
             w = xl.apply(p, v)
             if any(w):
@@ -190,7 +129,7 @@ def extreme_rays_of_halfspaces(normals, dim, *, kernel=()):
     sets are exact (a combination of two rays is tight exactly where both
     are), so ``_extreme_classes`` keeps the extreme rays by incidence alone.
 
-    ``kernel``, if not empty, is ``_saturated_kernel(normals, dim)``, which
+    ``kernel``, if not empty, is ``xl._saturated_kernel(normals, dim)``, which
     ``RationalCone.from_rays`` has when there are fewer normals than dim.
     """
     dim = xl._as_count(dim, "dimension")
@@ -236,7 +175,7 @@ def extreme_rays_of_halfspaces(normals, dim, *, kernel=()):
 
     # the incremental lineality spans the kernel of the normals over Q, so
     # once it is empty the saturated kernel is too
-    lineality = (kernel or _saturated_kernel(normals, dim)) if lin else ()
+    lineality = (kernel or xl._saturated_kernel(normals, dim)) if lin else ()
     return _extreme_classes(rays, lineality, dim), lineality
 
 
@@ -284,7 +223,7 @@ class RationalCone:
                 vecs.append(primitive(v))
         vecs = list(dict.fromkeys(vecs))
         # independent iff as many as the rank of their span
-        equations = () if len(vecs) >= dim else _saturated_kernel(vecs, dim)
+        equations = () if len(vecs) >= dim else xl._saturated_kernel(vecs, dim)
         cone = _simplicial_cone(
             vecs, dim, equations, _span_maps(equations, dim)) \
             if len(vecs) + len(equations) == dim else None
@@ -303,7 +242,7 @@ class RationalCone:
             constraints = _signed(normals, equations)
             tight = [{i for i, c in enumerate(constraints) if vdot(c, v) == 0}
                      for v in vecs]
-            lin = _saturated_kernel(constraints, dim) \
+            lin = xl._saturated_kernel(constraints, dim) \
                 if any(len(t) == len(constraints) for t in tight) else ()
             rays = _extreme_classes(zip(vecs, tight), lin, dim)
             cone = cls(dim=dim, extreme_rays=rays, lineality=lin,
@@ -370,7 +309,7 @@ class RationalCone:
         ``lift`` maps a form on Z^m to a form on Z^dim equal to it on L.  A
         full-dimensional cone keeps its coordinates; ``_from_adjugate``
         gives the pieces built inside a cone its maps, others compute them
-        here, once.  Otherwise (P, R) = ``_quotient_maps(E, dim)`` for the k
+        here, once.  Otherwise (P, R) = ``xl._quotient_maps(E, dim)`` for the k
         span equations E, from U E^T V = [I; 0]: P is the last m rows of U,
         R the last m columns of U^-1, and down = R^T, up = P^T, lift = R.
         With y = U^-T x, x is in L iff the first k entries of y vanish, the
@@ -386,7 +325,7 @@ def _span_maps(equations, dim):
     """The maps of ``RationalCone._span`` for canonical span equations."""
     if not equations:
         return tuple, tuple, tuple
-    p, r = _quotient_maps(equations, dim)
+    p, r = xl._quotient_maps(equations, dim)
     return (partial(xl.apply, xl._from_columns(r.rows, r.ncols)),
             partial(xl.apply, xl._from_columns(p.rows, dim)),
             partial(xl.apply, r))
@@ -544,39 +483,6 @@ def is_regular(cone):
     return cone.is_simplicial and multiplicity(cone) == 1
 
 
-def _parallelepiped_numerators(ray_coords):
-    """The nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for
-    m linearly independent rays in Z^m, as coefficient numerators.
-
-    Returns (L, numerators): each point is sum_i (N_i / L) r_i for exactly
-    one tuple N with 0 <= N_i < L, where L is the last invariant factor of
-    the ray matrix; one denominator for all points keeps the order of
-    numerator tuples and of their sums.  The points are the nonzero classes
-    of Z^m / <rays>.  With the Smith decomposition U R V = D, the class of
-    U^-1 e has N = V diag(L/d) e mod L, so the digits e_k < d_k of the
-    wheels d_k > 1 name every class once.  Each coordinate of N is built
-    on its own, one list comprehension per wheel, as a mixed-radix sequence
-    mod L, the first wheel fastest; one ``zip`` forms the tuples, and the
-    zero class, which comes first, is dropped.  ``_lattice_points`` turns
-    numerators into points.
-    """
-    m = len(ray_coords)
-    dec = xl._snf_full(xl._from_columns(ray_coords, m))
-    orders = dec.diag
-    if len(orders) < m:
-        raise InternalCheckError("parallelepiped rays are linearly dependent")
-    big = orders[-1] if orders else 1
-    wheels = [(k, d, big // d) for k, d in enumerate(orders) if d > 1]
-    coords = []
-    for row in dec.right.rows:
-        vals = [0]
-        for k, d, scale in reversed(wheels):
-            step = row[k] * scale % big
-            vals = [(v + e * step) % big for v in vals for e in range(d)]
-        coords.append(vals)
-    return big, list(itertools.islice(zip(*coords), 1, None))
-
-
 def _lattice_points(nums, big, ray_coords):
     """The lattice points sum_i (N_i / L) r_i of the numerator tuples N
     over L, in order, built a coordinate at a time."""
@@ -726,7 +632,7 @@ def hilbert_basis(cone):
     h - b is then a parallelepiped point too.  So the irreducible points
     are those whose numerators are minimal, and each simplex reduces its
     enumerated numerators among themselves and computes points only for
-    the survivors (``_parallelepiped_numerators``, ``_lattice_points``).
+    the survivors (``xl._parallelepiped_numerators``, ``_lattice_points``).
     In span dimension 3 the numerators are triples, and one lex-ordered
     sweep finds the minimal ones (``_minimal_triples``, after Kung, Luccio
     and Preparata); in higher dimension ``_irreducible`` ranks them by the
@@ -754,7 +660,7 @@ def hilbert_basis(cone):
     found = set(cone.extreme_rays)
     for simplex in simplices:
         rays = [down(r) for r in simplex]
-        big, nums = _parallelepiped_numerators(rays)
+        big, nums = xl._parallelepiped_numerators(rays)
         kept = _minimal_triples(nums) if cone.span_dim == 3 else \
             _irreducible(sorted(zip(map(sum, nums), nums, nums)))
         found.update(map(up, _lattice_points(kept, big, rays)))
@@ -777,7 +683,7 @@ def cone_lattice_generators(cone):
     """
     if cone.is_strongly_convex:
         return hilbert_basis(cone)
-    p, r = _quotient_maps(cone.lineality, cone.dim)
+    p, r = xl._quotient_maps(cone.lineality, cone.dim)
     k = cone.dim - len(cone.lineality)
     image = RationalCone.from_rays(
         [xl.apply(p, ray) for ray in cone.extreme_rays], k)
@@ -995,7 +901,7 @@ def _subdivision_point(cone):
     """
     down, up, _ = cone._span
     rays = [down(r) for r in cone.extreme_rays]
-    big, nums = _parallelepiped_numerators(rays)
+    big, nums = xl._parallelepiped_numerators(rays)
     if not nums:
         raise InternalCheckError("regular cone passed to subdivision point")
     best = min(zip(map(sum, nums), nums))[1]

@@ -4,8 +4,12 @@ Matrices are ``IntMatrix`` values: immutable tuples of row tuples holding
 Python ints, so all arithmetic is exact at arbitrary precision.  On top of
 Smith normal form this module provides kernels and cokernels, finitely
 generated abelian groups in invariant-factor form (with quotient / subgroup
-/ hom machinery), and a complete solver for nonnegative integer linear
-systems.
+/ hom machinery), the lattices that cones and monoids are built on, and a
+complete solver for nonnegative integer linear systems.
+
+It is the one module that takes Smith decompositions (``_snf_full``) and
+reads their U, V and invariant factors; the others ask it for the kernels,
+cokernels, projections and lattices that a decomposition gives.
 
 Conventions:
   - a matrix A of shape (m, n) is the map Z^n -> Z^m acting on column vectors;
@@ -18,6 +22,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
 from operator import add, ge, index, mul
 
@@ -125,11 +130,6 @@ def intmat_from_columns(cols, nrows=None):
 
 def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _freeze(rows, ncols):
-    """An IntMatrix from a list of int lists (unchecked)."""
-    return IntMatrix(tuple(map(tuple, rows)), ncols)
 
 
 def mat_columns(a):
@@ -267,7 +267,8 @@ def _snf_full(a):
             break
 
     diag = tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
-    return SmithDecomposition(left=_freeze(u, m), diag=diag, right=_freeze(v, n))
+    return SmithDecomposition(left=IntMatrix(tuple(map(tuple, u)), m),
+                              diag=diag, right=IntMatrix(tuple(map(tuple, v)), n))
 
 
 def smith_normal_form(a):
@@ -371,6 +372,103 @@ def _unimodular_inverse(mat):
 
 
 # ---------------------------------------------------------------------------
+# the lattices of cones
+
+
+def hnf_row_basis(vectors, dim):
+    """The canonical (row-style Hermite) basis of the lattice the vectors span.
+
+    Rows are echelonized left to right with positive pivots and the entries
+    above each pivot reduced into [0, pivot); the result depends only on the
+    lattice, not on the presented basis.  The vectors are int tuples of
+    length ``dim`` (trusted).
+    """
+    rows = [list(v) for v in vectors]
+    basis = []
+    pivots = []
+    for col in range(dim):
+        live = [r for r in rows if r[col] != 0]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            small = live[0]
+            for r in live[1:]:
+                q = r[col] // small[col]
+                for k in range(dim):
+                    r[k] -= q * small[k]
+            live = [r for r in rows if r[col] != 0]
+        if not live:
+            continue
+        piv = live[0]
+        rows.remove(piv)
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        for b in basis:
+            if b[col] != 0:
+                q = b[col] // piv[col]
+                for k in range(dim):
+                    b[k] -= q * piv[k]
+        basis.append(piv)
+        pivots.append(col)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return tuple(tuple(basis[i]) for i in order)
+
+
+def _saturated_kernel(forms, dim):
+    """Canonical basis of {x in Z^dim : f . x = 0 for every form}: the
+    lineality of the cone the forms cut out as inequalities."""
+    dec = _snf_full(IntMatrix(tuple(forms), dim))
+    return hnf_row_basis(_kernel_columns(dec), dim)
+
+
+def _quotient_maps(lattice_basis, dim):
+    """Projection and section for Z^dim -> Z^dim / span(basis).
+
+    Returns (P, R) of shapes (dim-k, dim) and (dim, dim-k) from one Smith
+    decomposition U B V = [I; 0]: P R = I, and the kernel of P is exactly
+    the span of the (saturated) basis B.
+    """
+    k = len(lattice_basis)
+    dec = _snf_full(_from_columns(lattice_basis, dim))
+    if dec.diag != (1,) * k:
+        raise InternalCheckError("lineality basis is not saturated")
+    uinv = _unimodular_inverse(dec.left)
+    return (IntMatrix(_projection_rows(dec), dim),
+            IntMatrix(tuple(r[k:] for r in uinv.rows), dim - k))
+
+
+def _parallelepiped_numerators(ray_coords):
+    """The nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1} for
+    m linearly independent rays in Z^m, as coefficient numerators.
+
+    Returns (L, numerators): each point is sum_i (N_i / L) r_i for exactly
+    one tuple N with 0 <= N_i < L, where L is the last invariant factor of
+    the ray matrix; one denominator for all points keeps the order of
+    numerator tuples and of their sums.  The points are the nonzero classes
+    of Z^m / <rays>.  With the Smith decomposition U R V = D, the class of
+    U^-1 e has N = V diag(L/d) e mod L, so the digits e_k < d_k of the
+    wheels d_k > 1 name every class once.  Each coordinate of N is built
+    on its own, one list comprehension per wheel, as a mixed-radix sequence
+    mod L, the first wheel fastest; one ``zip`` forms the tuples, and the
+    zero class, which comes first, is dropped.
+    """
+    m = len(ray_coords)
+    dec = _snf_full(_from_columns(ray_coords, m))
+    orders = dec.diag
+    if len(orders) < m:
+        raise InternalCheckError("parallelepiped rays are linearly dependent")
+    big = orders[-1] if orders else 1
+    wheels = [(k, d, big // d) for k, d in enumerate(orders) if d > 1]
+    coords = []
+    for row in dec.right.rows:
+        vals = [0]
+        for k, d, scale in reversed(wheels):
+            step = row[k] * scale % big
+            vals = [(v + e * step) % big for v in vals for e in range(d)]
+        coords.append(vals)
+    return big, list(islice(zip(*coords), 1, None))
+
+
+# ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
 
@@ -447,11 +545,6 @@ class FgAbelianGroup:
         return (0,) * self.lift_dim
 
 
-def torsion_order(g):
-    """The order of the torsion subgroup (product of invariant factors)."""
-    return prod(g.invariant_factors)
-
-
 # Miller-Rabin on the prime bases 2 to 41 is a proof below psi_13, the least
 # strong pseudoprime to all of them (Sorenson and Webster, "Strong
 # pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
@@ -501,7 +594,7 @@ def is_order_invertible(g, p):
     prime and the answer is whether p does not divide the torsion order.
     """
     p = _check_residue_char(p)
-    return p == 0 or torsion_order(g) % p != 0
+    return p == 0 or prod(g.invariant_factors) % p != 0
 
 
 def cokernel(a, nrows=None):
@@ -531,15 +624,20 @@ def group_from_relations(ngens, relation_columns):
 def _group_from_relations(ngens, cols):
     """``group_from_relations`` of int tuples of length ``ngens`` (trusted)."""
     dec = _snf_full(_from_columns(cols, ngens))
-    rows, s = dec.left.rows, len(dec.diag)
-    tors_rows = tuple(rows[i] for i in range(s) if dec.diag[i] >= 2)
-    return _cokernel_of(dec), IntMatrix(rows[s:] + tors_rows, ngens)
+    return _cokernel_of(dec), IntMatrix(_projection_rows(dec), ngens)
 
 
 def _cokernel_of(dec):
     """Z^m modulo the columns of an m-row matrix, from its Smith form."""
     return FgAbelianGroup(dec.left.ncols - len(dec.diag),
                           tuple(f for f in dec.diag if f >= 2))
+
+
+def _projection_rows(dec):
+    """The rows of U onto the lift coordinates of ``_cokernel_of(dec)``:
+    those past the invariant factors, then one per factor >= 2."""
+    rows, s = dec.left.rows, len(dec.diag)
+    return rows[s:] + tuple(rows[i] for i in range(s) if dec.diag[i] >= 2)
 
 
 def quotient_presentation(group, extra_columns):
@@ -559,13 +657,13 @@ def _decompose_among(group, vectors):
         list(vectors) + group.relation_columns(), group.lift_dim))
 
 
-def _relations_among(group, vectors):
-    """Columns spanning {x : sum_i x_i vectors[i] = 0 in ``group``}.
-
-    The kernel of [vectors | group.relation_columns()], truncated to the
-    vectors' coordinates; zero columns are kept.
-    """
-    return _kernel_columns(_decompose_among(group, vectors), len(vectors))
+def _relation_lattice(dec, n):
+    """(particular, kernel) from the ``_decompose_among`` U A V of n
+    generators of a group: the n rows of V_head U, and the
+    ``_kernel_columns`` cut to n coordinates (see ``monoid_core.contains``)."""
+    s = len(dec.diag)
+    head = IntMatrix(tuple(row[:s] for row in dec.right.rows[:n]), s)
+    return (head @ dec.left).rows, _kernel_columns(dec, n)
 
 
 def subgroup_presentation(group, elements):
@@ -587,7 +685,7 @@ def _span_presentation(group, elements):
     decomposition of [reduced elements | relations] it reads them off."""
     elements = [group.reduce_vector(e) for e in elements]
     dec = _decompose_among(group, elements)
-    if dec.diag == (1,) * group.lift_dim:
+    if _cokernel_of(dec).is_trivial:
         return group, elements, dec
     n = len(elements)
     sub, proj = _group_from_relations(n, _kernel_columns(dec, n))

@@ -37,7 +37,7 @@ class MonoidIdeal:
     def __post_init__(self):
         amb = self.host.ambient
         vecs = dict.fromkeys(mc.vector_of(amb, g) for g in self.generators)
-        if not all(self.host.contains(v) for v in vecs):
+        if not all(mc._contains(self.host, v) for v in vecs):
             raise DomainError("ideal generator lies outside the host monoid")
         object.__setattr__(self, "generators",
                            tuple(mc._element(amb, v) for v in vecs))
@@ -63,7 +63,7 @@ class MonoidIdeal:
     def contains(self, elem):
         amb = self.host.ambient
         vec = mc.vector_of(amb, elem)
-        return any(self.host.contains(amb.sub(vec, g.as_vector()))
+        return any(mc._contains(self.host, amb.sub(vec, g.as_vector()))
                    for g in self.generators)
 
     def reduce(self):
@@ -74,7 +74,7 @@ class MonoidIdeal:
         keep = []
         for i, g in enumerate(gens):
             others = keep + gens[i + 1:]
-            if not any(self.host.contains(amb.sub(g, h)) for h in others):
+            if not any(mc._contains(self.host, amb.sub(g, h)) for h in others):
                 keep.append(g)
         # the survivors are generators of this ideal, so in the host
         return MonoidIdeal._of_members(self.host, keep)

@@ -23,14 +23,16 @@ set (blowup charts, saturation), or the group was just presented on them
 as generators (``span_submonoid``).  The public constructor
 ``AffineMonoid(...)`` keeps every check.  An affine monoid also caches, in
 private attributes, the membership system that ``expression`` solves
-against, the lattice of relations among its generators that ``contains``
-decides in, and the cone of its free parts.
+against, the Smith decomposition of its generators (which ``exact_lattice``
+reads), the lattice of relations among them that ``contains`` decides in,
+and the cone of its free parts.
 
 Elements have one currency inside the package: the canonical lift tuple,
 free part then torsion residues reduced into [0, f).  ``vector_of`` is the
 one door for a caller's lift vector or ``MonoidElement``: it reduces once
 and refuses an element that does not split as the ambient does.  A
-``MonoidElement`` is built only for a public field or return value.
+``MonoidElement`` is built only for a public field or return value, and
+the package's own tuples skip the door of ``contains`` (``_contains``).
 ``contains`` answers zero and the generators by definition, decides the
 rest in the lattice of relations when it has rank at most 2, and searches
 only above.
@@ -167,9 +169,8 @@ class AffineMonoid:
 
     def __post_init__(self):
         self._keep(vector_of(self.ambient, e) for e in self.generators)
-        # they generate the ambient iff [generators | relations] has
-        # lift_dim invariant factors, all 1: a trivial cokernel
-        if self._smith.diag != (1,) * self.ambient.lift_dim:
+        # they generate the ambient iff they leave a trivial cokernel
+        if not xl._cokernel_of(self._smith).is_trivial:
             raise InputError(
                 "generators do not generate the ambient group; "
                 "use AffineMonoid.from_vectors to re-present the span")
@@ -202,15 +203,15 @@ class AffineMonoid:
     @cached_property
     def _smith(self):
         """The Smith decomposition of [generators | ambient relations]
-        (``xl._decompose_among``), which ``span_submonoid`` passes on."""
+        (``xl._decompose_among``), which ``span_submonoid`` passes on and
+        ``exact_lattice`` alone reads."""
         return xl._decompose_among(self.ambient, self._vectors)
 
     @cached_property
     def _lattice(self):
         """The relation lattice that ``contains`` decides in
-        (``_relation_lattice``)."""
-        return _relation_lattice(self._smith, len(self._vectors),
-                                 self.ambient.lift_dim)
+        (``xl._relation_lattice``)."""
+        return xl._relation_lattice(self._smith, len(self._vectors))
 
     @cached_property
     def _cone(self):
@@ -236,8 +237,7 @@ class AffineMonoid:
         if width < len(torsion_orders):
             raise InputError("more torsion orders than coordinates")
         host = xl.FgAbelianGroup(width - len(torsion_orders), torsion_orders)
-        monoid, _ = span_submonoid(host, vectors)
-        return monoid
+        return span_submonoid(host, vectors)[0]
 
     @property
     def zero(self):
@@ -265,8 +265,8 @@ class AffineMonoid:
         """Subset equality inside a shared ambient group."""
         if self.ambient != other.ambient:
             return False
-        return all(other.contains(v) for v in self._vectors) and \
-            all(self.contains(v) for v in other._vectors)
+        return all(_contains(other, v) for v in self._vectors) and \
+            all(_contains(self, v) for v in other._vectors)
 
 
 def span_submonoid(host, vectors):
@@ -316,17 +316,6 @@ def _membership_system(ambient, vectors):
         tuple(tuple(-x for x in c) for c in ambient.relation_columns())
 
 
-def _relation_lattice(dec, n, lift):
-    """(particular, kernel) from the Smith decomposition U A V of
-    A = [n generators | relations] of a group of lift dimension ``lift``
-    that they generate: n rows each, the rows of V_head U and of the kernel
-    columns of V, cut to the generators' coordinates (see ``contains``)."""
-    left, right = dec.left.rows, dec.right.rows[:n]
-    particular = tuple(tuple(sum(map(mul, row[:lift], col))
-                             for col in zip(*left)) for row in right)
-    return particular, tuple(row[lift:] for row in right)
-
-
 def _bounds(rows):
     """The least and greatest integer t with a + c t >= 0 for every (a, c)
     in ``rows``, -inf or inf where no row bounds t; lo > hi when no t
@@ -355,14 +344,14 @@ def _lattice_verdict(lattice, vec):
     ``contains``)."""
     particular, kernel = lattice
     x0 = [sum(map(mul, row, vec)) for row in particular]
-    k = len(kernel[0])
+    k = len(kernel)
     if k == 0:
         return min(x0) >= 0
     if k == 1:
-        return _has_point((a, c) for a, (c,) in zip(x0, kernel))
+        return _has_point(zip(x0, kernel[0]))
     if k > 2:
         return None
-    rows = [(a, c1, c2) for a, (c1, c2) in zip(x0, kernel)]
+    rows = list(zip(x0, *kernel))
     up = [row for row in rows if row[2] > 0]
     lo, hi = _bounds([(a, c1) for a, c1, c2 in rows if not c2] + [
         (c * a - d * b, c * c1 - d * e1)
@@ -399,7 +388,7 @@ def contains(monoid, elem):
     of A.  The sign of the slack rows is then immaterial, and they are cut
     off: the k kernel columns stay independent on the first n rows, since a
     kernel vector with x = 0 has diag(f) s = 0.  With x0 and K the first n
-    rows of V_head U b and of the kernel columns (``_relation_lattice``,
+    rows of V_head U b and of the kernel columns (``xl._relation_lattice``,
     cached per monoid as ``_lattice``), b is in M iff x0 + K lam >= 0 for
     some lam in Z^k.  Each row a + c lam >= 0 with one unknown bounds lam
     below by ceil(-a / c) = -(a // c) when c > 0, above by a // -c when
@@ -420,7 +409,12 @@ def contains(monoid, elem):
         nonzero x >= 0 with sum x_i g_i = 0: M has units, and the search
         decides, as it does for every k >= 3.
     """
-    vec = vector_of(monoid.ambient, elem)
+    return _contains(monoid, vector_of(monoid.ambient, elem))
+
+
+def _contains(monoid, vec):
+    """``contains`` of a canonical lift tuple of ``monoid.ambient``, which
+    the caller has reduced already (trusted)."""
     if not any(vec) or vec in monoid._vectors or not monoid.ambient.free_rank:
         return True
     verdict = _lattice_verdict(monoid._lattice, vec)
@@ -471,10 +465,11 @@ def presentation_of(monoid):
     lattice {x in Z^gens : sum x_i g_i = 0 in the ambient group}, split into
     positive and negative parts; the congruence they generate may be smaller
     than the full congruence of the monoid, but the Grothendieck group and
-    hence the integralization agree.
+    hence the integralization agree.  The columns are the kernel of the
+    monoid's ``_smith``, cut to the generators' coordinates.
     """
     rels = []
-    for col in xl._relations_among(monoid.ambient, monoid._vectors):
+    for col in xl._kernel_columns(monoid._smith, len(monoid._vectors)):
         if any(col):
             rels.append((tuple(max(x, 0) for x in col),
                          tuple(max(-x, 0) for x in col)))
@@ -496,7 +491,10 @@ def saturate(monoid):
     # rank 0 the cone is {0}, with no lattice generators
     lattice = [vec + (0,) * t
                for vec in cc.cone_lattice_generators(monoid._cone)]
-    return AffineMonoid._spanning(amb, lattice + torsion)
+    sat = AffineMonoid._spanning(amb, lattice + torsion)
+    # it keeps the cone C: C meet Z^r generates C, and torsion adds 0
+    object.__setattr__(sat, "_cone", monoid._cone)
+    return sat
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +520,9 @@ def units(monoid):
     a sum in which g has coefficient eN >= 1, hence
     -g = (eN - 1) g + sum e c_h h lies in M.  No membership test is run.
     """
-    normals = monoid._cone.facet_normals \
-        if monoid.ambient.free_rank else ()
-    out = [g for g in monoid.generators
-           if not any(cc.vdot(n, g.free) for n in normals)]
-    return tuple(sorted(out))
+    normals = monoid._cone.facet_normals if monoid.ambient.free_rank else ()
+    return tuple(sorted(g for g in monoid.generators
+                        if not any(cc.vdot(n, g.free) for n in normals)))
 
 
 def sharpen(monoid):
@@ -583,7 +579,7 @@ def is_saturated(monoid):
     if len(units(monoid)) == len(monoid.generators):
         return True
     sat = saturate(monoid)
-    return all(contains(monoid, v) for v in sat._vectors)
+    return all(_contains(monoid, v) for v in sat._vectors)
 
 
 def predicates(monoid):
@@ -637,8 +633,7 @@ def spec(monoid):
     size, indices).  The smallest face is the unit group: its generators are
     ``units``.
     """
-    normals = monoid._cone.facet_normals \
-        if monoid.ambient.free_rank else ()
+    normals = monoid._cone.facet_normals if monoid.ambient.free_rank else ()
     free = [g.free for g in monoid.generators]
     out = [PrimeIdeal(complement_face=s) for s in cc.face_sets(free, normals)]
     out.sort(key=lambda p: (len(p.complement_face), p.sorted_indices()))
@@ -685,8 +680,7 @@ def pushout_with_maps(f, g):
     integralization of the amalgamated sum.
     """
     _require_same_source(f, g)
-    m_amb = f.target.ambient
-    n_amb = g.target.ambient
+    m_amb, n_amb = f.target.ambient, g.target.ambient
     lm, ln = m_amb.lift_dim, n_amb.lift_dim
     cols = _stack_group_presentation(m_amb, n_amb)
     for fc, gc in zip(xl.mat_columns(f.matrix), xl.mat_columns(g.matrix)):
@@ -775,11 +769,9 @@ def fiber_product(f, g):
 def _fiber_monoid(f, g, pairs):
     """The monoid the ``fiber_product_generators`` pairs of f and g generate
     in the product of the source groups, re-presented on their span."""
-    m_amb = f.source.ambient
-    n_amb = g.source.ambient
+    m_amb, n_amb = f.source.ambient, g.source.ambient
     cols = _stack_group_presentation(m_amb, n_amb)
     group, proj = xl._group_from_relations(m_amb.lift_dim + n_amb.lift_dim, cols)
     stacked = [xl.apply(proj, m_el.as_vector() + n_el.as_vector())
                for m_el, n_el in pairs]
-    monoid, _ = span_submonoid(group, stacked)
-    return monoid
+    return span_submonoid(group, stacked)[0]

@@ -46,6 +46,22 @@ def has_nonneg_solution(a, b):
                 None) is not None
 
 
+def relations_among(group, vectors):
+    """Generators of {x : sum_i x_i vectors[i] = 0 in ``group``}, read by
+    hand off a Smith decomposition of their own: the columns of V past the
+    invariant factors of [vectors | relations], sign-normalized and cut to
+    the vectors' coordinates, zero columns kept."""
+    vectors = list(vectors)
+    dec = xl._snf_full(xl._from_columns(
+        vectors + group.relation_columns(), group.lift_dim))
+    cols = []
+    for col in xl.mat_columns(dec.right)[len(dec.diag):]:
+        if next(x for x in col if x) < 0:
+            col = tuple(-x for x in col)
+        cols.append(col[:len(vectors)])
+    return cols
+
+
 def zeros_mat(m, n):
     return xl.IntMatrix(((0,) * n,) * m, n)
 

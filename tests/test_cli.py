@@ -198,6 +198,20 @@ def test_kummer_computes_the_group_kernel_once(count_calls, capsys):
     assert len(kernels) == 1
 
 
+def test_a_presentation_pushout_takes_no_smith_form(count_calls):
+    # the target monoids keep the decomposition of their span check, and
+    # presentation_of reads their relations off it, not a new decomposition
+    case = Path(__file__).parent / "golden" / "cases" / "pushout-kummer-pres"
+    doc = json.loads((case / "request.json").read_text())
+    left, right = cli._hom_pair(doc, "request.json", pytest.fail,
+                                shared="source")
+    calls = count_calls(xl, "_snf_full")
+    pres = mc.pushout(left, right, "presentation")
+    assert calls == []
+    assert cli._emit(cli.presentation_block(pres)) == \
+        (case / "expected.out").read_text()
+
+
 @pytest.mark.parametrize("case", ["hom-check-nodal", "kummer-triple"])
 def test_every_hom_verdict_reads_one_decomposition(count_calls, case):
     # the door checks the matrix once, and every group verdict reads the
@@ -730,6 +744,20 @@ def _zero_matrix(mat):
     ("diff-rank", _golden_doc("diff-rank-nodal", "hom.json"), lha,
      "monoid_kernel_trivial", lambda trivial, hom: False,
      "a hom injective on groups has a nontrivial monoid kernel"),
+    # the verdicts read off the groups, against the rules applied to the
+    # groups of the second decomposition: 1 |-> 2 on N has cokernel Z/2,
+    # so its chart class at p = 2 is fppf, and it is not smooth there
+    ("neat --char 2", _golden_doc("neat-double", "hom.json"), lha,
+     "neat_chart_class", lambda cls, hom: "etale" if cls == "fppf" else cls,
+     "chart class differs from the torsion of a second decomposition"),
+    ("hom-check", _golden_doc("hom-check-nodal", "hom.json"), lha,
+     "kato_criterion",
+     lambda verdict, hom: dataclasses.replace(
+         verdict, is_smooth=not verdict.is_smooth),
+     "smoothness verdict differs from the chart criterion"),
+    ("diff-rank", _golden_doc("diff-rank-nodal", "hom.json"), lha,
+     "differential_rank", lambda rank, hom: rank + 1,
+     "differential rank differs from the cokernel of a second decomposition"),
     # <(1, 0), (1, 1)> in Z (+) Z/2 misses (0, 1) of its saturation, which
     # the lattice of relations (kernel rank 1) decides; flipped, the monoid
     # reads as saturated
@@ -744,16 +772,18 @@ def _zero_matrix(mat):
         "regular", "mult-smith", "regular-smith", "regular-fan-smith",
         "resolve-smith", "hom-check-kernel", "kummer-kernel",
         "neat-cokernel", "diff-rank-cokernel", "diff-rank-injective",
-        "diff-rank-monoid-kernel", "props-saturated"])
+        "diff-rank-monoid-kernel", "neat-class", "hom-check-criterion",
+        "diff-rank-rank", "props-saturated"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args, **kwargs: wrong(
         real(*args, **kwargs), *args))
-    assert cli.main([command, p]) == 0
+    # a command may carry options: "neat --char 2"
+    assert cli.main([*command.split(), p]) == 0
     capsys.readouterr()
-    assert cli.main([command, "--verify", p]) == 3
+    assert cli.main([*command.split(), "--verify", p]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err

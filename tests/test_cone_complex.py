@@ -358,7 +358,7 @@ def _oracle_extreme_rays_of_halfspaces(normals, dim):
         rays = kept
     if normals:
         kernel = xl.kernel_basis(xl.intmat(normals, ncols=dim))
-        lin_canon = cc.hnf_row_basis(xl.mat_columns(kernel), dim)
+        lin_canon = xl.hnf_row_basis(xl.mat_columns(kernel), dim)
     else:
         lin_canon = tuple(tuple(1 if j == i else 0 for j in range(dim))
                           for i in range(dim))
@@ -371,7 +371,7 @@ def _oracle_extreme_rays_of_halfspaces(normals, dim):
         if rank == target:
             survivors.append(e)
     if lin_canon:
-        p, r = cc._quotient_maps(lin_canon, dim)
+        p, r = xl._quotient_maps(lin_canon, dim)
         survivors = [xl.apply(r, cc.primitive(xl.apply(p, e)))
                      for e in survivors]
     else:
@@ -461,7 +461,7 @@ def test_dependent_generators_fewer_than_dim_take_one_saturated_kernel(
         count_calls):
     # from_rays computes the span equations to test independence and hands
     # them to the double description as its lineality
-    calls = count_calls(cc, "_saturated_kernel")
+    calls = count_calls(xl, "_saturated_kernel")
     gens = [(1, 0, 0, 1), (1, 2, 0, 1), (2, 2, 0, 2)]
     cone = cc.RationalCone.from_rays(gens, 4)
     assert len(calls) == 1
@@ -522,8 +522,8 @@ def test_span_coordinates_match_integer_solve(cone):
     m = cone.span_dim
     units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     basis = xl.intmat_from_columns([up(e) for e in units], nrows=cone.dim)
-    assert cc.hnf_row_basis(xl.mat_columns(basis), cone.dim) == \
-        cc._saturated_kernel(cone.span_equations, cone.dim)
+    assert xl.hnf_row_basis(xl.mat_columns(basis), cone.dim) == \
+        xl._saturated_kernel(cone.span_equations, cone.dim)
     for g in cone.generators + (cc.vadd(cone.generators[0],
                                         cone.generators[-1]),):
         assert down(g) == xl.solve_integer(basis, g)
@@ -814,7 +814,7 @@ def test_parallelepiped_points_match_rational_solve():
     for rays in cases:
         m = len(rays)
         diag = xl.smith_normal_form(xl.intmat_from_columns(rays, nrows=m)).diag
-        big, nums = cc._parallelepiped_numerators(rays)
+        big, nums = xl._parallelepiped_numerators(rays)
         assert big == (diag[-1] if diag else 1)
         assert all(type(n) is int and 0 <= n < big for ns in nums for n in ns)
         got = sorted(zip(cc._lattice_points(nums, big, rays),
@@ -923,7 +923,7 @@ def test_parallelepiped_kernel_matches_the_loops_it_replaces(rays):
     # the same classes in the same order, the same survivors in the same
     # order, the same points and the same subdivision point as the
     # per-class loops
-    big, nums = cc._parallelepiped_numerators(rays)
+    big, nums = xl._parallelepiped_numerators(rays)
     assert (big, nums) == _odometer_numerators(rays)
     ranked = sorted((sum(n), n, n) for n in nums)
     assert cc._irreducible(ranked) == _oracle_irreducible(ranked)
@@ -1438,7 +1438,7 @@ def test_zero_cone_takes_the_general_path(dim):
     assert cc.multiplicity(zero) == 1
     assert cc.hilbert_basis(zero) == ()
     # no forms cut out all of Z^dim
-    assert cc._saturated_kernel((), dim) == tuple(
+    assert xl._saturated_kernel((), dim) == tuple(
         tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
@@ -2333,7 +2333,7 @@ def test_2d_resolution_builds_no_cone_by_double_description(n, dim,
     # from_rays, no determinant, and one span decomposition, made when the
     # input cone is built and shared by every piece
     pad = (0,) * (dim - 2)
-    quotient_calls = count_calls(cc, "_quotient_maps")
+    quotient_calls = count_calls(xl, "_quotient_maps")
     fan = _fan([[(1, 0, *pad), (1, n, *pad)]], dim)
     from_rays_calls = count_calls(cc.RationalCone, "from_rays")
     det_calls = count_calls(xl, "det_adjugate")

@@ -22,7 +22,8 @@ import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError, InternalCheckError
-from conftest import has_nonneg_solution, identity_mat, zeros_mat
+from conftest import (has_nonneg_solution, identity_mat, relations_among,
+                      zeros_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +499,7 @@ def _injective_homs(draw):
 def _hom_kernel_with_fallback(source, target, matrix):
     """``hom_kernel`` with the removed fallback for a kernel without
     generators."""
-    gens = xl._relations_among(target, xl._hom_columns(source, target, matrix))
+    gens = relations_among(target, xl._hom_columns(source, target, matrix))
     return xl.subgroup_presentation(source, gens)[0] if gens else \
         xl.FgAbelianGroup(0, ())
 
@@ -520,8 +521,8 @@ def test_a_trivial_source_has_a_kernel_without_generators(target):
     # the case the removed fallback answered: no relations to present
     trivial, matrix = xl.FgAbelianGroup(0, ()), xl.intmat(
         [[]] * target.lift_dim, ncols=0)
-    assert xl._relations_among(target, xl._hom_columns(
-        trivial, target, matrix)) == []
+    cols = xl._hom_columns(trivial, target, matrix)
+    assert xl._kernel_columns(xl._decompose_among(target, cols), 0) == []
     assert xl.hom_kernel(trivial, target, matrix) == trivial
 
 

@@ -22,7 +22,7 @@ import logmonoid.exact_lattice as xl
 import logmonoid.log_hom_analysis as lha
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError
-from conftest import group_monoid, identity_hom
+from conftest import group_monoid, identity_hom, relations_among
 from test_monoid_core import _cospans, _monoids
 
 
@@ -244,7 +244,7 @@ def _groups_by_two_decompositions(hom):
     the matrix columns, and the quotient of the target by them."""
     amb, cols = hom.target.ambient, xl.mat_columns(hom.matrix)
     ker = xl.subgroup_presentation(hom.source.ambient,
-                                   xl._relations_among(amb, cols))[0]
+                                   relations_among(amb, cols))[0]
     return ker, xl.quotient_presentation(amb, cols)[0]
 
 

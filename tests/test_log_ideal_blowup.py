@@ -382,3 +382,36 @@ def test_trusted_ideals_match_the_public_constructor(data):
         ideal = lib.MonoidIdeal(monoid, tuple(pick))
         lib.charts_are_idempotent(lib.blowup_charts(monoid, ideal), ideal)
     assert sites == {"maximal_ideal", "reduce", "pulled_ideal"}
+
+
+def test_package_tuples_skip_the_membership_door(monkeypatch):
+    # only a caller's value is reduced by ``vector_of`` inside ``contains``:
+    # the ideal's own checks and divisibility tests, ``same_submonoid`` and
+    # ``is_saturated`` hold canonical tuples and call the trusted core
+    doors = []
+    real = xl.FgAbelianGroup.reduce_vector
+
+    def counting(group, vec):
+        caller = sys._getframe(1)
+        if caller.f_code is mc.vector_of.__code__ and \
+                caller.f_back.f_code is mc.contains.__code__:
+            doors.append(vec)
+        return real(group, vec)
+
+    monkeypatch.setattr(xl.FgAbelianGroup, "reduce_vector", counting)
+    # not saturated: (1, 0, 0) is missing, and (2, 0, 0) is a generator
+    host = mc.AffineMonoid(xl.FgAbelianGroup(2, (2,)),
+                           [(2, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)])
+    ideal = lib.MonoidIdeal(host, [(2, 1, 1), (3, 3, 1), (2, 2, 0),
+                                   (4, 4, 0), (1, 1, 1)])
+    assert [g.as_vector() for g in ideal.reduce().generators] == \
+        [(1, 1, 1), (2, 1, 1)]
+    assert ideal.contains((5, 5, 1)) and not ideal.contains((0, 1, 0))
+    charts = lib.blowup_charts(host, ideal)
+    assert lib.charts_are_idempotent(charts, ideal)
+    assert not mc.is_saturated(host)
+    assert mc.saturate(charts[0].fine).same_submonoid(charts[0].fs)
+    assert doors == []
+    # a caller's lift vector goes through the door once
+    assert host.contains((3, 3, 1))
+    assert doors == [(3, 3, 1)]

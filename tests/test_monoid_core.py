@@ -24,7 +24,8 @@ import logmonoid.monoid_core as mc
 from logmonoid._verify import _searched, facets
 from logmonoid.errors import InputError
 
-from conftest import group_monoid, has_nonneg_solution, identity_hom
+from conftest import (group_monoid, has_nonneg_solution, identity_hom,
+                      relations_among)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,65 @@ def test_lattice_membership_matches_the_search(data):
             event("search at kernel rank <= 2")
         assert mc.contains(monoid, t) == _searched(monoid, t), t
     assert all(mc.contains(monoid, t) for t in sums)
+
+
+def _hand_sliced_relation_lattice(dec, n, lift):
+    """The relation lattice as ``contains`` read it before it went through
+    ``xl._kernel_columns``: the rows of V_head U and of the last columns of
+    V, sliced by hand and cut to the n generator rows, the kernel handed
+    on as columns, the form ``_lattice_verdict`` reads."""
+    left, right = dec.left.rows, dec.right.rows[:n]
+    particular = tuple(tuple(sum(a * b for a, b in zip(row[:lift], col))
+                             for col in zip(*left)) for row in right)
+    return particular, tuple(zip(*(row[lift:] for row in right)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_readings_of_the_kept_decomposition_match_the_old_ones(data):
+    # the relations and the lattice of relations read off ``_smith``,
+    # re-presented monoids included, against the old readings: relations
+    # from a decomposition of their own, and the lattice sliced by hand
+    monoid = data.draw(_monoids())
+    amb, vectors = monoid.ambient, monoid._vectors
+    rels = tuple((tuple(max(x, 0) for x in col), tuple(max(-x, 0) for x in col))
+                 for col in relations_among(amb, vectors) if any(col))
+    assert mc.presentation_of(monoid).relations == rels
+    if not amb.free_rank:
+        return
+    old = _hand_sliced_relation_lattice(monoid._smith, len(vectors),
+                                        amb.lift_dim)
+    vec = st.tuples(*[st.integers(-4, 4)] * amb.free_rank,
+                    *[st.integers(0, f - 1) for f in amb.invariant_factors])
+    exponents = st.tuples(*[st.integers(0, 3)] * len(vectors))
+    sums = [mc._combination(amb, e, vectors)
+            for e in data.draw(st.lists(exponents, min_size=1, max_size=3))]
+    targets = sums + [amb.neg(t) for t in sums] + \
+        data.draw(st.lists(vec, min_size=1, max_size=3))
+    for t in targets:
+        verdict = mc._lattice_verdict(old, t)
+        assert mc._lattice_verdict(monoid._lattice, t) == verdict, t
+        if verdict is not None:
+            assert mc.contains(monoid, t) == verdict, t
+
+
+def test_presentation_of_reads_the_decomposition_the_monoid_holds(
+        count_calls):
+    # the public constructor checks the span by the decomposition, and
+    # from_vectors passes its own on when it keeps the coordinates
+    monoids = [mc.AffineMonoid(xl.FgAbelianGroup(1, (2,)),
+                               [(1, 0), (1, 1), (2, 1)]),
+               mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2)])]
+    assert all("_smith" in vars(m) for m in monoids)
+    calls = count_calls(xl, "_snf_full")
+    relations = [mc.presentation_of(m).relations for m in monoids]
+    assert calls == []
+    assert relations == [tuple(
+        (tuple(max(x, 0) for x in col), tuple(max(-x, 0) for x in col))
+        for col in relations_among(m.ambient, m._vectors) if any(col))
+        for m in monoids]
+    assert relations[1] == (((1, 0, 1), (0, 2, 0)),)
 
 
 def test_a_large_target_is_decided_at_once():
@@ -706,6 +766,29 @@ def test_spec_matches_cone_per_face_oracle(monoid):
 @given(_monoids())
 def test_is_toric_matches_predicates(monoid):
     assert mc.is_toric(monoid) == mc.predicates(monoid).is_toric
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_monoids())
+def test_a_saturation_keeps_the_cone_of_its_monoid(monoid):
+    sat = mc.saturate(monoid)
+    assert sat._cone is monoid._cone
+    assert sat._cone == cc.RationalCone.from_rays(
+        [g.free for g in sat.generators], sat.ambient.free_rank)
+
+
+def test_the_units_of_a_saturation_build_no_cone(count_calls):
+    # Z x N (+) Z/2: a line of units and torsion; the saturation is handed
+    # the cone of the monoid, which saturate built
+    m = mc.AffineMonoid.from_vectors(
+        [(1, 0, 0), (-1, 0, 1), (1, 2, 0), (0, 1, 1)], (2,))
+    sat = mc.saturate(m)
+    calls = count_calls(cc.RationalCone, "from_rays")
+    units = mc.units(sat)
+    assert calls == []
+    assert [u.as_vector() for u in units] == [(-1, 0, 0), (0, 0, 1),
+                                              (1, 0, 0)]
 
 
 def _solver_units(monoid):
