@@ -156,11 +156,17 @@ def check_spec(monoid, primes):
 
 
 def check_props(pred, monoid):
-    yield _check(not pred.is_toric or (pred.is_sharp and pred.is_saturated),
-                 "toric verdict without sharp + saturated", "toric")
-    yield _check(pred.is_saturated == all(
-        _searched(monoid, v) for v in mc.saturate(monoid)._vectors),
-        "saturation verdict differs from the membership search", "saturated")
+    saturated = all(_searched(monoid, v) for v in mc.saturate(monoid)._vectors)
+    # toric: no torsion, saturated and sharp, each found apart from the
+    # expression ``predicates`` evaluates
+    toric = not monoid.ambient.invariant_factors and saturated and \
+        not _solver_units(monoid)
+    yield _check(pred.is_toric == toric,
+                 "toric verdict differs from the torsion, the saturation and "
+                 "the units found by search", "toric")
+    yield _check(pred.is_saturated == saturated,
+                 "saturation verdict differs from the membership search",
+                 "saturated")
     yield _check(not pred.is_free or pred.is_saturated,
                  "free verdict without saturation", "free")
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import prod
-from operator import add, ge, index, mul
+from operator import add, ge, index, mul, sub
 
 from .errors import DomainError, InputError, InternalCheckError
 
@@ -508,12 +508,15 @@ class FgAbelianGroup:
     def is_finite(self):
         return self.free_rank == 0
 
-    def reduce_vector(self, vec):
-        """Canonical lift coordinates: torsion entries reduced into [0, f)."""
-        vec = _as_ints(vec)
+    def _sized(self, vec):
         if len(vec) != self.lift_dim:
             raise InputError(
                 f"vector of length {len(vec)} in group of lift dimension {self.lift_dim}")
+        return vec
+
+    def reduce_vector(self, vec):
+        """Canonical lift coordinates: torsion entries reduced into [0, f)."""
+        vec = self._sized(_as_ints(vec))
         r = self.free_rank
         tors = tuple(vec[r + i] % f for i, f in enumerate(self.invariant_factors))
         return vec[:r] + tors
@@ -521,22 +524,18 @@ class FgAbelianGroup:
     def relation_columns(self):
         """Columns generating the relation lattice of the lift presentation:
         f_i * e_(r+i) for each invariant factor f_i, in order."""
-        cols = []
-        r = self.free_rank
-        for i, f in enumerate(self.invariant_factors):
-            e = [0] * self.lift_dim
-            e[r + i] = f
-            cols.append(tuple(e))
-        return cols
+        r, n = self.free_rank, self.lift_dim
+        return [(0,) * (r + i) + (f,) + (0,) * (n - r - i - 1)
+                for i, f in enumerate(self.invariant_factors)]
 
     def add(self, x, y):
-        return self.reduce_vector(tuple(a + b for a, b in zip(x, y, strict=True)))
+        return self.reduce_vector(tuple(map(add, self._sized(x), self._sized(y))))
 
     def neg(self, x):
         return self.reduce_vector(tuple(-a for a in x))
 
     def sub(self, x, y):
-        return self.reduce_vector(tuple(a - b for a, b in zip(x, y, strict=True)))
+        return self.reduce_vector(tuple(map(sub, self._sized(x), self._sized(y))))
 
     def scale(self, c, x):
         return self.reduce_vector(tuple(c * a for a in x))
@@ -633,6 +632,12 @@ def _cokernel_of(dec):
                           tuple(f for f in dec.diag if f >= 2))
 
 
+def _generates(dec):
+    """Whether the columns of an m-row matrix generate Z^m (``_cokernel_of``
+    is trivial): whether its Smith form has m invariant factors, all 1."""
+    return dec.diag == (1,) * dec.left.ncols
+
+
 def _projection_rows(dec):
     """The rows of U onto the lift coordinates of ``_cokernel_of(dec)``:
     those past the invariant factors, then one per factor >= 2."""
@@ -685,7 +690,7 @@ def _span_presentation(group, elements):
     decomposition of [reduced elements | relations] it reads them off."""
     elements = [group.reduce_vector(e) for e in elements]
     dec = _decompose_among(group, elements)
-    if _cokernel_of(dec).is_trivial:
+    if _generates(dec):
         return group, elements, dec
     n = len(elements)
     sub, proj = _group_from_relations(n, _kernel_columns(dec, n))
@@ -718,6 +723,14 @@ def _kernel_of(source, dec):
     columns, read off their ``_decompose_among`` the target."""
     return subgroup_presentation(
         source, _kernel_columns(dec, source.lift_dim))[0]
+
+
+def _is_injective(source, dec):
+    """Whether the kernel ``_kernel_of`` presents is trivial: whether every
+    relation among the hom's columns, cut to the source coordinates, is 0
+    in ``source``."""
+    return not any(any(source.reduce_vector(col))
+                   for col in _kernel_columns(dec, source.lift_dim))
 
 
 def hom_kernel(source, target, matrix):

@@ -9,7 +9,8 @@ characteristic monoid, the classification of how local one must go to find a
 neat chart, and the rank and presentation of the universal log differentials.
 
 Every verdict but the relative characteristic (its coordinates depend on the
-entries it decomposes) reads the two groups off ``MonoidHom._smith``.
+entries it decomposes) reads the groups off ``MonoidHom._smith``, and every
+image of a source generator is reduced once, by the constructor.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class MonoidHom:
     ``matrix`` acts on lift coordinates of the ambient groups, has shape
     (target lift dimension, source lift dimension), must be a well-defined
     group homomorphism (torsion orders respected), and must map every source
-    generator into the target monoid.
+    generator into the target monoid.  The private ``_images`` are the
+    canonical lift tuples of the source generators' images, reduced once.
     """
 
     source: mc.AffineMonoid
@@ -43,28 +45,20 @@ class MonoidHom:
         # refuses a matrix of the wrong shape and one that is not a hom
         xl._hom_columns(self.source.ambient, self.target.ambient, mat)
         object.__setattr__(self, "matrix", mat)
-        if not all(self.target.contains(xl.apply(mat, v))
-                   for v in self.source._vectors):
+        images = tuple(self.target.ambient.reduce_vector(xl.apply(mat, v))
+                       for v in self.source._vectors)
+        if not all(mc._contains(self.target, v) for v in images):
             raise DomainError(
                 "homomorphism maps a generator outside the target monoid")
+        object.__setattr__(self, "_images", images)
 
     @cached_property
     def _smith(self):
-        """[matrix columns | target relations] in Smith form, kept with its
-        kernel: its invariant factors present Coker(phi^gp), and its kernel
-        columns, cut to the matrix columns, generate Ker(phi^gp)."""
+        """[matrix columns | target relations] in Smith form: its invariant
+        factors present Coker(phi^gp), and its kernel columns, cut to the
+        matrix columns, generate Ker(phi^gp)."""
         return xl._decompose_among(self.target.ambient,
                                    xl.mat_columns(self.matrix))
-
-    @cached_property
-    def _kernel(self):
-        return xl._kernel_of(self.source.ambient, self._smith)
-
-    def _images(self):
-        """The canonical lift tuples of the source generators' images."""
-        amb = self.target.ambient
-        return [amb.reduce_vector(xl.apply(self.matrix, v))
-                for v in self.source._vectors]
 
     def apply(self, elem):
         vec = mc.vector_of(self.source.ambient, elem)
@@ -77,7 +71,7 @@ class MonoidHom:
 
 def gp_kernel(hom):
     """Ker of the map on Grothendieck groups, in invariant-factor form."""
-    return hom._kernel
+    return xl._kernel_of(hom.source.ambient, hom._smith)
 
 
 def gp_cokernel(hom):
@@ -86,7 +80,8 @@ def gp_cokernel(hom):
 
 
 def is_gp_injective(hom):
-    return gp_kernel(hom).is_trivial
+    """Whether Ker(phi^gp) is trivial, without presenting it."""
+    return xl._is_injective(hom.source.ambient, hom._smith)
 
 
 def monoid_kernel_trivial(hom):
@@ -96,7 +91,7 @@ def monoid_kernel_trivial(hom):
     be nontrivial while meeting the monoid only in 0.
     """
     src = hom.source
-    a = mc._membership_system(hom.target.ambient, hom._images())
+    a = mc._membership_system(hom.target.ambient, hom._images)
     k = len(src._vectors)
     return not any(any(mc._combination(src.ambient, sol[:k], src._vectors))
                    for sol in xl._minimal_solutions(xl._gram(a)))
@@ -170,7 +165,7 @@ def _multiples_in_image(hom):
     is finite, so the free parts span Q^r: the cone needs no span equations.
     """
     r = hom.target.ambient.free_rank
-    image = cc.RationalCone.from_rays([v[:r] for v in hom._images()], r)
+    image = cc.RationalCone.from_rays([v[:r] for v in hom._images], r)
     return all(image.contains(q.free) for q in hom.target.generators)
 
 
@@ -180,7 +175,7 @@ def relative_characteristic(hom):
     q ~ q + phi(p)."""
     # reduced images: the Smith pivots, and so the emitted coordinates,
     # depend on the exact entries
-    quot, proj = xl.quotient_presentation(hom.target.ambient, hom._images())
+    quot, proj = xl.quotient_presentation(hom.target.ambient, hom._images)
     gens = [quot.reduce_vector(xl.apply(proj, q)) for q in hom.target._vectors]
     # images of the target's spanning generators under the surjective proj
     return mc.AffineMonoid._spanning(quot, gens)
@@ -241,8 +236,7 @@ class DifferentialPresentation:
 def universal_differential_presentation(hom):
     """Generators and relations of the universal log differential module."""
     amb = hom.target.ambient
-    n = amb.lift_dim
-    symbols = tuple(f"d{i}" for i in range(n))
+    symbols = tuple(f"d{i}" for i in range(amb.lift_dim))
     cols = [col for col in xl.mat_columns(hom.matrix) if any(col)]
     cols.extend(amb.relation_columns())
     return DifferentialPresentation(

@@ -23,9 +23,8 @@ set (blowup charts, saturation), or the group was just presented on them
 as generators (``span_submonoid``).  The public constructor
 ``AffineMonoid(...)`` keeps every check.  An affine monoid also caches, in
 private attributes, the membership system that ``expression`` solves
-against, the Smith decomposition of its generators (which ``exact_lattice``
-reads), the lattice of relations among them that ``contains`` decides in,
-and the cone of its free parts.
+against, the lattice of relations among its generators that ``contains``
+decides in and ``presentation_of`` reads, and the cone of its free parts.
 
 Elements have one currency inside the package: the canonical lift tuple,
 free part then torsion residues reduced into [0, f).  ``vector_of`` is the
@@ -159,9 +158,9 @@ class AffineMonoid:
     checks the invariant; the constructions of this package use
     ``_spanning``, where it holds by construction (see the module
     docstring).  The private ``_vectors`` are the generators' canonical
-    lift tuples, and the private ``_smith``, ``_system``, ``_lattice`` and
-    ``_cone`` are cached on first use; equality and hashing see only the
-    two fields.
+    lift tuples, and the private ``_system``, ``_lattice`` and ``_cone``
+    are cached on first use, ``_lattice`` by the span check where there is
+    one; equality and hashing see only the two fields.
     """
 
     ambient: xl.FgAbelianGroup
@@ -169,11 +168,13 @@ class AffineMonoid:
 
     def __post_init__(self):
         self._keep(vector_of(self.ambient, e) for e in self.generators)
-        # they generate the ambient iff they leave a trivial cokernel
-        if not xl._cokernel_of(self._smith).is_trivial:
+        dec = xl._decompose_among(self.ambient, self._vectors)
+        if not xl._generates(dec):
             raise InputError(
                 "generators do not generate the ambient group; "
                 "use AffineMonoid.from_vectors to re-present the span")
+        object.__setattr__(self, "_lattice",
+                           xl._relation_lattice(dec, len(self._vectors)))
 
     def _keep(self, vectors):
         """Sets both kinds of generators from canonical lift tuples."""
@@ -201,17 +202,11 @@ class AffineMonoid:
         return _membership_system(self.ambient, self._vectors)
 
     @cached_property
-    def _smith(self):
-        """The Smith decomposition of [generators | ambient relations]
-        (``xl._decompose_among``), which ``span_submonoid`` passes on and
-        ``exact_lattice`` alone reads."""
-        return xl._decompose_among(self.ambient, self._vectors)
-
-    @cached_property
     def _lattice(self):
-        """The relation lattice that ``contains`` decides in
-        (``xl._relation_lattice``)."""
-        return xl._relation_lattice(self._smith, len(self._vectors))
+        """The relation lattice of the generators (``xl._relation_lattice``
+        of their ``xl._decompose_among``)."""
+        return xl._relation_lattice(
+            xl._decompose_among(self.ambient, self._vectors), len(self._vectors))
 
     @cached_property
     def _cone(self):
@@ -282,9 +277,9 @@ def span_submonoid(host, vectors):
     # the subgroup is presented on these very images as generators
     monoid = AffineMonoid._spanning(sub, images)
     if sub is host and len(monoid._vectors) == len(images):
-        # coordinates kept and nothing dropped: dec decomposes
-        # [monoid._vectors | relations], as ``_smith`` does
-        object.__setattr__(monoid, "_smith", dec)
+        # coordinates kept and nothing dropped: dec is of [_vectors | relations]
+        object.__setattr__(monoid, "_lattice",
+                           xl._relation_lattice(dec, len(images)))
     return monoid, images
 
 
@@ -466,14 +461,11 @@ def presentation_of(monoid):
     positive and negative parts; the congruence they generate may be smaller
     than the full congruence of the monoid, but the Grothendieck group and
     hence the integralization agree.  The columns are the kernel of the
-    monoid's ``_smith``, cut to the generators' coordinates.
+    monoid's ``_lattice``.
     """
-    rels = []
-    for col in xl._kernel_columns(monoid._smith, len(monoid._vectors)):
-        if any(col):
-            rels.append((tuple(max(x, 0) for x in col),
-                         tuple(max(-x, 0) for x in col)))
-    return MonoidPresentation(len(monoid.generators), tuple(rels))
+    return MonoidPresentation(len(monoid.generators), tuple(
+        (tuple(max(x, 0) for x in col), tuple(max(-x, 0) for x in col))
+        for col in monoid._lattice[1] if any(col)))
 
 
 def saturate(monoid):
@@ -749,8 +741,8 @@ def fiber_product_generators(f, g):
     if f.target != g.target:
         raise InputError("fiber product legs must share their target monoid")
     m_mon, n_mon = f.source, g.source
-    a = _membership_system(f.target.ambient, f._images() + [
-        f.target.ambient.neg(v) for v in g._images()])
+    a = _membership_system(f.target.ambient, f._images + tuple(
+        f.target.ambient.neg(v) for v in g._images))
     p, q = len(m_mon._vectors), len(n_mon._vectors)
     pairs = dict.fromkeys(
         (_combination(m_mon.ambient, sol[:p], m_mon._vectors),

@@ -189,13 +189,14 @@ def test_blowup_fan_asks_only_whether_the_host_is_toric(count_calls, capsys):
     assert sharpenings == []
 
 
-def test_kummer_computes_the_group_kernel_once(count_calls, capsys):
-    # the hom keeps its kernel, and both verdicts read it
+def test_kummer_presents_no_group_kernel(count_calls, capsys):
+    # both verdicts ask only whether the kernel is trivial, and read that
+    # off the hom's decomposition without presenting the kernel
     case = Path(__file__).parent / "golden" / "cases" / "kummer-triple"
     kernels = count_calls(xl, "_kernel_of")
     assert cli.main(["kummer", str(case / "hom.json")]) == 0
     assert capsys.readouterr().out == (case / "expected.out").read_text()
-    assert len(kernels) == 1
+    assert kernels == []
 
 
 def test_a_presentation_pushout_takes_no_smith_form(count_calls):
@@ -728,8 +729,8 @@ def _zero_matrix(mat):
     ("hom-check", _golden_doc("hom-check-nodal", "hom.json"), xl,
      "_kernel_of", lambda ker, source, dec: xl.FgAbelianGroup(0, (2,)),
      "group kernel differs from a second decomposition"),
-    ("kummer", _golden_doc("kummer-triple", "hom.json"), xl, "_kernel_of",
-     lambda ker, source, dec: xl.FgAbelianGroup(1),
+    ("kummer", _golden_doc("kummer-triple", "hom.json"), xl, "_is_injective",
+     lambda injective, source, dec: not injective,
      "injectivity differs from the kernel of a second decomposition"),
     ("neat", _golden_doc("neat-double", "hom.json"), lha, "gp_cokernel",
      lambda coker, hom: xl.FgAbelianGroup(coker.free_rank + 1,
@@ -765,6 +766,10 @@ def _zero_matrix(mat):
      "_lattice_verdict",
      lambda verdict, lattice, vec: None if verdict is None else not verdict,
      "saturation verdict differs from the membership search"),
+    # N^2 is toric: no torsion, saturated, and no generator is a unit
+    ("props", N2, mc, "predicates",
+     lambda pred, monoid: dataclasses.replace(pred, is_toric=False),
+     "toric verdict differs from the torsion, the saturation and the units"),
 ], ids=["dual", "hilbert", "resolve", "resolve-fan", "resolve-refines",
         "resolve-covers", "resolve-rays", "resolve-canonical",
         "resolve-canonical-span", "pushout",
@@ -773,7 +778,7 @@ def _zero_matrix(mat):
         "resolve-smith", "hom-check-kernel", "kummer-kernel",
         "neat-cokernel", "diff-rank-cokernel", "diff-rank-injective",
         "diff-rank-monoid-kernel", "neat-class", "hom-check-criterion",
-        "diff-rank-rank", "props-saturated"])
+        "diff-rank-rank", "props-saturated", "props-toric"])
 def test_verify_catches_a_wrong_result(tmp_path, monkeypatch, capsys, command,
                                        doc, owner, name, wrong, message):
     p = write_doc(tmp_path / "in.json", doc)

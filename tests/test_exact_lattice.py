@@ -417,6 +417,18 @@ def test_group_arithmetic_reduces_torsion():
     assert g.sub((0, 0), (0, 1)) == (0, 2)
 
 
+@pytest.mark.parametrize("method, args", [
+    ("add", ((1, 0), (1,))), ("add", ((1,), (1, 0))),
+    ("sub", ((1, 0), (1,))), ("sub", ((1,), (1, 0))),
+    ("neg", ((1,),)), ("scale", (2, (1,)))],
+    ids=["add-right", "add-left", "sub-right", "sub-left", "neg", "scale"])
+def test_group_arithmetic_refuses_a_vector_of_the_wrong_length(method, args):
+    g = xl.FgAbelianGroup(1, (2,))
+    with pytest.raises(InputError,
+                       match="vector of length 1 in group of lift dimension 2"):
+        getattr(g, method)(*args)
+
+
 def test_relation_columns_with_slack_signs():
     g = xl.FgAbelianGroup(1, (2, 6))
     assert g.relation_columns() == [(0, 2, 0), (0, 0, 6)]

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import logmonoid.exact_lattice as xl
@@ -123,6 +123,25 @@ def test_apply_reduces_in_target():
                   mc.AffineMonoid.from_vectors([(1,)], torsion_orders=(4,)),
                   [[3]])
     assert double.apply((2,)).as_vector() == (2,)  # 6 mod 4
+
+
+def test_a_hom_reduces_each_image_once(count_calls):
+    # the constructor reduces each image once and tests it behind the
+    # membership door; the verdicts read the images it keeps
+    target = mc.AffineMonoid.from_vectors([(1, 0), (1, 1)], torsion_orders=(2,))
+    doors = count_calls(mc, "contains")
+    reductions = count_calls(xl.FgAbelianGroup, "reduce_vector")
+
+    def on_target():
+        return [vec for group, vec in reductions if group is target.ambient]
+
+    hom = _hom(_free(1), target, [[2], [3]])
+    assert doors == []
+    assert on_target() == [(2, 3)]
+    assert lha.is_kummer(hom)
+    assert lha.relative_characteristic(hom).ambient.is_finite
+    assert lha.monoid_kernel_trivial(hom)
+    assert on_target() == [(2, 3)]
 
 
 def test_identity_hom():
@@ -251,6 +270,10 @@ def _groups_by_two_decompositions(hom):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_torsion_homs())
+# Z/2 -> Z/4, 1 |-> 2, is injective, though the relation (2) among its
+# column and the target relation is not 0 before it is reduced in Z/2
+@example(_hom(group_monoid(xl.FgAbelianGroup(0, (2,))),
+              group_monoid(xl.FgAbelianGroup(0, (4,))), [[2]]))
 def test_verdicts_read_the_groups_of_two_decompositions(hom):
     ker, coker = _groups_by_two_decompositions(hom)
     assert lha.gp_kernel(hom) == ker

@@ -165,6 +165,15 @@ def test_from_vectors_runs_one_smith_form_unless_it_re_presents(
     assert len(calls) == smith_forms
 
 
+def test_the_span_check_builds_no_group(count_calls):
+    # whether the generators span is read off the invariant factors
+    cokernels = count_calls(xl, "_cokernel_of")
+    mc.AffineMonoid(xl.FgAbelianGroup(1, (2,)), [(1, 0), (1, 1)])
+    mc.AffineMonoid.from_vectors([(1, 0), (1, 1)], (2,))
+    mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2)])
+    assert cokernels == []
+
+
 def test_free_monoid_runs_no_quotient_presentation(count_calls):
     quotient_calls = count_calls(xl, "quotient_presentation")
     mc.free_monoid(3)
@@ -256,9 +265,10 @@ def _hand_sliced_relation_lattice(dec, n, lift):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_readings_of_the_kept_decomposition_match_the_old_ones(data):
-    # the relations and the lattice of relations read off ``_smith``,
+    # the relations and the lattice of relations read off ``_lattice``,
     # re-presented monoids included, against the old readings: relations
     # from a decomposition of their own, and the lattice sliced by hand
+    # off another
     monoid = data.draw(_monoids())
     amb, vectors = monoid.ambient, monoid._vectors
     rels = tuple((tuple(max(x, 0) for x in col), tuple(max(-x, 0) for x in col))
@@ -266,8 +276,8 @@ def test_readings_of_the_kept_decomposition_match_the_old_ones(data):
     assert mc.presentation_of(monoid).relations == rels
     if not amb.free_rank:
         return
-    old = _hand_sliced_relation_lattice(monoid._smith, len(vectors),
-                                        amb.lift_dim)
+    old = _hand_sliced_relation_lattice(xl._decompose_among(amb, vectors),
+                                        len(vectors), amb.lift_dim)
     vec = st.tuples(*[st.integers(-4, 4)] * amb.free_rank,
                     *[st.integers(0, f - 1) for f in amb.invariant_factors])
     exponents = st.tuples(*[st.integers(0, 3)] * len(vectors))
@@ -284,12 +294,13 @@ def test_readings_of_the_kept_decomposition_match_the_old_ones(data):
 
 def test_presentation_of_reads_the_decomposition_the_monoid_holds(
         count_calls):
-    # the public constructor checks the span by the decomposition, and
-    # from_vectors passes its own on when it keeps the coordinates
+    # the public constructor keeps the lattice of the decomposition that
+    # checks its span, and from_vectors that of its own when it keeps the
+    # coordinates
     monoids = [mc.AffineMonoid(xl.FgAbelianGroup(1, (2,)),
                                [(1, 0), (1, 1), (2, 1)]),
                mc.AffineMonoid.from_vectors([(1, 0), (1, 1), (1, 2)])]
-    assert all("_smith" in vars(m) for m in monoids)
+    assert all("_lattice" in vars(m) for m in monoids)
     calls = count_calls(xl, "_snf_full")
     relations = [mc.presentation_of(m).relations for m in monoids]
     assert calls == []
