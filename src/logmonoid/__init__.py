@@ -5,123 +5,53 @@ spectra, pushouts and fiber products; rational cones, fans, Hilbert bases
 and resolution by stellar subdivision; monoid ideals and their blowups;
 homomorphism analysis (Kato smoothness, Kummer covers, log differentials).
 All arithmetic is exact over the integers.
-"""
 
-from .errors import DomainError, InputError, InternalCheckError, LogMonoidError
-from .exact_lattice import (
-    FgAbelianGroup,
-    IntMatrix,
-    SmithDecomposition,
-    cokernel,
-    group_from_relations,
-    hom_cokernel,
-    hom_kernel,
-    kernel_basis,
-    minimal_nonneg_solutions,
-    smith_normal_form,
-    solve_integer,
-    solve_nonneg,
-)
-from .monoid_core import (
-    AffineMonoid,
-    MonoidElement,
-    MonoidPresentation,
-    PrimeIdeal,
-    fiber_product,
-    free_monoid,
-    grothendieck_group,
-    integralize,
-    predicates,
-    pushout,
-    saturate,
-    sharpen,
-    spec,
-    units,
-)
-from .cone_complex import (
-    Fan,
-    RationalCone,
-    dual_cone,
-    faces,
-    fan_from_cones,
-    hilbert_basis,
-    multiplicity,
-    resolve,
-    stellar_subdivision,
-)
-from .log_ideal_blowup import (
-    BlowupChart,
-    MonoidIdeal,
-    blowup_charts,
-    blowup_fan,
-    blowup_is_idempotent,
-)
-from .log_hom_analysis import (
-    DifferentialPresentation,
-    MonoidHom,
-    SmoothnessVerdict,
-    differential_rank,
-    is_kummer,
-    kato_criterion,
-    neat_chart_class,
-    relative_characteristic,
-    universal_differential_presentation,
-)
+Every public name is importable from here, and ``_EXPORTS`` is the one list
+of them: a name's module is imported on the first access to it (PEP 562),
+so ``import logmonoid`` alone loads none of the six modules.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMonoid",
-    "BlowupChart",
-    "DifferentialPresentation",
-    "DomainError",
-    "Fan",
-    "FgAbelianGroup",
-    "InputError",
-    "IntMatrix",
-    "InternalCheckError",
-    "LogMonoidError",
-    "MonoidElement",
-    "MonoidHom",
-    "MonoidIdeal",
-    "MonoidPresentation",
-    "PrimeIdeal",
-    "RationalCone",
-    "SmithDecomposition",
-    "SmoothnessVerdict",
-    "blowup_charts",
-    "blowup_fan",
-    "blowup_is_idempotent",
-    "cokernel",
-    "differential_rank",
-    "dual_cone",
-    "faces",
-    "fan_from_cones",
-    "fiber_product",
-    "free_monoid",
-    "group_from_relations",
-    "grothendieck_group",
-    "hilbert_basis",
-    "hom_cokernel",
-    "hom_kernel",
-    "integralize",
-    "is_kummer",
-    "kato_criterion",
-    "kernel_basis",
-    "minimal_nonneg_solutions",
-    "multiplicity",
-    "neat_chart_class",
-    "predicates",
-    "pushout",
-    "relative_characteristic",
-    "resolve",
-    "saturate",
-    "sharpen",
-    "smith_normal_form",
-    "solve_integer",
-    "solve_nonneg",
-    "spec",
-    "stellar_subdivision",
-    "units",
-    "universal_differential_presentation",
-]
+_EXPORTS = {
+    "errors": ("DomainError", "InputError", "InternalCheckError",
+               "LogMonoidError"),
+    "exact_lattice": ("FgAbelianGroup", "IntMatrix", "SmithDecomposition",
+                      "cokernel", "group_from_relations", "hom_cokernel",
+                      "hom_kernel", "kernel_basis", "minimal_nonneg_solutions",
+                      "smith_normal_form", "solve_integer", "solve_nonneg"),
+    "monoid_core": ("AffineMonoid", "MonoidElement", "MonoidPresentation",
+                    "PrimeIdeal", "fiber_product", "free_monoid",
+                    "grothendieck_group", "integralize", "predicates",
+                    "pushout", "saturate", "sharpen", "spec", "units"),
+    "cone_complex": ("Fan", "RationalCone", "dual_cone", "faces",
+                     "fan_from_cones", "hilbert_basis", "multiplicity",
+                     "resolve", "stellar_subdivision"),
+    "log_ideal_blowup": ("BlowupChart", "MonoidIdeal", "blowup_charts",
+                         "blowup_fan", "blowup_is_idempotent"),
+    "log_hom_analysis": ("DifferentialPresentation", "MonoidHom",
+                         "SmoothnessVerdict", "differential_rank", "is_kummer",
+                         "kato_criterion", "neat_chart_class",
+                         "relative_characteristic",
+                         "universal_differential_presentation"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _MODULE_OF.keys() | _EXPORTS.keys())

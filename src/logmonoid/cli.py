@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from . import cone_complex as cc
 from . import exact_lattice as xl
 from . import log_hom_analysis as lha
@@ -530,7 +531,7 @@ def build_parser():
         description="exact computations on fine monoids, cones, fans, "
                     "monoid ideals and their homomorphisms")
     parser.add_argument("--version", action="version",
-                        version="%(prog)s " + _version())
+                        version="%(prog)s " + __version__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
     for name, handler in _HANDLERS.items():
@@ -551,11 +552,6 @@ def build_parser():
         sp.add_argument("files", nargs="+", metavar="FILE",
                         help="input JSON document(s)")
     return parser
-
-
-def _version():
-    from . import __version__
-    return __version__
 
 
 def _warn(msg):

@@ -215,7 +215,7 @@ class RationalCone:
         must lie in the result."""
         dim = xl._as_count(dim, "dimension")
         vecs = []
-        for v in vectors:
+        for v in xl._as_tuple(vectors, "rays"):
             v = xl._as_ints(v)
             if len(v) != dim:
                 raise InputError("ray of wrong length")
@@ -775,12 +775,15 @@ class Fan:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", xl._as_count(self.dim, "dimension"))
-        for c in self.maximal_cones:
+        cones = xl._as_tuple(self.maximal_cones, "maximal cones")
+        for c in cones:
+            if not isinstance(c, RationalCone):
+                raise InputError(f"fan cone {c!r} is not a RationalCone")
             if c.dim != self.dim:
                 raise InputError("cone of wrong ambient dimension in fan")
             if not c.is_strongly_convex:
                 raise DomainError("fans consist of strongly convex cones")
-        cones = dict.fromkeys(self.maximal_cones)
+        cones = dict.fromkeys(cones)
         object.__setattr__(self, "maximal_cones", tuple(sorted(
             (p for p in cones
              if not any(q != p and q.contains_cone(p) for q in cones)),
@@ -838,8 +841,8 @@ class Fan:
 
 
 def fan_from_cones(cones, dim, validate=True):
-    """``Fan(dim, tuple(cones))``; ``validate`` is accepted and ignored."""
-    return Fan(dim, tuple(cones))
+    """``Fan(dim, cones)``; ``validate`` is accepted and ignored."""
+    return Fan(dim, cones)
 
 
 def _joins(cone, v):

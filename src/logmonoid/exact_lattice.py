@@ -44,6 +44,15 @@ def _as_ints(values):
         raise InputError(f"expected integers, got {values!r}") from None
 
 
+def _as_tuple(values, what):
+    """``values`` as a tuple; anything that is not iterable is refused
+    with an InputError."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {values!r}") from None
+
+
 def _as_count(value, what):
     """A count or dimension as an int, which must be nonnegative."""
     (value,) = _as_ints((value,))
@@ -94,7 +103,10 @@ def intmat(rows, ncols=None):
     ``ncols`` is required when ``rows`` is empty, and is otherwise checked
     against the row length.
     """
-    rows = tuple(map(tuple, rows))
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:
+        raise InputError(f"expected rows of integers, got {rows!r}") from None
     if ncols is not None:
         ncols = _as_count(ncols, "vector length")
     if not rows:

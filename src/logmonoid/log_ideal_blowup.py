@@ -36,7 +36,8 @@ class MonoidIdeal:
 
     def __post_init__(self):
         amb = self.host.ambient
-        vecs = dict.fromkeys(mc.vector_of(amb, g) for g in self.generators)
+        vecs = dict.fromkeys(mc.vector_of(amb, g) for g in
+                             xl._as_tuple(self.generators, "ideal generators"))
         if not all(mc._contains(self.host, v) for v in vecs):
             raise DomainError("ideal generator lies outside the host monoid")
         object.__setattr__(self, "generators",

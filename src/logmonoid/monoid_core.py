@@ -121,7 +121,7 @@ class MonoidPresentation:
     def __post_init__(self):
         ngens = xl._as_count(self.ngens, "generator count")
         rels = []
-        for rel in self.relations:
+        for rel in xl._as_tuple(self.relations, "relations"):
             try:
                 u, v = rel
             except (TypeError, ValueError):
@@ -167,7 +167,8 @@ class AffineMonoid:
     generators: tuple = ()
 
     def __post_init__(self):
-        self._keep(vector_of(self.ambient, e) for e in self.generators)
+        self._keep(vector_of(self.ambient, e)
+                   for e in xl._as_tuple(self.generators, "generators"))
         dec = xl._decompose_among(self.ambient, self._vectors)
         if not xl._generates(dec):
             raise InputError(
@@ -223,7 +224,7 @@ class AffineMonoid:
         re-presented in invariant-factor form; coordinates change accordingly.
         """
         torsion_orders = xl._as_ints(torsion_orders)
-        vectors = [xl._as_ints(v) for v in vectors]
+        vectors = [xl._as_ints(v) for v in xl._as_tuple(vectors, "vectors")]
         if not vectors:
             return free_monoid(0)
         width = len(vectors[0])

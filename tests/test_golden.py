@@ -4,9 +4,11 @@ Each directory under ``golden/cases`` holds an ``invocation.json``, the input
 documents it names, and the frozen ``expected.out``.  The test replays the
 invocation in a fresh subprocess and compares stdout byte for byte.  After an
 intentional output change, regenerate with ``python3 tests/golden/regen.py``
-and review the diff.
+and review the diff.  The tests at the end pin the package's public names and
+what a bare ``import logmonoid`` loads.
 """
 
+import importlib
 import json
 import re
 import subprocess
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import logmonoid
 
 CASES = sorted(
     p for p in (Path(__file__).parent / "golden" / "cases").iterdir()
@@ -90,3 +94,84 @@ def test_verify_layer_loads_only_under_the_flag():
               if line.startswith(b"verify: ")]
     assert len(report) == 1
     assert re.fullmatch(rb"verify: gp \S+: \w+(, \w+)*: ok", report[0])
+
+
+# ---------------------------------------------------------------------------
+# the public surface
+
+MODULES = ("errors", "exact_lattice", "monoid_core", "cone_complex",
+           "log_ideal_blowup", "log_hom_analysis")
+
+PUBLIC = frozenset("""
+    AffineMonoid BlowupChart DifferentialPresentation DomainError Fan
+    FgAbelianGroup InputError IntMatrix InternalCheckError LogMonoidError
+    MonoidElement MonoidHom MonoidIdeal MonoidPresentation PrimeIdeal
+    RationalCone SmithDecomposition SmoothnessVerdict blowup_charts blowup_fan
+    blowup_is_idempotent cokernel differential_rank dual_cone faces
+    fan_from_cones fiber_product free_monoid group_from_relations
+    grothendieck_group hilbert_basis hom_cokernel hom_kernel integralize
+    is_kummer kato_criterion kernel_basis minimal_nonneg_solutions
+    multiplicity neat_chart_class predicates pushout relative_characteristic
+    resolve saturate sharpen smith_normal_form solve_integer solve_nonneg spec
+    stellar_subdivision units universal_differential_presentation
+""".split())
+
+
+def test_bare_import_loads_no_module_and_lists_every_name():
+    code = ("import json, sys, logmonoid; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.startswith('logmonoid.')), "
+            "sorted(n for n in dir(logmonoid) if not n.startswith('_'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, listed = json.loads(proc.stdout)
+    assert loaded == []
+    assert set(listed) == PUBLIC | set(MODULES) and len(listed) == 59
+
+
+def test_every_public_name_is_its_module_object():
+    assert len(PUBLIC) == 53
+    assert set(logmonoid.__all__) == PUBLIC
+    for module in MODULES:
+        assert getattr(logmonoid, module) is \
+            importlib.import_module(f"logmonoid.{module}")
+    for name in PUBLIC:
+        value = getattr(logmonoid, name)
+        home = value.__module__
+        assert home in {f"logmonoid.{module}" for module in MODULES}, name
+        assert getattr(sys.modules[home], name) is value
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from logmonoid import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'cone_complx'"):
+        logmonoid.cone_complx
+    assert not hasattr(logmonoid, "Cone")
+    with pytest.raises(ImportError):
+        exec("from logmonoid import Cone", {})
+
+
+@pytest.mark.parametrize("door", [
+    lambda: logmonoid.AffineMonoid(logmonoid.FgAbelianGroup(1), None),
+    lambda: logmonoid.AffineMonoid.from_vectors(None),
+    lambda: logmonoid.MonoidPresentation(2, None),
+    lambda: logmonoid.MonoidIdeal(logmonoid.free_monoid(1), None),
+    lambda: logmonoid.RationalCone.from_rays(None, 2),
+    lambda: logmonoid.Fan(2, None),
+    lambda: logmonoid.Fan(2, [1]),
+    lambda: logmonoid.fan_from_cones(None, 2),
+    lambda: logmonoid.exact_lattice.intmat([1, 2]),
+    lambda: logmonoid.MonoidHom(logmonoid.free_monoid(1),
+                                logmonoid.free_monoid(1), [1]),
+    lambda: logmonoid.kernel_basis(None),
+    lambda: logmonoid.FgAbelianGroup(1, None),
+    lambda: logmonoid.MonoidElement((1,), None),
+], ids=["monoid", "monoid-from-vectors", "presentation", "ideal", "cone",
+        "fan", "fan-cone", "fan-from-cones", "intmat", "hom", "kernel-basis", "group", "element"])
+def test_checked_doors_refuse_a_non_sequence(door):
+    with pytest.raises(logmonoid.InputError):
+        door()

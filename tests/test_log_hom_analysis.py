@@ -327,6 +327,28 @@ def test_kummer_with_torsion_target():
     assert lha.is_kummer(incl)
 
 
+def test_kummer_builds_no_cokernel(count_calls):
+    # for an injective map, a finite cokernel is equal free ranks: no verdict
+    # presents Coker, and a rank mismatch takes no decomposition at all
+    torsion_src = mc.AffineMonoid.from_vectors([(1, 0), (0, 1)],
+                                               torsion_orders=(2,))
+    homs = [
+        (_hom(_free(1), _free(1), [[3]]), True),
+        (_hom(_free(2), _free(1), [[1, 1]]), False),
+        (_hom(torsion_src, _free(1), [[1, 0]]), False),
+        (_hom(_free(2), _free(2), [[1, 1], [0, 1]]), False),
+        (_nodal(2, 3), False),
+    ]
+    cokernels = count_calls(xl, "_cokernel_of")
+    assert [lha.is_kummer(hom) for hom, _ in homs] == \
+        [verdict for _, verdict in homs]
+    assert cokernels == []
+    axis = _nodal(1, 0)
+    decompositions = count_calls(xl, "_snf_full")
+    assert lha.is_kummer(axis) is False
+    assert decompositions == []
+
+
 def _oracle_is_kummer(hom):
     """Kummer by one nonnegative solve per target generator q: a solution
     of sum a_i phi(p_i) - c q = 0 with c >= 1, with slack columns that add
