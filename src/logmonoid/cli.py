@@ -67,6 +67,12 @@ def _as_int(x, ctx):
     return x
 
 
+def _as_count(x, ctx):
+    if _as_int(x, ctx) < 0:
+        raise InputError(f"{ctx}: must be nonnegative")
+    return x
+
+
 def _as_vector(x, length, ctx):
     if not isinstance(x, list):
         raise InputError(f"{ctx}: expected a list of integers, got {x!r}")
@@ -97,7 +103,7 @@ def _expect_kind(doc, kinds, ctx):
 
 def parse_presentation(doc, ctx):
     _expect_kind(doc, {"monoid-presentation"}, ctx)
-    ngens = _as_int(_get(doc, "ngens", ctx), f"{ctx}.ngens")
+    ngens = _as_count(_get(doc, "ngens", ctx), f"{ctx}.ngens")
     raw = _get(doc, "relations", ctx)
     if not isinstance(raw, list):
         raise InputError(f"{ctx}.relations: expected a list of [u, v] pairs")
@@ -114,9 +120,7 @@ def parse_presentation(doc, ctx):
 
 def parse_monoid(doc, ctx, warn):
     _expect_kind(doc, {"affine-monoid"}, ctx)
-    free_rank = _as_int(_get(doc, "free_rank", ctx), f"{ctx}.free_rank")
-    if free_rank < 0:
-        raise InputError(f"{ctx}.free_rank: must be nonnegative")
+    free_rank = _as_count(_get(doc, "free_rank", ctx), f"{ctx}.free_rank")
     torsion = _as_vector(_get(doc, "torsion", ctx), None, f"{ctx}.torsion")
     host = xl.FgAbelianGroup(free_rank, torsion)
     vecs = _as_vector_list(
@@ -147,9 +151,7 @@ def _warn_nonprimitive(rays, ctx, warn):
 
 
 def _parse_rays(doc, ctx, warn):
-    dim = _as_int(_get(doc, "dim", ctx), f"{ctx}.dim")
-    if dim < 0:
-        raise InputError(f"{ctx}.dim: must be nonnegative")
+    dim = _as_count(_get(doc, "dim", ctx), f"{ctx}.dim")
     rays = _as_vector_list(_get(doc, "rays", ctx), dim, f"{ctx}.rays")
     _warn_nonprimitive(rays, ctx, warn)
     return rays, dim
@@ -163,9 +165,7 @@ def parse_cone(doc, ctx, warn):
 
 def parse_fan(doc, ctx, warn):
     _expect_kind(doc, {"fan"}, ctx)
-    dim = _as_int(_get(doc, "dim", ctx), f"{ctx}.dim")
-    if dim < 0:
-        raise InputError(f"{ctx}.dim: must be nonnegative")
+    dim = _as_count(_get(doc, "dim", ctx), f"{ctx}.dim")
     raw = _get(doc, "maximal_cones", ctx)
     if not isinstance(raw, list):
         raise InputError(f"{ctx}.maximal_cones: expected a list of ray lists")

@@ -777,9 +777,7 @@ class Fan:
         object.__setattr__(self, "dim", xl._as_count(self.dim, "dimension"))
         cones = xl._as_tuple(self.maximal_cones, "maximal cones")
         for c in cones:
-            if not isinstance(c, RationalCone):
-                raise InputError(f"fan cone {c!r} is not a RationalCone")
-            if c.dim != self.dim:
+            if xl._of_kind(c, RationalCone, "fan cone").dim != self.dim:
                 raise InputError("cone of wrong ambient dimension in fan")
             if not c.is_strongly_convex:
                 raise DomainError("fans consist of strongly convex cones")

@@ -53,6 +53,14 @@ def _as_tuple(values, what):
         raise InputError(f"{what} must be a sequence, got {values!r}") from None
 
 
+def _of_kind(value, kind, what):
+    """``value``, which must be a ``kind``, else an InputError."""
+    if not isinstance(value, kind):
+        raise InputError(
+            f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _as_count(value, what):
     """A count or dimension as an int, which must be nonnegative."""
     (value,) = _as_ints((value,))
@@ -83,7 +91,7 @@ class IntMatrix:
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
-            return apply(self, other)
+            return apply(self, _as_ints(other))
         if self.ncols != len(other.rows):
             raise InputError(f"cannot multiply shapes {self.shape} and {other.shape}")
         cols = mat_columns(other)
@@ -133,7 +141,7 @@ def _from_columns(cols, nrows):
 def intmat_from_columns(cols, nrows=None):
     """Builds a matrix whose columns are the given integer vectors, checked
     as the rows of ``intmat`` (so each of length ``nrows`` when given)."""
-    cols = list(cols)
+    cols = _as_tuple(cols, "columns")
     if not cols and nrows is None:
         raise InputError("empty column list needs an explicit row count")
     transposed = intmat(cols, nrows)
@@ -158,17 +166,12 @@ def apply(mat, vec):
     return tuple(sum(map(mul, r, vec)) for r in mat.rows)
 
 
-def _as_matrix(a):
-    """``a`` as an IntMatrix: nested int sequences and 2-d arrays (anything
-    with ``tolist`` and ``shape``) are checked and converted.  An IntMatrix
-    is taken as it is: its constructor is the unchecked one."""
+def _as_matrix(a, ncols=None):
+    """A caller's matrix: nested integer rows, checked by ``intmat``, or an
+    IntMatrix, built unchecked, whose rows are checked against its ncols."""
     if isinstance(a, IntMatrix):
-        return a
-    if hasattr(a, "tolist"):
-        if len(a.shape) != 2:
-            raise InputError("expected a 2-d matrix")
-        return intmat(a.tolist(), ncols=a.shape[1])
-    return intmat(a)
+        return intmat(a.rows, a.ncols)
+    return intmat(a, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +198,8 @@ def _snf_full(a):
     ties broken by lowest row then column index.  The row and column
     operations run on lists of lists and update only D, U and V (inverses
     come from ``_unimodular_inverse``); U and V are wrapped as IntMatrix once
-    at the end.
+    at the end.  ``a`` is an IntMatrix (trusted).
     """
-    a = _as_matrix(a)
     m, n = a.shape
     d = [list(r) for r in a.rows]
     u = _identity_rows(m)
@@ -289,7 +291,7 @@ def smith_normal_form(a):
     The diagonal lists the nonzero invariant factors only; zeros pad the rest
     of U * A * V.
     """
-    dec = _snf_full(a)
+    dec = _snf_full(_as_matrix(a))
     for x, y in zip(dec.diag, dec.diag[1:]):
         if y % x != 0:
             raise InternalCheckError(
@@ -304,7 +306,7 @@ def kernel_basis(a):
     the columns.  Columns are sign-normalized so their first nonzero entry is
     positive.
     """
-    dec = _snf_full(a)
+    dec = _snf_full(_as_matrix(a))
     return _from_columns(_kernel_columns(dec), dec.right.shape[0])
 
 
@@ -712,22 +714,28 @@ def _span_presentation(group, elements):
 
 def hom_is_well_defined(source, target, matrix):
     """Whether a lift-coordinate matrix defines a hom of groups: whether it
-    maps every relation of the source to zero in the target."""
+    has the lift shape and ``_kills_relations``."""
     matrix = _as_matrix(matrix)
-    if matrix.shape != (target.lift_dim, source.lift_dim):
-        return False
+    return matrix.shape == (target.lift_dim, source.lift_dim) and \
+        _kills_relations(source, target, matrix)
+
+
+def _kills_relations(source, target, matrix):
+    """Whether ``matrix`` maps every relation of the source to 0 in the target."""
     return not any(any(target.reduce_vector(apply(matrix, c)))
                    for c in source.relation_columns())
 
 
-def _hom_columns(source, target, matrix):
-    """The columns of a lift-coordinate matrix of a hom source -> target."""
-    matrix, shape = _as_matrix(matrix), (target.lift_dim, source.lift_dim)
+def _hom_matrix(source, target, matrix):
+    """A caller's lift-coordinate matrix of a hom source -> target, checked.
+    Rows are source.lift_dim wide, so ``[]`` maps into the trivial group."""
+    matrix = _as_matrix(matrix, source.lift_dim)
+    shape = (target.lift_dim, source.lift_dim)
     if matrix.shape != shape:
         raise InputError(f"hom matrix has shape {matrix.shape}, not {shape}")
-    if not hom_is_well_defined(source, target, matrix):
+    if not _kills_relations(source, target, matrix):
         raise DomainError("matrix is not a homomorphism of the ambient groups")
-    return mat_columns(matrix)
+    return matrix
 
 
 def _kernel_of(source, dec):
@@ -748,13 +756,13 @@ def _is_injective(source, dec):
 def hom_kernel(source, target, matrix):
     """Kernel of a hom of presented groups, in invariant-factor form."""
     return _kernel_of(source, _decompose_among(
-        target, _hom_columns(source, target, matrix)))
+        target, mat_columns(_hom_matrix(source, target, matrix))))
 
 
 def hom_cokernel(source, target, matrix):
     """Cokernel of a hom of presented groups, in invariant-factor form."""
     return _cokernel_of(_decompose_among(
-        target, _hom_columns(source, target, matrix)))
+        target, mat_columns(_hom_matrix(source, target, matrix))))
 
 
 # ---------------------------------------------------------------------------

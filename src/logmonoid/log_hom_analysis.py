@@ -41,10 +41,11 @@ class MonoidHom:
     matrix: xl.IntMatrix
 
     def __post_init__(self):
-        mat = xl.intmat(self.matrix.tolist() if hasattr(self.matrix, "tolist")
-                        else self.matrix, ncols=self.source.ambient.lift_dim)
+        xl._of_kind(self.source, mc.AffineMonoid, "hom source")
+        xl._of_kind(self.target, mc.AffineMonoid, "hom target")
         # refuses a matrix of the wrong shape and one that is not a hom
-        xl._hom_columns(self.source.ambient, self.target.ambient, mat)
+        mat = xl._hom_matrix(self.source.ambient, self.target.ambient,
+                             self.matrix)
         object.__setattr__(self, "matrix", mat)
         images = tuple(self.target.ambient.reduce_vector(xl.apply(mat, v))
                        for v in self.source._vectors)

@@ -35,7 +35,7 @@ class MonoidIdeal:
     generators: tuple = ()
 
     def __post_init__(self):
-        amb = self.host.ambient
+        amb = xl._of_kind(self.host, mc.AffineMonoid, "ideal host").ambient
         vecs = dict.fromkeys(mc.vector_of(amb, g) for g in
                              xl._as_tuple(self.generators, "ideal generators"))
         if not all(mc._contains(self.host, v) for v in vecs):

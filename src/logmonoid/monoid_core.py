@@ -167,6 +167,7 @@ class AffineMonoid:
     generators: tuple = ()
 
     def __post_init__(self):
+        xl._of_kind(self.ambient, xl.FgAbelianGroup, "ambient group")
         self._keep(vector_of(self.ambient, e)
                    for e in xl._as_tuple(self.generators, "generators"))
         dec = xl._decompose_among(self.ambient, self._vectors)

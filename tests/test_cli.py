@@ -219,7 +219,7 @@ def test_every_hom_verdict_reads_one_decomposition(count_calls, case):
     # one Smith decomposition of [matrix columns | target relations]
     doc = json.loads((Path(__file__).parent / "golden" / "cases" / case /
                       "hom.json").read_text())
-    doors = count_calls(xl, "_hom_columns")
+    doors = count_calls(xl, "_hom_matrix")
     decompositions = count_calls(xl, "_decompose_among")
     hom = cli.parse_hom(doc, case, pytest.fail)
     for p in (0, 2, 3):
@@ -249,7 +249,7 @@ def test_blowup_trusts_the_ideals_it_builds(count_calls, capsys):
 
 
 def test_resolve_validates_a_parsed_fan_once(count_calls, capsys):
-    # parse_fan validates the fan, and resolve is told not to again
+    # parse_fan validates the fan, and resolve trusts a built Fan
     case = Path(__file__).parent / "golden" / "cases" / "resolve-a3"
     validations = count_calls(cc.Fan, "validate")
     assert cli.main(["resolve", str(case / "fan.json")]) == 0
@@ -318,6 +318,14 @@ def test_a_matrix_that_is_not_a_group_hom_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == (f"error: {p}: not a monoid homomorphism: matrix is "
                            f"not a homomorphism of the ambient groups\n")
+
+
+def test_a_negative_generator_count_exits_1_with_its_path(tmp_path):
+    p = write_doc(tmp_path / "pres.json", {
+        "kind": "monoid-presentation", "ngens": -1, "relations": []})
+    proc = run_cli("int", p)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {p}.ngens: must be nonnegative\n"
 
 
 def test_ideal_generator_outside_monoid_exits_1(tmp_path):

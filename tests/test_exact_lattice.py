@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
+import logmonoid.log_hom_analysis as lha
 import logmonoid.monoid_core as mc
 from logmonoid.errors import DomainError, InputError, InternalCheckError
 from conftest import (has_nonneg_solution, identity_mat, relations_among,
@@ -277,7 +278,7 @@ def _fraction_inverse(rows):
 def test_snf_full_identities_on_random_matrices():
     for rows in _random_snf_inputs(20261019, 120):
         m, n = len(rows), len(rows[0])
-        dec = xl._snf_full(rows)
+        dec = xl._snf_full(xl.intmat(rows))
         assert isinstance(dec, xl.SmithDecomposition)
         u, v, diag = dec.left.tolist(), dec.right.tolist(), list(dec.diag)
         padded = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
@@ -303,7 +304,8 @@ def test_snf_full_outputs_are_pinned():
     # also tracked U^-1 and V^-1, so it shows that dropping them moved nothing.
     payload = json.dumps(
         [[dec.left.tolist(), list(dec.diag), dec.right.tolist()]
-         for dec in map(xl._snf_full, _random_snf_inputs(20261018, 50))],
+         for dec in (xl._snf_full(xl.intmat(rows))
+                     for rows in _random_snf_inputs(20261018, 50))],
         separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == \
         "946836e06fff999c8aad2a1c2d413c350534f5c23a114832a04d88ed4d4522cf"
@@ -511,7 +513,8 @@ def _injective_homs(draw):
 def _hom_kernel_with_fallback(source, target, matrix):
     """``hom_kernel`` with the removed fallback for a kernel without
     generators."""
-    gens = relations_among(target, xl._hom_columns(source, target, matrix))
+    gens = relations_among(
+        target, xl.mat_columns(xl._hom_matrix(source, target, matrix)))
     return xl.subgroup_presentation(source, gens)[0] if gens else \
         xl.FgAbelianGroup(0, ())
 
@@ -533,7 +536,7 @@ def test_a_trivial_source_has_a_kernel_without_generators(target):
     # the case the removed fallback answered: no relations to present
     trivial, matrix = xl.FgAbelianGroup(0, ()), xl.intmat(
         [[]] * target.lift_dim, ncols=0)
-    cols = xl._hom_columns(trivial, target, matrix)
+    cols = xl.mat_columns(xl._hom_matrix(trivial, target, matrix))
     assert xl._kernel_columns(xl._decompose_among(target, cols), 0) == []
     assert xl.hom_kernel(trivial, target, matrix) == trivial
 
@@ -548,6 +551,9 @@ def test_hom_well_defined_respects_torsion():
     z4 = xl.FgAbelianGroup(0, (4,))
     assert xl.hom_is_well_defined(z2, z4, [[2]])
     assert not xl.hom_is_well_defined(z2, z4, [[1]])
+    # a matrix of the wrong shape is not one, and is not refused
+    for wrong in ([[0, 0]], [[0], [0]], xl.IntMatrix(((0, 0),), 2)):
+        assert not xl.hom_is_well_defined(z2, z4, wrong)
 
 
 def _hom_is_well_defined_per_coordinate(source, target, matrix):
@@ -965,6 +971,7 @@ def test_matrix_constructors_reject_garbage():
 
 _QUADRANT = cc.fan_from_cones(
     [cc.RationalCone.from_rays([(1, 0), (0, 1)], 2)], 2)
+_HALF_ROW, _HALF = xl.IntMatrix(((1.5, 2),), 2), xl.IntMatrix(((1.5,),), 1)
 
 
 @pytest.mark.parametrize("call", [
@@ -978,9 +985,24 @@ _QUADRANT = cc.fan_from_cones(
     lambda: xl.hom_kernel(xl.FgAbelianGroup(1), xl.FgAbelianGroup(1), [[0.5]]),
     lambda: cc.stellar_subdivision(_QUADRANT, (0.5, 1)),
     lambda: cc.stellar_subdivision(_QUADRANT, ("1", 1)),
+    lambda: xl.intmat([[1, 2], [3, 4]]) @ (0.5, 1),
+    # an IntMatrix is built unchecked, so every door checks its entries
+    lambda: xl.smith_normal_form(_HALF_ROW),
+    lambda: xl.kernel_basis(_HALF_ROW),
+    lambda: xl.solve_integer(_HALF_ROW, (1,)),
+    lambda: xl.cokernel(_HALF_ROW),
+    lambda: xl.minimal_nonneg_solutions(_HALF_ROW),
+    lambda: xl.solve_nonneg(_HALF_ROW, (1,)),
+    lambda: xl.hom_kernel(xl.FgAbelianGroup(1), xl.FgAbelianGroup(1), _HALF),
+    lambda: xl.hom_cokernel(xl.FgAbelianGroup(1), xl.FgAbelianGroup(1), _HALF),
+    lambda: lha.MonoidHom(mc.free_monoid(1), mc.free_monoid(1), _HALF),
 ], ids=["free_rank", "factor", "factor_str", "reduce_vector", "solve_nonneg",
         "has_nonneg_solution", "solve_integer", "hom_kernel",
-        "stellar_point", "stellar_point_str"])
+        "stellar_point", "stellar_point_str", "matmul_vector",
+        "smith_intmatrix", "kernel_basis_intmatrix", "solve_integer_intmatrix",
+        "cokernel_intmatrix", "minimal_nonneg_intmatrix",
+        "solve_nonneg_intmatrix", "hom_kernel_intmatrix",
+        "hom_cokernel_intmatrix", "monoid_hom_intmatrix"])
 def test_non_integers_are_refused_not_truncated(call):
     with pytest.raises(InputError):
         call()
@@ -1064,22 +1086,22 @@ def test_intmat_surface():
         xl.intmat([[1, 2.0]])
 
 
-class _ArrayLike:
-    """Stands in for a caller's 2-d array: only ``shape`` and ``tolist``."""
+def test_nested_rows_and_int_matrices_are_converted():
+    # a caller's matrix is nested integer rows or an IntMatrix, both checked
+    rows = ((2, 4), (6, 8))
+    for a in (list(map(list, rows)), rows, xl.IntMatrix(rows, 2)):
+        assert xl.smith_normal_form(a).diag == (2, 4)
+    assert xl.kernel_basis(xl.IntMatrix((), 2)).shape == (2, 2)
+    for flat in ([1, 2], xl.IntMatrix((1, 2), 2)):
+        with pytest.raises(InputError):
+            xl.smith_normal_form(flat)
 
-    def __init__(self, rows, shape):
-        self.rows, self.shape = rows, shape
 
-    def tolist(self):
-        return self.rows
-
-
-def test_array_like_inputs_are_converted():
-    a = _ArrayLike([[2, 4], [6, 8]], (2, 2))
-    assert xl.smith_normal_form(a).diag == (2, 4)
-    assert xl.kernel_basis(_ArrayLike([], (0, 2))).shape == (2, 2)
-    with pytest.raises(InputError):
-        xl.smith_normal_form(_ArrayLike([1, 2], (2,)))
+def test_the_empty_matrix_maps_into_the_trivial_group():
+    # [] has the source's lift width at the hom door, as in MonoidHom
+    z, trivial = xl.FgAbelianGroup(1), xl.FgAbelianGroup(0)
+    assert xl.hom_kernel(z, trivial, []) == z
+    assert xl.hom_cokernel(z, trivial, []).is_trivial
 
 
 def test_group_rejects_bad_invariant_factors():

@@ -170,8 +170,17 @@ def test_unknown_names_raise_attribute_error():
     lambda: logmonoid.kernel_basis(None),
     lambda: logmonoid.FgAbelianGroup(1, None),
     lambda: logmonoid.MonoidElement((1,), None),
+    # a value of the wrong kind where a group or monoid is expected
+    lambda: logmonoid.AffineMonoid(None, []),
+    lambda: logmonoid.MonoidHom(None, logmonoid.free_monoid(1), [[1]]),
+    lambda: logmonoid.MonoidHom(logmonoid.free_monoid(1), None, [[1]]),
+    lambda: logmonoid.MonoidIdeal(None, []),
+    lambda: logmonoid.group_from_relations(2, None),
+    lambda: logmonoid.exact_lattice.intmat_from_columns(None, 2),
 ], ids=["monoid", "monoid-from-vectors", "presentation", "ideal", "cone",
-        "fan", "fan-cone", "fan-from-cones", "intmat", "hom", "kernel-basis", "group", "element"])
+        "fan", "fan-cone", "fan-from-cones", "intmat", "hom", "kernel-basis",
+        "group", "element", "monoid-ambient", "hom-source", "hom-target",
+        "ideal-host", "group-from-relations", "intmat-from-columns"])
 def test_checked_doors_refuse_a_non_sequence(door):
     with pytest.raises(logmonoid.InputError):
         door()
