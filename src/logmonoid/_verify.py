@@ -254,14 +254,10 @@ def _smith_regular(cone):
 
 def check_regular(verdict, cone, fan=None):
     if fan is not None:
-        yield _check(verdict == all(cc.is_regular(c) for c in fan.maximal_cones),
-                     "fan regularity disagrees with its cones", "cones")
         yield _check(verdict == all(map(_smith_regular, fan.maximal_cones)),
                      "fan regularity disagrees with the Smith invariant factors",
                      "smith")
     elif cone.is_simplicial:
-        yield _check(verdict == (cc.multiplicity(cone) == 1),
-                     "regularity disagrees with multiplicity", "multiplicity")
         yield _check(verdict == _smith_regular(cone),
                      "regularity disagrees with the Smith invariant factors",
                      "smith")
@@ -272,8 +268,6 @@ def check_regular(verdict, cone, fan=None):
 
 def check_mult(cone, mult):
     yield _check(mult >= 1, "multiplicity below one", "positive")
-    yield _check((mult == 1) == cc.is_regular(cone),
-                 "multiplicity one disagrees with regularity", "regularity")
     yield _check(mult == _smith_multiplicity(cone),
                  "multiplicity differs from the Smith invariant factors", "smith")
 

@@ -133,10 +133,7 @@ def extreme_rays_of_halfspaces(normals, dim, *, kernel=()):
     ``RationalCone.from_rays`` has when there are fewer normals than dim.
     """
     dim = xl._as_count(dim, "dimension")
-    normals = [xl._as_ints(n) for n in normals]
-    for n in normals:
-        if len(n) != dim:
-            raise InputError("normal of wrong length")
+    normals = [xl._as_vector(n, dim, "normal") for n in normals]
     normals = [n for n in normals if any(n)]
 
     rays = []        # list of (vector, tight_index_set)
@@ -214,14 +211,8 @@ class RationalCone:
         the extreme rays out of the generators.  Either way every generator
         must lie in the result."""
         dim = xl._as_count(dim, "dimension")
-        vecs = []
-        for v in xl._as_tuple(vectors, "rays"):
-            v = xl._as_ints(v)
-            if len(v) != dim:
-                raise InputError("ray of wrong length")
-            if any(v):
-                vecs.append(primitive(v))
-        vecs = list(dict.fromkeys(vecs))
+        vecs = [xl._as_vector(v, dim, "ray") for v in xl._as_tuple(vectors, "rays")]
+        vecs = list(dict.fromkeys(primitive(v) for v in vecs if any(v)))
         # independent iff as many as the rank of their span
         equations = () if len(vecs) >= dim else xl._saturated_kernel(vecs, dim)
         cone = _simplicial_cone(
@@ -285,9 +276,7 @@ class RationalCone:
         return (self.span_dim, self.extreme_rays, self.lineality)
 
     def contains(self, v):
-        v = xl._as_ints(v)
-        if len(v) != self.dim:
-            raise InputError("vector of wrong length")
+        v = xl._as_vector(v, self.dim, "vector")
         return all(vdot(eq, v) == 0 for eq in self.span_equations) and \
             all(vdot(n, v) >= 0 for n in self.facet_normals)
 
@@ -874,9 +863,7 @@ def stellar_subdivision(fan, point):
     support: each cone containing the point is replaced by the joins of the
     point with its facets not containing it.  It trusts the fan, which its
     constructor checked, and the output is a fan (see ``Fan``)."""
-    v = primitive(xl._as_ints(point))
-    if len(v) != fan.dim:
-        raise InputError("subdivision point of wrong length")
+    v = primitive(xl._as_vector(point, fan.dim, "subdivision point"))
     untouched, pieces = [], []
     for c in fan.maximal_cones:
         if c.contains(v):

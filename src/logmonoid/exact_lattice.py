@@ -11,6 +11,12 @@ It is the one module that takes Smith decompositions (``_snf_full``) and
 reads their U, V and invariant factors; the others ask it for the kernels,
 cokernels, projections and lattices that a decomposition gives.
 
+It also holds the one rule for each kind of caller's value, applied once
+where the value enters: ``_as_ints`` for integers (what ``operator.index``
+accepts, ``bool`` excepted), ``_as_vector`` for a vector of known length
+and ``_as_matrix`` for a matrix.  The package's own matrices go to the
+trusted ``IntMatrix`` and ``_from_columns``.
+
 Conventions:
   - a matrix A of shape (m, n) is the map Z^n -> Z^m acting on column vectors;
   - a group in invariant-factor form is Z^free_rank + Z/f_1 + ... + Z/f_t with
@@ -35,13 +41,32 @@ from .errors import DomainError, InputError, InternalCheckError
 def _as_ints(values):
     """The integers ``values`` as a tuple of ints.
 
-    Accepts what ``operator.index`` accepts, so 0.5 or "1" is refused with
-    an InputError instead of being truncated or parsed.
+    An integer is what ``operator.index`` accepts, except ``bool``, so 0.5,
+    "1" or True is refused with an InputError instead of being truncated,
+    parsed or read as 1.  A tuple of ints is returned as it is.
     """
     try:
-        return tuple(map(index, values))
+        if type(values) is not tuple:
+            values = tuple(values)
+        for x in values:
+            if type(x) is not int:
+                break
+        else:
+            return values
+        if bool not in map(type, values):
+            return tuple(map(index, values))
     except TypeError:
-        raise InputError(f"expected integers, got {values!r}") from None
+        pass
+    raise InputError(f"expected integers, got {values!r}")
+
+
+def _as_vector(values, length, what):
+    """A caller's vector of ``length`` integers (``_as_ints``), named
+    ``what`` in the one message for a wrong length."""
+    values = _as_ints(values)
+    if len(values) != length:
+        raise InputError(f"{what} has length {len(values)}, expected {length}")
+    return values
 
 
 def _as_tuple(values, what):
@@ -91,7 +116,7 @@ class IntMatrix:
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
-            return apply(self, _as_ints(other))
+            return apply(self, _as_vector(other, self.ncols, "vector"))
         if self.ncols != len(other.rows):
             raise InputError(f"cannot multiply shapes {self.shape} and {other.shape}")
         cols = mat_columns(other)
@@ -111,26 +136,15 @@ def intmat(rows, ncols=None):
     ``ncols`` is required when ``rows`` is empty, and is otherwise checked
     against the row length.
     """
-    try:
-        rows = tuple(map(tuple, rows))
-    except TypeError:
-        raise InputError(f"expected rows of integers, got {rows!r}") from None
+    rows = tuple(map(_as_ints, _as_tuple(rows, "matrix rows")))
     if ncols is not None:
         ncols = _as_count(ncols, "vector length")
-    if not rows:
-        if ncols is None:
-            raise InputError("empty matrix needs an explicit column count")
-        return IntMatrix((), ncols)
-    width = len(rows[0])
-    if ncols is not None and ncols != width:
-        raise InputError(f"expected vectors of length {ncols}, got {width}")
-    if any(len(r) != width for r in rows):
-        raise InputError("ragged rows in matrix input")
-    for r in rows:
-        for x in r:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise InputError(f"matrix entry {x!r} is not an integer")
-    return IntMatrix(rows, width)
+    elif rows:
+        ncols = len(rows[0])
+    else:
+        raise InputError("empty matrix needs an explicit column count")
+    return IntMatrix(tuple(_as_vector(r, ncols, "matrix row") for r in rows),
+                     ncols)
 
 
 def _from_columns(cols, nrows):
@@ -323,10 +337,7 @@ def _kernel_columns(dec, n=None):
 
 def _check_rhs(a, b):
     """The right-hand side ``b`` of a system with matrix ``a``, as ints."""
-    b = _as_ints(b)
-    if len(b) != a.shape[0]:
-        raise InputError("right-hand side has wrong length")
-    return b
+    return _as_vector(b, a.shape[0], "right-hand side")
 
 
 def solve_integer(a, b):
@@ -522,15 +533,12 @@ class FgAbelianGroup:
     def is_finite(self):
         return self.free_rank == 0
 
-    def _sized(self, vec):
-        if len(vec) != self.lift_dim:
-            raise InputError(
-                f"vector of length {len(vec)} in group of lift dimension {self.lift_dim}")
-        return vec
+    def _vector(self, vec):
+        return _as_vector(vec, self.lift_dim, "lift vector")
 
     def reduce_vector(self, vec):
         """Canonical lift coordinates: torsion entries reduced into [0, f)."""
-        vec = self._sized(_as_ints(vec))
+        vec = self._vector(vec)
         r = self.free_rank
         tors = tuple(vec[r + i] % f for i, f in enumerate(self.invariant_factors))
         return vec[:r] + tors
@@ -543,16 +551,17 @@ class FgAbelianGroup:
                 for i, f in enumerate(self.invariant_factors)]
 
     def add(self, x, y):
-        return self.reduce_vector(tuple(map(add, self._sized(x), self._sized(y))))
+        return self.reduce_vector(tuple(map(add, self._vector(x), self._vector(y))))
 
     def neg(self, x):
-        return self.reduce_vector(tuple(-a for a in x))
+        return self.reduce_vector(tuple(-a for a in self._vector(x)))
 
     def sub(self, x, y):
-        return self.reduce_vector(tuple(map(sub, self._sized(x), self._sized(y))))
+        return self.reduce_vector(tuple(map(sub, self._vector(x), self._vector(y))))
 
     def scale(self, c, x):
-        return self.reduce_vector(tuple(c * a for a in x))
+        (c,) = _as_ints((c,))
+        return self.reduce_vector(tuple(c * a for a in self._vector(x)))
 
     def zero(self):
         return (0,) * self.lift_dim
@@ -613,13 +622,14 @@ def is_order_invertible(g, p):
 def cokernel(a, nrows=None):
     """Z^m modulo the column span of the m x n matrix ``a``.
 
-    ``nrows`` disambiguates the target rank when ``a`` is given as an empty
-    sequence.
+    ``nrows``, when given, is m: an empty sequence is then the m x 0 matrix
+    (0 x 0 without it), and any other matrix must have m rows.
     """
-    a = intmat([], ncols=0) if isinstance(a, (list, tuple)) and not a \
+    m = 0 if nrows is None else _as_count(nrows, "row count")
+    a = _from_columns([], m) if isinstance(a, (list, tuple)) and not a \
         else _as_matrix(a)
-    if a.shape == (0, 0) and nrows is not None:
-        return FgAbelianGroup(nrows)
+    if nrows is not None and a.shape[0] != m:
+        raise InputError(f"matrix of shape {a.shape} for nrows={m}")
     return _group_from_relations(a.shape[0], mat_columns(a))[0]
 
 
@@ -714,8 +724,9 @@ def _span_presentation(group, elements):
 
 def hom_is_well_defined(source, target, matrix):
     """Whether a lift-coordinate matrix defines a hom of groups: whether it
-    has the lift shape and ``_kills_relations``."""
-    matrix = _as_matrix(matrix)
+    has the lift shape and ``_kills_relations``.  An empty row list is
+    source.lift_dim wide, as at ``_hom_matrix``; any other keeps its width."""
+    matrix = _as_matrix(matrix, None if matrix else source.lift_dim)
     return matrix.shape == (target.lift_dim, source.lift_dim) and \
         _kills_relations(source, target, matrix)
 

@@ -126,9 +126,8 @@ class MonoidPresentation:
                 u, v = rel
             except (TypeError, ValueError):
                 raise InputError("relation is not a pair (u, v)") from None
-            u, v = xl._as_ints(u), xl._as_ints(v)
-            if len(u) != ngens or len(v) != ngens:
-                raise InputError("relation exponent vector has wrong length")
+            u = xl._as_vector(u, ngens, "relation exponent vector")
+            v = xl._as_vector(v, ngens, "relation exponent vector")
             if any(x < 0 for x in u + v):
                 raise InputError("relation exponents must be nonnegative")
             rels.append((u, v))
@@ -229,8 +228,6 @@ class AffineMonoid:
         if not vectors:
             return free_monoid(0)
         width = len(vectors[0])
-        if any(len(v) != width for v in vectors):
-            raise InputError("generator vectors have mixed lengths")
         if width < len(torsion_orders):
             raise InputError("more torsion orders than coordinates")
         host = xl.FgAbelianGroup(width - len(torsion_orders), torsion_orders)

@@ -715,8 +715,8 @@ def _zero_matrix(mat):
     ("regular", NOT_SIMPLICIAL, cc, "is_regular", lambda verdict, cone: True,
      "a cone that is not simplicial is regular"),
     # the cone of mult-flag and the fan of regular-a2-fan have multiplicity
-    # 2; cc.is_regular reads the patched multiplicity too, so only the Smith
-    # invariant factors of the rays disagree
+    # 2; the Smith invariant factors of the rays do not read the patched
+    # multiplicity, so they disagree
     ("mult", _golden_doc("mult-flag", "cone.json"), cc, "multiplicity",
      lambda mult, cone: mult + 1,
      "multiplicity differs from the Smith invariant factors"),

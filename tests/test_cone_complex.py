@@ -575,6 +575,23 @@ def test_fan_dimension_is_coerced_to_an_int():
     assert fan.maximal_cones == (ray,)
 
 
+def test_intmat_coerces_an_index_integer_to_an_int():
+    # the one integer rule: intmat takes what every other door takes
+    m = xl.intmat([[_Two()]])
+    assert m == xl.IntMatrix(((2,),), 1) and type(m[0, 0]) is int
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cc.RationalCone.from_rays([(1, 2, 3)], 2),
+     "ray has length 3, expected 2"),
+    (lambda: cc.RationalCone.from_rays([(1, 0)], 2).contains((1, 2, 3)),
+     "vector has length 3, expected 2"),
+], ids=["from_rays", "contains"])
+def test_vectors_of_the_wrong_length_are_refused_with_one_message(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 def test_lineality_detection():
     half = cc.RationalCone.from_rays([(1, 0), (-1, 0), (0, 1)], 2)
     assert not half.is_strongly_convex

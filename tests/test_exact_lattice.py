@@ -426,8 +426,7 @@ def test_group_arithmetic_reduces_torsion():
     ids=["add-right", "add-left", "sub-right", "sub-left", "neg", "scale"])
 def test_group_arithmetic_refuses_a_vector_of_the_wrong_length(method, args):
     g = xl.FgAbelianGroup(1, (2,))
-    with pytest.raises(InputError,
-                       match="vector of length 1 in group of lift dimension 2"):
+    with pytest.raises(InputError, match="^lift vector has length 1, expected 2$"):
         getattr(g, method)(*args)
 
 
@@ -996,13 +995,29 @@ _HALF_ROW, _HALF = xl.IntMatrix(((1.5, 2),), 2), xl.IntMatrix(((1.5,),), 1)
     lambda: xl.hom_kernel(xl.FgAbelianGroup(1), xl.FgAbelianGroup(1), _HALF),
     lambda: xl.hom_cokernel(xl.FgAbelianGroup(1), xl.FgAbelianGroup(1), _HALF),
     lambda: lha.MonoidHom(mc.free_monoid(1), mc.free_monoid(1), _HALF),
+    # True is not read as 1 at any door, as no CLI document reads it so
+    lambda: xl.FgAbelianGroup(True),
+    lambda: mc.free_monoid(True),
+    lambda: xl.solve_integer([[1]], [True]),
+    lambda: xl.solve_nonneg([[1]], [True]),
+    lambda: xl.intmat([[2]]) @ (True,),
+    lambda: mc.MonoidElement(free=(True, 2)),
+    lambda: cc.RationalCone.from_rays([(True, 0), (0, 1)], 2),
+    lambda: mc.MonoidPresentation(1, [((True,), (0,))]),
+    lambda: mc.AffineMonoid.from_vectors([(True, 0), (0, 1)]),
+    lambda: lha.kato_criterion(lha.MonoidHom(
+        mc.free_monoid(1), mc.free_monoid(1), [[1]]), True),
+    lambda: xl.FgAbelianGroup(1).scale(True, (1,)),
 ], ids=["free_rank", "factor", "factor_str", "reduce_vector", "solve_nonneg",
         "has_nonneg_solution", "solve_integer", "hom_kernel",
         "stellar_point", "stellar_point_str", "matmul_vector",
         "smith_intmatrix", "kernel_basis_intmatrix", "solve_integer_intmatrix",
         "cokernel_intmatrix", "minimal_nonneg_intmatrix",
         "solve_nonneg_intmatrix", "hom_kernel_intmatrix",
-        "hom_cokernel_intmatrix", "monoid_hom_intmatrix"])
+        "hom_cokernel_intmatrix", "monoid_hom_intmatrix",
+        "free_rank_bool", "free_monoid_bool", "solve_integer_bool",
+        "solve_nonneg_bool", "matmul_bool", "element_bool", "from_rays_bool",
+        "presentation_bool", "from_vectors_bool", "kato_bool", "scale_bool"])
 def test_non_integers_are_refused_not_truncated(call):
     with pytest.raises(InputError):
         call()
@@ -1053,9 +1068,13 @@ _Z2 = xl.FgAbelianGroup(0, (2,))
     lambda: xl.hom_cokernel(_Z2, _Z2, [[1, 0]]),
     lambda: cc.stellar_subdivision(_QUADRANT, (1, 1, 0)),
     lambda: cc.stellar_subdivision(cc.Fan(2, ()), (1, 1, 0)),
+    # nrows is the row count of the cokernel's matrix, whatever the matrix
+    lambda: xl.cokernel(xl.IntMatrix((), 0), nrows=3),
+    lambda: xl.cokernel([[1]], nrows=3),
 ], ids=["from_columns", "group_from_relations", "hom_kernel",
         "hom_cokernel_rows", "hom_cokernel_cols", "stellar_point",
-        "stellar_point_empty_fan"])
+        "stellar_point_empty_fan", "cokernel_empty_intmatrix",
+        "cokernel_rows"])
 def test_wrong_shapes_are_refused_not_truncated(call):
     with pytest.raises(InputError):
         call()
@@ -1102,6 +1121,12 @@ def test_the_empty_matrix_maps_into_the_trivial_group():
     z, trivial = xl.FgAbelianGroup(1), xl.FgAbelianGroup(0)
     assert xl.hom_kernel(z, trivial, []) == z
     assert xl.hom_cokernel(z, trivial, []).is_trivial
+    assert xl.hom_is_well_defined(z, trivial, [])
+
+
+def test_cokernel_of_the_empty_sequence_has_nrows_rows():
+    assert xl.cokernel([], nrows=2) == xl.FgAbelianGroup(2)
+    assert xl.cokernel([]).is_trivial
 
 
 def test_group_rejects_bad_invariant_factors():
