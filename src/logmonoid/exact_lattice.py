@@ -62,7 +62,7 @@ def _as_ints(values):
 
 def _as_vector(values, length, what):
     """A caller's vector of ``length`` integers (``_as_ints``), named
-    ``what`` in the one message for a wrong length."""
+    ``what`` in the one message for a vector of another length."""
     values = _as_ints(values)
     if len(values) != length:
         raise InputError(f"{what} has length {len(values)}, expected {length}")
@@ -136,11 +136,11 @@ def intmat(rows, ncols=None):
     ``ncols`` is required when ``rows`` is empty, and is otherwise checked
     against the row length.
     """
-    rows = tuple(map(_as_ints, _as_tuple(rows, "matrix rows")))
+    rows = _as_tuple(rows, "matrix rows")
     if ncols is not None:
         ncols = _as_count(ncols, "vector length")
     elif rows:
-        ncols = len(rows[0])
+        ncols = len(_as_ints(rows[0]))
     else:
         raise InputError("empty matrix needs an explicit column count")
     return IntMatrix(tuple(_as_vector(r, ncols, "matrix row") for r in rows),
@@ -335,11 +335,6 @@ def _kernel_columns(dec, n=None):
     return cols
 
 
-def _check_rhs(a, b):
-    """The right-hand side ``b`` of a system with matrix ``a``, as ints."""
-    return _as_vector(b, a.shape[0], "right-hand side")
-
-
 def solve_integer(a, b):
     """One integer solution x of a x = b, or None.
 
@@ -348,7 +343,7 @@ def solve_integer(a, b):
     """
     a = _as_matrix(a)
     dec = _snf_full(a)
-    w = apply(dec.left, _check_rhs(a, b))
+    w = apply(dec.left, _as_vector(b, a.shape[0], "right-hand side"))
     s = len(dec.diag)
     if any(w[s:]) or any(x % di for x, di in zip(w, dec.diag)):
         return None
@@ -907,4 +902,5 @@ def solve_nonneg(a, b):
     of the search, which yields x = 0 alone.
     """
     a = _as_matrix(a)
-    return min(_nonneg_solutions(mat_columns(a), _check_rhs(a, b)), default=None)
+    b = _as_vector(b, a.shape[0], "right-hand side")
+    return min(_nonneg_solutions(mat_columns(a), b), default=None)

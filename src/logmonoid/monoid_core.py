@@ -224,10 +224,10 @@ class AffineMonoid:
         re-presented in invariant-factor form; coordinates change accordingly.
         """
         torsion_orders = xl._as_ints(torsion_orders)
-        vectors = [xl._as_ints(v) for v in xl._as_tuple(vectors, "vectors")]
+        vectors = xl._as_tuple(vectors, "vectors")
         if not vectors:
             return free_monoid(0)
-        width = len(vectors[0])
+        width = len(xl._as_ints(vectors[0]))
         if width < len(torsion_orders):
             raise InputError("more torsion orders than coordinates")
         host = xl.FgAbelianGroup(width - len(torsion_orders), torsion_orders)

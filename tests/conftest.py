@@ -42,8 +42,8 @@ def has_nonneg_solution(a, b):
     """Whether a x = b has any nonnegative integer solution, through the
     checked matrix and right-hand-side doors of the solver."""
     a = xl._as_matrix(a)
-    return next(xl._nonneg_solutions(xl.mat_columns(a), xl._check_rhs(a, b)),
-                None) is not None
+    b = xl._as_vector(b, a.shape[0], "right-hand side")
+    return next(xl._nonneg_solutions(xl.mat_columns(a), b), None) is not None
 
 
 def relations_among(group, vectors):
