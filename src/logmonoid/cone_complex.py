@@ -133,7 +133,8 @@ def extreme_rays_of_halfspaces(normals, dim, *, kernel=()):
     ``RationalCone.from_rays`` has when there are fewer normals than dim.
     """
     dim = xl._as_count(dim, "dimension")
-    normals = [xl._as_vector(n, dim, "normal") for n in normals]
+    normals = [xl._as_vector(n, dim, "normal")
+               for n in xl._as_tuple(normals, "normals")]
     normals = [n for n in normals if any(n)]
 
     rays = []        # list of (vector, tight_index_set)
@@ -353,6 +354,8 @@ def _from_adjugate(dim, equations, span, rays, normals, abs_det):
 def cone_from_constraints(normals, equations, dim):
     """The cone {x : n . x >= 0, e . x = 0} in canonical form: the dual of
     the cone the normals and +/- the equations generate."""
+    normals = xl._as_tuple(normals, "normals")
+    equations = xl._as_tuple(equations, "equations")
     return dual_cone(RationalCone.from_rays(_signed(normals, equations), dim))
 
 

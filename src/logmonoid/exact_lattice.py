@@ -684,7 +684,10 @@ def _decompose_among(group, vectors):
 def _relation_lattice(dec, n):
     """(particular, kernel) from the ``_decompose_among`` U A V of n
     generators of a group: the n rows of V_head U, and the
-    ``_kernel_columns`` cut to n coordinates (see ``monoid_core.contains``)."""
+    ``_kernel_columns`` cut to n coordinates (see ``monoid_core.contains``).
+    None when the generators do not generate the group (``_generates``)."""
+    if not _generates(dec):
+        return None
     s = len(dec.diag)
     head = IntMatrix(tuple(row[:s] for row in dec.right.rows[:n]), s)
     return (head @ dec.left).rows, _kernel_columns(dec, n)
@@ -715,15 +718,6 @@ def _span_presentation(group, elements):
     sub, proj = _group_from_relations(n, _kernel_columns(dec, n))
     images = [sub.reduce_vector(col) for col in mat_columns(proj)]
     return sub, images, dec
-
-
-def hom_is_well_defined(source, target, matrix):
-    """Whether a lift-coordinate matrix defines a hom of groups: whether it
-    has the lift shape and ``_kills_relations``.  An empty row list is
-    source.lift_dim wide, as at ``_hom_matrix``; any other keeps its width."""
-    matrix = _as_matrix(matrix, None if matrix else source.lift_dim)
-    return matrix.shape == (target.lift_dim, source.lift_dim) and \
-        _kills_relations(source, target, matrix)
 
 
 def _kills_relations(source, target, matrix):

@@ -34,7 +34,8 @@ and refuses an element that does not split as the ambient does.  A
 the package's own tuples skip the door of ``contains`` (``_contains``).
 ``contains`` answers zero and the generators by definition, decides the
 rest in the lattice of relations when it has rank at most 2, and searches
-only above.
+only above.  ``sharpen`` asks it of each generator of M/M^x in the lattice
+of the others, which is None, a no, when they do not span.
 """
 
 from __future__ import annotations
@@ -169,13 +170,10 @@ class AffineMonoid:
         xl._of_kind(self.ambient, xl.FgAbelianGroup, "ambient group")
         self._keep(vector_of(self.ambient, e)
                    for e in xl._as_tuple(self.generators, "generators"))
-        dec = xl._decompose_among(self.ambient, self._vectors)
-        if not xl._generates(dec):
+        if self._lattice is None:
             raise InputError(
                 "generators do not generate the ambient group; "
                 "use AffineMonoid.from_vectors to re-present the span")
-        object.__setattr__(self, "_lattice",
-                           xl._relation_lattice(dec, len(self._vectors)))
 
     def _keep(self, vectors):
         """Sets both kinds of generators from canonical lift tuples."""
@@ -205,7 +203,8 @@ class AffineMonoid:
     @cached_property
     def _lattice(self):
         """The relation lattice of the generators (``xl._relation_lattice``
-        of their ``xl._decompose_among``)."""
+        of their ``xl._decompose_among``), None when they do not generate
+        the ambient group: the public constructor's span check reads it."""
         return xl._relation_lattice(
             xl._decompose_among(self.ambient, self._vectors), len(self._vectors))
 
@@ -517,33 +516,31 @@ def units(monoid):
 
 
 def sharpen(monoid):
-    """The sharp quotient M / M^x, with a lex-sorted minimal generating set."""
+    """The sharp quotient M / M^x, with a lex-sorted minimal generating set.
+
+    Each image g of a generator, in lex order, is dropped when it lies in
+    the monoid of the rest, the images kept and those after it: in the sharp
+    M / M^x the survivors are the irreducibles.  As every image lies in the
+    group of g and the rest, g is kept when the rest does not generate the
+    quotient (``xl._relation_lattice`` is None); else their lattice decides
+    as in ``contains``, bounded at k = 2 as their monoid is sharp.
+    """
     quot, proj = xl.quotient_presentation(
         monoid.ambient, [u.as_vector() for u in units(monoid)])
-    images = _distinct_nonzero(quot.reduce_vector(xl.apply(proj, v))
-                               for v in monoid._vectors)
-    # images of a spanning set under a surjection; M/M^x is sharp, so the
-    # scan keeps a generating set of the same monoid
-    return AffineMonoid._spanning(quot, _irreducibles(quot, images))
-
-
-def _irreducibles(ambient, vectors):
-    """The minimal generating set of the monoid that distinct nonzero
-    canonical lift tuples generate in ``ambient``, which the caller knows is
-    sharp.
-
-    Deterministic: generators are scanned in lexicographic order and removed
-    when expressible by the remaining ones; for a sharp monoid the survivors
-    are exactly the irreducible elements, independent of scan order.
-    """
-    current = sorted(vectors)
+    current = sorted(_distinct_nonzero(quot.reduce_vector(xl.apply(proj, v))
+                                       for v in monoid._vectors))
     keep = []
     for i, g in enumerate(current):
         rest = keep + current[i + 1:]
-        if next(xl._nonneg_solutions(_membership_system(ambient, rest), g),
-                None) is None:
+        lattice = xl._relation_lattice(xl._decompose_among(quot, rest), len(rest))
+        found = lattice is not None and _lattice_verdict(lattice, g)
+        if found is None:
+            found = next(xl._nonneg_solutions(_membership_system(quot, rest), g),
+                         None) is not None
+        if not found:
             keep.append(g)
-    return tuple(keep)
+    # images of a spanning set under a surjection, less those the rest generate
+    return AffineMonoid._spanning(quot, keep)
 
 
 def characteristic_rank(monoid):

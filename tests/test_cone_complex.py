@@ -555,7 +555,13 @@ def test_duality_double_description_counts(count_calls):
     lambda: cc.RationalCone.from_rays([(1.5, 0), (0, 1)], 2),
     lambda: cc.RationalCone.from_rays([(1, 0), (0, 1)], 2).contains((0.5, 0)),
     lambda: cc.extreme_rays_of_halfspaces([(1.5, 0), (0, 1)], 2),
-], ids=["from_rays", "contains", "extreme_rays_of_halfspaces"])
+    # no normals or no equations at all: None is not an empty list
+    lambda: cc.extreme_rays_of_halfspaces(None, 2),
+    lambda: cc.cone_from_constraints(None, [], 2),
+    lambda: cc.cone_from_constraints([(1, 0)], None, 2),
+], ids=["from_rays", "contains", "extreme_rays_of_halfspaces",
+        "extreme_rays_of_halfspaces-none", "cone_from_constraints-no-normals",
+        "cone_from_constraints-no-equations"])
 def test_non_integers_are_refused_not_truncated(call):
     with pytest.raises(InputError):
         call()

@@ -15,7 +15,7 @@ import time
 from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, given, reject, settings
 from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
@@ -633,6 +633,96 @@ def test_characteristic_rank_runs_no_solver(no_solver):
     m = mc.AffineMonoid.from_vectors(
         [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1), (0, 2, 1), (0, 3, 1)])
     assert mc.characteristic_rank(m) == 2
+
+
+def _sharpened_by_search(monoid):
+    """The generators of ``sharpen`` as its earlier scan found them: the
+    images of the generators in M/M^x in lex order, each dropped when one
+    Contejean-Devie search writes it in the images kept and those after it."""
+    quot, proj = xl.quotient_presentation(
+        monoid.ambient, [u.as_vector() for u in mc.units(monoid)])
+    current = sorted(mc._distinct_nonzero(
+        quot.reduce_vector(xl.apply(proj, v)) for v in monoid._vectors))
+    keep = []
+    for i, g in enumerate(current):
+        rest = keep + current[i + 1:]
+        if next(xl._nonneg_solutions(mc._membership_system(quot, rest), g),
+                None) is None:
+            keep.append(g)
+    return quot, current, tuple(keep)
+
+
+@st.composite
+def _sharp_quotients(draw):
+    """Monoids whose sharp quotients have free rank 1 to 3, torsion, and
+    kernel rank 0 to 4; in some draws a generator comes with its negative,
+    a unit that the quotient divides out.  Five generators at free rank 1
+    leave four to the rest, whose lattice has rank 3: the search."""
+    rank = draw(st.integers(1, 3))
+    orders = draw(st.sampled_from([(), (2,), (3,), (2, 2)]))
+    vec = st.tuples(*[st.integers(-2, 4)] * rank,
+                    *[st.integers(0, f - 1) for f in orders])
+    more = draw(st.integers(rank - 1, rank + 3))
+    gens = [draw(vec.filter(lambda v: any(v[:rank])))] + \
+        draw(st.lists(vec, min_size=more, max_size=more))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in gens[-1]))
+    try:
+        # generators that span keep their small entries, which the search
+        # needs: from_vectors would re-present a proper span
+        return mc.AffineMonoid(xl.FgAbelianGroup(rank, orders), gens)
+    except InputError:
+        reject()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(_sharp_quotients())
+def test_sharpen_keeps_the_generators_of_the_search(monoid):
+    quot, images, kept = _sharpened_by_search(monoid)
+    event(f"kernel rank {len(images) - quot.free_rank}")
+    sharp = mc.sharpen(monoid)
+    assert (sharp.ambient, sharp._vectors) == (quot, kept)
+
+
+# sharp, of kernel rank 2 (the search took 9 s on it) and 3
+MOTIVATING = [(-2, 6, 5), (6, 0, -2), (5, -3, 3), (4, 0, 2), (3, -1, 4)]
+KERNEL_RANK_3 = [(1, 0), (1, 1), (1, 2), (2, 3), (3, 5)]
+
+
+def test_the_motivating_monoid_is_sharpened_at_once():
+    m = mc.AffineMonoid.from_vectors(MOTIVATING)
+    start = time.perf_counter()
+    sharp = mc.sharpen(m)
+    predicates = mc.predicates(m)
+    assert time.perf_counter() - start < 1
+    # what the search found, in the coordinates from_vectors re-presents
+    assert [g.as_vector() for g in sharp.generators] == [
+        (-29, -79, -6), (-2, -4, 0), (0, 0, 1), (2, 9, 0), (9, 25, 3)]
+    assert predicates == mc.MonoidPredicates(
+        is_sharp=True, is_saturated=False, is_toric=False, is_free=False)
+
+
+@pytest.mark.parametrize("gens, kept", [
+    (MOTIVATING, 5), (KERNEL_RANK_3, 3)], ids=["k=2", "k=3"])
+def test_sharpen_searches_nothing_below_kernel_rank_4(gens, kept, count_calls):
+    # the rest has one generator less, so its lattice has rank at most 2
+    m = mc.AffineMonoid.from_vectors(gens)
+    assert not mc.units(m) and len(m._vectors) - m.ambient.free_rank <= 3
+    searches = count_calls(xl, "_nonneg_solutions")
+    assert len(mc.sharpen(m).generators) == kept
+    assert searches == []
+
+
+def test_sharpen_searches_at_kernel_rank_4(count_calls):
+    # N generated by 2, 3, 5, 7, 11: the rest of 2 is 3, 5, 7, 11, whose
+    # lattice has rank 3, and only 2 and 3 are irreducible
+    searches = count_calls(xl, "_nonneg_solutions")
+    m = mc.AffineMonoid.from_vectors([(2,), (3,), (5,), (7,), (11,)])
+    sharp = mc.sharpen(m)
+    assert sharp._vectors == ((2,), (3,))
+    assert searches
 
 
 # ---------------------------------------------------------------------------
