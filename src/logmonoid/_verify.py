@@ -43,10 +43,14 @@ def _searched(monoid, elem):
     return next(xl._nonneg_solutions(monoid._system, vec), None) is not None
 
 
-def _solver_units(monoid):
-    """The invertible generators by one membership search each, independent
-    of the incidence rule ``monoid_core.units`` reads them off."""
-    return [g for g in monoid.generators if _searched(monoid, monoid.neg(g))]
+def _cone_units(monoid):
+    """The invertible generators: those whose free part is orthogonal to the
+    dual of the cone of free parts, whose rays and lineality double
+    description finds afresh here; at free rank 0, every generator."""
+    rays, lin = cc.extreme_rays_of_halfspaces(
+        [h.free for h in monoid.generators], monoid.ambient.free_rank)
+    return [g for g in monoid.generators
+            if not any(cc.vdot(y, g.free) for y in (*rays, *lin))]
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +125,8 @@ def check_sat(monoid, sat):
 
 
 def check_sharpen(monoid, sharp, units):
-    yield _check(not _solver_units(sharp), "sharpening still has units", "sharp")
-    solved = _solver_units(monoid)
+    yield _check(not _cone_units(sharp), "sharpening still has units", "sharp")
+    solved = _cone_units(monoid)
     yield _check(all(u in solved for u in units),
                  "a reported unit is not invertible", "invertible")
     yield _check(all(g in units for g in solved),
@@ -160,10 +164,10 @@ def check_props(pred, monoid):
     # toric: no torsion, saturated and sharp, each found apart from the
     # expression ``predicates`` evaluates
     toric = not monoid.ambient.invariant_factors and saturated and \
-        not _solver_units(monoid)
+        not _cone_units(monoid)
     yield _check(pred.is_toric == toric,
                  "toric verdict differs from the torsion, the saturation and "
-                 "the units found by search", "toric")
+                 "the units found by the dual cone", "toric")
     yield _check(pred.is_saturated == saturated,
                  "saturation verdict differs from the membership search",
                  "saturated")
@@ -175,7 +179,7 @@ def check_rank(monoid, rank):
     # rank M^gp / M^x = rank M^gp - rank M^x, and torsion has rank 0
     r = monoid.ambient.free_rank
     unit_span = xl._from_columns(
-        [u.as_vector()[:r] for u in _solver_units(monoid)], r)
+        [u.as_vector()[:r] for u in _cone_units(monoid)], r)
     yield _check(rank == r - len(xl.smith_normal_form(unit_span).diag),
                  "characteristic rank is not the rank of M^gp / M^x",
                  "quotient_rank")

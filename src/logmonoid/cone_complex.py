@@ -355,7 +355,8 @@ def cone_from_constraints(normals, equations, dim):
     """The cone {x : n . x >= 0, e . x = 0} in canonical form: the dual of
     the cone the normals and +/- the equations generate."""
     normals = xl._as_tuple(normals, "normals")
-    equations = xl._as_tuple(equations, "equations")
+    equations = [xl._as_vector(e, dim, "equation")
+                 for e in xl._as_tuple(equations, "equations")]
     return dual_cone(RationalCone.from_rays(_signed(normals, equations), dim))
 
 

@@ -162,10 +162,6 @@ def intmat_from_columns(cols, nrows=None):
     return _from_columns(transposed.rows, transposed.ncols)
 
 
-def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_columns(a):
     """The columns of ``a`` as a list of int tuples."""
     return list(zip(*a.rows)) if a.rows else [()] * a.ncols
@@ -209,94 +205,90 @@ def _snf_full(a):
     """The ``SmithDecomposition`` of ``a``, without the divisibility check.
 
     Pivot rule: smallest nonzero absolute value in the active submatrix,
-    ties broken by lowest row then column index.  The row and column
-    operations run on lists of lists and update only D, U and V (inverses
-    come from ``_unimodular_inverse``); U and V are wrapped as IntMatrix once
-    at the end.  ``a`` is an IntMatrix (trusted).
+    ties broken by lowest row then column index.  The rows of [D | U] are
+    kept fused, so a row operation is one pass over n + m entries, and V is
+    kept by columns (the rows of V^T), so a column operation on V is one pass
+    over one of them; inverses come from ``_unimodular_inverse``.  Rows above
+    step t are zero in the active columns, so a column operation at step t
+    changes only the rows with a nonzero entry in column t: row t, and the
+    rows the row sweep left a remainder in.  The swaps and operations are
+    thus those of an elimination that applies each one to all of D, U and V,
+    and so are U and V, on which the emitted kernel bases and presentations
+    depend.  ``a`` is an IntMatrix (trusted).
     """
     m, n = a.shape
-    d = [list(r) for r in a.rows]
-    u = _identity_rows(m)
-    v = _identity_rows(n)
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def add_row(i, j, c):
-        # row i += c * row j
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(j, i, c):
-        # col j += c * col i
-        for r in d:
-            r[j] += c * r[i]
-        for r in v:
-            r[j] += c * r[i]
-
-    def pivot_at(t):
-        # scanning in (row, column) order, the first entry of least absolute
-        # value is the one with the smallest (|x|, row, column) key
-        best, pos = None, None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best, pos = abs(x), (i, j)
-                    if best == 1:
-                        return pos
-        return pos
-
+    zeros = [0] * m
+    rows = []
+    for i, r in enumerate(a.rows):
+        row = [*r, *zeros]
+        row[n + i] = 1
+        rows.append(row)
+    vt = []
+    for j in range(n):
+        col = [0] * n
+        col[j] = 1
+        vt.append(col)
     for t in range(min(m, n)):
         while True:
-            pos = pivot_at(t)
-            if pos is None:
+            # the first entry of least absolute value in (row, column) order
+            best = 0
+            for i in range(t, m):
+                row = rows[i]
+                for j in range(t, n):
+                    x = row[j]
+                    if x and (not best or -best < x < best):
+                        best, pi, pj = abs(x), i, j
+                if best == 1:
+                    break
+            if not best:
                 break
-            swap_rows(t, pos[0])
-            swap_cols(t, pos[1])
-            if d[t][t] < 0:
-                negate_row(t)
-            p = d[t][t]
-            dirty = False
+            if pi != t:
+                rows[t], rows[pi] = rows[pi], rows[t]
+            if pj != t:
+                for i in range(t, m):
+                    r = rows[i]
+                    r[t], r[pj] = r[pj], r[t]
+                vt[t], vt[pj] = vt[pj], vt[t]
+            top = rows[t]
+            p = top[t]
+            if p < 0:
+                top = rows[t] = [-x for x in top]
+                p = -p
+            live = [top]  # the rows with a nonzero entry in column t
             for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    add_row(i, t, -(d[i][t] // p))
-                    if d[i][t] != 0:
-                        dirty = True
+                r = rows[i]
+                if r[t]:
+                    c = r[t] // p
+                    r = rows[i] = [x - c * y for x, y in zip(r, top)]
+                    if r[t]:
+                        live.append(r)
+            dirty = len(live) > 1
+            vcol = vt[t]
             for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    add_col(j, t, -(d[t][j] // p))
-                    if d[t][j] != 0:
+                if top[j]:
+                    c = top[j] // p
+                    for r in live:
+                        r[j] -= c * r[t]
+                    vt[j] = [x - c * y for x, y in zip(vt[j], vcol)]
+                    if top[j]:
                         dirty = True
             if dirty:
                 continue
-            viol = next((i for i in range(t + 1, m)
-                         if any(d[i][j] % p for j in range(t + 1, n))), None)
-            if viol is None:
+            if p == 1:
                 break
-            add_row(t, viol, 1)
-        if d[t][t] == 0:
+            # a row whose active entries p does not divide is added to row t
+            for r in rows[t + 1:]:
+                if any([x % p for x in r[t + 1:n]]):
+                    rows[t] = [x + y for x, y in zip(top, r)]
+                    break
+            else:
+                break
+        if not best:
             break
-
-    diag = tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
-    return SmithDecomposition(left=IntMatrix(tuple(map(tuple, u)), m),
-                              diag=diag, right=IntMatrix(tuple(map(tuple, v)), n))
+    return SmithDecomposition(
+        left=IntMatrix(tuple([tuple(r[n:]) for r in rows]), m),
+        diag=tuple([rows[i][i] for i in range(min(m, n)) if rows[i][i]]),
+        right=IntMatrix(tuple(zip(*vt)), n))
 
 
 def smith_normal_form(a):

@@ -559,9 +559,13 @@ def test_duality_double_description_counts(count_calls):
     lambda: cc.extreme_rays_of_halfspaces(None, 2),
     lambda: cc.cone_from_constraints(None, [], 2),
     lambda: cc.cone_from_constraints([(1, 0)], None, 2),
+    # an equation is checked before it is negated
+    lambda: cc.cone_from_constraints([(1, 0)], [(0, "a")], 2),
+    lambda: cc.cone_from_constraints([(1, 0)], [None], 2),
 ], ids=["from_rays", "contains", "extreme_rays_of_halfspaces",
         "extreme_rays_of_halfspaces-none", "cone_from_constraints-no-normals",
-        "cone_from_constraints-no-equations"])
+        "cone_from_constraints-no-equations", "cone_from_constraints-string-entry",
+        "cone_from_constraints-none-equation"])
 def test_non_integers_are_refused_not_truncated(call):
     with pytest.raises(InputError):
         call()
@@ -592,7 +596,9 @@ def test_intmat_coerces_an_index_integer_to_an_int():
      "ray has length 3, expected 2"),
     (lambda: cc.RationalCone.from_rays([(1, 0)], 2).contains((1, 2, 3)),
      "vector has length 3, expected 2"),
-], ids=["from_rays", "contains"])
+    (lambda: cc.cone_from_constraints([(1, 0)], [(1, 2, 3)], 2),
+     "equation has length 3, expected 2"),
+], ids=["from_rays", "contains", "cone_from_constraints"])
 def test_vectors_of_the_wrong_length_are_refused_with_one_message(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         call()

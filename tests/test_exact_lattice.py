@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
@@ -309,6 +309,128 @@ def test_snf_full_outputs_are_pinned():
         separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == \
         "946836e06fff999c8aad2a1c2d413c350534f5c23a114832a04d88ed4d4522cf"
+
+
+def _oracle_snf_full(a):
+    """The Smith decomposition by the plain elimination ``_snf_full`` ran
+    before it fused the rows of [D | U] and kept V by columns: the same pivot
+    rule, with every row operation on D and U and every column operation on
+    all the rows of D and V."""
+    m, n = a.shape
+    d = [list(r) for r in a.rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        if i == j:
+            return
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i == j:
+            return
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    def add_row(i, j, c):
+        # row i += c * row j
+        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def add_col(j, i, c):
+        # col j += c * col i
+        for r in d:
+            r[j] += c * r[i]
+        for r in v:
+            r[j] += c * r[i]
+
+    def pivot_at(t):
+        # scanning in (row, column) order, the first entry of least absolute
+        # value is the one with the smallest (|x|, row, column) key
+        best, pos = None, None
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                x = row[j]
+                if x and (best is None or abs(x) < best):
+                    best, pos = abs(x), (i, j)
+                    if best == 1:
+                        return pos
+        return pos
+
+    for t in range(min(m, n)):
+        while True:
+            pos = pivot_at(t)
+            if pos is None:
+                break
+            swap_rows(t, pos[0])
+            swap_cols(t, pos[1])
+            if d[t][t] < 0:
+                negate_row(t)
+            p = d[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t] != 0:
+                    add_row(i, t, -(d[i][t] // p))
+                    if d[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j] != 0:
+                    add_col(j, t, -(d[t][j] // p))
+                    if d[t][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            viol = next((i for i in range(t + 1, m)
+                         if any(d[i][j] % p for j in range(t + 1, n))), None)
+            if viol is None:
+                break
+            add_row(t, viol, 1)
+        if d[t][t] == 0:
+            break
+
+    diag = tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
+    return xl.SmithDecomposition(left=xl.IntMatrix(tuple(map(tuple, u)), m),
+                                 diag=diag,
+                                 right=xl.IntMatrix(tuple(map(tuple, v)), n))
+
+
+@st.composite
+def _snf_matrices(draw):
+    """Up to 8 x 10, empty shapes included, entries up to 10^30 in absolute
+    value, about half of them zero when the draw asks for sparse rows."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    bound = draw(st.sampled_from([1, 9, 10**4, 10**30]))
+    entry = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m)), n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_snf_matrices())
+@example(([[], [], []], 0))
+@example(([], 4))
+@example(([], 0))
+@example(([[0] * 5] * 3, 5))
+@example(([[6, -10, 15, 0, 4]], 5))
+@example(([[4], [-6], [0], [9]], 1))
+@example(([[10**30, 3], [7, -(10**29)]], 2))
+def test_snf_full_matches_the_plain_elimination(case):
+    rows, n = case
+    a = xl.intmat(rows, n)
+    dec, want = xl._snf_full(a), _oracle_snf_full(a)
+    assert (dec.left, dec.diag, dec.right) == \
+        (want.left, want.diag, want.right), rows
 
 
 def test_smith_normal_form_reports_a_broken_chain(monkeypatch):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
 import logmonoid.monoid_core as mc
-from logmonoid._verify import _searched, facets
+from logmonoid._verify import _cone_units, _searched, facets
 from logmonoid.errors import InputError
 
 from conftest import (group_monoid, has_nonneg_solution, identity_hom,
@@ -906,6 +906,8 @@ def test_units_match_solver_oracle(monoid):
     import logmonoid.log_ideal_blowup as lib
     want = _solver_units(monoid)
     assert mc.units(monoid) == want
+    # the --verify route: the dual cone, found afresh
+    assert tuple(sorted(_cone_units(monoid))) == want
     assert lib.maximal_ideal(monoid).generators == tuple(
         g for g in monoid.generators if g not in want)
 
