@@ -113,7 +113,7 @@ def _extreme_classes(candidates, lineality, dim):
 # double description
 
 
-def extreme_rays_of_halfspaces(normals, dim, *, kernel=()):
+def extreme_rays_of_halfspaces(normals, dim):
     """Extreme rays and lineality of {x : n . x >= 0 for all n}.
 
     Returns (rays, lineality): ``lineality`` is the canonical basis of the
@@ -128,13 +128,17 @@ def extreme_rays_of_halfspaces(normals, dim, *, kernel=()):
     Adjacency is the standard combinatorial test on tight sets.  The tight
     sets are exact (a combination of two rays is tight exactly where both
     are), so ``_extreme_classes`` keeps the extreme rays by incidence alone.
-
-    ``kernel``, if not empty, is ``xl._saturated_kernel(normals, dim)``, which
-    ``RationalCone.from_rays`` has when there are fewer normals than dim.
     """
     dim = xl._as_count(dim, "dimension")
-    normals = [xl._as_vector(n, dim, "normal")
-               for n in xl._as_tuple(normals, "normals")]
+    return _halfspace_rays([xl._as_vector(n, dim, "normal")
+                            for n in xl._as_tuple(normals, "normals")], dim)
+
+
+def _halfspace_rays(normals, dim, kernel=()):
+    """``extreme_rays_of_halfspaces`` of int tuples of length ``dim``
+    (trusted).  ``kernel``, if not empty, is ``xl._saturated_kernel(normals,
+    dim)``, which ``RationalCone._of_rays`` has when there are fewer normals
+    than dim."""
     normals = [n for n in normals if any(n)]
 
     rays = []        # list of (vector, tight_index_set)
@@ -206,14 +210,19 @@ class RationalCone:
 
     @classmethod
     def from_rays(cls, vectors, dim):
-        """The canonical cone the vectors generate, by one of two routes:
-        independent generators take the closed form ``_simplicial_cone``,
-        others one double description run for the facets, which then pick
-        the extreme rays out of the generators.  Either way every generator
-        must lie in the result."""
+        """The canonical cone the vectors generate (``_of_rays``)."""
         dim = xl._as_count(dim, "dimension")
-        vecs = [xl._as_vector(v, dim, "ray") for v in xl._as_tuple(vectors, "rays")]
-        vecs = list(dict.fromkeys(primitive(v) for v in vecs if any(v)))
+        return cls._of_rays([xl._as_vector(v, dim, "ray")
+                             for v in xl._as_tuple(vectors, "rays")], dim)
+
+    @classmethod
+    def _of_rays(cls, vectors, dim):
+        """``from_rays`` of int tuples of length ``dim`` (trusted), by one of
+        two routes: independent generators take the closed form
+        ``_simplicial_cone``, others one double description run for the
+        facets, which then pick the extreme rays out of the generators.
+        Either way every generator must lie in the result."""
+        vecs = list(dict.fromkeys(primitive(v) for v in vectors if any(v)))
         # independent iff as many as the rank of their span
         equations = () if len(vecs) >= dim else xl._saturated_kernel(vecs, dim)
         cone = _simplicial_cone(
@@ -223,8 +232,7 @@ class RationalCone:
             # dual description: facet normals = extreme rays of the dual
             # cone, span equations = lineality of the dual cone, computed
             # above when there are fewer generators than dim
-            normals, equations = extreme_rays_of_halfspaces(
-                vecs, dim, kernel=equations)
+            normals, equations = _halfspace_rays(vecs, dim, equations)
             # primal description: the canonical constraints are a complete
             # description of the cone, its lineality is their saturated
             # kernel, and every extreme ray class is among the generators,
@@ -239,9 +247,8 @@ class RationalCone:
             rays = _extreme_classes(zip(vecs, tight), lin, dim)
             cone = cls(dim=dim, extreme_rays=rays, lineality=lin,
                        facet_normals=normals, span_equations=equations)
-        for v in vecs:
-            if not cone.contains(v):
-                raise InternalCheckError("double description roundtrip failed")
+        if not all(map(cone._holds, vecs)):
+            raise InternalCheckError("double description roundtrip failed")
         return cone
 
     # -- basic structure ---------------------------------------------------
@@ -277,7 +284,10 @@ class RationalCone:
         return (self.span_dim, self.extreme_rays, self.lineality)
 
     def contains(self, v):
-        v = xl._as_vector(v, self.dim, "vector")
+        return self._holds(xl._as_vector(v, self.dim, "vector"))
+
+    def _holds(self, v):
+        """``contains`` of an int tuple of length ``dim`` (trusted)."""
         return all(vdot(eq, v) == 0 for eq in self.span_equations) and \
             all(vdot(n, v) >= 0 for n in self.facet_normals)
 
@@ -399,11 +409,11 @@ def face_sets(vectors, normals):
 
 def faces(cone):
     """All faces of the cone, itself and its minimal face included,
-    sorted by (dimension, rays): one ``from_rays`` per proper face, on the
+    sorted by (dimension, rays): one ``_of_rays`` per proper face, on the
     generators of its ``face_sets`` index set."""
     gens = cone.generators
     out = [cone if len(s) == len(gens) else
-           RationalCone.from_rays([gens[i] for i in s], cone.dim)
+           RationalCone._of_rays([gens[i] for i in s], cone.dim)
            for s in face_sets(gens, cone.facet_normals)]
     return sorted(out, key=RationalCone.sort_key)
 
@@ -678,7 +688,7 @@ def cone_lattice_generators(cone):
         return hilbert_basis(cone)
     p, r = xl._quotient_maps(cone.lineality, cone.dim)
     k = cone.dim - len(cone.lineality)
-    image = RationalCone.from_rays(
+    image = RationalCone._of_rays(
         [xl.apply(p, ray) for ray in cone.extreme_rays], k)
     lifted = [xl.apply(r, h) for h in hilbert_basis(image)]
     return tuple(sorted(set(_signed(lifted, cone.lineality))))
@@ -726,7 +736,7 @@ def _lemma_separator(a, b):
     along a common face whenever one exists (the proof of the separation
     lemma).  One double description run."""
     vecs = sorted(set(a.extreme_rays) | {vneg(r) for r in b.extreme_rays})
-    normals, _ = extreme_rays_of_halfspaces(vecs, a.dim)
+    normals, _ = _halfspace_rays(vecs, a.dim)
     return tuple(map(sum, zip((0,) * a.dim, *normals)))
 
 
@@ -847,7 +857,7 @@ def _joins(cone, v):
     ``_simplicial_cone`` of them in the span coordinates of the cone, what
     ``from_rays`` returns for them.  A cone that is not simplicial, which
     only a public fan gives ``stellar_subdivision``, goes through
-    ``from_rays``.
+    ``RationalCone._of_rays``.
     """
     pieces = []
     for n in cone.facet_normals:
@@ -855,7 +865,7 @@ def _joins(cone, v):
             gens = [g for g in cone.generators if not vdot(n, g)] + [v]
             piece = _simplicial_cone(gens, cone.dim, cone.span_equations,
                                      cone._span) if cone.is_simplicial else \
-                RationalCone.from_rays(gens, cone.dim)
+                RationalCone._of_rays(gens, cone.dim)
             if piece is None:
                 raise InternalCheckError("join with a facet is degenerate")
             pieces.append(piece)
@@ -870,7 +880,7 @@ def stellar_subdivision(fan, point):
     v = primitive(xl._as_vector(point, fan.dim, "subdivision point"))
     untouched, pieces = [], []
     for c in fan.maximal_cones:
-        if c.contains(v):
+        if c._holds(v):
             pieces += _joins(c, v)
         else:
             untouched.append(c)
@@ -999,7 +1009,7 @@ def resolve(fan, validate=True):
     as they are.
     """
     simplicial = [s for c in fan.maximal_cones for s in (
-        [c] if c.is_simplicial else [RationalCone.from_rays(t, fan.dim)
+        [c] if c.is_simplicial else [RationalCone._of_rays(t, fan.dim)
                                      for t in pulling_triangulation(c)])]
     return _stellar_loop(Fan._built(fan.dim, [
         p for c in simplicial

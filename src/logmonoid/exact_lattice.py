@@ -15,7 +15,11 @@ It also holds the one rule for each kind of caller's value, applied once
 where the value enters: ``_as_ints`` for integers (what ``operator.index``
 accepts, ``bool`` excepted), ``_as_vector`` for a vector of known length
 and ``_as_matrix`` for a matrix.  The package's own matrices go to the
-trusted ``IntMatrix`` and ``_from_columns``.
+trusted ``IntMatrix`` and ``_from_columns``, its own lift tuples to
+``FgAbelianGroup._reduce``, ``_add``, ``_neg`` and ``_sub``, the cores
+that ``reduce_vector`` and the group arithmetic call after their check,
+and ``_cokernel_of`` builds the group it reads off a Smith form without
+the checks of ``FgAbelianGroup``.
 
 Conventions:
   - a matrix A of shape (m, n) is the map Z^n -> Z^m acting on column vectors;
@@ -523,12 +527,17 @@ class FgAbelianGroup:
     def _vector(self, vec):
         return _as_vector(vec, self.lift_dim, "lift vector")
 
+    def _reduce(self, vec):
+        """``reduce_vector`` of a tuple of lift_dim ints (trusted)."""
+        if not self.invariant_factors:
+            return vec
+        r = self.free_rank
+        return vec[:r] + tuple(
+            [x % f for x, f in zip(vec[r:], self.invariant_factors)])
+
     def reduce_vector(self, vec):
         """Canonical lift coordinates: torsion entries reduced into [0, f)."""
-        vec = self._vector(vec)
-        r = self.free_rank
-        tors = tuple(vec[r + i] % f for i, f in enumerate(self.invariant_factors))
-        return vec[:r] + tors
+        return self._reduce(self._vector(vec))
 
     def relation_columns(self):
         """Columns generating the relation lattice of the lift presentation:
@@ -538,17 +547,28 @@ class FgAbelianGroup:
                 for i, f in enumerate(self.invariant_factors)]
 
     def add(self, x, y):
-        return self.reduce_vector(tuple(map(add, self._vector(x), self._vector(y))))
+        return self._add(self._vector(x), self._vector(y))
 
     def neg(self, x):
-        return self.reduce_vector(tuple(-a for a in self._vector(x)))
+        return self._neg(self._vector(x))
 
     def sub(self, x, y):
-        return self.reduce_vector(tuple(map(sub, self._vector(x), self._vector(y))))
+        return self._sub(self._vector(x), self._vector(y))
+
+    # add, neg and sub of tuples of lift_dim ints (trusted)
+
+    def _add(self, x, y):
+        return self._reduce(tuple(map(add, x, y)))
+
+    def _neg(self, x):
+        return self._reduce(tuple([-a for a in x]))
+
+    def _sub(self, x, y):
+        return self._reduce(tuple(map(sub, x, y)))
 
     def scale(self, c, x):
         (c,) = _as_ints((c,))
-        return self.reduce_vector(tuple(c * a for a in self._vector(x)))
+        return self._reduce(tuple([c * a for a in self._vector(x)]))
 
     def zero(self):
         return (0,) * self.lift_dim
@@ -638,9 +658,15 @@ def _group_from_relations(ngens, cols):
 
 
 def _cokernel_of(dec):
-    """Z^m modulo the columns of an m-row matrix, from its Smith form."""
-    return FgAbelianGroup(dec.left.ncols - len(dec.diag),
-                          tuple(f for f in dec.diag if f >= 2))
+    """Z^m modulo the columns of an m-row matrix, from its Smith form.
+
+    Built without the checks of ``FgAbelianGroup``: the invariant factors
+    >= 2 of a Smith form are a divisibility chain of ints."""
+    group = object.__new__(FgAbelianGroup)
+    object.__setattr__(group, "free_rank", dec.left.ncols - len(dec.diag))
+    object.__setattr__(group, "invariant_factors",
+                       tuple([f for f in dec.diag if f >= 2]))
+    return group
 
 
 def _generates(dec):
@@ -696,25 +722,26 @@ def subgroup_presentation(group, elements):
     elements generate ``group`` (lift_dim invariant factors 1) the result is
     ``group`` itself and the coordinates are kept.
     """
-    return _span_presentation(group, elements)[:2]
+    return _span_presentation(group, [group._vector(e) for e in elements])[:2]
 
 
 def _span_presentation(group, elements):
-    """(sub, images, dec): ``subgroup_presentation`` with the Smith
-    decomposition of [reduced elements | relations] it reads them off."""
-    elements = [group.reduce_vector(e) for e in elements]
+    """(sub, images, dec): ``subgroup_presentation`` of tuples of lift_dim
+    ints (trusted), with the Smith decomposition of [reduced elements |
+    relations] it reads them off."""
+    elements = [group._reduce(e) for e in elements]
     dec = _decompose_among(group, elements)
     if _generates(dec):
         return group, elements, dec
     n = len(elements)
     sub, proj = _group_from_relations(n, _kernel_columns(dec, n))
-    images = [sub.reduce_vector(col) for col in mat_columns(proj)]
+    images = [sub._reduce(col) for col in mat_columns(proj)]
     return sub, images, dec
 
 
 def _kills_relations(source, target, matrix):
     """Whether ``matrix`` maps every relation of the source to 0 in the target."""
-    return not any(any(target.reduce_vector(apply(matrix, c)))
+    return not any(any(target._reduce(apply(matrix, c)))
                    for c in source.relation_columns())
 
 
@@ -733,7 +760,7 @@ def _hom_matrix(source, target, matrix):
 def _kernel_of(source, dec):
     """Ker of a hom out of ``source``, generated by the relations among its
     columns, read off their ``_decompose_among`` the target."""
-    return subgroup_presentation(
+    return _span_presentation(
         source, _kernel_columns(dec, source.lift_dim))[0]
 
 
@@ -741,7 +768,7 @@ def _is_injective(source, dec):
     """Whether the kernel ``_kernel_of`` presents is trivial: whether every
     relation among the hom's columns, cut to the source coordinates, is 0
     in ``source``."""
-    return not any(any(source.reduce_vector(col))
+    return not any(any(source._reduce(col))
                    for col in _kernel_columns(dec, source.lift_dim))
 
 

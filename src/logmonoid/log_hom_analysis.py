@@ -47,7 +47,7 @@ class MonoidHom:
         mat = xl._hom_matrix(self.source.ambient, self.target.ambient,
                              self.matrix)
         object.__setattr__(self, "matrix", mat)
-        images = tuple(self.target.ambient.reduce_vector(xl.apply(mat, v))
+        images = tuple(self.target.ambient._reduce(xl.apply(mat, v))
                        for v in self.source._vectors)
         if not all(mc._contains(self.target, v) for v in images):
             raise DomainError(
@@ -169,8 +169,8 @@ def _multiples_in_image(hom):
     is finite, so the free parts span Q^r: the cone needs no span equations.
     """
     r = hom.target.ambient.free_rank
-    image = cc.RationalCone.from_rays([v[:r] for v in hom._images], r)
-    return all(image.contains(q.free) for q in hom.target.generators)
+    image = cc.RationalCone._of_rays([v[:r] for v in hom._images], r)
+    return all(image._holds(v[:r]) for v in hom.target._vectors)
 
 
 def relative_characteristic(hom):
@@ -180,7 +180,7 @@ def relative_characteristic(hom):
     # reduced images: the Smith pivots, and so the emitted coordinates,
     # depend on the exact entries
     quot, proj = xl.quotient_presentation(hom.target.ambient, hom._images)
-    gens = [quot.reduce_vector(xl.apply(proj, q)) for q in hom.target._vectors]
+    gens = [quot._reduce(xl.apply(proj, q)) for q in hom.target._vectors]
     # images of the target's spanning generators under the surjective proj
     return mc.AffineMonoid._spanning(quot, gens)
 

@@ -64,7 +64,7 @@ class MonoidIdeal:
     def contains(self, elem):
         amb = self.host.ambient
         vec = mc.vector_of(amb, elem)
-        return any(mc._contains(self.host, amb.sub(vec, g.as_vector()))
+        return any(mc._contains(self.host, amb._sub(vec, g.as_vector()))
                    for g in self.generators)
 
     def reduce(self):
@@ -75,7 +75,7 @@ class MonoidIdeal:
         keep = []
         for i, g in enumerate(gens):
             others = keep + gens[i + 1:]
-            if not any(mc._contains(self.host, amb.sub(g, h)) for h in others):
+            if not any(mc._contains(self.host, amb._sub(g, h)) for h in others):
                 keep.append(g)
         # the survivors are generators of this ideal, so in the host
         return MonoidIdeal._of_members(self.host, keep)
@@ -131,7 +131,7 @@ def blowup_charts(monoid, ideal):
     for s, c in zip(reduced, centers):
         # the generators include the host's, which span M^gp
         fine = mc.AffineMonoid._spanning(
-            amb, monoid._vectors + tuple(amb.sub(j, c) for j in centers))
+            amb, monoid._vectors + tuple(amb._sub(j, c) for j in centers))
         charts.append(BlowupChart(center=s, fine=fine, fs=mc.saturate(fine)))
     return charts
 

@@ -30,8 +30,13 @@ Elements have one currency inside the package: the canonical lift tuple,
 free part then torsion residues reduced into [0, f).  ``vector_of`` is the
 one door for a caller's lift vector or ``MonoidElement``: it reduces once
 and refuses an element that does not split as the ambient does.  A
-``MonoidElement`` is built only for a public field or return value, and
-the package's own tuples skip the door of ``contains`` (``_contains``).
+``MonoidElement`` is built only for a public field or return value, by
+``_element`` without the checks of its constructor, and the package's own
+tuples skip the doors that check a caller's value for the trusted cores
+behind them: ``_contains`` behind ``contains``, ``xl.FgAbelianGroup._reduce``
+behind ``reduce_vector`` and the group arithmetic, and
+``cc.RationalCone._of_rays`` and ``_holds`` behind ``from_rays`` and the
+cone's ``contains``.
 ``contains`` answers zero and the generators by definition, decides the
 rest in the lattice of relations when it has rank at most 2, and searches
 only above.  ``sharpen`` asks it of each generator of M/M^x in the lattice
@@ -85,8 +90,13 @@ def vector_of(ambient, elem):
 
 
 def _element(ambient, vec):
-    """The MonoidElement of a canonical lift tuple of ``ambient``."""
-    return MonoidElement(free=vec[:ambient.free_rank], torsion=vec[ambient.free_rank:])
+    """The MonoidElement of a canonical lift tuple of ``ambient``, built
+    without the checks of ``MonoidElement``: its slices are tuples of ints."""
+    elem = object.__new__(MonoidElement)
+    r = ambient.free_rank
+    object.__setattr__(elem, "free", vec[:r])
+    object.__setattr__(elem, "torsion", vec[r:])
+    return elem
 
 
 def element_of(ambient, elem):
@@ -97,8 +107,8 @@ def element_of(ambient, elem):
 def _combination(ambient, exponents, vectors):
     """The canonical tuple of sum_i exponents[i] * vectors[i], for lift
     tuples of ``ambient``."""
-    return ambient.reduce_vector([sum(c * v[i] for c, v in zip(exponents, vectors))
-                                  for i in range(ambient.lift_dim)])
+    return ambient._reduce(tuple([sum(c * v[i] for c, v in zip(exponents, vectors))
+                                  for i in range(ambient.lift_dim)]))
 
 
 def exponent_sum(ambient, exponents, elements):
@@ -212,8 +222,8 @@ class AffineMonoid:
     def _cone(self):
         """The rational cone in Q^r spanned by the free parts of the
         generators: the cone of the torsion-free projection of the monoid."""
-        return cc.RationalCone.from_rays([g.free for g in self.generators],
-                                         self.ambient.free_rank)
+        r = self.ambient.free_rank
+        return cc.RationalCone._of_rays([v[:r] for v in self._vectors], r)
 
     @classmethod
     def from_vectors(cls, vectors, torsion_orders=()):
@@ -230,7 +240,7 @@ class AffineMonoid:
         if width < len(torsion_orders):
             raise InputError("more torsion orders than coordinates")
         host = xl.FgAbelianGroup(width - len(torsion_orders), torsion_orders)
-        return span_submonoid(host, vectors)[0]
+        return span_submonoid(host, [host._vector(v) for v in vectors])[0]
 
     @property
     def zero(self):
@@ -241,14 +251,15 @@ class AffineMonoid:
 
     def add(self, a, b):
         amb = self.ambient
-        return _element(amb, amb.add(vector_of(amb, a), vector_of(amb, b)))
+        return _element(amb, amb._add(vector_of(amb, a), vector_of(amb, b)))
 
     def neg(self, a):
-        return _element(self.ambient, self.ambient.neg(vector_of(self.ambient, a)))
+        amb = self.ambient
+        return _element(amb, amb._neg(vector_of(amb, a)))
 
     def sub(self, a, b):
         amb = self.ambient
-        return _element(amb, amb.sub(vector_of(amb, a), vector_of(amb, b)))
+        return _element(amb, amb._sub(vector_of(amb, a), vector_of(amb, b)))
 
     def contains(self, elem):
         """Membership: is ``elem`` a nonnegative combination of generators?"""
@@ -263,7 +274,8 @@ class AffineMonoid:
 
 
 def span_submonoid(host, vectors):
-    """Re-presents the monoid generated by lift vectors of ``host``.
+    """Re-presents the monoid generated by lift vectors of ``host``, tuples
+    of host.lift_dim ints (trusted: ``from_vectors`` and the CLI check them).
 
     Returns (monoid, images): the ambient of ``monoid`` is the subgroup of
     ``host`` generated by the vectors (invariant-factor form), and
@@ -439,7 +451,8 @@ def grothendieck_group(pres):
     cols = [tuple(u[i] - v[i] for i in range(pres.ngens))
             for (u, v) in pres.relations]
     group, proj = xl._group_from_relations(pres.ngens, cols)
-    images = tuple(element_of(group, col) for col in xl.mat_columns(proj))
+    images = tuple(_element(group, group._reduce(col))
+                   for col in xl.mat_columns(proj))
     return group, images
 
 
@@ -527,7 +540,7 @@ def sharpen(monoid):
     """
     quot, proj = xl.quotient_presentation(
         monoid.ambient, [u.as_vector() for u in units(monoid)])
-    current = sorted(_distinct_nonzero(quot.reduce_vector(xl.apply(proj, v))
+    current = sorted(_distinct_nonzero(quot._reduce(xl.apply(proj, v))
                                        for v in monoid._vectors))
     keep = []
     for i, g in enumerate(current):
@@ -676,7 +689,7 @@ def pushout_with_maps(f, g):
     group, proj = xl._group_from_relations(lm + ln, cols)
 
     def images(vectors):
-        return [group.reduce_vector(xl.apply(proj, v)) for v in vectors]
+        return [group._reduce(xl.apply(proj, v)) for v in vectors]
 
     left = images(m + (0,) * ln for m in f.target._vectors)
     right = images((0,) * lm + n for n in g.target._vectors)
@@ -737,8 +750,9 @@ def fiber_product_generators(f, g):
     if f.target != g.target:
         raise InputError("fiber product legs must share their target monoid")
     m_mon, n_mon = f.source, g.source
-    a = _membership_system(f.target.ambient, f._images + tuple(
-        f.target.ambient.neg(v) for v in g._images))
+    amb = f.target.ambient
+    a = _membership_system(amb, f._images + tuple(
+        amb._neg(v) for v in g._images))
     p, q = len(m_mon._vectors), len(n_mon._vectors)
     pairs = dict.fromkeys(
         (_combination(m_mon.ambient, sol[:p], m_mon._vectors),

@@ -442,7 +442,7 @@ def test_from_rays_of_independent_generators_matches_oracle(case):
 
 
 def test_independent_generators_make_no_double_description(count_calls):
-    dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
+    dd_calls = count_calls(cc, "_halfspace_rays")
     # the closed form: one elimination in the span lattice instead of a
     # double description, for every list of independent generators
     for gens in ([(-3,)], [(1, 0), (1, 7)], [(2, 1), (1, 0)],
@@ -537,7 +537,7 @@ def test_span_coordinates_match_integer_solve(cone):
 def test_duality_double_description_counts(count_calls):
     half = cc.RationalCone.from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], 3)
     quadrant = cc.RationalCone.from_rays([(1, 0, 0), (0, 1, 0)], 3)
-    dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
+    dd_calls = count_calls(cc, "_halfspace_rays")
     cc.dual_cone(half)
     cc.dual_cone(quadrant)
     assert len(dd_calls) == 0
@@ -598,7 +598,14 @@ def test_intmat_coerces_an_index_integer_to_an_int():
      "vector has length 3, expected 2"),
     (lambda: cc.cone_from_constraints([(1, 0)], [(1, 2, 3)], 2),
      "equation has length 3, expected 2"),
-], ids=["from_rays", "contains", "cone_from_constraints"])
+    (lambda: cc.extreme_rays_of_halfspaces([(1, 0), (1, 2, 3)], 2),
+     "normal has length 3, expected 2"),
+    # a cone of another dimension, refused by the length check of contains
+    (lambda: cc.RationalCone.from_rays([(1, 0)], 2).contains_cone(
+        cc.RationalCone.from_rays([(1, 2, 3)], 3)),
+     "vector has length 3, expected 2"),
+], ids=["from_rays", "contains", "cone_from_constraints",
+        "extreme_rays_of_halfspaces", "contains_cone"])
 def test_vectors_of_the_wrong_length_are_refused_with_one_message(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         call()
@@ -712,9 +719,9 @@ def test_faces_match_oracle(cone):
 ])
 def test_faces_build_one_cone_per_proper_face(gens, dim, count_calls):
     cone = cc.RationalCone.from_rays(gens, dim)
-    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    cone_builds = count_calls(cc.RationalCone, "_of_rays")
     fl = cc.faces(cone)
-    assert len(from_rays_calls) == len(fl) - 1
+    assert len(cone_builds) == len(fl) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -1556,9 +1563,9 @@ def test_pulling_triangulation_matches_oracle(cone):
 ])
 def test_pulling_triangulation_builds_no_cone(gens, dim, count_calls):
     cone = cc.RationalCone.from_rays(gens, dim)
-    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    cone_builds = count_calls(cc.RationalCone, "_of_rays")
     assert len(cc.pulling_triangulation(cone)) > 1
-    assert from_rays_calls == []
+    assert cone_builds == []
 
 
 # ---------------------------------------------------------------------------
@@ -1875,7 +1882,7 @@ def test_validate_2d_resolutions_without_double_description(count_calls):
     # separating facet normal, so validation needs no double description
     fans = [cc.resolve(_fan([[(1, 0), (1, k)]], 2))
             for k in range(1, 26)]
-    dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
+    dd_calls = count_calls(cc, "_halfspace_rays")
     for fan in fans:
         fan.validate()
     assert sum(len(f.maximal_cones) for f in fans) == 25 * 26 // 2
@@ -2037,7 +2044,7 @@ def test_resolve_of_simplicial_fans_makes_no_double_description(count_calls):
             _fan([[(1, 0, 0), (0, 1, 0), (1, 1, 6)]], 3),
             _fan([[(1, 0, 0), (0, 1, 0), (1, 2, 5)],
                   [(1, 0, 0), (0, 1, 0), (-1, 3, -4)]], 3)]
-    dd_calls = count_calls(cc, "extreme_rays_of_halfspaces")
+    dd_calls = count_calls(cc, "_halfspace_rays")
     for fan in fans:
         assert cc.resolve(fan).is_regular()
     assert dd_calls == []
@@ -2272,7 +2279,7 @@ def test_covers_matches_the_facet_cones(fan, subdivide, data):
 def test_covers_builds_no_cone(rays, count_calls):
     cone = cc.RationalCone.from_rays(rays, len(rays[0]))
     pieces = cc.resolve(_fan([rays], cone.dim)).maximal_cones
-    cones = count_calls(cc.RationalCone, "from_rays")
+    cones = count_calls(cc.RationalCone, "_of_rays")
     assert _covers(cone, pieces)
     assert not _covers(cone, pieces[1:])
     assert cones == []
@@ -2284,7 +2291,7 @@ def test_stellar_steps_touch_only_the_star(n, count_calls):
     # tests for n = 50 and 41,392 for n = 200, quadratic in n; the star-local
     # loop tests only the generators of the pieces it builds
     fan = _fan([[(1, 0, 0), (0, 1, 0), (1, 1, n)]], 3)
-    contains = count_calls(cc.RationalCone, "contains")
+    contains = count_calls(cc.RationalCone, "_holds")
     resolved = cc._stellar_loop(fan)
     assert len(resolved.maximal_cones) == 2 * n - 1
     assert resolved.is_regular()
@@ -2364,11 +2371,11 @@ def test_2d_resolution_builds_no_cone_by_double_description(n, dim,
     pad = (0,) * (dim - 2)
     quotient_calls = count_calls(xl, "_quotient_maps")
     fan = _fan([[(1, 0, *pad), (1, n, *pad)]], dim)
-    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    cone_builds = count_calls(cc.RationalCone, "_of_rays")
     det_calls = count_calls(xl, "det_adjugate")
     resolved = cc.resolve(fan)
     assert len(resolved.maximal_cones) == n
-    assert from_rays_calls == []
+    assert cone_builds == []
     assert det_calls == []
     assert len(quotient_calls) == (1 if dim > 2 else 0)
 
@@ -2415,9 +2422,9 @@ def test_joins_of_simplicial_cones_match_oracle(case):
 def test_joins_of_a_full_dimensional_simplicial_cone_skip_from_rays(
         rays, v, count_calls):
     cone = cc.RationalCone.from_rays(rays, len(v))
-    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    cone_builds = count_calls(cc.RationalCone, "_of_rays")
     pieces = cc._joins(cone, v)
-    assert from_rays_calls == []
+    assert cone_builds == []
     assert set(pieces) == set(_oracle_joins(cone, v))
 
 

@@ -541,15 +541,20 @@ def test_group_arithmetic_reduces_torsion():
     assert g.sub((0, 0), (0, 1)) == (0, 2)
 
 
-@pytest.mark.parametrize("method, args", [
-    ("add", ((1, 0), (1,))), ("add", ((1,), (1, 0))),
-    ("sub", ((1, 0), (1,))), ("sub", ((1,), (1, 0))),
-    ("neg", ((1,),)), ("scale", (2, (1,)))],
-    ids=["add-right", "add-left", "sub-right", "sub-left", "neg", "scale"])
-def test_group_arithmetic_refuses_a_vector_of_the_wrong_length(method, args):
+@pytest.mark.parametrize("call", [
+    lambda g: g.add((1, 0), (1,)), lambda g: g.add((1,), (1, 0)),
+    lambda g: g.sub((1, 0), (1,)), lambda g: g.sub((1,), (1, 0)),
+    lambda g: g.neg((1,)), lambda g: g.scale(2, (1,)),
+    lambda g: g.reduce_vector((1,)),
+    lambda g: xl.subgroup_presentation(g, [(1, 0), (1,)]),
+    # the host of (1, 0) and (1,) with torsion (2,) is g
+    lambda g: mc.AffineMonoid.from_vectors([(1, 0), (1,)], (2,))],
+    ids=["add-right", "add-left", "sub-right", "sub-left", "neg", "scale",
+         "reduce_vector", "subgroup_presentation", "from_vectors"])
+def test_group_arithmetic_refuses_a_vector_of_the_wrong_length(call):
     g = xl.FgAbelianGroup(1, (2,))
     with pytest.raises(InputError, match="^lift vector has length 1, expected 2$"):
-        getattr(g, method)(*args)
+        call(g)
 
 
 def test_relation_columns_with_slack_signs():
@@ -1131,6 +1136,10 @@ _HALF_ROW, _HALF = xl.IntMatrix(((1.5, 2),), 2), xl.IntMatrix(((1.5,),), 1)
     lambda: lha.kato_criterion(lha.MonoidHom(
         mc.free_monoid(1), mc.free_monoid(1), [[1]]), True),
     lambda: xl.FgAbelianGroup(1).scale(True, (1,)),
+    lambda: xl.FgAbelianGroup(1).add((1,), (0.5,)),
+    lambda: xl.FgAbelianGroup(1).sub((0.5,), (1,)),
+    lambda: xl.FgAbelianGroup(1).neg(("1",)),
+    lambda: xl.subgroup_presentation(xl.FgAbelianGroup(1), [(1,), (0.5,)]),
 ], ids=["free_rank", "factor", "factor_str", "reduce_vector", "solve_nonneg",
         "has_nonneg_solution", "solve_integer", "hom_kernel",
         "stellar_point", "stellar_point_str", "matmul_vector",
@@ -1140,7 +1149,8 @@ _HALF_ROW, _HALF = xl.IntMatrix(((1.5, 2),), 2), xl.IntMatrix(((1.5,),), 1)
         "hom_cokernel_intmatrix", "monoid_hom_intmatrix",
         "free_rank_bool", "free_monoid_bool", "solve_integer_bool",
         "solve_nonneg_bool", "matmul_bool", "element_bool", "from_rays_bool",
-        "presentation_bool", "from_vectors_bool", "kato_bool", "scale_bool"])
+        "presentation_bool", "from_vectors_bool", "kato_bool", "scale_bool",
+        "add", "sub", "neg", "subgroup_presentation"])
 def test_non_integers_are_refused_not_truncated(call):
     with pytest.raises(InputError):
         call()

@@ -130,7 +130,7 @@ def test_a_hom_reduces_each_image_once(count_calls):
     # membership door; the verdicts read the images it keeps
     target = mc.AffineMonoid.from_vectors([(1, 0), (1, 1)], torsion_orders=(2,))
     doors = count_calls(mc, "contains")
-    reductions = count_calls(xl.FgAbelianGroup, "reduce_vector")
+    reductions = count_calls(xl.FgAbelianGroup, "_reduce")
 
     def on_target():
         return [vec for group, vec in reductions if group is target.ambient]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import logmonoid.cone_complex as cc
 import logmonoid.exact_lattice as xl
+import logmonoid.log_hom_analysis as lha
 import logmonoid.log_ideal_blowup as lib
 import logmonoid.monoid_core as mc
 from logmonoid import cli
@@ -415,3 +416,60 @@ def test_package_tuples_skip_the_membership_door(monkeypatch):
     # a caller's lift vector goes through the door once
     assert host.contains((3, 3, 1))
     assert doors == [(3, 3, 1)]
+
+
+def test_package_values_reach_no_checked_door(monkeypatch):
+    # the package's own tuples go to the trusted cores: of the doors split
+    # into a check and a core, only those of a caller's values (vector_of,
+    # from_vectors, subgroup_presentation) are entered from the package.  A
+    # door entered is recorded with the first function up the stack that
+    # is neither a door nor a comprehension, when it is in the package
+    doors = [(xl.FgAbelianGroup, "_vector"), (xl.FgAbelianGroup, "__post_init__"),
+             (mc.MonoidElement, "__post_init__"), (cc.RationalCone, "contains"),
+             (cc.RationalCone, "contains_cone"), (cc, "extreme_rays_of_halfspaces")]
+    skipped = {f.__code__ for f in (
+        xl.FgAbelianGroup.reduce_vector, xl.FgAbelianGroup.add,
+        xl.FgAbelianGroup.sub, xl.FgAbelianGroup.neg, xl.FgAbelianGroup.scale,
+        xl.FgAbelianGroup.__init__, mc.MonoidElement.__init__,
+        cc.RationalCone.from_rays.__func__)}
+    sites = []
+
+    def entered(real):
+        def checked(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_code in skipped or frame.f_code.co_name[0] == "<":
+                frame = frame.f_back
+            if frame.f_globals["__name__"].startswith("logmonoid."):
+                sites.append(frame.f_code.co_name)
+            return real(*args, **kwargs)
+
+        return checked
+
+    for owner, name in doors:
+        monkeypatch.setattr(owner, name, entered(getattr(owner, name)))
+    monkeypatch.setattr(cc.RationalCone, "from_rays",
+                        staticmethod(entered(cc.RationalCone.from_rays)))
+    host = mc.AffineMonoid.from_vectors(
+        [(2, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)], (2,))
+    line = mc.AffineMonoid.from_vectors([(1,)])
+    # the host group and each vector of the two monoids
+    assert sites == ["from_vectors"] * 7
+    sites.clear()
+    for monoid in (host, line):
+        mc.saturate(monoid), mc.sharpen(monoid), mc.spec(monoid)
+        mc.predicates(monoid), mc.units(monoid)
+    hom = lha.MonoidHom(line, host, [[2], [2], [0]])
+    other = lha.MonoidHom(line, host, [[1], [1], [1]])
+    double = lha.MonoidHom(line, line, [[2]])
+    assert lha.is_kummer(double) and not lha.is_kummer(hom)
+    lha.kato_criterion(hom, 2), lha.gp_kernel(hom), lha.gp_cokernel(hom)
+    lha.relative_characteristic(hom), lha.monoid_kernel_trivial(hom)
+    lha.universal_differential_presentation(hom)
+    mc.pushout_with_maps(hom, other), mc.pushout(hom, other, "fs")
+    mc.fiber_product(hom, other)
+    ideal = lib.MonoidIdeal(host, [(2, 1, 1), (3, 3, 1), (1, 1, 1)])
+    charts = lib.blowup_charts(host, ideal)
+    assert lib.charts_are_idempotent(charts, ideal)
+    lib.maximal_ideal(host).reduce()
+    assert ideal.contains((5, 5, 1)) and not ideal.contains((0, 1, 0))
+    assert sites and set(sites) == {"vector_of"}

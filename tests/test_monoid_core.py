@@ -885,7 +885,7 @@ def test_the_units_of_a_saturation_build_no_cone(count_calls):
     m = mc.AffineMonoid.from_vectors(
         [(1, 0, 0), (-1, 0, 1), (1, 2, 0), (0, 1, 1)], (2,))
     sat = mc.saturate(m)
-    calls = count_calls(cc.RationalCone, "from_rays")
+    calls = count_calls(cc.RationalCone, "_of_rays")
     units = mc.units(sat)
     assert calls == []
     assert [u.as_vector() for u in units] == [(-1, 0, 0), (0, 0, 1),
@@ -935,25 +935,25 @@ CONE_OF_FREE_PARTS_CALLS = [
 @pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
 def test_spec_builds_at_most_the_cone_of_free_parts(monoid, calls,
                                                      count_calls):
-    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    cone_builds = count_calls(cc.RationalCone, "_of_rays")
     mc.spec(monoid())
-    assert len(from_rays_calls) == calls
+    assert len(cone_builds) == calls
 
 
 @pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
 def test_units_build_at_most_the_cone_of_free_parts(monoid, calls,
                                                     count_calls, no_solver):
-    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    cone_builds = count_calls(cc.RationalCone, "_of_rays")
     mc.units(monoid())
-    assert len(from_rays_calls) == calls
+    assert len(cone_builds) == calls
 
 
 @pytest.mark.parametrize("monoid, calls", CONE_OF_FREE_PARTS_CALLS)
 def test_sharpen_builds_no_cone_for_the_quotient(monoid, calls, count_calls):
     # M/M^x is sharp by construction: only units(M) builds a cone
-    from_rays_calls = count_calls(cc.RationalCone, "from_rays")
+    cone_builds = count_calls(cc.RationalCone, "_of_rays")
     mc.sharpen(monoid())
-    assert len(from_rays_calls) == calls
+    assert len(cone_builds) == calls
 
 
 def test_units_of_the_all_units_monoid_need_no_solver(no_solver):
@@ -1084,6 +1084,57 @@ def test_package_built_values_are_not_checked_again(count_calls):
     cc.resolve(fan)
     assert {name: len(calls) for name, calls in doors.items()} == \
         dict.fromkeys(doors, 0)
+
+
+@st.composite
+def _groups(draw):
+    """Groups Z^r (+) Z/f_1 (+) ..., r = 0..3, with up to two invariant
+    factors in a divisibility chain."""
+    factors = [draw(st.integers(2, 4))]
+    for _ in range(draw(st.integers(0, 1))):
+        factors.append(factors[-1] * draw(st.integers(1, 3)))
+    return xl.FgAbelianGroup(draw(st.integers(0, 3)),
+                             tuple(factors[:draw(st.integers(0, 2))]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_trusted_cores_match_their_doors(data):
+    # on the tuples of ints the package holds, each trusted core gives what
+    # its checked door gives: the door is the oracle
+    group = data.draw(_groups())
+    r = group.free_rank
+    vec = st.tuples(*[st.integers(-12, 12)] * group.lift_dim)
+    raw = data.draw(st.lists(vec, min_size=1, max_size=4))
+    reduced = [group._reduce(v) for v in raw]
+    assert reduced == [group.reduce_vector(v) for v in raw]
+    for x, y in zip(raw, raw[1:] + raw[:1]):
+        assert group._add(x, y) == group.add(x, y)
+        assert group._sub(x, y) == group.sub(x, y)
+        assert group._neg(x) == group.neg(x)
+    trusted = [mc._element(group, v) for v in reduced]
+    checked = [mc.MonoidElement(v[:r], v[r:]) for v in reduced]
+    for a, a_door in zip(trusted, checked):
+        assert a == a_door and hash(a) == hash(a_door)
+        assert repr(a) == repr(a_door)
+        for b, b_door in zip(trusted, checked):
+            assert (a < b, a <= b, a == b) == \
+                (a_door < b_door, a_door <= b_door, a_door == b_door)
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n),
+                              min_size=m, max_size=m))
+    dec = xl._snf_full(xl.IntMatrix(tuple(rows), n))
+    coker = xl._cokernel_of(dec)
+    door = xl.FgAbelianGroup(dec.left.ncols - len(dec.diag),
+                             tuple(f for f in dec.diag if f >= 2))
+    assert coker == door and hash(coker) == hash(door)
+    assert type(coker.free_rank) is int and coker.lift_dim == door.lift_dim
+    dim = data.draw(st.integers(0, 4))
+    rays = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
+                              max_size=5))
+    assert cc.RationalCone._of_rays(rays, dim) == \
+        cc.RationalCone.from_rays(rays, dim)
 
 
 def test_kummer_pushout_fine_and_fs():
